@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz vet bench chaos crash serve-test metrics-test clean
+.PHONY: build test fuzz vet bench bench-check chaos crash serve-test metrics-test clean
 
 build:
 	$(GO) build ./...
@@ -61,9 +61,16 @@ bench:
 	$(GO) run ./cmd/xnfbench -exp e16
 	$(GO) run ./cmd/xnfbench -exp e17 -json
 	$(GO) run ./cmd/xnfbench -exp e18 -json
-	$(GO) run ./cmd/xnfbench -exp e19 -json
+	$(GO) run ./cmd/xnfbench -exp e19
 	$(GO) run ./cmd/xnfbench -exp e23 -json
 	$(GO) run ./cmd/xnfload -conns 1,8 -duration 200ms -rows 2000 -json
+
+# The benchmark module (bench/, its own go.mod) imports a dozen internal/
+# packages but sits outside `go build ./...`: vet and test it here so a root
+# change that breaks its build fails before the benchmark runs (~17 s).
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 clean:
 	$(GO) clean ./...

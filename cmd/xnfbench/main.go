@@ -58,7 +58,6 @@ func main() {
 		{"e11", "Intro — working-set extraction vs per-object instantiation", runE11},
 		{"e12", "§4 — composite-object clustering (page I/O)", runE12},
 		{"e13", "§4.3 — common subexpression sharing", runE13},
-		{"e14", "Batched executor pipeline — row vs batch drive", runE14},
 		{"e15", "Prepared-plan cache — repeated queries, hit vs cold compile", runE15},
 		{"e16", "Parameterized prepared statements — one compile, many bindings", runE16},
 		{"e17", "Morsel-driven parallel execution — multicore scan, join, aggregation", runE17},
@@ -367,93 +366,6 @@ func runE12(scale int) {
 	}
 }
 
-// runE14 drives the physical executor directly: the same plans through the
-// row-at-a-time Volcano interface and the batched interface (EXECUTOR.md),
-// which is the substrate every E1–E13 query now runs on.
-func runE14(scale int) {
-	n := 50000 * scale
-	bp := storage.NewBufferPool(storage.NewDisk(), 1<<16)
-	cat := catalog.New(bp)
-	schema := types.Schema{
-		{Name: "id", Kind: types.KindInt},
-		{Name: "val", Kind: types.KindInt},
-		{Name: "grp", Kind: types.KindInt},
-		{Name: "name", Kind: types.KindString},
-	}
-	t := must(cat.CreateTable("T", schema, ""))
-	for i := 0; i < n; i++ {
-		row := types.Row{
-			types.NewInt(int64(i)),
-			types.NewInt(int64(i % 1000)),
-			types.NewInt(int64(i % 64)),
-			types.NewString(fmt.Sprintf("name-%d", i%100)),
-		}
-		must(t.Heap.Insert(t.Tag, row))
-	}
-	drainRows := func(p exec.Plan) int {
-		ctx := exec.NewContext()
-		if err := p.Open(ctx); err != nil {
-			panic(err)
-		}
-		defer p.Close()
-		count := 0
-		for {
-			_, ok, err := p.Next(ctx)
-			if err != nil {
-				panic(err)
-			}
-			if !ok {
-				return count
-			}
-			count++
-		}
-	}
-	drainBatch := func(p exec.Plan) int {
-		rows := must(exec.Collect(exec.NewContext(), p))
-		return len(rows)
-	}
-	cases := []struct {
-		name string
-		mk   func() exec.Plan
-	}{
-		{"scan+filter", func() exec.Plan {
-			return &exec.Filter{
-				Child: &exec.SeqScan{Table: t},
-				Pred:  exec.BinOp{Op: "<", L: exec.Col{Idx: 1}, R: exec.Const{V: types.NewInt(500)}},
-			}
-		}},
-		{"hash join", func() exec.Plan {
-			return exec.NewHashJoin(
-				&exec.SeqScan{Table: t}, &exec.SeqScan{Table: t},
-				[]exec.Expr{exec.Col{Idx: 1}}, []exec.Expr{exec.Col{Idx: 0}}, nil)
-		}},
-		{"group-agg", func() exec.Plan {
-			return &exec.GroupAgg{
-				Child:   &exec.SeqScan{Table: t},
-				KeyIdxs: []int{2},
-				Aggs:    []exec.AggDef{{Kind: exec.AggSum, ArgIdx: 1}, {Kind: exec.AggCountStar, ArgIdx: -1}},
-				Out: types.Schema{
-					{Name: "grp", Kind: types.KindInt},
-					{Name: "s", Kind: types.KindInt},
-					{Name: "c", Kind: types.KindInt},
-				},
-			}
-		}},
-	}
-	fmt.Printf("  table: %d rows; batch size %d\n", n, exec.BatchSize)
-	fmt.Printf("  %-12s %-12s %-12s %s\n", "operator", "row drive", "batch drive", "speedup")
-	for _, c := range cases {
-		var nr, nb int
-		rowT := timeIt(3, func() { nr = drainRows(c.mk()) })
-		batchT := timeIt(3, func() { nb = drainBatch(c.mk()) })
-		if nr != nb {
-			panic(fmt.Sprintf("e14 %s: row drive %d rows, batch drive %d", c.name, nr, nb))
-		}
-		fmt.Printf("  %-12s %-12v %-12v %.1fx\n", c.name, rowT, batchT, float64(rowT)/float64(batchT))
-	}
-	fmt.Println("  → one virtual call per ~256 rows instead of per row (EXECUTOR.md)")
-}
-
 // runE15 measures the repeated-query (prepared) workload: the same
 // statements executed over and over against one engine, with the plan cache
 // enabled (hit path: normalize → lock → pooled plan → execute) versus
@@ -550,13 +462,13 @@ func runE16(scale int) {
 	fmt.Println("  → one compile serves every binding; entries stay O(statement shapes)")
 }
 
-// runE17 measures morsel-driven parallel execution at the exec level (like
-// e14): the 100k-row scan+filter, hash-join, and group-agg workloads at
-// DOP=1 versus DOP=4 over the same plans — serial operators against Gather
-// pipelines with MorselScan leaves, shared parallel hash builds, and
-// per-worker aggregation tables. On a machine with ≥4 cores the parallel
-// arms target ≥2.5× on these workloads; the printout records this machine's
-// core count so single-core runs read as what they are.
+// runE17 measures morsel-driven parallel execution at the exec level (plans
+// built by hand, no SQL): the 100k-row scan+filter, hash-join, and group-agg
+// workloads at DOP=1 versus DOP=4 over the same plans — serial operators
+// against Gather pipelines with MorselScan leaves, shared parallel hash
+// builds, and per-worker aggregation tables. On a machine with ≥4 cores the
+// parallel arms target ≥2.5× on these workloads; the printout records this
+// machine's core count so single-core runs read as what they are.
 func runE17(scale int) {
 	n := 100_000 * scale
 	bp := storage.NewBufferPool(storage.NewDisk(), 1<<16)
@@ -970,11 +882,13 @@ func runE13(scale int) {
 // writer session runs back-to-back explicit transactions, each a ~50ms
 // burst of single-row UPDATEs, so the table's exclusive lock is held most
 // of the wall clock. N reader sessions run a fixed aggregate query in a
-// loop. Under the pre-MVCC locking protocol (WithReadLocks) every read
-// waits for the writer's commit; under snapshot isolation readers never
-// block and each statement sees the last committed batch. The cache
-// dimension toggles the plan and CO caches to show the MVCC gain is not an
-// artifact of either.
+// loop. Under snapshot isolation readers never block and each statement sees
+// the last committed batch. The cache dimension toggles the plan and CO
+// caches to show reader throughput is not an artifact of either. The
+// committed BENCH_e19.json is the frozen last recording that still carried
+// the pre-MVCC shared-lock read path as a baseline arm (readers waited for
+// the writer's commit); that path is gone, so `make bench` runs e19 without
+// -json and leaves the file alone.
 func runE19(scale int) {
 	rows := 800 * scale
 	const readers = 4
@@ -990,17 +904,15 @@ func runE19(scale int) {
 		WriterUpdates int64   `json:"writer_updates"`
 	}
 	rec := struct {
-		Experiment      string  `json:"experiment"`
-		Rows            int     `json:"rows"`
-		Readers         int     `json:"readers"`
-		WindowNs        int64   `json:"window_ns"`
-		NumCPU          int     `json:"num_cpu"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
-		Cells           []cell  `json:"cells"`
-		MvccVsLocking   float64 `json:"mvcc_vs_locking_reads_caches_on"`
-		AcceptanceBound float64 `json:"acceptance_bound"`
+		Experiment string `json:"experiment"`
+		Rows       int    `json:"rows"`
+		Readers    int    `json:"readers"`
+		WindowNs   int64  `json:"window_ns"`
+		NumCPU     int    `json:"num_cpu"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		Cells      []cell `json:"cells"`
 	}{Experiment: "e19", Rows: rows, Readers: readers, WindowNs: window.Nanoseconds(),
-		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), AcceptanceBound: 3}
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 
 	arms := []struct {
 		arm, caches string
@@ -1008,11 +920,7 @@ func runE19(scale int) {
 	}{
 		{"mvcc", "on", nil},
 		{"mvcc", "off", []sqlxnf.Option{sqlxnf.WithoutPlanCache(), sqlxnf.WithoutCOCache()}},
-		{"locking", "on", []sqlxnf.Option{sqlxnf.WithReadLocks()}},
-		{"locking", "off", []sqlxnf.Option{sqlxnf.WithReadLocks(),
-			sqlxnf.WithoutPlanCache(), sqlxnf.WithoutCOCache()}},
 	}
-	readsPerSec := map[string]float64{}
 	fmt.Printf("  %d rows, 1 writer (%v update bursts), %d readers, %v window\n",
 		rows, batch, readers, window)
 	fmt.Printf("  %-10s %-8s %-12s %-14s %-10s %-10s\n",
@@ -1075,16 +983,12 @@ func runE19(scale int) {
 		must(0, db.Close())
 
 		rps := float64(readerOps) / elapsed.Seconds()
-		readsPerSec[a.arm+"/"+a.caches] = rps
 		fmt.Printf("  %-10s %-8s %-12d %-14.0f %-10d %-10d\n",
 			a.arm, a.caches, readerOps, rps, commits, updates)
 		rec.Cells = append(rec.Cells, cell{Arm: a.arm, Caches: a.caches,
 			ReaderOps: readerOps, ReadsPerSec: rps,
 			WriterCommits: commits, WriterUpdates: updates})
 	}
-	rec.MvccVsLocking = readsPerSec["mvcc/on"] / readsPerSec["locking/on"]
-	fmt.Printf("  MVCC vs locking reader throughput (caches on): %.1fx (acceptance bound 3x)\n",
-		rec.MvccVsLocking)
 	writeJSONFile("BENCH_e19.json", rec)
 	fmt.Println("  → snapshot reads never wait for the writer's exclusive lock")
 }

@@ -207,8 +207,8 @@ func (c *Cache) PeekSpec(key string, epoch uint64) (*qgm.XNFSpec, bool) {
 }
 
 // PeekDeps returns the dependency table set of a cached CO without touching
-// hit/miss counters — the engine uses it to take the right shared locks
-// before validating the entry.
+// hit/miss counters — the engine checks its snapshot against exactly these
+// tables after validating the entry.
 func (c *Cache) PeekDeps(key string, epoch uint64) ([]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -228,9 +228,9 @@ func (c *Cache) PeekDeps(key string, epoch uint64) ([]string, bool) {
 }
 
 // Get returns the cached CO for key when it is current at epoch and under
-// vf. The caller must hold shared locks on the entry's dependency tables
-// (PeekDeps) so the validation cannot race DML. The returned CO is shared:
-// read-only for the caller.
+// vf, i.e. equal to latest-committed state. Whether that state is the one
+// the caller's snapshot sees is the caller's check (PeekDeps names the tables
+// to compare). The returned CO is shared: read-only for the caller.
 func (c *Cache) Get(key string, epoch uint64, vf VersionFn) (*xnf.CO, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -275,12 +275,12 @@ func (c *Cache) removeLocked(el *list.Element, e *entry) {
 }
 
 // FetchCO returns the CO for key, serving the cached materialization when
-// current and otherwise materializing through mat with single-flight. The
-// caller must hold shared locks on every base table the spec reads for the
-// whole fetch — that is what pins the dependency versions while the entry
-// validates or materializes, and what makes a peer flight's result valid
-// for its waiters. mat returns the CO plus the dependency snapshot read
-// under those same locks. hit reports whether the cached copy was served.
+// current and otherwise materializing through mat with single-flight. mat
+// returns the CO plus the dependency snapshot it was evaluated against. An
+// entry or a peer flight's result tracks latest-committed state; the caller
+// must check that its own snapshot covers the dependency tables before
+// using one it did not materialize itself. hit reports whether the cached
+// copy was served.
 //
 // ctx bounds the wait on a peer flight: a cancelled waiter detaches and
 // returns ctx.Err() while the runner continues unaffected (its result still
@@ -324,9 +324,8 @@ func (c *Cache) FetchCO(ctx context.Context, key string, epoch uint64, vf Versio
 				// materialization itself.
 				continue
 			}
-			// The runner's result is current for this waiter too: both held
-			// shared locks on the dependency tables across the wait, so no
-			// DML intervened between the runner's reads and now.
+			// The runner's result tracks latest-committed state as of its
+			// evaluation; the caller decides whether its snapshot covers it.
 			return f.co, false, nil
 		}
 		f := &flight{done: make(chan struct{})}

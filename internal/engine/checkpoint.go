@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"sqlxnf/internal/lock"
 	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/wal"
@@ -41,7 +40,7 @@ func (s *Session) checkpoint() (*Result, error) {
 			if locked[tn] {
 				continue
 			}
-			if err := s.lockTable(tn, lock.Exclusive); err != nil {
+			if err := s.lockTable(tn); err != nil {
 				return nil, err
 			}
 			locked[tn] = true

@@ -19,9 +19,6 @@ package engine
 // served without being stored (a shared entry must always equal
 // latest-committed state). Materialization itself stays single-flight:
 // concurrent sessions needing the same stale entry share one evaluation.
-// (lockTablesShared remains in the protocol for the ReadLocks=true
-// compatibility mode, where it restores the pre-MVCC lock-before-validate
-// discipline; under MVCC it is a no-op.)
 
 import (
 	"fmt"
@@ -31,7 +28,6 @@ import (
 	"sqlxnf/internal/comat"
 	"sqlxnf/internal/exec"
 	"sqlxnf/internal/faultinj"
-	"sqlxnf/internal/lock"
 	"sqlxnf/internal/parser"
 	"sqlxnf/internal/qgm"
 	"sqlxnf/internal/types"
@@ -163,13 +159,6 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 		if err != nil {
 			return nil, false, err
 		}
-		tables, err := s.specTables(spec)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := s.lockTablesShared(tables); err != nil {
-			return nil, false, err
-		}
 		if err := s.eng.faults.Hit(faultinj.ComatMat); err != nil {
 			return nil, false, err
 		}
@@ -189,9 +178,6 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	// hit path never builds (or even checks out) the spec — validate the
 	// entry, then confirm the session's snapshot covers its dependency set.
 	if tables, ok := cm.PeekDeps(key, epoch); ok {
-		if err := s.lockTablesShared(tables); err != nil {
-			return nil, false, err
-		}
 		if co, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables) {
 			return co, true, nil
 		}
@@ -203,9 +189,6 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	}
 	tables, err := s.specTables(spec)
 	if err != nil {
-		return nil, false, err
-	}
-	if err := s.lockTablesShared(tables); err != nil {
 		return nil, false, err
 	}
 	evaluate := func() (*xnf.CO, error) {
@@ -271,16 +254,6 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	}
 	co, err = evaluate()
 	return co, false, err
-}
-
-// lockTablesShared takes shared locks on the given tables.
-func (s *Session) lockTablesShared(tables []string) error {
-	for _, tn := range tables {
-		if err := s.lockTable(tn, lock.Shared); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // specTables returns every base table a spec's materialization reads —
@@ -359,44 +332,43 @@ func collectNodeRefViews(box *qgm.Box) []string {
 }
 
 // nodeRefPlanDeps resolves the statement-level dependency metadata of a box
-// that references XNF view nodes: the transitive base tables behind each
-// referenced view (to complete the plan's lock set) and their current
-// version snapshot (to invalidate the cached plan when a component table
-// changes — which also refreshes the NodeRef cardinality estimates baked
-// into the plan).
-func (s *Session) nodeRefPlanDeps(box *qgm.Box) (tables []string, deps []comat.TableDep, err error) {
+// that references XNF view nodes: the current version snapshot of the
+// transitive base tables behind each referenced view, which invalidates the
+// cached plan when a component table changes (and so refreshes the NodeRef
+// cardinality estimates baked into the plan).
+func (s *Session) nodeRefPlanDeps(box *qgm.Box) ([]comat.TableDep, error) {
 	views := collectNodeRefViews(box)
 	if len(views) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
+	var deps []comat.TableDep
 	seen := map[string]bool{}
 	for _, vn := range views {
 		v, err := s.eng.cat.View(vn)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		spec, err := s.viewSpecReadOnly(v)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		vtabs, err := s.specTables(spec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, tn := range vtabs {
 			if seen[tn] {
 				continue
 			}
 			seen[tn] = true
-			tables = append(tables, tn)
 			ver, ok := s.eng.cat.TableVersion(tn)
 			if !ok {
-				return nil, nil, fmt.Errorf("engine: table %q behind view %q does not exist", tn, vn)
+				return nil, fmt.Errorf("engine: table %q behind view %q does not exist", tn, vn)
 			}
 			deps = append(deps, comat.TableDep{Table: tn, Version: ver})
 		}
 	}
-	return tables, deps, nil
+	return deps, nil
 }
 
 // COCacheStats snapshots the composite-object cache counters (zero value

@@ -6,7 +6,6 @@ import (
 	"sqlxnf/internal/catalog"
 	"sqlxnf/internal/exec"
 	"sqlxnf/internal/faultinj"
-	"sqlxnf/internal/lock"
 	"sqlxnf/internal/optimizer"
 	"sqlxnf/internal/parser"
 	"sqlxnf/internal/qgm"
@@ -52,7 +51,7 @@ func (s *Session) createTable(stmt *parser.CreateTableStmt, text string) (*Resul
 func (s *Session) createIndex(stmt *parser.CreateIndexStmt, text string) (*Result, error) {
 	// DDL keeps exclusive locks under MVCC: no writer may grow the version
 	// set while the index is populated from it.
-	if err := s.lockTable(stmt.Table, lock.Exclusive); err != nil {
+	if err := s.lockTable(stmt.Table); err != nil {
 		return nil, err
 	}
 	ix, err := s.eng.cat.CreateIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique)
@@ -121,7 +120,7 @@ func (s *Session) drop(stmt *parser.DropStmt, text string) (*Result, error) {
 	case "TABLE":
 		// Exclusive lock: in-flight writers of the table finish (and bump
 		// through commit) before the drop lands.
-		if err := s.lockTable(stmt.Name, lock.Exclusive); err != nil {
+		if err := s.lockTable(stmt.Name); err != nil {
 			return nil, err
 		}
 		err = s.eng.cat.DropTable(stmt.Name)
@@ -139,8 +138,8 @@ func (s *Session) drop(stmt *parser.DropStmt, text string) (*Result, error) {
 	return &Result{}, nil
 }
 
-// analyze recomputes optimizer statistics for one table or all tables,
-// taking shared locks (ANALYZE reads data, it does not change it).
+// analyze recomputes optimizer statistics for one table or all tables
+// (ANALYZE reads data, it does not change it, so it takes no lock).
 func (s *Session) analyze(stmt *parser.AnalyzeStmt) (*Result, error) {
 	var names []string
 	if stmt.Table != "" {
@@ -152,9 +151,6 @@ func (s *Session) analyze(stmt *parser.AnalyzeStmt) (*Result, error) {
 	for _, n := range names {
 		t, err := s.eng.cat.Table(n)
 		if err != nil {
-			return nil, err
-		}
-		if err := s.lockTable(t.Name, lock.Shared); err != nil {
 			return nil, err
 		}
 		rows, err := s.eng.cat.AnalyzeTable(n)
@@ -282,7 +278,7 @@ func (s *Session) insertRowNearTx(t *catalog.Table, near storage.RID, row types.
 	if s.mvccWrite() {
 		s.versWork++ // create stamp to freeze once settled
 	}
-	t.Stats().ObserveInsert(coerced)
+	t.ObserveInsert(coerced)
 	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: rid, After: coerced.Clone()})
 	return rid, nil
 }
@@ -309,7 +305,7 @@ func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
 		t.AddRows(-1)
 		s.noteWrite(t)
 		s.versWork++
-		t.Stats().ObserveDelete(row)
+		t.ObserveDelete(row)
 		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
 		return nil
 	}
@@ -322,7 +318,7 @@ func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
 	}
 	removeIndexEntriesFor(t, row, rid)
 	t.AddRows(-1)
-	t.Stats().ObserveDelete(row)
+	t.ObserveDelete(row)
 	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
 	return nil
 }
@@ -364,8 +360,8 @@ func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Ro
 		}
 		s.noteWrite(t)
 		s.versWork += 2 // old version to purge, new stamp to freeze
-		t.Stats().ObserveDelete(old)
-		t.Stats().ObserveInsert(coerced)
+		t.ObserveDelete(old)
+		t.ObserveInsert(coerced)
 		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
 			RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()})
 		return newRID, nil
@@ -385,8 +381,8 @@ func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Ro
 	if err := s.addIndexEntries(t, coerced, newRID); err != nil {
 		return storage.NilRID, err
 	}
-	t.Stats().ObserveDelete(old)
-	t.Stats().ObserveInsert(coerced)
+	t.ObserveDelete(old)
+	t.ObserveInsert(coerced)
 	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
 		RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()})
 	return newRID, nil
@@ -441,7 +437,7 @@ func (s *Session) undoInsert(r wal.Record) error {
 	// Compensate the incremental sketch. NULL counts reverse exactly;
 	// min/max extensions from the undone row cannot shrink without a rescan
 	// and stay until the next ANALYZE (a conservative over-wide range).
-	t.Stats().ObserveDelete(r.After)
+	t.ObserveDelete(r.After)
 	return nil
 }
 
@@ -454,7 +450,7 @@ func (s *Session) undoDelete(r wal.Record) error {
 	// clearing the stamp resurrects it in place.
 	t.Heap.ClearDeleted(r.RID)
 	t.AddRows(1)
-	t.Stats().ObserveInsert(r.Before)
+	t.ObserveInsert(r.Before)
 	return nil
 }
 
@@ -468,9 +464,9 @@ func (s *Session) undoUpdate(r wal.Record) error {
 		return err
 	}
 	removeIndexEntriesFor(t, r.After, r.NewRID)
-	t.Stats().ObserveDelete(r.After)
+	t.ObserveDelete(r.After)
 	t.Heap.ClearDeleted(r.RID)
-	t.Stats().ObserveInsert(r.Before)
+	t.ObserveInsert(r.Before)
 	return nil
 }
 
@@ -483,7 +479,7 @@ func (s *Session) insert(stmt *parser.InsertStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.lockTable(t.Name, lock.Exclusive); err != nil {
+	if err := s.lockTable(t.Name); err != nil {
 		return nil, err
 	}
 	// Column positions: explicit list or full schema order.
@@ -560,7 +556,7 @@ func (s *Session) update(stmt *parser.UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.lockTable(t.Name, lock.Exclusive); err != nil {
+	if err := s.lockTable(t.Name); err != nil {
 		return nil, err
 	}
 	binding := stmt.Alias
@@ -633,7 +629,7 @@ func (s *Session) deleteStmt(stmt *parser.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.lockTable(t.Name, lock.Exclusive); err != nil {
+	if err := s.lockTable(t.Name); err != nil {
 		return nil, err
 	}
 	binding := stmt.Alias
@@ -916,7 +912,7 @@ func (s *Session) InsertRow(table string, row types.Row) (storage.RID, error) {
 	}
 	var rid storage.RID
 	err = s.autoTx(func() error {
-		if lerr := s.lockTable(t.Name, lock.Exclusive); lerr != nil {
+		if lerr := s.lockTable(t.Name); lerr != nil {
 			return lerr
 		}
 		var ierr error
@@ -935,7 +931,7 @@ func (s *Session) InsertRowNear(table string, near storage.RID, row types.Row) (
 	}
 	var rid storage.RID
 	err = s.autoTx(func() error {
-		if lerr := s.lockTable(t.Name, lock.Exclusive); lerr != nil {
+		if lerr := s.lockTable(t.Name); lerr != nil {
 			return lerr
 		}
 		var ierr error
@@ -955,7 +951,7 @@ func (s *Session) InsertRowOnFreshPage(table string, row types.Row) (storage.RID
 	}
 	var rid storage.RID
 	err = s.autoTx(func() error {
-		if lerr := s.lockTable(t.Name, lock.Exclusive); lerr != nil {
+		if lerr := s.lockTable(t.Name); lerr != nil {
 			return lerr
 		}
 		if ferr := s.eng.faults.Hit(faultinj.WALAppend); ferr != nil {
@@ -987,7 +983,7 @@ func (s *Session) InsertRowOnFreshPage(table string, row types.Row) (storage.RID
 		if s.mvccWrite() {
 			s.versWork++
 		}
-		t.Stats().ObserveInsert(coerced)
+		t.ObserveInsert(coerced)
 		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: r, After: coerced.Clone()})
 		rid = r
 		return nil
@@ -1003,7 +999,7 @@ func (s *Session) UpdateRow(table string, rid storage.RID, row types.Row) (stora
 	}
 	var newRID storage.RID
 	err = s.autoTx(func() error {
-		if lerr := s.lockTable(t.Name, lock.Exclusive); lerr != nil {
+		if lerr := s.lockTable(t.Name); lerr != nil {
 			return lerr
 		}
 		var uerr error
@@ -1020,7 +1016,7 @@ func (s *Session) DeleteRow(table string, rid storage.RID) error {
 		return err
 	}
 	return s.autoTx(func() error {
-		if lerr := s.lockTable(t.Name, lock.Exclusive); lerr != nil {
+		if lerr := s.lockTable(t.Name); lerr != nil {
 			return lerr
 		}
 		return s.deleteRowTx(t, rid)

@@ -76,11 +76,6 @@ type Options struct {
 	// DefaultCheckpointBytes; negative disables auto-checkpointing
 	// (explicit CHECKPOINT statements still work).
 	CheckpointBytes int64
-	// ReadLocks restores the pre-MVCC shared-lock read path: SELECTs,
-	// EXPLAINs and composite-object checkouts take shared table locks and
-	// block behind writers, instead of reading through their snapshot.
-	// Off by default; the e19 benchmark uses it as the lock-based baseline.
-	ReadLocks bool
 	// VacuumDeadRows triggers the inline auto-vacuum: once that many
 	// unsettled row versions accumulate engine-wide, the next committing
 	// session sweeps them (engine/mvcc.go). 0 uses DefaultVacuumDeadRows;
@@ -549,7 +544,7 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 		// The CO-cache analogue of the plan-cache fast path below: a
 		// resident entry under this normalized text proves it is a single
 		// cacheable TAKE statement, so a repeated checkout skips the parser
-		// and goes straight to lock-validate-serve. Any miss (raced
+		// and goes straight to validate-serve. Any miss (raced
 		// invalidation, epoch change) falls through to the regular parse
 		// path. Gated on the "OUT" prefix so SELECT traffic never pays the
 		// probe, and TAKE traffic never pays literal extraction. The
@@ -816,9 +811,8 @@ func (s *Session) dispatch(st parser.ScriptStmt) (*Result, error) {
 		s.stmtClass = classDDL
 		return s.checkpoint()
 	case *parser.ExplainStmt:
-		// Dispatched inside the autocommit wrapper so the shared locks the
-		// compiler takes (its cost model reads DML-maintained statistics)
-		// actually attach to a transaction.
+		// Dispatched inside the autocommit wrapper: EXPLAIN ANALYZE executes
+		// the plan under the transaction's snapshot like any SELECT.
 		return s.explain(stmt, st.Text)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", st.Stmt)
@@ -962,21 +956,17 @@ func (s *Session) appendLogLocked(rec wal.Record) wal.LSN {
 	return rec.LSN
 }
 
-// lockTable acquires a table lock for the session's transaction. The wait is
-// bounded by the statement's lifecycle context and, when configured, the
-// engine's LockTimeout; both surface as lock.ErrLockTimeout and abort the
-// statement's transaction through the normal error path.
-func (s *Session) lockTable(name string, mode lock.Mode) error {
+// lockTable acquires the exclusive table lock writers serialize on, for the
+// session's transaction. Readers take no lock: scans filter by the
+// statement's MVCC snapshot, so they see a consistent state and never block
+// behind writers. The wait is bounded by the statement's lifecycle context
+// and, when configured, the engine's LockTimeout; both surface as
+// lock.ErrLockTimeout and abort the statement's transaction through the
+// normal error path.
+func (s *Session) lockTable(name string) error {
 	if !s.inTx {
 		// Host-surface calls outside statements: single-op autocommit locks
 		// are acquired and released by the caller paths; take no lock.
-		return nil
-	}
-	if mode == lock.Shared && !s.eng.opts.ReadLocks {
-		// MVCC snapshots replace shared read locks: scans filter by the
-		// statement's snapshot, so readers need no lock to see a consistent
-		// state and never block behind writers. ReadLocks restores the
-		// pre-MVCC locking read path (e19's baseline arm).
 		return nil
 	}
 	ctx := s.sctx
@@ -988,7 +978,7 @@ func (s *Session) lockTable(name string, mode lock.Mode) error {
 		ctx, cancel = context.WithTimeout(ctx, lt)
 		defer cancel()
 	}
-	return s.eng.locks.AcquireContext(ctx, s.txID, name, mode)
+	return s.eng.locks.AcquireContext(ctx, s.txID, name, lock.Exclusive)
 }
 
 // builder returns a QGM builder wired to this session's XNF node resolver
@@ -1050,19 +1040,11 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 			return nil, err
 		}
 	}
-	if err := s.lockBoxTables(box, lock.Shared); err != nil {
-		return nil, err
-	}
 	// Node references pull in the base tables behind the referenced XNF
-	// views: those join the statement's lock set (the build already locked
-	// them while materializing, but the cached entry must record them so
-	// hit executions lock identically), and their version snapshot
-	// invalidates the cached plan when a component table changes.
-	refTables, refDeps, err := s.nodeRefPlanDeps(box)
+	// views: their version snapshot invalidates the cached plan when a
+	// component table changes.
+	refDeps, err := s.nodeRefPlanDeps(box)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.lockTablesShared(refTables); err != nil {
 		return nil, err
 	}
 	s.maybeAutoAnalyze(collectBoxTables(box))
@@ -1085,25 +1067,12 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 		// Cache a template clone; the plan we are about to run stays
 		// private to this execution.
 		if tmpl, ok := exec.ClonePlan(plan); ok {
-			tables := collectBoxTables(box)
-			for _, tn := range refTables {
-				dup := false
-				for _, have := range tables {
-					if have == tn {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					tables = append(tables, tn)
-				}
-			}
 			s.eng.plans.put(&planEntry{
 				key:     key,
 				epoch:   epoch,
 				tmpl:    tmpl,
 				schema:  schema,
-				tables:  tables,
+				tables:  collectBoxTables(box),
 				nParams: len(binds),
 				guards:  info.Guards,
 				deps:    refDeps,
@@ -1152,24 +1121,18 @@ func (s *Session) execCachedSelect(ent *planEntry, binds []types.Value) (*Result
 	return res, nil
 }
 
-// runCachedPlan executes a prepared-plan cache entry: take the same shared
-// locks the cold path would, re-check the entry's bind guards against this
-// execution's bindings, acquire a pooled (or freshly cloned) instance, and
-// drive it batch-at-a-time with the bindings in the execution context. A
-// guard rejection means the plan was chosen for constants with very
-// different estimated selectivity, so this execution recompiles fresh (the
-// entry stays for conforming bindings).
+// runCachedPlan executes a prepared-plan cache entry: re-check the entry's
+// bind guards against this execution's bindings, acquire a pooled (or
+// freshly cloned) instance, and drive it with the bindings in the execution
+// context. A guard rejection means the plan was chosen for constants with
+// very different estimated selectivity, so this execution recompiles fresh
+// (the entry stays for conforming bindings).
 func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value) (*Result, error) {
 	if len(binds) != ent.nParams {
 		return nil, fmt.Errorf("engine: cached plan for %q expects %d parameters, got %d",
 			ent.key, ent.nParams, len(binds))
 	}
 	s.stmtClass = ent.class
-	for _, tn := range ent.tables {
-		if err := s.lockTable(tn, lock.Shared); err != nil {
-			return nil, err
-		}
-	}
 	if s.maybeAutoAnalyze(ent.tables) {
 		// Statistics just refreshed: the entry's epoch stamp is stale (it
 		// evicts on next lookup), so this execution plans fresh against the
@@ -1251,11 +1214,11 @@ func startsWithOut(sql string) bool {
 }
 
 // execCachedTake serves a TAKE checkout straight from the CO cache when the
-// statement's normalized text has a resident, still-valid entry: lock the
-// entry's recorded dependency tables, validate its version snapshot under
-// those locks, clone, done — no parser, no builder, no evaluator. ok=false
-// means "not served"; the caller falls back to the parse path (which will
-// re-materialize through the normal single-flight fetch).
+// statement's normalized text has a resident, still-valid entry: validate
+// its version snapshot against the session's snapshot, clone, done — no
+// parser, no builder, no evaluator. ok=false means "not served"; the caller
+// falls back to the parse path (which will re-materialize through the normal
+// single-flight fetch).
 func (s *Session) execCachedTake(key string) (*Result, bool, error) {
 	s.stmtClass = classTake
 	if tr := s.trace; tr != nil {
@@ -1269,15 +1232,6 @@ func (s *Session) execCachedTake(key string) (*Result, bool, error) {
 	auto := !s.inTx
 	if auto {
 		s.begin()
-	}
-	if err := s.lockTablesShared(tables); err != nil {
-		if rbErr := s.rollback(); rbErr != nil {
-			return nil, true, fmt.Errorf("%v (rollback also failed: %v)", err, rbErr)
-		}
-		if auto {
-			return nil, true, err
-		}
-		return nil, true, fmt.Errorf("%w (transaction rolled back)", err)
 	}
 	co, hit := s.eng.comat.Get(key, epoch, s.eng.cat.TableVersion)
 	if !hit || !s.snapshotCovers(tables) {
@@ -1338,8 +1292,7 @@ func statsDrifted(t *catalog.Table) bool {
 
 // maybeAutoAnalyze refreshes drifted statistics snapshots for the given
 // tables, reporting whether any refresh happened (each bumps the catalog
-// epoch, invalidating cached plans costed on the stale estimates). Callers
-// hold shared locks on the tables, the same protocol as manual ANALYZE.
+// epoch, invalidating cached plans costed on the stale estimates).
 func (s *Session) maybeAutoAnalyze(tables []string) bool {
 	refreshed := false
 	for _, tn := range tables {
@@ -1369,7 +1322,7 @@ func (s *Session) xnfQuery(stmt *parser.XNFQuery, text string) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		if err := s.lockSpecTables(box.XNF, lock.Exclusive); err != nil {
+		if err := s.lockSpecTables(box.XNF); err != nil {
 			return nil, err
 		}
 		n, err := xnf.NewEvaluator(s, s.eng.opts.XNF).Delete(box.XNF)
@@ -1407,13 +1360,11 @@ func (s *Session) xnfQuery(stmt *parser.XNFQuery, text string) (*Result, error) 
 	return &Result{CO: co}, nil
 }
 
-// lockBoxTables takes table locks for every base table under a box,
-// including tables reached only through EXISTS subqueries — the same set
-// collectBoxTables captures for cached executions, so the cold and cached
-// paths of one statement always lock identically.
-func (s *Session) lockBoxTables(box *qgm.Box, mode lock.Mode) error {
+// lockBoxTables locks every base table under a box, including tables
+// reached only through EXISTS subqueries.
+func (s *Session) lockBoxTables(box *qgm.Box) error {
 	for _, tn := range collectBoxTables(box) {
-		if err := s.lockTable(tn, mode); err != nil {
+		if err := s.lockTable(tn); err != nil {
 			return err
 		}
 	}
@@ -1421,17 +1372,17 @@ func (s *Session) lockBoxTables(box *qgm.Box, mode lock.Mode) error {
 }
 
 // lockSpecTables locks the base tables under every node/edge of a spec.
-func (s *Session) lockSpecTables(spec *qgm.XNFSpec, mode lock.Mode) error {
+func (s *Session) lockSpecTables(spec *qgm.XNFSpec) error {
 	for _, n := range spec.AllNodes() {
 		if n.Def != nil {
-			if err := s.lockBoxTables(n.Def, mode); err != nil {
+			if err := s.lockBoxTables(n.Def); err != nil {
 				return err
 			}
 		}
 	}
 	for _, e := range spec.AllEdges() {
 		for _, u := range e.Using {
-			if err := s.lockBoxTables(u.Input, mode); err != nil {
+			if err := s.lockBoxTables(u.Input); err != nil {
 				return err
 			}
 		}
@@ -1448,11 +1399,6 @@ func (s *Session) explain(stmt *parser.ExplainStmt, text string) (*Result, error
 	case *parser.SelectStmt:
 		box, err := s.builder().BuildSelect(target)
 		if err != nil {
-			return nil, err
-		}
-		// Lock like selectStmt would: compilation reads table statistics
-		// that concurrent DML mutates under its exclusive locks.
-		if err := s.lockBoxTables(box, lock.Shared); err != nil {
 			return nil, err
 		}
 		before := box.Dump()

@@ -173,37 +173,36 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestLockTimeoutBetweenSessions: a reader blocked behind a writer's
-// exclusive lock times out with lock.ErrLockTimeout, leaks nothing, and
-// succeeds once the writer commits. Runs with ReadLocks: under MVCC (the
-// default) readers never block, so the shared-lock wait this test exercises
-// only exists in the locking compatibility mode.
+// TestLockTimeoutBetweenSessions: a writer blocked behind another writer's
+// exclusive table lock times out with lock.ErrLockTimeout, leaks nothing, and
+// succeeds once the first writer commits. (Readers take no locks under MVCC,
+// so writer-behind-writer is the one table-lock wait there is.)
 func TestLockTimeoutBetweenSessions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.LockTimeout = 30 * time.Millisecond
-	opts.ReadLocks = true
 	e := New(opts)
 	w := e.Session()
-	r := e.Session()
+	w2 := e.Session()
 	w.MustExec(`CREATE TABLE L (id INT NOT NULL PRIMARY KEY, v INT)`)
 	w.MustExec(`INSERT INTO L VALUES (1, 10)`)
 
 	w.MustExec(`BEGIN`)
 	w.MustExec(`UPDATE L SET v = 11 WHERE id = 1`) // X lock on L held open
-	_, err := r.Exec(`SELECT * FROM L`)
+	_, err := w2.Exec(`UPDATE L SET v = 20 WHERE id = 1`)
 	if !errors.Is(err, lock.ErrLockTimeout) {
-		t.Fatalf("blocked reader returned %v, want lock.ErrLockTimeout", err)
+		t.Fatalf("blocked writer returned %v, want lock.ErrLockTimeout", err)
 	}
-	if r.InTx() {
-		t.Fatal("reader stuck in a transaction after lock timeout")
+	if w2.InTx() {
+		t.Fatal("blocked writer stuck in a transaction after lock timeout")
 	}
-	if held := e.Locks().HeldCount(r.TxID()); held != 0 {
-		t.Fatalf("reader leaked %d locks", held)
+	if held := e.Locks().HeldCount(w2.TxID()); held != 0 {
+		t.Fatalf("blocked writer leaked %d locks", held)
 	}
 	w.MustExec(`COMMIT`)
-	res := r.MustExec(`SELECT v FROM L WHERE id = 1`)
-	if res.Rows[0][0].Int() != 11 {
-		t.Fatalf("reader saw %v after writer commit, want 11", res.Rows[0][0])
+	w2.MustExec(`UPDATE L SET v = v + 1 WHERE id = 1`)
+	res := w2.MustExec(`SELECT v FROM L WHERE id = 1`)
+	if res.Rows[0][0].Int() != 12 {
+		t.Fatalf("second writer left v = %v after the first committed, want 12", res.Rows[0][0])
 	}
 }
 

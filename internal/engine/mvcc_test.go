@@ -53,10 +53,9 @@ func TestSnapshotIsolationReader(t *testing.T) {
 	}
 }
 
-// TestReadersDontBlockBehindWriters: with MVCC (the default), a SELECT in a
-// second session completes while a writer transaction holds its exclusive
-// table lock open — the pre-MVCC behavior (reader blocks, then times out) is
-// only reachable through ReadLocks, covered by TestLockTimeoutBetweenSessions.
+// TestReadersDontBlockBehindWriters: a SELECT in a second session completes
+// while a writer transaction holds its exclusive table lock open — readers
+// take no locks; only a second writer waits (TestLockTimeoutBetweenSessions).
 func TestReadersDontBlockBehindWriters(t *testing.T) {
 	e := mvccSetup(t, DefaultOptions())
 	w := e.Session()

@@ -49,7 +49,7 @@ type planEntry struct {
 	epoch   uint64
 	tmpl    exec.Plan // never executed directly
 	schema  types.Schema
-	tables  []string // base tables to lock before execution
+	tables  []string // base tables whose statistics drift re-plans a hit (auto-ANALYZE)
 	nParams int
 	guards  []optimizer.BindGuard
 	// deps is the version snapshot of the base tables behind FROM
@@ -257,8 +257,8 @@ func walkBoxes(root *qgm.Box, visit func(*qgm.Box) bool) {
 	walk(root)
 }
 
-// collectBoxTables lists the distinct base tables under a box (lock set for
-// cached executions), including tables reached only through EXISTS subplans.
+// collectBoxTables lists the distinct base tables under a box, including
+// tables reached only through EXISTS subplans.
 func collectBoxTables(box *qgm.Box) []string {
 	seenTbl := map[string]bool{}
 	var out []string

@@ -312,8 +312,8 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 // TestExplainConcurrentWithDML: EXPLAIN compiles through the stats-reading
-// cost model; it must take the same shared locks a SELECT would, so running
-// it against concurrent INSERTs is race-free (run with -race).
+// cost model while concurrent INSERTs maintain those statistics; the two
+// must be race-free without any table lock (run with -race).
 func TestExplainConcurrentWithDML(t *testing.T) {
 	e, s := cacheFixture(t)
 	s.MustExec("ANALYZE")

@@ -12,84 +12,14 @@ const BatchSize = 256
 
 // Batch contract
 //
-// Every Plan exposes two drive modes after Open:
-//
-//   - row-at-a-time: repeated Next calls (the classic Volcano interface,
-//     still used by EXISTS subplans, which want early termination), and
-//   - batch-at-a-time: repeated NextBatch calls, each returning up to a
-//     batch of rows; an empty batch with a nil error means exhausted.
-//
-// A driver must pick one mode per Open and stick with it — the modes keep
-// separate cursor state. Stats count work actually performed, so batch-mode
-// counters can exceed row-mode ones when a Limit truncates a speculatively
-// produced batch. A returned batch is owned by the producing operator
-// and only valid until its next NextBatch/Next call: consumers may read it,
-// and may retain the row values (rows are immutable once produced), but must
-// copy the []types.Row header slice itself if they keep it. Blocking
-// operators (Sort, GroupAgg, and the build/materialize sides of the joins)
-// always consume their inputs through NextBatch regardless of drive mode.
-
-// RowSource is the row-at-a-time subset of Plan: what an operator looked
-// like before the batched pipeline. Operators that have not grown a native
-// batch path implement this and are adapted with Batch().
-type RowSource interface {
-	Schema() types.Schema
-	Open(ctx *Context) error
-	Next(ctx *Context) (types.Row, bool, error)
-	Close() error
-	Explain() string
-	Children() []Plan
-}
-
-// Batched adapts a RowSource to the full batched Plan contract by draining
-// Next into a reused buffer. It is the compatibility shim for migrating
-// operators: correctness first, the native batch path comes later.
-type Batched struct {
-	Src RowSource
-	buf []types.Row
-}
-
-// Batch wraps a row-at-a-time operator into the batched Plan contract.
-func Batch(src RowSource) *Batched { return &Batched{Src: src} }
-
-// Schema implements Plan.
-func (b *Batched) Schema() types.Schema { return b.Src.Schema() }
-
-// Open implements Plan.
-func (b *Batched) Open(ctx *Context) error { return b.Src.Open(ctx) }
-
-// Next implements Plan.
-func (b *Batched) Next(ctx *Context) (types.Row, bool, error) { return b.Src.Next(ctx) }
-
-// NextBatch implements Plan by pulling up to BatchSize rows from Next. The
-// interrupt poll makes wrapped row-at-a-time sources cancellable per batch
-// even when their own pulls never reach a scan leaf.
-func (b *Batched) NextBatch(ctx *Context) ([]types.Row, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	b.buf = b.buf[:0]
-	for len(b.buf) < BatchSize {
-		row, ok, err := b.Src.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		b.buf = append(b.buf, row)
-	}
-	return b.buf, nil
-}
-
-// Close implements Plan.
-func (b *Batched) Close() error { return b.Src.Close() }
-
-// Explain implements Plan.
-func (b *Batched) Explain() string { return b.Src.Explain() }
-
-// Children implements Plan.
-func (b *Batched) Children() []Plan { return b.Src.Children() }
+// A Plan is driven by Open, then repeated NextBatch calls, each returning up
+// to about a batch of rows; an empty batch with a nil error means exhausted.
+// Stats count work actually performed, so counters can exceed the rows a
+// consumer finally keeps when a Limit truncates a speculatively produced
+// batch. A returned batch is owned by the producing operator and only valid
+// until its next NextBatch call: consumers may read it, and may retain the
+// row values (rows are immutable once produced), but must copy the
+// []types.Row header slice itself if they keep it.
 
 // sliceBatch cuts the next up-to-BatchSize window out of a materialized row
 // slice, advancing *pos. Emitting operators (Sort, GroupAgg, Values) use it

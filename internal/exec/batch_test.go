@@ -93,40 +93,6 @@ func TestSeqScanStreams(t *testing.T) {
 	}
 }
 
-// TestSeqScanRowModeStreams drives the same scan through Next and checks the
-// internal buffer stays bounded there too.
-func TestSeqScanRowModeStreams(t *testing.T) {
-	const total = 1500
-	cat := testCatalog(t)
-	var in []types.Row
-	for i := 0; i < total; i++ {
-		in = append(in, types.Row{iv(int64(i))})
-	}
-	tab := loadTable(t, cat, "BIGR", intSchema("id"), in)
-	scan := &SeqScan{Table: tab}
-	ctx := NewContext()
-	if err := scan.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := scan.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if got := len(scan.buf); got >= total/2 {
-			t.Fatalf("row-mode scan buffers %d rows internally", got)
-		}
-		n++
-	}
-	if n != total {
-		t.Fatalf("row mode returned %d rows, want %d", n, total)
-	}
-}
-
 // TestHashJoinHashCollision is the regression test for the collision bug:
 // distinct keys that land in the same hash bucket must not join. The bucket
 // hash is forced constant so every build row collides with every probe row.
@@ -153,51 +119,19 @@ func TestHashJoinHashCollision(t *testing.T) {
 	}
 }
 
-// TestHashJoinNullKeysNeverJoin pins NULL-key semantics on both drive modes.
+// TestHashJoinNullKeysNeverJoin pins NULL-key semantics.
 func TestHashJoinNullKeysNeverJoin(t *testing.T) {
-	mk := func() *HashJoin {
-		left := valuesPlan(intSchema("l"),
-			types.Row{iv(1)}, types.Row{types.Null()})
-		right := valuesPlan(intSchema("r"),
-			types.Row{iv(1)}, types.Row{types.Null()})
-		return NewHashJoin(left, right, []Expr{Col{Idx: 0}}, []Expr{Col{Idx: 0}}, nil)
-	}
-	for _, mode := range []string{"rows", "batch"} {
-		var got []types.Row
-		var err error
-		if mode == "batch" {
-			got, err = Collect(NewContext(), mk())
-		} else {
-			got, err = collectRows(NewContext(), mk())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0][0].Int() != 1 {
-			t.Fatalf("%s mode: NULL keys joined: %v", mode, got)
-		}
-	}
-}
-
-// TestBatchedAdapter checks the compatibility shim: an operator driven only
-// through its row interface serves correct batches via Batch.
-func TestBatchedAdapter(t *testing.T) {
-	var in []types.Row
-	for i := 0; i < BatchSize+7; i++ {
-		in = append(in, types.Row{iv(int64(i))})
-	}
-	p := Batch(valuesPlan(intSchema("x"), in...))
-	got, err := Collect(NewContext(), p)
+	left := valuesPlan(intSchema("l"),
+		types.Row{iv(1)}, types.Row{types.Null()})
+	right := valuesPlan(intSchema("r"),
+		types.Row{iv(1)}, types.Row{types.Null()})
+	j := NewHashJoin(left, right, []Expr{Col{Idx: 0}}, []Expr{Col{Idx: 0}}, nil)
+	got, err := Collect(NewContext(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(in) {
-		t.Fatalf("adapter returned %d rows, want %d", len(got), len(in))
-	}
-	for i, r := range got {
-		if r[0].Int() != int64(i) {
-			t.Fatalf("adapter row %d = %v", i, r)
-		}
+	if len(got) != 1 || got[0][0].Int() != 1 {
+		t.Fatalf("NULL keys joined: %v", got)
 	}
 }
 
@@ -224,8 +158,9 @@ func renderRows(rs []types.Row) []string {
 }
 
 // TestBatchRowParity is the property test: SeqScan + Filter + HashJoin over
-// randomized tables (NULL keys, empty inputs included) returns identical
-// results row-at-a-time and batch-at-a-time, in the same order.
+// randomized tables (NULL keys, empty inputs included) returns exactly the
+// rows, in the order, a brute-force join over the raw tables computes (probe
+// rows in scan order, each against its build matches in scan order).
 func TestBatchRowParity(t *testing.T) {
 	schema := types.Schema{
 		{Name: "k", Kind: types.KindInt},
@@ -250,25 +185,11 @@ func TestBatchRowParity(t *testing.T) {
 				&SeqScan{Table: rt},
 				[]Expr{Col{Idx: 0}}, []Expr{Col{Idx: 0}}, nil)
 		}
-		rowsOut, err := collectRows(NewContext(), mkPlan())
+		out, err := Collect(NewContext(), mkPlan())
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchOut, err := Collect(NewContext(), mkPlan())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := renderRows(rowsOut), renderRows(batchOut)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d (|L|=%d |R|=%d cut=%d): rows mode %d rows, batch mode %d",
-				trial, nl, nr, cut, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d row %d differs:\n rows:  %s\n batch: %s", trial, i, a[i], b[i])
-			}
-		}
-		// Cross-check against a brute-force join over the raw tables.
+		// The oracle: a brute-force join over the raw tables.
 		var want []string
 		var lrows, rrows []types.Row
 		if err := lt.Heap.Scan(lt.Tag, func(_ storage.RID, r types.Row) (bool, error) {
@@ -293,23 +214,23 @@ func TestBatchRowParity(t *testing.T) {
 				}
 			}
 		}
-		sort.Strings(want)
-		got := append([]string(nil), a...)
-		sort.Strings(got)
+		got := renderRows(out)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: executor returned %d rows, brute force %d", trial, len(got), len(want))
+			t.Fatalf("trial %d (|L|=%d |R|=%d cut=%d): executor returned %d rows, brute force %d",
+				trial, nl, nr, cut, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: multiset mismatch at %d: %s vs %s", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: row %d differs: %s vs %s", trial, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestParityOperators sweeps the remaining operators (Project, Sort,
-// GroupAgg, Distinct, Limit, NLJoin, IndexScan absent) across both modes on
-// one randomized input.
+// GroupAgg, Distinct, Limit, NLJoin) over one randomized input, each against
+// an independent expectation, rows and order, computed in plain Go over the
+// input slice.
 func TestParityOperators(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	in := randomRows(rng, 700)
@@ -319,51 +240,105 @@ func TestParityOperators(t *testing.T) {
 		{Name: "tag", Kind: types.KindString},
 	}
 	mk := func() Plan { return valuesPlan(schema, in...) }
-	plans := map[string]func() Plan{
-		"project": func() Plan {
-			return &Project{Child: mk(),
-				Exprs: []Expr{Col{Idx: 2}, BinOp{Op: "+", L: Col{Idx: 1}, R: Const{V: iv(1)}}},
-				Out:   intSchema("a", "b")}
-		},
-		"sort": func() Plan {
-			return &Sort{Child: mk(), Keys: []SortKey{{Idx: 1}, {Idx: 0, Desc: true}}}
-		},
-		"groupagg": func() Plan {
-			return &GroupAgg{Child: mk(), KeyIdxs: []int{2},
-				Aggs: []AggDef{{Kind: AggSum, ArgIdx: 1}, {Kind: AggCountStar, ArgIdx: -1}},
-				Out:  intSchema("g", "s", "c")}
-		},
-		"distinct": func() Plan { return &Distinct{Child: mk()} },
-		"limit":    func() Plan { return &Limit{Child: mk(), N: 123} },
-		"nljoin": func() Plan {
-			sub := &Limit{Child: mk(), N: 20}
-			return NewNLJoin(mk(), sub,
-				BinOp{Op: "=", L: Col{Idx: 0}, R: Col{Idx: 3}})
-		},
+	cases := []struct {
+		name string
+		plan Plan
+		want func() []types.Row
+	}{
+		{"project", &Project{Child: mk(),
+			Exprs: []Expr{Col{Idx: 2}, BinOp{Op: "+", L: Col{Idx: 1}, R: Const{V: iv(1)}}},
+			Out:   intSchema("a", "b")},
+			func() (want []types.Row) {
+				for _, r := range in {
+					want = append(want, types.Row{r[2], iv(r[1].Int() + 1)})
+				}
+				return want
+			}},
+		// v ascending, then k descending with NULL k last (NULLs sort first
+		// ascending); stable, so full ties keep input order.
+		{"sort", &Sort{Child: mk(), Keys: []SortKey{{Idx: 1}, {Idx: 0, Desc: true}}},
+			func() []types.Row {
+				kOrd := func(r types.Row) int64 {
+					if r[0].IsNull() {
+						return -1
+					}
+					return r[0].Int()
+				}
+				want := append([]types.Row(nil), in...)
+				sort.SliceStable(want, func(i, j int) bool {
+					if want[i][1].Int() != want[j][1].Int() {
+						return want[i][1].Int() < want[j][1].Int()
+					}
+					return kOrd(want[i]) > kOrd(want[j])
+				})
+				return want
+			}},
+		{"groupagg", &GroupAgg{Child: mk(), KeyIdxs: []int{2},
+			Aggs: []AggDef{{Kind: AggSum, ArgIdx: 1}, {Kind: AggCountStar, ArgIdx: -1}},
+			Out:  intSchema("g", "s", "c")},
+			func() (want []types.Row) {
+				var tags []string // first-seen order, like the serial drain
+				sum, cnt := map[string]int64{}, map[string]int64{}
+				for _, r := range in {
+					tag := r[2].Str()
+					if cnt[tag] == 0 {
+						tags = append(tags, tag)
+					}
+					sum[tag] += r[1].Int()
+					cnt[tag]++
+				}
+				for _, tag := range tags {
+					want = append(want, types.Row{sv(tag), iv(sum[tag]), iv(cnt[tag])})
+				}
+				return want
+			}},
+		// First occurrence wins, in input order.
+		{"distinct", &Distinct{Child: mk()},
+			func() (want []types.Row) {
+				seen := map[string]bool{}
+				for _, r := range in {
+					if !seen[r.String()] {
+						seen[r.String()] = true
+						want = append(want, r)
+					}
+				}
+				return want
+			}},
+		{"limit", &Limit{Child: mk(), N: 123},
+			func() []types.Row { return in[:123] }},
+		{"nljoin", NewNLJoin(mk(), &Limit{Child: mk(), N: 20},
+			BinOp{Op: "=", L: Col{Idx: 0}, R: Col{Idx: 3}}),
+			func() (want []types.Row) {
+				for _, l := range in {
+					for _, r := range in[:20] {
+						if !l[0].IsNull() && !r[0].IsNull() && l[0].Int() == r[0].Int() {
+							want = append(want, append(l.Clone(), r...))
+						}
+					}
+				}
+				return want
+			}},
 	}
-	for name, mkp := range plans {
-		rowsOut, err := collectRows(NewContext(), mkp())
+	for _, tc := range cases {
+		out, err := Collect(NewContext(), tc.plan)
 		if err != nil {
-			t.Fatalf("%s rows mode: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		batchOut, err := Collect(NewContext(), mkp())
-		if err != nil {
-			t.Fatalf("%s batch mode: %v", name, err)
+		got, want := renderRows(out), renderRows(tc.want())
+		if len(got) != len(want) {
+			t.Fatalf("%s: executor returned %d rows, brute force %d", tc.name, len(got), len(want))
 		}
-		a, b := renderRows(rowsOut), renderRows(batchOut)
-		if len(a) != len(b) {
-			t.Fatalf("%s: rows mode %d rows, batch mode %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: row %d differs: %s vs %s", name, i, a[i], b[i])
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d differs: %s vs %s", tc.name, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestFilterKernels exercises kernel shapes directly: col-const, const-col,
-// col-col, IS NULL, and the generic fallback, against the scalar path.
+// col-col, IS NULL, and the generic fallback, against the scalar evaluator
+// (EvalPred row by row over the input).
 func TestFilterKernels(t *testing.T) {
 	in := []types.Row{
 		{iv(1), iv(10), types.Null()},
@@ -386,18 +361,23 @@ func TestFilterKernels(t *testing.T) {
 		BinOp{Op: ">", L: BinOp{Op: "+", L: Col{Idx: 0}, R: Col{Idx: 1}}, R: Const{V: iv(8)}},
 	}
 	for pi, pred := range preds {
-		mkp := func() Plan { return &Filter{Child: valuesPlan(schema, in...), Pred: pred} }
-		rowsOut, err := collectRows(NewContext(), mkp())
-		if err != nil {
-			t.Fatalf("pred %d rows mode: %v", pi, err)
+		var scalar []types.Row
+		for _, r := range in {
+			pass, err := EvalPred(NewContext(), pred, r)
+			if err != nil {
+				t.Fatalf("pred %d scalar: %v", pi, err)
+			}
+			if pass {
+				scalar = append(scalar, r)
+			}
 		}
-		batchOut, err := Collect(NewContext(), mkp())
+		out, err := Collect(NewContext(), &Filter{Child: valuesPlan(schema, in...), Pred: pred})
 		if err != nil {
-			t.Fatalf("pred %d batch mode: %v", pi, err)
+			t.Fatalf("pred %d: %v", pi, err)
 		}
-		a, b := renderRows(rowsOut), renderRows(batchOut)
+		a, b := renderRows(scalar), renderRows(out)
 		if len(a) != len(b) {
-			t.Fatalf("pred %d (%s): rows %d, batch %d", pi, DumpExpr(pred), len(a), len(b))
+			t.Fatalf("pred %d (%s): scalar %d, kernels %d", pi, DumpExpr(pred), len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {

@@ -1,14 +1,13 @@
 package exec
 
 // BenchmarkExec* micro-benchmarks: operator throughput on the executor hot
-// path at 10k/100k rows, each with two arms —
-//
-//	rows:  the classic Volcano drive (one virtual Next per operator per row)
-//	batch: the batched drive (NextBatch end to end, vectorized kernels)
+// path at 10k/100k rows. The single arm keeps its historical sub-benchmark
+// name `batch` (the row-at-a-time arm it was once compared with is gone), so
+// results stay comparable by name across commits.
 //
 // Run with:  go test -run '^$' -bench BenchmarkExec ./internal/exec/
-// Compare arms (or before/after) with benchstat. EXECUTOR.md records the
-// numbers that motivated the batched pipeline.
+// Compare before/after with benchstat. EXECUTOR.md records the numbers that
+// motivated the batched pipeline.
 
 import (
 	"fmt"
@@ -49,48 +48,20 @@ func benchTable(tb testing.TB, n int) *catalog.Table {
 	return t
 }
 
-// collectRows drains a plan through the row-at-a-time interface: the
-// pre-batch executor's drive, kept as the benchmark baseline.
-func collectRows(ctx *Context, p Plan) ([]types.Row, error) {
-	if err := p.Open(ctx); err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	var out []types.Row
-	for {
-		row, ok, err := p.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, row)
-	}
-}
-
-// benchArms runs the rows and batch arms over the same plan constructor.
+// benchArms runs the `batch` arm over a plan constructor.
 func benchArms(b *testing.B, mkPlan func() Plan, wantRows int) {
 	b.Helper()
-	for _, arm := range []struct {
-		name  string
-		drain func(ctx *Context, p Plan) ([]types.Row, error)
-	}{
-		{"rows", collectRows},
-		{"batch", Collect},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := arm.drain(NewContext(), mkPlan())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) != wantRows {
-					b.Fatalf("got %d rows, want %d", len(out), wantRows)
-				}
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out, err := Collect(NewContext(), mkPlan())
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(out) != wantRows {
+				b.Fatalf("got %d rows, want %d", len(out), wantRows)
+			}
+		}
+	})
 }
 
 func benchScan(b *testing.B, n int) {
@@ -163,4 +134,61 @@ func BenchmarkExecSort10k(b *testing.B)  { benchSort(b, 10_000, []SortKey{{Idx: 
 func BenchmarkExecSort100k(b *testing.B) { benchSort(b, 100_000, []SortKey{{Idx: 1}}) }
 func BenchmarkExecSortTwoKey100k(b *testing.B) {
 	benchSort(b, 100_000, []SortKey{{Idx: 2, Desc: true}, {Idx: 1}})
+}
+
+// BenchmarkExecExistsCorrelated: 400 outer rows each evaluate a correlated
+// EXISTS over a 5000-row inner table (500 key values, half the outer keys
+// miss). The indexed arm probes the inner index per outer row; the unindexed
+// arm filters a fresh sequential scan per outer row, stopping at the first
+// batch with a match and reading the whole table on a miss.
+func BenchmarkExecExistsCorrelated(b *testing.B) {
+	const kCard = 500
+	inner, ix := indexedTable(b, 5000, kCard)
+	outer := make([]types.Row, 400)
+	for i := range outer {
+		outer[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i * 7 % (2 * kCard)))}
+	}
+	present := map[int64]bool{}
+	if err := inner.Heap.Scan(inner.Tag, func(_ storage.RID, r types.Row) (bool, error) {
+		if !r[1].IsNull() {
+			present[r[1].Int()] = true
+		}
+		return false, nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	want := 0
+	for _, r := range outer {
+		if present[r[1].Int()] {
+			want++
+		}
+	}
+	corr := []Expr{ParamRef{Idx: 0}}
+	for _, arm := range []struct {
+		name string
+		sub  func() Plan
+	}{
+		{"indexed", func() Plan {
+			return &IndexScan{Table: inner, Index: ix, Lo: corr, Hi: corr, LoInc: true, HiInc: true}
+		}},
+		{"unindexed", func() Plan {
+			return &Filter{Child: &SeqScan{Table: inner},
+				Pred: BinOp{Op: "=", L: Col{Idx: 1}, R: ParamRef{Idx: 0}}}
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := Collect(NewContext(), &Filter{
+					Child: &Values{Out: intSchema("oid", "ok"), Rows: outer},
+					Pred:  ExistsOp{Plan: arm.sub(), Corr: []Expr{Col{Idx: 1}}},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(out) != want {
+					b.Fatalf("got %d rows, want %d", len(out), want)
+				}
+			}
+		})
+	}
 }

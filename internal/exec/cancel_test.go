@@ -153,9 +153,6 @@ type panicPlan struct {
 
 func (p *panicPlan) Schema() types.Schema    { return p.Child.Schema() }
 func (p *panicPlan) Open(ctx *Context) error { return p.Child.Open(ctx) }
-func (p *panicPlan) Next(ctx *Context) (types.Row, bool, error) {
-	return p.Child.Next(ctx)
-}
 func (p *panicPlan) NextBatch(ctx *Context) ([]types.Row, error) {
 	p.batches++
 	if p.batches > 1 {

@@ -8,9 +8,8 @@ package exec
 // only operators and the expressions that embed subplans (ExistsOp) copy.
 
 // Cloneable is implemented by plans that can produce fresh executable
-// copies of themselves. All optimizer-emitted operators implement it; the
-// Batched adapter does not (its RowSource is opaque), which simply makes
-// such plans uncacheable.
+// copies of themselves. All optimizer-emitted operators implement it; a
+// plan containing anything else is simply uncacheable.
 type Cloneable interface {
 	Clone() Plan
 }

@@ -2,7 +2,7 @@
 // expressions over flat rows and the physical plan operators (scans,
 // filters, joins, grouping, sorting). Plans are produced by the optimizer
 // from QGM boxes — the paper's "query refinement" output — and pull rows
-// through the classic iterator interface.
+// batch-at-a-time through the iterator interface.
 package exec
 
 import (
@@ -64,6 +64,16 @@ func (c *Context) AttachContext(ctx context.Context) {
 	}
 	c.ctx = ctx
 	c.done = ctx.Done()
+}
+
+// derive returns a copy of c for a nested execution: an EXISTS subplan or a
+// parallel worker. Everything carries over — bindings, the NodeRows handle,
+// the MVCC snapshot, cancellation, statistics — and the caller overrides only
+// what differs, so a field added to Context reaches nested executions by
+// default instead of being silently dropped.
+func (c *Context) derive() *Context {
+	d := *c
+	return &d
 }
 
 // Interrupted reports the attached context's error once it is cancelled or
@@ -340,7 +350,8 @@ func (e ExistsOp) Eval(ctx *Context, row types.Row) (types.Value, error) {
 		}
 		params[i] = v
 	}
-	sub := &Context{Params: params, Binds: ctx.Binds, NodeRows: ctx.NodeRows, Stats: ctx.Stats}
+	sub := ctx.derive()
+	sub.Params = params
 	if ctx.Stats != nil {
 		ctx.Stats.SubqueryRuns++
 	}
@@ -348,10 +359,12 @@ func (e ExistsOp) Eval(ctx *Context, row types.Row) (types.Value, error) {
 		return types.Null(), err
 	}
 	defer e.Plan.Close()
-	_, ok, err := e.Plan.Next(sub)
+	// One pull decides: an empty batch only ever means exhaustion.
+	batch, err := e.Plan.NextBatch(sub)
 	if err != nil {
 		return types.Null(), err
 	}
+	ok := len(batch) > 0
 	if e.Negate {
 		ok = !ok
 	}

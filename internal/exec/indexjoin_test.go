@@ -76,39 +76,25 @@ func sortedFingerprint(rows []types.Row) []string {
 }
 
 // TestIndexJoinMatchesHashJoin: the index-nested-loop join must agree with
-// the hash join on randomized data with duplicate and NULL keys, in both
-// drive modes.
+// the hash join on randomized data with duplicate and NULL keys.
 func TestIndexJoinMatchesHashJoin(t *testing.T) {
 	inner, ix := indexedTable(t, 500, 40)
-	mkIdx := func() Plan {
-		return NewIndexJoin(outerValues(120, 40), inner, ix, []Expr{Col{Idx: 1}}, nil)
-	}
-	mkHash := func() Plan {
-		return NewHashJoin(outerValues(120, 40), &SeqScan{Table: inner},
-			[]Expr{Col{Idx: 1}}, []Expr{Col{Idx: 1}}, nil)
-	}
-	want, err := Collect(NewContext(), mkHash())
+	want, err := Collect(NewContext(), NewHashJoin(outerValues(120, 40), &SeqScan{Table: inner},
+		[]Expr{Col{Idx: 1}}, []Expr{Col{Idx: 1}}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBatch, err := Collect(NewContext(), mkIdx())
+	got, err := Collect(NewContext(), NewIndexJoin(outerValues(120, 40), inner, ix, []Expr{Col{Idx: 1}}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRows, err := collectRows(NewContext(), mkIdx())
-	if err != nil {
-		t.Fatal(err)
+	wf, gf := sortedFingerprint(want), sortedFingerprint(got)
+	if len(gf) != len(wf) {
+		t.Fatalf("index join %d rows, hash join %d", len(gf), len(wf))
 	}
-	wf := sortedFingerprint(want)
-	for mode, got := range map[string][]types.Row{"batch": gotBatch, "rows": gotRows} {
-		gf := sortedFingerprint(got)
-		if len(gf) != len(wf) {
-			t.Fatalf("%s drive: %d rows, hash join %d", mode, len(gf), len(wf))
-		}
-		for i := range gf {
-			if gf[i] != wf[i] {
-				t.Fatalf("%s drive: row %d differs: %s vs %s", mode, i, gf[i], wf[i])
-			}
+	for i := range gf {
+		if gf[i] != wf[i] {
+			t.Fatalf("row %d differs: %s vs %s", i, gf[i], wf[i])
 		}
 	}
 	if len(want) == 0 {
@@ -207,15 +193,5 @@ func TestCloneCoversExistsSubplans(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("clone rows = %d, template %d", len(got), len(want))
-	}
-}
-
-// TestBatchedAdapterNotCloneable: plans wrapping opaque row sources refuse
-// to clone (they simply stay uncached).
-func TestBatchedAdapterNotCloneable(t *testing.T) {
-	inner, _ := indexedTable(t, 10, 2)
-	p := Plan(&Limit{Child: Batch(&SeqScan{Table: inner}), N: 5})
-	if _, ok := ClonePlan(p); ok {
-		t.Fatal("Batched adapter must not claim cloneability")
 	}
 }

@@ -34,17 +34,6 @@ func (n *Instrumented) Open(ctx *Context) error {
 	return err
 }
 
-// Next implements Plan.
-func (n *Instrumented) Next(ctx *Context) (types.Row, bool, error) {
-	t0 := time.Now()
-	row, ok, err := n.Inner.Next(ctx)
-	n.Elapsed += time.Since(t0)
-	if ok {
-		n.Rows++
-	}
-	return row, ok, err
-}
-
 // NextBatch implements Plan.
 func (n *Instrumented) NextBatch(ctx *Context) ([]types.Row, error) {
 	t0 := time.Now()
@@ -130,8 +119,5 @@ func instrumentChildren(p Plan) {
 		n.Left = wrapChild(n.Left)
 	case *Gather:
 		// Child is the worker template — do not touch (see Instrument).
-	case *Batched:
-		// Opaque row-source adapter; its inputs are not reachable as
-		// mutable Plan fields.
 	}
 }

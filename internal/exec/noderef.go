@@ -49,16 +49,6 @@ func (s *NodeScan) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Plan.
-func (s *NodeScan) Next(*Context) (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := append(types.Row(nil), s.rows[s.pos]...)
-	s.pos++
-	return r, true, nil
-}
-
 // NextBatch implements Plan.
 func (s *NodeScan) NextBatch(*Context) ([]types.Row, error) {
 	if s.pos >= len(s.rows) {

@@ -63,7 +63,6 @@ type MorselScan struct {
 	reader  *storage.MorselReader
 	pending []storage.PageID
 	buf     []types.Row
-	pos     int
 	done    bool
 }
 
@@ -81,7 +80,6 @@ func (s *MorselScan) Open(ctx *Context) error {
 	s.reader.Vis = ctx.Vis
 	s.pending = nil
 	s.buf = s.buf[:0]
-	s.pos = 0
 	s.done = false
 	return nil
 }
@@ -92,7 +90,6 @@ func (s *MorselScan) Open(ctx *Context) error {
 // to one batch of work per worker.
 func (s *MorselScan) fill(ctx *Context) error {
 	s.buf = s.buf[:0]
-	s.pos = 0
 	for len(s.buf) < BatchSize {
 		if err := ctx.Interrupted(); err != nil {
 			return err
@@ -116,21 +113,6 @@ func (s *MorselScan) fill(ctx *Context) error {
 		ctx.Stats.RowsScanned += int64(len(s.buf))
 	}
 	return nil
-}
-
-// Next implements Plan.
-func (s *MorselScan) Next(ctx *Context) (types.Row, bool, error) {
-	for s.pos >= len(s.buf) {
-		if s.done {
-			return nil, false, nil
-		}
-		if err := s.fill(ctx); err != nil {
-			return nil, false, err
-		}
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, true, nil
 }
 
 // NextBatch implements Plan.
@@ -257,19 +239,14 @@ func hasMorselLeaf(p Plan) bool {
 	return false
 }
 
-// workerContext derives a worker's private execution context: bindings and
-// correlation parameters are shared (read-only per execution), statistics are
-// private and merged back when the worker finishes.
+// workerContext derives a worker's private execution context: everything
+// read-only per execution is shared (including the statement's cancellation,
+// so each worker observes a cancel at its next batch boundary); statistics
+// are private and merged back when the worker finishes.
 func workerContext(parent *Context) *Context {
-	return &Context{
-		Params: parent.Params, Binds: parent.Binds, NodeRows: parent.NodeRows,
-		Vis:   parent.Vis,
-		Stats: &Stats{},
-		// Cancellation propagates into every worker: the same statement
-		// context, so a cancel observed by the consumer is observed by each
-		// worker at its next batch boundary.
-		ctx: parent.ctx, done: parent.done,
-	}
+	w := parent.derive()
+	w.Stats = &Stats{}
+	return w
 }
 
 // ---------------------------------------------------------------------------
@@ -312,8 +289,6 @@ type Gather struct {
 	wstats      []*Stats
 	pstats      *Stats
 	statsMerged bool
-	buf         []types.Row // row-mode window
-	pos         int
 	err         error
 	done        bool
 }
@@ -349,7 +324,6 @@ func (g *Gather) Open(ctx *Context) error {
 	g.pstats = ctx.Stats
 	g.wstats = make([]*Stats, len(workers))
 	g.statsMerged = false
-	g.buf, g.pos = nil, 0
 	g.err = nil
 	g.done = false
 	g.wg.Add(len(workers))
@@ -461,24 +435,6 @@ func (g *Gather) NextBatch(ctx *Context) ([]types.Row, error) {
 	return msg.rows, nil
 }
 
-// Next implements Plan (row drive drains gathered batches one row at a
-// time).
-func (g *Gather) Next(ctx *Context) (types.Row, bool, error) {
-	for g.pos >= len(g.buf) {
-		batch, err := g.NextBatch(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(batch) == 0 {
-			return nil, false, nil
-		}
-		g.buf, g.pos = batch, 0
-	}
-	r := g.buf[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
 // Close implements Plan: cancel and reap the workers (each worker closes its
 // own pipeline on the way out of its goroutine).
 func (g *Gather) Close() error {
@@ -487,8 +443,6 @@ func (g *Gather) Close() error {
 		g.mergeWorkerStats()
 	}
 	g.workers = nil
-	g.buf = nil
-	g.pos = 0
 	return nil
 }
 

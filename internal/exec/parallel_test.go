@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -255,45 +256,24 @@ func TestGatherSortDeterministic(t *testing.T) {
 	}
 }
 
-// TestGatherRowModeAndLimit: the row-at-a-time drive over a Gather works,
-// and a Limit that stops consuming early shuts the workers down cleanly
-// (no deadlock, no goroutine leak blocking Close).
-func TestGatherRowModeAndLimit(t *testing.T) {
-	schema := intSchema("id")
+// TestGatherLimitEarlyClose: a Limit that stops consuming after its first
+// batch closes the Gather while the workers are still mid-stream (20k rows
+// cannot fit the hand-off channel); Close must cancel and reap every worker —
+// no deadlock, zero leaked goroutines.
+func TestGatherLimitEarlyClose(t *testing.T) {
 	var in []types.Row
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 20_000; i++ {
 		in = append(in, types.Row{iv(int64(i))})
 	}
 	cat := testCatalog(t)
-	tab := loadTable(t, cat, "LIM", schema, in)
+	tab := loadTable(t, cat, "LIM", intSchema("id"), in)
+	baseline := runtime.NumGoroutine()
 	lim := &Limit{Child: NewGather(&MorselScan{Table: tab}, 4), N: 10}
 	got := mustCollect(t, lim)
 	if len(got) != 10 {
 		t.Fatalf("limit over gather returned %d rows, want 10", len(got))
 	}
-	// Row drive.
-	g := NewGather(&MorselScan{Table: tab}, 3)
-	ctx := NewContext()
-	if err := g.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := g.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5000 {
-		t.Fatalf("row drive returned %d rows, want 5000", n)
-	}
+	waitGoroutines(t, baseline)
 }
 
 // TestGatherErrorPropagation: a worker hitting an evaluation error surfaces

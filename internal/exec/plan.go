@@ -12,13 +12,11 @@ import (
 	"sqlxnf/internal/types"
 )
 
-// Plan is a physical operator. Operators expose both the classic Volcano
-// row-at-a-time interface (Next) and the batched interface (NextBatch); see
-// the batch contract in batch.go. Drivers pick one mode per Open.
+// Plan is a physical operator, driven batch-at-a-time: Open, NextBatch until
+// it returns an empty batch, Close. See the batch contract in batch.go.
 type Plan interface {
 	Schema() types.Schema
 	Open(ctx *Context) error
-	Next(ctx *Context) (types.Row, bool, error)
 	// NextBatch returns the next batch of rows, typically about BatchSize
 	// (scans may overshoot to a page boundary). An empty batch with a nil
 	// error means the input is exhausted. The returned slice is reused by
@@ -62,7 +60,6 @@ type SeqScan struct {
 	ps      *storage.PageScanner
 	buf     []types.Row
 	rids    []storage.RID
-	pos     int
 	done    bool
 }
 
@@ -75,7 +72,6 @@ func (s *SeqScan) Open(ctx *Context) error {
 	s.ps.Vis = ctx.Vis
 	s.buf = s.buf[:0]
 	s.rids = s.rids[:0]
-	s.pos = 0
 	s.done = false
 	return nil
 }
@@ -89,7 +85,6 @@ func (s *SeqScan) fill(ctx *Context) error {
 	}
 	s.buf = s.buf[:0]
 	s.rids = s.rids[:0]
-	s.pos = 0
 	for !s.done && len(s.buf) < BatchSize {
 		var ok bool
 		var err error
@@ -105,24 +100,6 @@ func (s *SeqScan) fill(ctx *Context) error {
 		ctx.Stats.RowsScanned += int64(len(s.buf))
 	}
 	return nil
-}
-
-// Next implements Plan.
-func (s *SeqScan) Next(ctx *Context) (types.Row, bool, error) {
-	if s.pos >= len(s.buf) {
-		if s.done {
-			return nil, false, nil
-		}
-		if err := s.fill(ctx); err != nil {
-			return nil, false, err
-		}
-		if len(s.buf) == 0 {
-			return nil, false, nil
-		}
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, true, nil
 }
 
 // NextBatch implements Plan.
@@ -186,7 +163,6 @@ type IndexScan struct {
 	EstRows float64
 	it      *btree.Iterator
 	buf     []types.Row
-	pos     int
 	done    bool
 }
 
@@ -196,7 +172,6 @@ func (s *IndexScan) Schema() types.Schema { return s.Table.Schema }
 // Open implements Plan.
 func (s *IndexScan) Open(ctx *Context) error {
 	s.buf = s.buf[:0]
-	s.pos = 0
 	s.done = false
 	evalBound := func(es []Expr) ([]byte, error) {
 		if es == nil {
@@ -244,7 +219,6 @@ func (s *IndexScan) fill(ctx *Context) error {
 		return err
 	}
 	s.buf = s.buf[:0]
-	s.pos = 0
 	for !s.done && len(s.buf) < BatchSize {
 		_, rid, ok := s.it.Next()
 		if !ok {
@@ -266,24 +240,6 @@ func (s *IndexScan) fill(ctx *Context) error {
 		ctx.Stats.RowsScanned += int64(len(s.buf))
 	}
 	return nil
-}
-
-// Next implements Plan.
-func (s *IndexScan) Next(ctx *Context) (types.Row, bool, error) {
-	if s.pos >= len(s.buf) {
-		if s.done {
-			return nil, false, nil
-		}
-		if err := s.fill(ctx); err != nil {
-			return nil, false, err
-		}
-		if len(s.buf) == 0 {
-			return nil, false, nil
-		}
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, true, nil
 }
 
 // NextBatch implements Plan.
@@ -339,16 +295,6 @@ func (v *Values) Schema() types.Schema { return v.Out }
 // Open implements Plan.
 func (v *Values) Open(*Context) error { v.pos = 0; return nil }
 
-// Next implements Plan.
-func (v *Values) Next(*Context) (types.Row, bool, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, false, nil
-	}
-	r := v.Rows[v.pos]
-	v.pos++
-	return r, true, nil
-}
-
 // NextBatch implements Plan.
 func (v *Values) NextBatch(*Context) ([]types.Row, error) {
 	return sliceBatch(v.Rows, &v.pos), nil
@@ -367,7 +313,7 @@ func (v *Values) Children() []Plan { return nil }
 // Filter, Project, Limit, Distinct
 // ---------------------------------------------------------------------------
 
-// Filter passes rows satisfying Pred. The batch path compiles the predicate
+// Filter passes rows satisfying Pred. It compiles the predicate
 // into vectorized conjunct kernels (see kernel.go): common shapes like
 // `col < const` run as tight comparison loops without per-row expression
 // dispatch.
@@ -385,23 +331,6 @@ func (f *Filter) Schema() types.Schema { return f.Child.Schema() }
 
 // Open implements Plan.
 func (f *Filter) Open(ctx *Context) error { return f.Child.Open(ctx) }
-
-// Next implements Plan.
-func (f *Filter) Next(ctx *Context) (types.Row, bool, error) {
-	for {
-		row, ok, err := f.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := EvalPred(ctx, f.Pred, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return row, true, nil
-		}
-	}
-}
 
 // NextBatch implements Plan. Kernels compile lazily on the first batch —
 // Pred is immutable after construction, so one compilation serves every
@@ -457,7 +386,7 @@ func (f *Filter) Explain() string { return "Filter " + DumpExpr(f.Pred) }
 // Children implements Plan.
 func (f *Filter) Children() []Plan { return []Plan{f.Child} }
 
-// Project computes output expressions per row. The batch path carves output
+// Project computes output expressions per row. It carves output
 // rows from a per-batch value arena (one allocation per batch, not per row)
 // and short-circuits plain column references.
 type Project struct {
@@ -486,22 +415,6 @@ func (p *Project) projectInto(ctx *Context, row, out types.Row) error {
 		out[i] = v
 	}
 	return nil
-}
-
-// Next implements Plan.
-func (p *Project) Next(ctx *Context) (types.Row, bool, error) {
-	row, ok, err := p.Child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(types.Row, len(p.Exprs))
-	if err := p.projectInto(ctx, row, out); err != nil {
-		return nil, false, err
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.RowsEmitted++
-	}
-	return out, true, nil
 }
 
 // NextBatch implements Plan.
@@ -551,19 +464,6 @@ func (l *Limit) Schema() types.Schema { return l.Child.Schema() }
 
 // Open implements Plan.
 func (l *Limit) Open(ctx *Context) error { l.seen = 0; return l.Child.Open(ctx) }
-
-// Next implements Plan.
-func (l *Limit) Next(ctx *Context) (types.Row, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	row, ok, err := l.Child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
 
 // NextBatch implements Plan.
 func (l *Limit) NextBatch(ctx *Context) ([]types.Row, error) {
@@ -616,19 +516,6 @@ func (d *Distinct) fresh(row types.Row) bool {
 	}
 	d.seen[h] = append(d.seen[h], row)
 	return true
-}
-
-// Next implements Plan.
-func (d *Distinct) Next(ctx *Context) (types.Row, bool, error) {
-	for {
-		row, ok, err := d.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if d.fresh(row) {
-			return row, true, nil
-		}
-	}
 }
 
 // NextBatch implements Plan.
@@ -721,45 +608,6 @@ func (j *NLJoin) Open(ctx *Context) error {
 	j.lpos = 0
 	j.arena = rowArena{arity: len(j.out)}
 	return nil
-}
-
-// joinOne concatenates the current left row with one right row and applies
-// the predicate, returning the joined row on a match (row-path helper).
-func (j *NLJoin) joinOne(ctx *Context, r types.Row) (types.Row, bool, error) {
-	joined := make(types.Row, 0, len(j.cur)+len(r))
-	joined = append(joined, j.cur...)
-	joined = append(joined, r...)
-	pass, err := EvalPred(ctx, j.Pred, joined)
-	if err != nil || !pass {
-		return nil, false, err
-	}
-	return joined, true, nil
-}
-
-// Next implements Plan.
-func (j *NLJoin) Next(ctx *Context) (types.Row, bool, error) {
-	for {
-		if j.cur == nil {
-			row, ok, err := j.Left.Next(ctx)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur = row
-			j.rpos = 0
-		}
-		for j.rpos < len(j.right) {
-			r := j.right[j.rpos]
-			j.rpos++
-			joined, ok, err := j.joinOne(ctx, r)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return joined, true, nil
-			}
-		}
-		j.cur = nil
-	}
 }
 
 // NextBatch implements Plan.
@@ -1000,16 +848,16 @@ func (j *HashJoin) Open(ctx *Context) error {
 	return nil
 }
 
-// probe positions the chain cursor for a left row; reports false on NULL
-// keys or no hash hit.
-func (j *HashJoin) probe(ctx *Context, row types.Row) (bool, error) {
+// probe positions the chain cursor for a left row; NULL keys never join and
+// leave the (exhausted) cursor where it was.
+func (j *HashJoin) probe(ctx *Context, row types.Row) error {
 	null, err := evalKeysInto(ctx, j.LeftKeys, row, j.curKeys)
 	if err != nil || null {
-		return false, err
+		return err
 	}
 	j.cur = row
 	j.chain = j.tab.head(j.hash(j.curKeys))
-	return true, nil
+	return nil
 }
 
 // nextMatch advances the probe chain to the next entry whose key truly
@@ -1023,42 +871,6 @@ func (j *HashJoin) nextMatch() *buildEnt {
 		}
 	}
 	return nil
-}
-
-// Next implements Plan.
-func (j *HashJoin) Next(ctx *Context) (types.Row, bool, error) {
-	for {
-		if j.cur == nil {
-			row, ok, err := j.Left.Next(ctx)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			hit, err := j.probe(ctx, row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !hit {
-				continue
-			}
-		}
-		for {
-			ent := j.nextMatch()
-			if ent == nil {
-				break
-			}
-			joined := make(types.Row, 0, len(j.cur)+len(ent.row))
-			joined = append(joined, j.cur...)
-			joined = append(joined, ent.row...)
-			pass, err := EvalPred(ctx, j.Residual, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if pass {
-				return joined, true, nil
-			}
-		}
-		j.cur = nil
-	}
 }
 
 // NextBatch implements Plan.
@@ -1100,7 +912,7 @@ func (j *HashJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 		}
 		row := j.lbatch[j.lpos]
 		j.lpos++
-		if _, err := j.probe(ctx, row); err != nil {
+		if err := j.probe(ctx, row); err != nil {
 			return nil, err
 		}
 	}
@@ -1169,7 +981,6 @@ type IndexJoin struct {
 	lbatch     []types.Row
 	lpos       int
 	obuf       []types.Row
-	opos       int // row-drive cursor into obuf
 	arena      rowArena
 }
 
@@ -1196,7 +1007,6 @@ func (j *IndexJoin) Open(ctx *Context) error {
 	j.lbatch = nil
 	j.lpos = 0
 	j.obuf = j.obuf[:0]
-	j.opos = 0
 	j.arena = rowArena{arity: len(j.out)}
 	return nil
 }
@@ -1259,30 +1069,6 @@ func (j *IndexJoin) emitMatches(ctx *Context) error {
 	return nil
 }
 
-// Next implements Plan (row drive shares the batch machinery: obuf drains
-// one row at a time, in probe order).
-func (j *IndexJoin) Next(ctx *Context) (types.Row, bool, error) {
-	for {
-		if j.opos < len(j.obuf) {
-			r := j.obuf[j.opos]
-			j.opos++
-			return r, true, nil
-		}
-		j.obuf = j.obuf[:0]
-		j.opos = 0
-		row, ok, err := j.Left.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if err := j.probe(ctx, row); err != nil {
-			return nil, false, err
-		}
-		if err := j.emitMatches(ctx); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
 // NextBatch implements Plan.
 func (j *IndexJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 	j.obuf = j.obuf[:0]
@@ -1321,7 +1107,6 @@ func (j *IndexJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 func (j *IndexJoin) Close() error {
 	j.rids = j.rids[:0]
 	j.obuf = j.obuf[:0]
-	j.opos = 0
 	j.lbatch = nil
 	return j.Left.Close()
 }
@@ -1455,16 +1240,6 @@ func compareNullsFirst(a, b types.Value, errOut *error) int {
 		*errOut = err
 	}
 	return c
-}
-
-// Next implements Plan.
-func (s *Sort) Next(*Context) (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
 }
 
 // NextBatch implements Plan.
@@ -1868,16 +1643,6 @@ func (g *GroupAgg) openParallel(ctx *Context) error {
 	return g.finish(gt, true)
 }
 
-// Next implements Plan.
-func (g *GroupAgg) Next(*Context) (types.Row, bool, error) {
-	if g.pos >= len(g.groups) {
-		return nil, false, nil
-	}
-	r := g.groups[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
 // NextBatch implements Plan.
 func (g *GroupAgg) NextBatch(*Context) ([]types.Row, error) {
 	return sliceBatch(g.groups, &g.pos), nil
@@ -1899,7 +1664,6 @@ func (g *GroupAgg) Explain() string {
 func (g *GroupAgg) Children() []Plan { return []Plan{g.Child} }
 
 // Collect drains a plan into a row slice (convenience for engine and tests).
-// It drives the batched path end to end.
 func Collect(ctx *Context, p Plan) ([]types.Row, error) {
 	if err := p.Open(ctx); err != nil {
 		return nil, err

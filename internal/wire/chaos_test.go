@@ -54,27 +54,34 @@ func TestServerNetFaultChaos(t *testing.T) {
 			t.Fatal("open transaction holds no locks — scenario broken")
 		}
 		inj.Arm(faultinj.Fault{Point: faultinj.NetRead, Once: true})
-		// The conn goroutine is parked in the current frame read, past this
-		// iteration's probe; the armed fault fires when it loops. One request
-		// still round-trips, the next finds the connection gone.
-		if _, err := c.Exec("SELECT v FROM T WHERE id = 1"); err != nil {
-			t.Fatalf("in-flight request before fault: %v", err)
+		// The conn goroutine races the Arm: if it is already parked in its
+		// frame read, past this iteration's probe, one more request
+		// round-trips and the fault fires when it loops; if it has not
+		// reached the probe yet, the fault fires at once. Either way a
+		// request fails within two sends.
+		var sendErr error
+		for sends := 0; sends < 2 && sendErr == nil; sends++ {
+			_, sendErr = c.Exec("SELECT v FROM T WHERE id = 1")
 		}
-		if _, err := c.Exec("SELECT v FROM T WHERE id = 1"); err == nil {
+		if sendErr == nil {
 			t.Fatal("connection survived an injected read fault")
 		}
+		if _, err := c.Exec("SELECT v FROM T WHERE id = 1"); err == nil {
+			t.Fatal("connection still serves requests after its read fault")
+		}
 		_ = c.Close()
+		if n := inj.FiredAt(faultinj.NetRead); n != int64(i+1) {
+			t.Fatalf("iteration %d: read faults fired %d times, want %d", i, n, i+1)
+		}
 		waitFor(t, 2*time.Second, func() bool {
-			return db.Engine().Locks().TotalHeld() == 0 && srv.Counters().LiveSessions == 0
+			st := srv.Counters()
+			return db.Engine().Locks().TotalHeld() == 0 && st.LiveSessions == 0 && st.LiveConns == 0
 		})
-	}
-	if n := inj.FiredAt(faultinj.NetRead); n != 3 {
-		t.Fatalf("read faults fired %d times, want 3", n)
-	}
-
-	// The faulted transactions all rolled back: no increment survived.
-	if got := db.MustExec("SELECT v FROM T WHERE id = 1").Rows[0][0].Int(); got != 0 {
-		t.Fatalf("v = %d, want 0: a faulted connection's transaction leaked", got)
+		// Locks gone means the transaction ended; v unchanged means it ended
+		// in rollback, not commit.
+		if got := db.MustExec("SELECT v FROM T WHERE id = 1").Rows[0][0].Int(); got != 0 {
+			t.Fatalf("iteration %d: v = %d, want 0: the faulted transaction's update survived", i, got)
+		}
 	}
 	st := srv.Counters()
 	if st.NetFaults != 6 || st.LiveConns != 0 || st.LiveSessions != 0 {

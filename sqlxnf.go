@@ -171,13 +171,6 @@ func WithLockTimeout(d time.Duration) Option {
 	return func(o *engine.Options) { o.LockTimeout = d }
 }
 
-// WithReadLocks restores the pre-MVCC read path: readers take shared table
-// locks and block behind writers instead of reading their snapshot. The
-// locking baseline arm of the e19 experiment.
-func WithReadLocks() Option {
-	return func(o *engine.Options) { o.ReadLocks = true }
-}
-
 // WithVacuumDeadRows sets the auto-vacuum trigger: a commit that brings the
 // count of unsettled row versions past n sweeps inline. Negative disables
 // auto-vacuum (Engine.Vacuum still works); 0 keeps the default.
