@@ -164,14 +164,13 @@ func printUptime(st sqlxnf.EngineStats) {
 }
 
 // printWALStats renders the write-ahead log from the unified engine
-// snapshot: durable segment state and fsync counters when file-backed,
-// plus the in-memory tail.
+// snapshot: segment state and fsync counters.
 func printWALStats(db *sqlxnf.DB) {
 	est := db.Stats()
 	printUptime(est)
 	st := est.WAL
 	if !st.Durable {
-		fmt.Printf("wal: in-memory, records=%d (no durable log; start with -data <dir>)\n", st.MemRecords)
+		fmt.Println("wal: none (in-memory engine; start with -data <dir>)")
 		return
 	}
 	f := st.File
@@ -179,7 +178,7 @@ func printWALStats(db *sqlxnf.DB) {
 		st.Policy, f.Segments, fmtBytes(f.Bytes), fmtBytes(f.DurableBytes))
 	fmt.Printf("  lsn: last=%d durable=%d checkpoint=%d\n", f.LastLSN, f.DurableLSN, f.LastCheckpoint)
 	fmt.Printf("  io: appends=%d fsyncs=%d group-commit-skips=%d\n", f.Appends, f.Syncs, f.SyncSkips)
-	fmt.Printf("  mem-records=%d auto-checkpoint-failures=%d\n", st.MemRecords, st.AutoCheckpointFailures)
+	fmt.Printf("  auto-checkpoint-failures=%d\n", st.AutoCheckpointFailures)
 }
 
 // printMetrics renders the per-class statement summary from the unified

@@ -88,3 +88,23 @@ func BenchmarkExecRepeatedPointQueryTraced(b *testing.B) {
 		s.MustExec(q)
 	}
 }
+
+// BenchmarkRollbackAfterHistory measures an empty BEGIN; ROLLBACK on an
+// in-memory engine after 0 and after 100k autocommit inserts. Rollback walks
+// the session's own undo list, so the two arms must cost the same: the
+// engine's write history is not an input.
+func BenchmarkRollbackAfterHistory(b *testing.B) {
+	for _, history := range []int{0, 100_000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			s := NewDefault().Session()
+			s.MustExec("CREATE TABLE H (a INT, b VARCHAR)")
+			for i := 0; i < history; i++ {
+				s.MustExec(fmt.Sprintf("INSERT INTO H VALUES (%d, 'row-%d')", i, i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MustExec("BEGIN; ROLLBACK")
+			}
+		})
+	}
+}

@@ -44,8 +44,8 @@ func (g *chaosGen) stmtFor(p faultinj.Point) string {
 	kind := g.rng.Intn(6)
 	switch p {
 	case faultinj.WALAppend, faultinj.DiskWrite:
-		kind = g.rng.Intn(3) // DML only: wal.append fires there, and dirty
-		// pages are what make evictions reach disk.write
+		kind = g.rng.Intn(3) // DML only: only writers append to the log, and
+		// dirty pages are what make evictions reach disk.write
 	case faultinj.ComatMat:
 		kind = 4 // TAKE
 	}
@@ -80,7 +80,11 @@ func afterFor(p faultinj.Point, rng *rand.Rand) int {
 	case faultinj.DiskWrite:
 		return 0 // dirty evictions are rare within one statement
 	case faultinj.WALAppend:
-		return rng.Intn(3)
+		// A single-row statement appends begin, data and commit records:
+		// three of nine offsets land on one of them, the other six let it
+		// through (a fault on every statement would leave the twin and the
+		// CO cache nothing new to check). Multi-row statements always fault.
+		return rng.Intn(9)
 	default:
 		return 0
 	}

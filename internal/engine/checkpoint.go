@@ -25,14 +25,18 @@ const ckptVersion = 1
 // (2) Holding walMu, verify the table list is still complete, snapshot the
 // catalog and heaps, and append the checkpoint record — no record of any
 // session can interleave, so the snapshot is exactly the state at the
-// checkpoint's LSN. (3) Force the record durable, then drop sealed WAL
-// segments and the in-memory prefix behind it.
+// checkpoint's LSN. (3) Force the record durable, then drop the sealed WAL
+// segments behind it. An in-memory engine has no log to fold: after the
+// uncommitted-writes check the statement is a no-op.
 func (s *Session) checkpoint() (*Result, error) {
 	e := s.eng
-	if s.beganLogged {
-		// The in-memory truncation below would discard this transaction's
-		// own undo records, making a later ROLLBACK impossible.
+	if len(s.undo) > 0 {
+		// The snapshot reads heaps as they stand, and no lock hides this
+		// transaction's own uncommitted rows from it.
 		return nil, fmt.Errorf("engine: CHECKPOINT cannot run inside a transaction with uncommitted writes")
+	}
+	if e.log == nil {
+		return &Result{}, nil
 	}
 	locked := map[string]bool{}
 	for {
@@ -61,24 +65,23 @@ func (s *Session) checkpoint() (*Result, error) {
 		// would deadlock against committers — lock the newcomer, re-check.
 		e.walMu.Unlock()
 	}
-	payload, err := e.encodeCheckpoint()
+	lsn, err := func() (wal.LSN, error) {
+		defer e.walMu.Unlock() // taken by the sweep above; a panicking probe must not keep it
+		payload, err := e.encodeCheckpoint()
+		if err != nil {
+			return 0, err
+		}
+		return s.appendLogLocked(wal.Record{Tx: s.txID, Type: wal.RecCheckpoint, Payload: payload})
+	}()
 	if err != nil {
-		e.walMu.Unlock()
 		return nil, err
 	}
-	lsn := s.appendLogLocked(wal.Record{Tx: s.txID, Type: wal.RecCheckpoint, Payload: payload})
-	e.walMu.Unlock()
-	if e.flog != nil {
-		if err := e.flog.Sync(lsn); err != nil {
-			return nil, fmt.Errorf("engine: checkpoint not durable: %w", err)
-		}
-		if err := e.flog.TruncateBefore(lsn); err != nil {
-			return nil, err
-		}
+	if err := e.log.Sync(lsn); err != nil {
+		return nil, fmt.Errorf("engine: checkpoint not durable: %w", err)
 	}
-	// Keep the checkpoint record itself: SnapshotWAL output must still
-	// describe the full database.
-	e.log.Truncate(lsn - 1)
+	if err := e.log.TruncateBefore(lsn); err != nil {
+		return nil, err
+	}
 	return &Result{}, nil
 }
 

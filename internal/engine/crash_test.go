@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -195,11 +196,47 @@ func newestFile(t *testing.T, img map[string][]byte) string {
 	return names[len(names)-1]
 }
 
+// openDurable opens a fresh durable engine under crashOpts.
+func openDurable(t *testing.T) *Engine {
+	t.Helper()
+	e, err := Open(crashOpts(t.TempDir()))
+	if err != nil {
+		t.Fatalf("open durable engine: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// crashReopen crashes durable engine e and recovers it: the log directory is
+// copied as it stands — no Close, so what the last force left on disk is
+// what survives, an open transaction's flushed records included — and the
+// copy is opened. e itself keeps running.
+func crashReopen(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	dir := t.TempDir()
+	writeImage(t, dir, snapshotDir(t, e.Options().DataDir))
+	re, err := Open(crashOpts(dir))
+	if err != nil {
+		t.Fatalf("recovery of crash image: %v", err)
+	}
+	t.Cleanup(func() { re.Close() })
+	return re
+}
+
+// forceLog commits from a fresh session. The force behind that commit
+// carries every record buffered so far to disk, an open transaction's
+// included, so a crash image taken next holds that loser for recovery to
+// skip. (The loser's session must end it before the test returns: Close's
+// checkpoint would otherwise wait out the drain timeout on its table locks.)
+func forceLog(e *Engine) {
+	e.Session().MustExec("CREATE TABLE FORCED (x INT)")
+}
+
 // crashState is everything the harness records while driving the workload.
 type crashState struct {
 	images  []map[string][]byte // images[i]: disk after statements 0..i-1 acked
 	oracles []string            // oracles[i]: fingerprint after statements 0..i-1
-	memLens []int               // twin's in-memory log length at each point (replay bound)
+	memLens []int               // live log records at each point (replay bound)
 	stmts   []string
 }
 
@@ -220,7 +257,7 @@ func driveWorkload(t *testing.T, dir string) *crashState {
 	record := func() {
 		st.images = append(st.images, snapshotDir(t, dir))
 		st.oracles = append(st.oracles, fingerprint(t, twin))
-		st.memLens = append(st.memLens, twin.log.Len())
+		st.memLens = append(st.memLens, len(eng.Log().Records()))
 	}
 	record()
 	var ckptShrank bool
@@ -248,8 +285,8 @@ func driveWorkload(t *testing.T, dir string) *crashState {
 
 // recoverAndVerify opens the crash image in dir and checks the recovered
 // engine against the expected oracle fingerprint, plus structural health:
-// no locks held, replay bounded by the oracle's live log, and the engine
-// accepting new work.
+// no locks held, replay bounded by the live log at the crash point, and the
+// engine accepting new work.
 func recoverAndVerify(t *testing.T, dir, wantFP string, maxReplay int, label string) {
 	t.Helper()
 	eng, err := Open(crashOpts(dir))
@@ -265,7 +302,7 @@ func recoverAndVerify(t *testing.T, dir, wantFP string, maxReplay int, label str
 	}
 	info := eng.RecoveryInfo()
 	if maxReplay >= 0 && info.Replayed > maxReplay {
-		t.Fatalf("%s: replayed %d records, oracle's live log holds only %d — recovery not bounded by the last checkpoint", label, info.Replayed, maxReplay)
+		t.Fatalf("%s: replayed %d records, the live log held only %d — recovery not bounded by the last checkpoint", label, info.Replayed, maxReplay)
 	}
 }
 
@@ -440,6 +477,80 @@ func TestCrashFsyncFaults(t *testing.T) {
 			if got != withUnacked {
 				t.Fatalf("failAt=%d: recovered state matches neither the acked prefix nor prefix+1:\n%s", failAt, got)
 			}
+		}
+	}
+}
+
+// TestCrashFsyncPoisonsLog: one failed force poisons the log for good. The
+// fault is armed once, so only stickiness can fail what follows: every later
+// write statement errors (a later fsync succeeding would acknowledge commits
+// behind bytes the kernel may already have dropped), reads keep answering,
+// no failed statement leaks a lock, and a reopen recovers the acknowledged
+// prefix — with or without the one statement whose force failed.
+func TestCrashFsyncPoisonsLog(t *testing.T) {
+	inj := faultinj.New()
+	dir := t.TempDir()
+	opts := crashOpts(dir)
+	opts.FaultInjector = inj
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	twin := New(DefaultOptions())
+	s, ts := eng.Session(), twin.Session()
+	for _, stmt := range []string{
+		`CREATE TABLE A (id INT PRIMARY KEY, v VARCHAR)`,
+		`INSERT INTO A VALUES (1, 'acked')`,
+		`INSERT INTO A VALUES (2, 'acked')`,
+	} {
+		s.MustExec(stmt)
+		ts.MustExec(stmt)
+	}
+	acked := fingerprint(t, twin)
+
+	const unacked = `INSERT INTO A VALUES (3, 'force failed')`
+	inj.Arm(faultinj.Fault{Point: faultinj.WALFsync, Once: true})
+	if _, err := s.Exec(unacked); !errors.Is(err, faultinj.ErrInjected) {
+		t.Fatalf("commit whose force failed returned %v, want the injected fsync error", err)
+	}
+	for _, stmt := range []string{
+		`INSERT INTO A VALUES (4, 'after poison')`,
+		`UPDATE A SET v = 'after poison' WHERE id = 1`,
+		`DELETE FROM A WHERE id = 2`,
+		`BEGIN; INSERT INTO A VALUES (5, 'tx'); COMMIT`,
+		`CREATE TABLE B (x INT)`,
+		`CHECKPOINT`,
+	} {
+		// Contains, not errors.Is: the DDL's error also reports that its
+		// catalog change cannot be rolled back, which flattens the chain.
+		if _, err := s.Exec(stmt); err == nil || !strings.Contains(err.Error(), "injected fault at wal.fsync") {
+			t.Fatalf("%q on a poisoned log returned %v, want the sticky fsync error", stmt, err)
+		}
+		if s.InTx() {
+			t.Fatalf("%q left the session inside a transaction", stmt)
+		}
+		if held := eng.Locks().TotalHeld(); held != 0 {
+			t.Fatalf("%q leaked %d locks", stmt, held)
+		}
+	}
+	if inj.Fired() != 1 {
+		t.Fatalf("fault fired %d times, want once", inj.Fired())
+	}
+	r, err := s.Exec(`SELECT id FROM A WHERE v = 'acked' ORDER BY id`)
+	if err != nil || len(r.Rows) != 2 {
+		t.Fatalf("read on a poisoned engine: rows=%v err=%v, want the two acked rows", r, err)
+	}
+
+	eng.Close() // the "crash": abandon the wounded engine
+	recovered, err := Open(crashOpts(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer recovered.Close()
+	if got := fingerprint(t, recovered); got != acked {
+		ts.MustExec(unacked)
+		if got != fingerprint(t, twin) {
+			t.Fatalf("recovered state matches neither the acked prefix nor prefix + the unacked statement:\n%s", got)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"sqlxnf/internal/catalog"
 	"sqlxnf/internal/exec"
-	"sqlxnf/internal/faultinj"
 	"sqlxnf/internal/optimizer"
 	"sqlxnf/internal/parser"
 	"sqlxnf/internal/qgm"
@@ -20,6 +19,15 @@ import (
 // ---------------------------------------------------------------------------
 // DDL
 // ---------------------------------------------------------------------------
+
+// logDDL logs a schema change the catalog has already made; text is the
+// statement, replayed verbatim at recovery.
+func (s *Session) logDDL(text string) (*Result, error) {
+	if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text}); err != nil {
+		return nil, err
+	}
+	return &Result{}, nil
+}
 
 func (s *Session) createTable(stmt *parser.CreateTableStmt, text string) (*Result, error) {
 	schema := make(types.Schema, len(stmt.Columns))
@@ -44,8 +52,7 @@ func (s *Session) createTable(stmt *parser.CreateTableStmt, text string) (*Resul
 			return nil, err
 		}
 	}
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text})
-	return &Result{}, nil
+	return s.logDDL(text)
 }
 
 func (s *Session) createIndex(stmt *parser.CreateIndexStmt, text string) (*Result, error) {
@@ -87,8 +94,7 @@ func (s *Session) createIndex(stmt *parser.CreateIndexStmt, text string) (*Resul
 		_ = s.eng.cat.DropIndex(stmt.Name)
 		return nil, err
 	}
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text})
-	return &Result{}, nil
+	return s.logDDL(text)
 }
 
 func (s *Session) createView(stmt *parser.CreateViewStmt, text string) (*Result, error) {
@@ -110,8 +116,7 @@ func (s *Session) createView(stmt *parser.CreateViewStmt, text string) (*Result,
 	if err := s.eng.cat.CreateView(stmt.Name, stmt.Text, stmt.XNF != nil); err != nil {
 		return nil, err
 	}
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text})
-	return &Result{}, nil
+	return s.logDDL(text)
 }
 
 func (s *Session) drop(stmt *parser.DropStmt, text string) (*Result, error) {
@@ -134,8 +139,7 @@ func (s *Session) drop(stmt *parser.DropStmt, text string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text})
-	return &Result{}, nil
+	return s.logDDL(text)
 }
 
 // analyze recomputes optimizer statistics for one table or all tables
@@ -159,7 +163,9 @@ func (s *Session) analyze(stmt *parser.AnalyzeStmt) (*Result, error) {
 		}
 		// Log the ANALYZE so recovery recomputes statistics for this table
 		// and a recovered engine plans on the same estimates.
-		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecAnalyze, Table: t.Name})
+		if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecAnalyze, Table: t.Name}); err != nil {
+			return nil, err
+		}
 		total += rows
 	}
 	return &Result{RowsAffected: total}, nil
@@ -245,14 +251,16 @@ func (s *Session) insertRowTx(t *catalog.Table, row types.Row) (storage.RID, err
 
 // insertRowNearTx is insertRowTx with a clustering hint: the tuple is placed
 // on (or near) the page of the given RID — composite-object clustering.
-//
-// The wal.append fault probe fires before the heap mutation in every DML
-// primitive: a real write-ahead log fails before the data write it covers,
-// and a post-mutation failure would leave a change no undo record describes.
 func (s *Session) insertRowNearTx(t *catalog.Table, near storage.RID, row types.Row) (storage.RID, error) {
-	if err := s.eng.faults.Hit(faultinj.WALAppend); err != nil {
-		return storage.NilRID, err
-	}
+	return s.insertRowPlacedTx(t, near, false, row)
+}
+
+// insertRowPlacedTx is the one insert primitive: near is the clustering hint,
+// fresh starts a new page instead. Like every DML primitive it changes the
+// heap first and logs second; should the append fail, the record is already
+// on the session's undo list (see appendLog), so the rollback that follows
+// still reverses the change.
+func (s *Session) insertRowPlacedTx(t *catalog.Table, near storage.RID, fresh bool, row types.Row) (storage.RID, error) {
 	coerced, err := t.Schema.CoerceRow(row)
 	if err != nil {
 		return storage.NilRID, fmt.Errorf("engine: insert into %s: %v", t.Name, err)
@@ -260,11 +268,15 @@ func (s *Session) insertRowNearTx(t *catalog.Table, near storage.RID, row types.
 	if err := s.checkUnique(t, coerced, storage.NilRID, "insert into"); err != nil {
 		return storage.NilRID, err
 	}
-	var rid storage.RID
+	var stamp uint64 // 0 = frozen, what recovery replay loads
 	if s.mvccWrite() {
-		rid, err = t.Heap.InsertNearTx(t.Tag, near, coerced, s.txID)
+		stamp = s.txID
+	}
+	var rid storage.RID
+	if fresh {
+		rid, err = t.Heap.InsertOnFreshPageTx(t.Tag, coerced, stamp)
 	} else {
-		rid, err = t.Heap.InsertNear(t.Tag, near, coerced)
+		rid, err = t.Heap.InsertNearTx(t.Tag, near, coerced, stamp)
 	}
 	if err != nil {
 		return storage.NilRID, err
@@ -279,7 +291,9 @@ func (s *Session) insertRowNearTx(t *catalog.Table, near storage.RID, row types.
 		s.versWork++ // create stamp to freeze once settled
 	}
 	t.ObserveInsert(coerced)
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: rid, After: coerced.Clone()})
+	if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: rid, After: coerced.Clone()}); err != nil {
+		return storage.NilRID, err
+	}
 	return rid, nil
 }
 
@@ -288,9 +302,6 @@ func (s *Session) insertRowNearTx(t *catalog.Table, near storage.RID, row types.
 // reach it, and vacuum reclaims both once no snapshot can. Recovery replay
 // (and only it) deletes physically.
 func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
-	if err := s.eng.faults.Hit(faultinj.WALAppend); err != nil {
-		return err
-	}
 	if s.mvccWrite() {
 		row, ver, err := t.Heap.GetVer(t.Tag, rid)
 		if err != nil {
@@ -306,8 +317,8 @@ func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
 		s.noteWrite(t)
 		s.versWork++
 		t.ObserveDelete(row)
-		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
-		return nil
+		_, err = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
+		return err
 	}
 	row, err := t.Heap.Get(t.Tag, rid)
 	if err != nil {
@@ -319,17 +330,14 @@ func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
 	removeIndexEntriesFor(t, row, rid)
 	t.AddRows(-1)
 	t.ObserveDelete(row)
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
-	return nil
+	_, err = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
+	return err
 }
 
 // updateRowTx replaces one tuple; the tuple may move to a new RID. Under
 // MVCC "replace" is insert-new-version (clustered near the old) plus
 // delete-stamp the old version; recovery replay rewrites in place.
 func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Row) (storage.RID, error) {
-	if err := s.eng.faults.Hit(faultinj.WALAppend); err != nil {
-		return storage.NilRID, err
-	}
 	coerced, err := t.Schema.CoerceRow(newRow)
 	if err != nil {
 		return storage.NilRID, fmt.Errorf("engine: update of %s: %v", t.Name, err)
@@ -362,8 +370,10 @@ func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Ro
 		s.versWork += 2 // old version to purge, new stamp to freeze
 		t.ObserveDelete(old)
 		t.ObserveInsert(coerced)
-		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
-			RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()})
+		if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
+			RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()}); err != nil {
+			return storage.NilRID, err
+		}
 		return newRID, nil
 	}
 	old, err := t.Heap.Get(t.Tag, rid)
@@ -383,8 +393,10 @@ func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Ro
 	}
 	t.ObserveDelete(old)
 	t.ObserveInsert(coerced)
-	s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
-		RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()})
+	if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
+		RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()}); err != nil {
+		return storage.NilRID, err
+	}
 	return newRID, nil
 }
 
@@ -954,39 +966,9 @@ func (s *Session) InsertRowOnFreshPage(table string, row types.Row) (storage.RID
 		if lerr := s.lockTable(t.Name); lerr != nil {
 			return lerr
 		}
-		if ferr := s.eng.faults.Hit(faultinj.WALAppend); ferr != nil {
-			return ferr
-		}
-		coerced, cerr := t.Schema.CoerceRow(row)
-		if cerr != nil {
-			return fmt.Errorf("engine: insert into %s: %v", t.Name, cerr)
-		}
-		if uerr := s.checkUnique(t, coerced, storage.NilRID, "insert into"); uerr != nil {
-			return uerr
-		}
-		var r storage.RID
 		var ierr error
-		if s.mvccWrite() {
-			r, ierr = t.Heap.InsertOnFreshPageTx(t.Tag, coerced, s.txID)
-		} else {
-			r, ierr = t.Heap.InsertOnFreshPage(t.Tag, coerced)
-		}
-		if ierr != nil {
-			return ierr
-		}
-		if ierr := s.addIndexEntries(t, coerced, r); ierr != nil {
-			_ = t.Heap.Delete(t.Tag, r)
-			return ierr
-		}
-		t.AddRows(1)
-		s.noteWrite(t)
-		if s.mvccWrite() {
-			s.versWork++
-		}
-		t.ObserveInsert(coerced)
-		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: r, After: coerced.Clone()})
-		rid = r
-		return nil
+		rid, ierr = s.insertRowPlacedTx(t, storage.NilRID, true, row)
+		return ierr
 	})
 	return rid, err
 }

@@ -14,7 +14,7 @@ import (
 // record — a value-based fallback that re-matches the same "first" row
 // would delete it several times and corrupt the multiset.
 func TestRecoveryDuplicateRows(t *testing.T) {
-	e := NewDefault()
+	e := openDurable(t)
 	s := e.Session()
 	s.MustExec("CREATE TABLE D (a INT, b VARCHAR)")
 	for i := 0; i < 3; i++ {
@@ -34,10 +34,7 @@ func TestRecoveryDuplicateRows(t *testing.T) {
 	}
 	want := fingerprint(t, e)
 
-	re, err := Recover(e.SnapshotWAL(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := crashReopen(t, e)
 	if got := fingerprint(t, re); got != want {
 		t.Fatalf("recovered state differs from original:\n got: %s\nwant: %s", got, want)
 	}
@@ -57,7 +54,7 @@ func TestRecoveryDuplicateRows(t *testing.T) {
 // crash. Without stats replay the optimizer would fall back to defaults and
 // could flip the scan choice.
 func TestRecoveryExplainParity(t *testing.T) {
-	e := NewDefault()
+	e := openDurable(t)
 	s := e.Session()
 	s.MustExec(companyDDL + fig1Data)
 	for i := 0; i < 200; i++ {
@@ -72,11 +69,7 @@ func TestRecoveryExplainParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Recover(e.SnapshotWAL(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := re.Session().Exec(q)
+	after, err := crashReopen(t, e).Session().Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,36 +79,38 @@ func TestRecoveryExplainParity(t *testing.T) {
 	}
 }
 
-// TestRecoveryIdempotent: recovering a recovered engine's log yields the same
-// state again — replay must not duplicate rows, re-run DDL destructively, or
-// renumber anything observable.
+// TestRecoveryIdempotent: crashing and recovering a recovered engine yields
+// the same state again — replay must not duplicate rows, re-run DDL
+// destructively, or renumber anything observable.
 func TestRecoveryIdempotent(t *testing.T) {
-	e := NewDefault()
+	e := openDurable(t)
 	s := e.Session()
 	s.MustExec(companyDDL + fig1Data)
 	s.MustExec("UPDATE EMP SET sal = 2500 WHERE eno = 101")
 	s.MustExec("DELETE FROM SKILLS WHERE sno = 2")
 	s.MustExec("ANALYZE EMP")
 	s.MustExec("BEGIN; INSERT INTO DEPT VALUES (9, 'loser', 'XX', 0, 0)") // never committed
+	forceLog(e)
 
-	r1, err := Recover(e.SnapshotWAL(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	r1 := crashReopen(t, e)
+	s.MustExec("ROLLBACK")
+	if r1.RecoveryInfo().Replayed == 0 {
+		t.Fatal("first recovery replayed nothing")
 	}
 	fp1 := fingerprint(t, r1)
-	r2, err := Recover(r1.SnapshotWAL(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	if strings.Contains(fp1, "loser") {
+		t.Fatalf("first recovery replayed the uncommitted insert:\n%s", fp1)
 	}
+	r2 := crashReopen(t, r1)
 	if fp2 := fingerprint(t, r2); fp2 != fp1 {
 		t.Fatalf("second recovery diverged:\n 1st: %s\n 2nd: %s", fp1, fp2)
 	}
-	r3, err := Recover(r2.SnapshotWAL(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := crashReopen(t, r2)
 	if fp3 := fingerprint(t, r3); fp3 != fp1 {
 		t.Fatalf("third recovery diverged from first")
+	}
+	if n := r3.RecoveryInfo().Replayed; n != 0 {
+		t.Fatalf("third recovery replayed %d records behind the first one's checkpoint", n)
 	}
 }
 

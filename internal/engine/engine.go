@@ -61,7 +61,7 @@ type Options struct {
 	// (internal/faultinj); nil leaves them inert.
 	FaultInjector *faultinj.Injector
 	// DataDir, when non-empty, makes the engine durable: every WAL record
-	// is mirrored to CRC32C-framed segment files under this directory and
+	// is appended to CRC32C-framed segment files under this directory and
 	// commits sync under the Sync policy. Open it with engine.Open —
 	// engine.New ignores DataDir.
 	DataDir string
@@ -127,7 +127,6 @@ type Engine struct {
 	disk   *storage.Disk
 	bp     *storage.BufferPool
 	cat    *catalog.Catalog
-	log    *wal.Log
 	locks  *lock.Manager
 	nextTx uint64
 	opts   Options
@@ -143,18 +142,20 @@ type Engine struct {
 	recovering bool
 	// faults is the optional fault injector (nil = probes inert).
 	faults *faultinj.Injector
-	// flog mirrors the in-memory log to segment files (nil = in-memory
-	// engine, no durability). walMu orders appends across both logs so the
-	// durable byte stream is LSN-ordered; CHECKPOINT holds it across its
-	// snapshot so no record can slip between the snapshot and the
-	// checkpoint's LSN.
-	flog  *wal.FileLog
-	walMu sync.Mutex
+	// log is the write-ahead log, segment files under Options.DataDir; nil
+	// on an in-memory engine, which logs nothing. walMu makes (assign the next
+	// LSN, append) atomic so the durable byte stream is LSN-ordered;
+	// CHECKPOINT holds it across its snapshot so no record can slip between
+	// the snapshot and the checkpoint's LSN. lastLSN, under walMu, is the
+	// highest LSN assigned, seeded from the log at recovery.
+	log     *wal.FileLog
+	walMu   sync.Mutex
+	lastLSN wal.LSN
 	// ckptRunning serializes auto-checkpoints; ckptFailures counts
 	// best-effort auto-checkpoints that errored.
 	ckptRunning  atomic.Bool
 	ckptFailures atomic.Int64
-	// recovery describes what the last Open/Recover replayed.
+	// recovery describes what Open replayed.
 	recovery RecoveryInfo
 	// MVCC state (engine/mvcc.go), under mu: activeTx is the set of
 	// uncommitted transaction ids; snaps the registered snapshots (keyed by
@@ -196,7 +197,6 @@ func New(opts Options) *Engine {
 		disk:     disk,
 		bp:       bp,
 		cat:      catalog.New(bp),
-		log:      wal.New(),
 		locks:    lock.NewManager(),
 		nextTx:   1,
 		opts:     opts,
@@ -232,8 +232,8 @@ func (e *Engine) Disk() *storage.Disk { return e.disk }
 // BufferPool exposes the buffer pool (benches drop it for cold runs).
 func (e *Engine) BufferPool() *storage.BufferPool { return e.bp }
 
-// Log exposes the write-ahead log.
-func (e *Engine) Log() *wal.Log { return e.log }
+// Log exposes the write-ahead log (nil on an in-memory engine).
+func (e *Engine) Log() *wal.FileLog { return e.log }
 
 // Locks exposes the lock manager. Robustness tests use its HeldCount /
 // TotalHeld hooks to assert that no failed statement leaks a grant.
@@ -242,8 +242,8 @@ func (e *Engine) Locks() *lock.Manager { return e.locks }
 // Options returns the engine configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Durable reports whether the engine mirrors its WAL to segment files.
-func (e *Engine) Durable() bool { return e.flog != nil }
+// Durable reports whether the engine has a write-ahead log.
+func (e *Engine) Durable() bool { return e.log != nil }
 
 // Close shuts the engine down with a drain: new statements are rejected
 // with ErrClosed, in-flight statements are cancelled through their
@@ -279,7 +279,7 @@ func (e *Engine) Close() error {
 		drained = true
 	case <-timer.C:
 	}
-	if e.flog == nil {
+	if e.log == nil {
 		return nil
 	}
 	if drained {
@@ -292,7 +292,7 @@ func (e *Engine) Close() error {
 		_, _ = s.ExecContext(ctx, "CHECKPOINT")
 		cancel()
 	}
-	return e.flog.Close()
+	return e.log.Close()
 }
 
 // beginStmt admits one statement into the engine: it fails with ErrClosed
@@ -311,9 +311,8 @@ func (s *Session) beginStmt() error {
 	return nil
 }
 
-// WALStats describes the engine's write-ahead log state: the durable
-// segment files (zero values for in-memory engines) plus the in-memory
-// tail the next checkpoint folds away.
+// WALStats describes the engine's write-ahead log state (zero values for
+// in-memory engines).
 type WALStats struct {
 	// Durable reports whether a file-backed log is attached.
 	Durable bool
@@ -321,9 +320,6 @@ type WALStats struct {
 	Policy wal.SyncPolicy
 	// File is the segment-file view: sizes, LSN watermarks, fsync counters.
 	File wal.Stats
-	// MemRecords counts in-memory log records (the suffix since the last
-	// checkpoint truncation).
-	MemRecords int
 	// AutoCheckpointFailures counts best-effort auto-checkpoints that
 	// errored (the engine keeps running; the log just stays longer).
 	AutoCheckpointFailures int64
@@ -332,11 +328,11 @@ type WALStats struct {
 // WALStats snapshots the WAL state for tooling (xnfsh \walstats) and
 // benchmarks.
 func (e *Engine) WALStats() WALStats {
-	st := WALStats{MemRecords: e.log.Len()}
-	if e.flog != nil {
+	var st WALStats
+	if e.log != nil {
 		st.Durable = true
 		st.Policy = e.opts.Sync
-		st.File = e.flog.Stats()
+		st.File = e.log.Stats()
 		st.AutoCheckpointFailures = e.ckptFailures.Load()
 	}
 	return st
@@ -351,7 +347,7 @@ func (e *Engine) maybeAutoCheckpoint() {
 	if threshold == 0 {
 		threshold = DefaultCheckpointBytes
 	}
-	if e.flog == nil || threshold < 0 || e.flog.BytesSinceCheckpoint() < threshold {
+	if e.log == nil || threshold < 0 || e.log.BytesSinceCheckpoint() < threshold {
 		return
 	}
 	if !e.ckptRunning.CompareAndSwap(false, true) {
@@ -478,10 +474,14 @@ type Session struct {
 	// goroutine; parallel workers spawned mid-statement read it through
 	// values captured before they start, so the writes never race.
 	sctx context.Context
-	// beganLogged marks that this transaction's RecBegin reached the log.
-	// Begin logging is lazy — appendLog prepends it before the first real
-	// record — so read-only transactions log nothing and commit without an
-	// fsync, keeping durability off the read hot path.
+	// undo lists the records the open transaction has logged, oldest first:
+	// rollback walks it in reverse, commit and rollback drop it.
+	undo []wal.Record
+	// beganLogged marks that this transaction's RecBegin reached the log, so
+	// it owes the log a commit or abort record. Begin logging is lazy —
+	// appendLog writes it before the first real record — so read-only
+	// transactions log nothing and commit without an fsync, keeping
+	// durability off the read hot path.
 	beganLogged bool
 	// stmtTimeout overrides the engine's StatementTimeout for this session
 	// (0 = inherit).
@@ -826,16 +826,19 @@ func (s *Session) dispatch(st parser.ScriptStmt) (*Result, error) {
 func (s *Session) begin() {
 	s.txID, s.snap = s.eng.beginTx()
 	s.inTx = true
-	s.beganLogged = false
+	s.undo, s.beganLogged = nil, false
 	s.written = nil
 	s.versWork = 0
 }
 
-// commit ends the transaction, releasing locks (strict 2PL) and — on a
-// durable engine, when the transaction logged anything — forcing the log
-// through the commit record before acknowledging. Locks release before the
-// fsync (early lock release): durability is prefix-closed, so syncing this
-// commit's LSN also syncs everything the next lock holder depends on.
+// commit ends the transaction. The order is: append the commit record (a
+// failed append rolls the transaction back instead — without that record it
+// never committed); make the transaction MVCC-visible (finishTx); release
+// locks; force the log through the commit record; acknowledge. Locks release
+// before the force (early lock release): durability is prefix-closed, so
+// syncing this commit's LSN also syncs everything the next lock holder
+// depends on. A transaction that logged nothing skips the record and the
+// force. See EXECUTOR.md "Commit ordering" for what a failed force means.
 func (s *Session) commit() error {
 	e := s.eng
 	if tr := s.trace; tr != nil {
@@ -845,7 +848,13 @@ func (s *Session) commit() error {
 	wrote := s.beganLogged
 	var commitLSN wal.LSN
 	if wrote {
-		commitLSN = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecCommit})
+		var err error
+		if commitLSN, err = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecCommit}); err != nil {
+			if rbErr := s.rollback(); rbErr != nil {
+				return fmt.Errorf("engine: commit: %w (rollback also failed: %v)", err, rbErr)
+			}
+			return fmt.Errorf("engine: commit: %w", err)
+		}
 	}
 	// The MVCC commit point — written tables' versions bump and the
 	// transaction leaves the active set in one atomic step — precedes lock
@@ -855,16 +864,15 @@ func (s *Session) commit() error {
 	if s.versWork > 0 {
 		e.deadRows.Add(s.versWork)
 	}
-	s.snap, s.written, s.versWork = nil, nil, 0
+	s.snap, s.written, s.versWork, s.undo = nil, nil, 0, nil
 	e.locks.ReleaseAll(s.txID)
-	s.inTx = false
-	s.beganLogged = false
-	if wrote && e.flog != nil && !e.recovering {
+	s.inTx, s.beganLogged = false, false
+	if wrote && e.log != nil {
 		var fsyncSpan int
 		if tr := s.trace; tr != nil {
 			fsyncSpan = tr.StartSpan(obs.PhaseWALFsync)
 		}
-		err := e.flog.Sync(commitLSN)
+		err := e.log.Sync(commitLSN)
 		if tr := s.trace; tr != nil {
 			tr.EndSpan(fsyncSpan)
 		}
@@ -877,12 +885,14 @@ func (s *Session) commit() error {
 	return nil
 }
 
-// rollback undoes the transaction's effects in reverse LSN order.
+// rollback undoes the transaction's effects, newest first, from its own undo
+// list. A failed abort-record append is reported once the undo is done;
+// recovery skips a transaction with no commit record either way. A
+// transaction whose RecBegin never reached the log owes it no abort.
 func (s *Session) rollback() error {
-	recs := s.eng.log.TxRecords(s.txID)
 	var undoErr error
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
+	for i := len(s.undo) - 1; i >= 0; i-- {
+		r := s.undo[i]
 		switch r.Type {
 		case wal.RecInsert:
 			if err := s.undoInsert(r); err != nil && undoErr == nil {
@@ -903,57 +913,73 @@ func (s *Session) rollback() error {
 		}
 	}
 	if s.beganLogged {
-		s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecAbort})
+		if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecAbort}); err != nil && undoErr == nil {
+			undoErr = fmt.Errorf("engine: logging abort: %w", err)
+		}
 	}
 	// Retire the transaction (no version bumps — nothing it wrote survived)
 	// after the undo above, so concurrent snapshots never saw a half-undone
 	// state as "committed", and before lock release like commit does.
 	s.eng.finishTx(s.txID, s.snap, nil, false)
-	s.snap, s.written, s.versWork = nil, nil, 0
+	s.snap, s.written, s.versWork, s.undo = nil, nil, 0, nil
 	s.eng.locks.ReleaseAll(s.txID)
-	s.inTx = false
-	s.beganLogged = false
+	s.inTx, s.beganLogged = false, false
 	return undoErr
 }
 
-// appendLog assigns the record's LSN and mirrors it to the durable log when
-// one is attached. walMu makes the (in-memory LSN assignment, file append)
-// pair atomic, so the on-disk byte stream is in LSN order. File-append
-// failures are sticky inside FileLog and surface at the commit fsync — the
-// in-memory record stays either way, so rollback can still undo the heap.
-func (s *Session) appendLog(rec wal.Record) wal.LSN {
+// appendLog logs rec for the open transaction and returns its LSN (0 on an
+// in-memory engine, which has no log). The record goes onto the session's
+// undo list before anything can fail, so a heap change already made is always
+// described there; an append error is returned, the statement fails, and its
+// transaction rolls back through the normal error path. Recovery replay logs
+// nothing.
+func (s *Session) appendLog(rec wal.Record) (wal.LSN, error) {
 	e := s.eng
 	if e.recovering {
-		return 0
+		return 0, nil
 	}
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	return s.appendLogLocked(rec)
 }
 
-func (s *Session) appendLogLocked(rec wal.Record) wal.LSN {
-	e := s.eng
+// appendLogLocked is appendLog for a caller holding walMu (CHECKPOINT). The
+// transaction's first record is preceded by its RecBegin.
+func (s *Session) appendLogLocked(rec wal.Record) (wal.LSN, error) {
 	var appendStart time.Time
 	if s.trace != nil {
 		appendStart = time.Now()
 	}
-	if !s.beganLogged && rec.Type != wal.RecBegin {
-		s.beganLogged = true
-		begin := wal.Record{Tx: s.txID, Type: wal.RecBegin}
-		begin.LSN = e.log.Append(begin)
-		if e.flog != nil {
-			_ = e.flog.Append(begin)
-		}
+	s.undo = append(s.undo, rec)
+	var lsn wal.LSN
+	var err error
+	if !s.beganLogged {
+		_, err = s.eng.writeLogLocked(wal.Record{Tx: s.txID, Type: wal.RecBegin})
+		s.beganLogged = err == nil
 	}
-	rec.LSN = e.log.Append(rec)
-	if e.flog != nil {
-		_ = e.flog.Append(rec)
+	if err == nil {
+		lsn, err = s.eng.writeLogLocked(rec)
 	}
 	if tr := s.trace; tr != nil {
 		// One statement appends many records; accumulate their total.
 		tr.Add(obs.PhaseWALAppend, time.Since(appendStart))
 	}
-	return rec.LSN
+	return lsn, err
+}
+
+// writeLogLocked assigns rec the next LSN and appends it to the log; walMu
+// makes the pair atomic, so the on-disk byte stream is in LSN order. The
+// wal.append probe sits on this path, in-memory engines included.
+func (e *Engine) writeLogLocked(rec wal.Record) (wal.LSN, error) {
+	if err := e.faults.Hit(faultinj.WALAppend); err != nil {
+		return 0, err
+	}
+	if e.log == nil {
+		return 0, nil
+	}
+	e.lastLSN++
+	rec.LSN = e.lastLSN
+	return rec.LSN, e.log.Append(rec)
 }
 
 // lockTable acquires the exclusive table lock writers serialize on, for the
@@ -1047,7 +1073,9 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	s.maybeAutoAnalyze(collectBoxTables(box))
+	if _, err := s.maybeAutoAnalyze(collectBoxTables(box)); err != nil {
+		return nil, err
+	}
 	box = rewrite.Rewrite(box, s.eng.opts.Rewrite)
 	plan, info, err := optimizer.CompileWithInfo(box, s.eng.opts.Optimizer)
 	if err != nil {
@@ -1133,7 +1161,11 @@ func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value) (*Result, e
 			ent.key, ent.nParams, len(binds))
 	}
 	s.stmtClass = ent.class
-	if s.maybeAutoAnalyze(ent.tables) {
+	refreshed, err := s.maybeAutoAnalyze(ent.tables)
+	if err != nil {
+		return nil, err
+	}
+	if refreshed {
 		// Statistics just refreshed: the entry's epoch stamp is stale (it
 		// evicts on next lookup), so this execution plans fresh against the
 		// new estimates instead of running a plan costed on drifted stats.
@@ -1292,8 +1324,9 @@ func statsDrifted(t *catalog.Table) bool {
 
 // maybeAutoAnalyze refreshes drifted statistics snapshots for the given
 // tables, reporting whether any refresh happened (each bumps the catalog
-// epoch, invalidating cached plans costed on the stale estimates).
-func (s *Session) maybeAutoAnalyze(tables []string) bool {
+// epoch, invalidating cached plans costed on the stale estimates). The only
+// error is a failed log append.
+func (s *Session) maybeAutoAnalyze(tables []string) (bool, error) {
 	refreshed := false
 	for _, tn := range tables {
 		t, err := s.eng.cat.Table(tn)
@@ -1304,10 +1337,12 @@ func (s *Session) maybeAutoAnalyze(tables []string) bool {
 			refreshed = true
 			// Logged like manual ANALYZE so a recovered engine recomputes the
 			// same statistics and plans identically.
-			s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecAnalyze, Table: tn})
+			if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecAnalyze, Table: tn}); err != nil {
+				return refreshed, err
+			}
 		}
 	}
-	return refreshed
+	return refreshed, nil
 }
 
 // xnfQuery evaluates an XNF composite-object query (TAKE or DELETE). TAKE

@@ -201,7 +201,7 @@ func TestTransactionsCommitVisible(t *testing.T) {
 }
 
 func TestRecoveryReplaysWinnersOnly(t *testing.T) {
-	e := NewDefault()
+	e := openDurable(t)
 	s := e.Session()
 	s.MustExec(companyDDL)
 	s.MustExec("INSERT INTO DEPT VALUES (1, 'd1', 'NY', 10, 1)")
@@ -209,12 +209,10 @@ func TestRecoveryReplaysWinnersOnly(t *testing.T) {
 	s.MustExec("UPDATE DEPT SET loc = 'LA' WHERE dno = 1")
 	// A loser: begun, never committed.
 	s.MustExec("BEGIN; INSERT INTO DEPT VALUES (3, 'loser', 'XX', 0, 0)")
-	snapshot := e.SnapshotWAL()
+	forceLog(e)
 
-	re, err := Recover(snapshot, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := crashReopen(t, e)
+	s.MustExec("ROLLBACK")
 	rs := re.Session()
 	r, err := rs.Exec("SELECT dno, loc FROM DEPT ORDER BY dno")
 	if err != nil {

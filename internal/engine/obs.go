@@ -154,7 +154,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 			{Name: "pool_hits_total", Help: "buffer-pool page hits", Value: float64(st.Pool.Hits)},
 			{Name: "pool_misses_total", Help: "buffer-pool page misses", Value: float64(st.Pool.Misses)},
 			{Name: "pool_evictions_total", Help: "buffer-pool page evictions", Value: float64(st.Pool.Evictions)},
-			{Name: "wal_mem_records", Help: "in-memory WAL records since last checkpoint", Value: float64(st.WAL.MemRecords), Gauge: true},
 			{Name: "wal_appends_total", Help: "durable WAL record appends", Value: float64(st.WAL.File.Appends)},
 			{Name: "wal_fsyncs_total", Help: "durable WAL fsyncs issued", Value: float64(st.WAL.File.Syncs)},
 			{Name: "wal_fsync_skips_total", Help: "Sync calls covered by another committer's fsync", Value: float64(st.WAL.File.SyncSkips)},

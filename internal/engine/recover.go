@@ -9,13 +9,7 @@ import (
 	"sqlxnf/internal/wal"
 )
 
-// SnapshotWAL serializes the write-ahead log — the simulated durable medium
-// a crashed in-memory instance recovers from. On engines that have
-// checkpointed, the log holds the latest checkpoint record plus the suffix
-// behind it, which is the full database by construction.
-func (e *Engine) SnapshotWAL() []byte { return e.log.Encode() }
-
-// RecoveryInfo describes what the last Open/Recover did — tests assert
+// RecoveryInfo describes what Open did — tests assert
 // recovery cost is bounded by the suffix behind the latest checkpoint, not
 // total history.
 type RecoveryInfo struct {
@@ -35,26 +29,18 @@ type RecoveryInfo struct {
 // engines created empty).
 func (e *Engine) RecoveryInfo() RecoveryInfo { return e.recovery }
 
-// Recover rebuilds a database from a WAL snapshot into a fresh in-memory
-// engine: load the latest checkpoint if any, classify suffix transactions,
-// then replay the winners' records in LSN order (logical redo). Losers'
-// effects never replay, which subsumes undo. The paper's host inherits
-// Starburst's page-oriented ARIES-style machinery; this logical variant is
-// behaviorally equivalent at the statement level.
-func Recover(data []byte, opts Options) (*Engine, error) {
-	log, err := wal.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return recoverRecords(log.Records(), opts, nil)
-}
-
 // Open creates or reopens a database. With Options.DataDir empty it is
 // New(opts). Otherwise it opens the directory's segmented WAL (truncating
 // any torn tail in place), rebuilds state from the latest checkpoint plus
-// the committed suffix, and attaches the file log so new commits append
-// durably. When recovery replayed anything it ends with a fresh checkpoint
-// — the ARIES "checkpoint at restart" — so the next open is cheap again.
+// the committed suffix, and attaches the log so new commits append durably.
+// When recovery replayed anything it ends with a fresh checkpoint — the
+// ARIES "checkpoint at restart" — so the next open is cheap again.
+//
+// Recovery is logical redo: load the latest checkpoint if any, classify the
+// suffix's transactions, then replay the winners' records in LSN order.
+// Losers' effects never replay, which subsumes undo. The paper's host
+// inherits Starburst's page-oriented ARIES-style machinery; this logical
+// variant is behaviorally equivalent at the statement level.
 func Open(opts Options) (*Engine, error) {
 	if opts.DataDir == "" {
 		return New(opts), nil
@@ -75,13 +61,12 @@ func Open(opts Options) (*Engine, error) {
 	return eng, nil
 }
 
-// recoverRecords is the shared replay core of Recover and Open.
+// recoverRecords is Open's replay core: records is what flog's segments
+// held. New appends continue past the highest LSN among them.
 func recoverRecords(records []wal.Record, opts Options, flog *wal.FileLog) (*Engine, error) {
 	eng := New(opts)
-	eng.flog = flog
-	if flog != nil {
-		flog.SetMetrics(eng.met.walMetrics())
-	}
+	eng.log, eng.lastLSN = flog, flog.LastLSN()
+	flog.SetMetrics(eng.met.walMetrics())
 	info := RecoveryInfo{RecordsSeen: len(records)}
 	eng.recovering = true
 	s := eng.Session()
@@ -181,15 +166,10 @@ func recoverRecords(records []wal.Record, opts Options, flog *wal.FileLog) (*Eng
 	eng.recovering = false
 	eng.recovery = info
 
-	if flog != nil {
-		// New appends continue past the durable maximum.
-		eng.log.SetNext(flog.LastLSN() + 1)
-	}
 	// End-of-recovery checkpoint: fold the replayed suffix into a fresh
-	// snapshot. For in-memory Recover this also makes recovery idempotent —
-	// the recovered engine's SnapshotWAL carries its state. Skipped when
-	// nothing replayed (a clean reopen must not grow the log).
-	if info.Replayed > 0 || (flog == nil && len(records) > 0) {
+	// snapshot. Skipped when nothing replayed (a clean reopen must not grow
+	// the log).
+	if info.Replayed > 0 {
 		if _, err := eng.Session().Exec("CHECKPOINT"); err != nil {
 			return nil, fmt.Errorf("engine: end-of-recovery checkpoint: %v", err)
 		}

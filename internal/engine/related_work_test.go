@@ -109,7 +109,7 @@ func TestEdgeRestrictionOnAttribute(t *testing.T) {
 // TestRecoveryReplaysViewsAndXNF: DDL recovery restores SQL and XNF views,
 // and deletes/updates replay correctly with indexes.
 func TestRecoveryReplaysViewsAndXNF(t *testing.T) {
-	e := NewDefault()
+	e := openDurable(t)
 	s := e.Session()
 	s.MustExec(`
 	CREATE TABLE DEPT (dno INT PRIMARY KEY, dname VARCHAR);
@@ -124,11 +124,7 @@ func TestRecoveryReplaysViewsAndXNF(t *testing.T) {
 	DELETE FROM EMP WHERE eno = 11;
 	UPDATE DEPT SET dname = 'renamed' WHERE dno = 2;
 	`)
-	re, err := Recover(e.SnapshotWAL(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := re.Session()
+	rs := crashReopen(t, e).Session()
 	q := rs.MustExec("SELECT dname FROM BIGD")
 	if len(q.Rows) != 1 || q.Rows[0][0].Str() != "renamed" {
 		t.Errorf("recovered view rows = %v", q.Rows)

@@ -9,7 +9,7 @@
 //	disk.read           storage.Disk.Read, before the copy
 //	disk.write          storage.Disk.Write, before the copy
 //	bufferpool.fetch    storage.BufferPool.Fetch, before frame lookup
-//	wal.append          engine DML primitives, before the heap mutation
+//	wal.append          engine appendLog, per record: after the undo push, before the log append
 //	comat.materialize   engine CO materialization, before the evaluator runs
 //	wal.fsync           wal.FileLog, before each fsync (durable engines only)
 //	wal.open            wal.Open, before scanning segments (durable engines only)

@@ -125,7 +125,7 @@ type FileLog struct {
 	lastCkpt  LSN
 	ckptSeen  bool
 	sinceCkpt int64 // bytes appended since the last checkpoint record
-	writeErr  error // sticky: first write/rotate failure poisons the log
+	writeErr  error // sticky: first write/rotate/fsync failure poisons the log
 
 	appends, syncs, syncSkips int64
 
@@ -156,39 +156,32 @@ func Open(dir string, opts Options) (*FileLog, []Record, error) {
 	}
 	l := &FileLog{dir: dir, opts: opts}
 	l.syncCond = sync.NewCond(&l.mu)
-	var recs []Record
+	paths := make([]string, len(names))
 	for i, name := range names {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: open: %w", err)
+		paths[i] = filepath.Join(dir, name)
+	}
+	recs, metas, torn, err := scanSegments(paths)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: open: %w", err)
+	}
+	for _, r := range recs {
+		l.noteScanned(r)
+	}
+	if torn {
+		// Torn or trailing garbage: truncate that segment in place and drop
+		// everything after it.
+		last := metas[len(metas)-1]
+		if err := os.Truncate(last.path, last.bytes); err != nil {
+			return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
-		segRecs, good, torn := scanSegment(data)
-		for _, r := range segRecs {
-			recs = append(recs, r)
-			l.noteScanned(r)
-		}
-		first := segFirstLSN(name)
-		if len(segRecs) > 0 {
-			first = segRecs[0].LSN
-		}
-		meta := segMeta{path: path, first: first, bytes: int64(good)}
-		if torn || good < len(data) {
-			// Torn or trailing garbage: truncate this segment in place and
-			// drop everything after it — later segments can only hold
-			// records that depend on the lost tail.
-			if err := os.Truncate(path, int64(good)); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
+		for _, later := range paths[len(metas):] {
+			if err := os.Remove(later); err != nil {
+				return nil, nil, fmt.Errorf("wal: dropping segment after torn tail: %w", err)
 			}
-			for _, later := range names[i+1:] {
-				if err := os.Remove(filepath.Join(dir, later)); err != nil {
-					return nil, nil, fmt.Errorf("wal: dropping segment after torn tail: %w", err)
-				}
-			}
-			l.closed = appendClosed(l.closed, meta)
-			break
 		}
-		l.closed = appendClosed(l.closed, meta)
+	}
+	for _, m := range metas {
+		l.closed = appendClosed(l.closed, m)
 	}
 	// Reopen the newest surviving segment for appending; an empty dir
 	// defers segment creation to the first Append. A newest segment torn
@@ -246,6 +239,32 @@ func (l *FileLog) noteScanned(r Record) {
 		l.lastCkpt = r.LSN
 		l.ckptSeen = true
 	}
+}
+
+// scanSegments decodes the segment files at paths, oldest first, returning
+// their records in LSN order and one segMeta per segment read. It stops after
+// the first segment with a torn or corrupt tail (torn is true; that segment's
+// meta is the last one and its bytes the intact prefix): later segments can
+// only hold records that depend on the lost ones. A read error ends the scan
+// with the records decoded so far.
+func scanSegments(paths []string) (recs []Record, metas []segMeta, torn bool, err error) {
+	for _, path := range paths {
+		data, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return recs, metas, false, rerr
+		}
+		segRecs, good, segTorn := scanSegment(data)
+		first := segFirstLSN(filepath.Base(path))
+		if len(segRecs) > 0 {
+			first = segRecs[0].LSN
+		}
+		recs = append(recs, segRecs...)
+		metas = append(metas, segMeta{path: path, first: first, bytes: int64(good)})
+		if segTorn || good < len(data) {
+			return recs, metas, true, nil
+		}
+	}
+	return recs, metas, false, nil
 }
 
 // scanSegment decodes framed records from data. It returns the records, the
@@ -385,7 +404,7 @@ func (l *FileLog) rotateLocked(nextFirst LSN) error {
 		return l.writeErr
 	}
 	l.closed = append(l.closed, l.cur)
-	l.f = nil
+	l.f, l.cur = nil, segMeta{}
 	return l.openSegmentLocked(nextFirst)
 }
 
@@ -412,11 +431,13 @@ func (l *FileLog) flushLocked() error {
 // sealing, Close). Commit-path fsyncs go through Sync, which forces the
 // disk without holding mu.
 func (l *FileLog) fsyncLocked() error {
-	if err := l.opts.Faults.Hit(faultinj.WALFsync); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	err := l.opts.Faults.Hit(faultinj.WALFsync)
+	if err == nil {
+		err = l.f.Sync()
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	if err != nil {
+		l.writeErr = fmt.Errorf("wal: fsync: %w", err)
+		return l.writeErr
 	}
 	l.syncs++
 	l.durable = l.written
@@ -433,7 +454,9 @@ func (l *FileLog) fsyncLocked() error {
 // with siblings waiting (or records appended past its own) delays
 // GroupWindow before forcing so their commits ride its fsync. The fsync
 // itself runs with mu released, so appends keep flowing into the next
-// batch.
+// batch. A force that fails (and that no other force covered) poisons the
+// log: every later Append and Sync returns that error until the directory is
+// reopened.
 func (l *FileLog) Sync(lsn LSN) error {
 	l.mu.Lock()
 	if l.opts.Policy == SyncNone {
@@ -510,6 +533,12 @@ func (l *FileLog) Sync(lsn LSN) error {
 			// A rotation or Close sealed (and forced) the segment while our
 			// fsync was in flight; its force covered us.
 			return nil
+		}
+		// Sticky, like a failed write: after EIO the kernel may already have
+		// dropped the dirty pages, so a later fsync that succeeds proves
+		// nothing about them. No commit is acknowledged past this point.
+		if l.writeErr == nil {
+			l.writeErr = ferr
 		}
 		return ferr
 	}
@@ -603,6 +632,29 @@ func (l *FileLog) Close() error {
 	}
 	l.f = nil
 	return err
+}
+
+// Records returns the live records in LSN order: every record in the live
+// segment files plus the tail still buffered for the next flush. After
+// TruncateBefore(checkpoint) that is the checkpoint record and the suffix
+// behind it — what Open would return, plus the unflushed tail. It reads the
+// segments back from disk with mu held: a tool for tests and benchmarks, not
+// a hot path.
+func (l *FileLog) Records() []Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	paths := make([]string, 0, len(l.closed)+1)
+	for _, m := range l.closed {
+		paths = append(paths, m.path)
+	}
+	if l.cur.path != "" {
+		paths = append(paths, l.cur.path)
+	}
+	// The single-value signature is what callers range over; a segment that
+	// cannot be read back ends the result early instead of failing it.
+	recs, _, _, _ := scanSegments(paths)
+	tail, _, _ := scanSegment(l.pending)
+	return append(recs, tail...)
 }
 
 // LastLSN returns the highest LSN ever appended to (or recovered from)

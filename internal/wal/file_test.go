@@ -2,12 +2,15 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"sqlxnf/internal/faultinj"
 )
 
 func openT(t *testing.T, dir string, opts Options) (*FileLog, []Record) {
@@ -307,9 +310,111 @@ func TestFileLogBytesSinceCheckpoint(t *testing.T) {
 	}
 }
 
+// sameRecords compares two record slices by rendered value.
+func sameRecords(t *testing.T, label string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("%s: record %d is %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFileLogRecords: Records reads the live log back — flushed segments
+// plus the tail still in the pending buffer — and agrees with what a reopen
+// returns; after TruncateBefore(checkpoint) it starts at the checkpoint.
+func TestFileLogRecords(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 128}
+	l, _ := openT(t, dir, opts)
+	if got := l.Records(); len(got) != 0 {
+		t.Fatalf("empty log returned %d records", len(got))
+	}
+	var want []Record
+	const ckptLSN = 25
+	for n := LSN(1); n <= 30; n++ {
+		r := commitRec(n)
+		if n == ckptLSN {
+			r.Type = RecCheckpoint
+			r.Payload = []byte("snapshot")
+		}
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	if err := l.Sync(30); err != nil {
+		t.Fatal(err)
+	}
+	// Two more records that stay in the pending buffer: no Sync follows them.
+	for n := LSN(31); n <= 32; n++ {
+		if err := l.Append(commitRec(n)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, commitRec(n))
+	}
+	if st := l.Stats(); st.Segments < 3 || len(l.pending) == 0 {
+		t.Fatalf("want several segments and an unflushed tail, got %+v with %d pending bytes", st, len(l.pending))
+	}
+	sameRecords(t, "live log", l.Records(), want)
+
+	if err := l.TruncateBefore(ckptLSN); err != nil {
+		t.Fatal(err)
+	}
+	want = want[ckptLSN-1:]
+	got := l.Records()
+	if len(got) == 0 || got[0].Type != RecCheckpoint || got[0].LSN != ckptLSN {
+		t.Fatalf("after truncation Records starts at %+v, want the checkpoint at LSN %d", got, ckptLSN)
+	}
+	sameRecords(t, "after truncation", got, want)
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, reopened := openT(t, dir, opts)
+	defer l2.Close()
+	sameRecords(t, "reopen vs Records before close", reopened, want)
+	sameRecords(t, "Records after reopen", l2.Records(), reopened)
+}
+
+// TestFileLogFsyncFailureIsSticky: a failed force poisons the log. After EIO
+// the kernel may have dropped the dirty pages, so a later fsync succeeding
+// says nothing about them — acknowledging a later commit would put it behind
+// bytes that may be gone.
+func TestFileLogFsyncFailureIsSticky(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncGroupCommit, SyncAlways} {
+		inj := faultinj.New()
+		l, _ := openT(t, t.TempDir(), Options{Policy: policy, Faults: inj})
+		if err := l.Append(commitRec(1)); err != nil {
+			t.Fatal(err)
+		}
+		inj.Arm(faultinj.Fault{Point: faultinj.WALFsync, Once: true})
+		if err := l.Sync(1); !errors.Is(err, faultinj.ErrInjected) {
+			t.Fatalf("%s: first Sync returned %v, want the injected fsync failure", policy, err)
+		}
+		// The fault is spent: only stickiness can fail what follows.
+		if err := l.Append(commitRec(2)); !errors.Is(err, faultinj.ErrInjected) {
+			t.Fatalf("%s: Append after a failed fsync returned %v, want the sticky error", policy, err)
+		}
+		if err := l.Sync(2); !errors.Is(err, faultinj.ErrInjected) {
+			t.Fatalf("%s: Sync after a failed fsync returned %v, want the sticky error", policy, err)
+		}
+		if st := l.Stats(); st.DurableLSN != 0 {
+			t.Fatalf("%s: DurableLSN advanced to %d past a failed fsync", policy, st.DurableLSN)
+		}
+		if err := l.Close(); !errors.Is(err, faultinj.ErrInjected) {
+			t.Fatalf("%s: Close of a poisoned log returned %v", policy, err)
+		}
+	}
+}
+
 // FuzzWALReplay feeds arbitrary bytes to the segment scanner via a real
-// directory: Open must never panic, must truncate whatever it rejects, and
-// a second Open of the same directory must return identical records.
+// directory: Open must never panic, must truncate whatever it rejects, the
+// opened log's Records must equal what Open returned, and a second Open of
+// the same directory must return identical records.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a valid log prefix plus junk tails.
 	valid := AppendRecord(nil, Record{LSN: 1, Tx: 1, Type: RecBegin})
@@ -332,19 +437,13 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			return // I/O-level failure is acceptable; panic is not
 		}
+		sameRecords(t, "Records after Open", l.Records(), recs)
 		l.Close()
 		l2, recs2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("second Open after truncation failed: %v", err)
 		}
 		defer l2.Close()
-		if len(recs) != len(recs2) {
-			t.Fatalf("unstable replay: %d then %d records", len(recs), len(recs2))
-		}
-		for i := range recs {
-			if fmt.Sprint(recs[i]) != fmt.Sprint(recs2[i]) {
-				t.Fatalf("record %d differs across reopens: %+v vs %+v", i, recs[i], recs2[i])
-			}
-		}
+		sameRecords(t, "second Open", recs2, recs)
 	})
 }

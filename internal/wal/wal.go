@@ -4,17 +4,16 @@
 // then undo losers). This mirrors the paper's position that XNF reuses the
 // host DBMS's transaction and recovery components unchanged.
 //
-// Two log implementations share one record codec: Log keeps records in
-// memory for rollback and TxRecords, and FileLog (file.go) persists the
-// same records to CRC32C-framed segment files with fsync policies. A
-// durable engine appends to both; recovery reads whichever medium
-// survived.
+// There is one log: FileLog (file.go) persists records to CRC32C-framed
+// segment files under an fsync policy, and Open returns what survived for
+// the engine to replay. The caller assigns LSNs. An in-memory engine has no
+// log at all; rollback never reads one, it walks the transaction's own undo
+// list of the Records it appended.
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
@@ -86,85 +85,6 @@ type Record struct {
 	Payload []byte
 }
 
-// Log is an append-only in-memory log with stable LSNs. A file-backed
-// variant would add fsync; the recovery protocol is identical.
-type Log struct {
-	mu      sync.Mutex
-	records []Record
-	next    LSN
-}
-
-// New returns an empty log.
-func New() *Log { return &Log{next: 1} }
-
-// Append assigns the next LSN and stores the record.
-func (l *Log) Append(rec Record) LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rec.LSN = l.next
-	l.next++
-	l.records = append(l.records, rec)
-	return rec.LSN
-}
-
-// SetNext advances the next LSN to be assigned (never backwards). A
-// recovered durable engine calls it so new appends continue past the
-// highest LSN already on disk.
-func (l *Log) SetNext(next LSN) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if next > l.next {
-		l.next = next
-	}
-}
-
-// NextLSN returns the LSN the next Append will be assigned.
-func (l *Log) NextLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
-// Len returns the number of records.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
-// Records returns a snapshot of the log contents in LSN order.
-func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
-	return out
-}
-
-// TxRecords returns the records of one transaction in LSN order.
-func (l *Log) TxRecords(tx uint64) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.records {
-		if r.Tx == tx {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Truncate discards records with LSN <= upTo (after a checkpoint).
-func (l *Log) Truncate(upTo LSN) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := 0
-	for i < len(l.records) && l.records[i].LSN <= upTo {
-		i++
-	}
-	l.records = append([]Record(nil), l.records[i:]...)
-}
-
 // Analysis scans the log and classifies transactions.
 type Analysis struct {
 	Committed map[uint64]bool
@@ -194,22 +114,8 @@ func Analyze(records []Record) Analysis {
 	return a
 }
 
-// Encode serializes the whole log to bytes (the simulated durable medium).
-func (l *Log) Encode() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(l.records)))
-	buf = binary.AppendUvarint(buf, uint64(l.next))
-	for _, r := range l.records {
-		buf = AppendRecord(buf, r)
-	}
-	return buf
-}
-
-// AppendRecord serializes one record onto buf. The same framing is used by
-// Log.Encode and by FileLog's segment files (there wrapped in a
-// length+CRC32C frame).
+// AppendRecord serializes one record onto buf. FileLog's segment files wrap
+// each serialized record in a length+CRC32C frame.
 func AppendRecord(buf []byte, r Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.LSN))
 	buf = binary.AppendUvarint(buf, r.Tx)
@@ -296,37 +202,6 @@ func appendOptRow(buf []byte, r types.Row) []byte {
 	}
 	buf = append(buf, 1)
 	return r.Encode(buf)
-}
-
-// Decode reconstructs a log from Encode's output.
-func Decode(data []byte) (*Log, error) {
-	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("wal: corrupt log at offset %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	n, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	next, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	l := &Log{next: LSN(next)}
-	for i := uint64(0); i < n; i++ {
-		r, used, err := DecodeRecord(data[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("wal: record %d: %w", i, err)
-		}
-		pos += used
-		l.records = append(l.records, r)
-	}
-	return l, nil
 }
 
 func readOptRow(data []byte, pos *int) (types.Row, error) {

@@ -21,51 +21,9 @@ func sampleRecords() []Record {
 	}
 }
 
-func TestAppendAssignsMonotonicLSNs(t *testing.T) {
-	l := New()
-	var last LSN
-	for _, r := range sampleRecords() {
-		lsn := l.Append(r)
-		if lsn <= last {
-			t.Fatalf("LSN %d not monotonic after %d", lsn, last)
-		}
-		last = lsn
-	}
-	if l.Len() != 6 {
-		t.Errorf("Len = %d", l.Len())
-	}
-	recs := l.Records()
-	for i := 1; i < len(recs); i++ {
-		if recs[i].LSN != recs[i-1].LSN+1 {
-			t.Error("LSNs not dense")
-		}
-	}
-}
-
-func TestTxRecords(t *testing.T) {
-	l := New()
-	for _, r := range sampleRecords() {
-		l.Append(r)
-	}
-	tx1 := l.TxRecords(1)
-	if len(tx1) != 4 {
-		t.Errorf("tx1 records = %d", len(tx1))
-	}
-	tx2 := l.TxRecords(2)
-	if len(tx2) != 2 {
-		t.Errorf("tx2 records = %d", len(tx2))
-	}
-	if len(l.TxRecords(99)) != 0 {
-		t.Error("unknown tx should have no records")
-	}
-}
-
 func TestAnalyze(t *testing.T) {
-	l := New()
-	for _, r := range sampleRecords() {
-		l.Append(r)
-	}
-	a := Analyze(l.Records())
+	recs := sampleRecords()
+	a := Analyze(recs)
 	if !a.Committed[1] {
 		t.Error("tx1 should be committed")
 	}
@@ -76,75 +34,9 @@ func TestAnalyze(t *testing.T) {
 		t.Error("no aborted transactions expected")
 	}
 	// Abort classification.
-	l.Append(Record{Tx: 2, Type: RecAbort})
-	a = Analyze(l.Records())
+	a = Analyze(append(recs, Record{Tx: 2, Type: RecAbort}))
 	if a.InFlight[2] || !a.Aborted[2] {
 		t.Error("tx2 should be aborted after abort record")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	l := New()
-	for _, r := range sampleRecords() {
-		l.Append(r)
-	}
-	data := l.Encode()
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := l.Records(), got.Records()
-	if len(a) != len(b) {
-		t.Fatalf("record count %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].LSN != b[i].LSN || a[i].Tx != b[i].Tx || a[i].Type != b[i].Type ||
-			a[i].Table != b[i].Table || a[i].RID != b[i].RID || a[i].NewRID != b[i].NewRID {
-			t.Errorf("record %d header mismatch: %+v vs %+v", i, a[i], b[i])
-		}
-		if (a[i].Before == nil) != (b[i].Before == nil) || (a[i].Before != nil && !a[i].Before.Equal(b[i].Before)) {
-			t.Errorf("record %d Before mismatch", i)
-		}
-		if (a[i].After == nil) != (b[i].After == nil) || (a[i].After != nil && !a[i].After.Equal(b[i].After)) {
-			t.Errorf("record %d After mismatch", i)
-		}
-	}
-	// Appends to the decoded log continue the LSN sequence.
-	lsn := got.Append(Record{Tx: 3, Type: RecBegin})
-	if lsn != LSN(len(a))+1 {
-		t.Errorf("post-decode LSN = %d", lsn)
-	}
-}
-
-func TestDecodeCorruption(t *testing.T) {
-	l := New()
-	for _, r := range sampleRecords() {
-		l.Append(r)
-	}
-	data := l.Encode()
-	for _, cut := range []int{1, len(data) / 4, len(data) / 2, len(data) - 1} {
-		if _, err := Decode(data[:cut]); err == nil {
-			t.Errorf("truncation at %d decoded without error", cut)
-		}
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	l := New()
-	for _, r := range sampleRecords() {
-		l.Append(r)
-	}
-	l.Truncate(4)
-	recs := l.Records()
-	if len(recs) != 2 {
-		t.Fatalf("after truncate: %d records", len(recs))
-	}
-	if recs[0].LSN != 5 {
-		t.Errorf("first surviving LSN = %d", recs[0].LSN)
-	}
-	// LSNs keep growing from where they were.
-	if lsn := l.Append(Record{Tx: 3, Type: RecBegin}); lsn != 7 {
-		t.Errorf("LSN after truncate = %d", lsn)
 	}
 }
 
