@@ -43,8 +43,11 @@ crash:
 # admission control and shedding, server-side conflict retries, connection
 # chaos (injected net faults), graceful drain, and the engine's
 # clean-shutdown contract. See EXECUTOR.md "Network service layer".
+# The two load/fault chaos tests repeat 20 times so a rare interleaving
+# fails here, not in front of a reviewer.
 serve-test:
 	$(GO) test -race -count=1 ./internal/wire/
+	$(GO) test -race -count=20 -run 'TestServerDrainUnderLoad|TestServerNetFaultChaos' ./internal/wire/
 	$(GO) test -race -count=1 -run 'TestClose|TestCleanShutdown' ./internal/engine/
 
 # Observability suite under the race detector: the metrics core (atomic
@@ -61,7 +64,7 @@ metrics-test:
 # bench-rot without burning CI minutes. See EXECUTOR.md for real runs.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 1x ./internal/exec/
-	$(GO) test -run '^$$' -bench BenchmarkExecRepeated -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML' -benchtime 1x ./internal/engine/
 	$(GO) run ./cmd/xnfbench -exp e16
 	$(GO) run ./cmd/xnfbench -exp e17 -json
 	$(GO) run ./cmd/xnfbench -exp e18 -json

@@ -9,8 +9,11 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"sqlxnf/internal/wal"
 )
 
 // benchEngine loads a small star schema: 30 departments × 20 employees.
@@ -105,6 +108,57 @@ func BenchmarkRollbackAfterHistory(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.MustExec("BEGIN; ROLLBACK")
 			}
+		})
+	}
+}
+
+// BenchmarkSearchedDML measures searched UPDATE/DELETE on a durable engine
+// (wal.SyncNone: log writes without the fsync, so the statement path is what
+// is timed) over a 40k-row table twice the default buffer pool: by primary
+// key, by a 10-row range of a secondary index, and by an unindexed predicate.
+// pages/op is buffer-pool fetches (hits + misses) per statement.
+func BenchmarkSearchedDML(b *testing.B) {
+	const rows = 40_000
+	for _, c := range []struct {
+		name string
+		stmt func(i int) string
+	}{
+		{"upd_pk", func(i int) string { return fmt.Sprintf("UPDATE T SET v = v + 1 WHERE id = %d", i*7919%rows) }},
+		{"del_pk", func(i int) string { return fmt.Sprintf("DELETE FROM T WHERE id = %d", i*7919%rows) }},
+		{"upd_range_indexed", func(i int) string {
+			lo := i * 7919 % (rows - 10)
+			return fmt.Sprintf("UPDATE T SET v = v + 1 WHERE k >= %d AND k < %d", lo, lo+10)
+		}},
+		{"upd_unindexed", func(i int) string { return fmt.Sprintf("UPDATE T SET v = v + 1 WHERE u = %d", i*7919%rows) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.DataDir = b.TempDir()
+			opts.Sync = wal.SyncNone
+			e, err := Open(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			s := e.Session()
+			s.MustExec("CREATE TABLE T (id INT PRIMARY KEY, k INT, u INT, v INT, pad VARCHAR); CREATE INDEX t_k ON T (k)")
+			for lo := 0; lo < rows; lo += 500 {
+				vals := make([]string, 0, 500)
+				for i := lo; i < lo+500; i++ {
+					vals = append(vals, fmt.Sprintf("(%d, %d, %d, 0, 'padding-padding-padding-%d')", i, i, i, i))
+				}
+				s.MustExec("INSERT INTO T VALUES " + strings.Join(vals, ", "))
+			}
+			s.MustExec("ANALYZE T")
+			before := e.BufferPool().Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MustExec(c.stmt(i))
+			}
+			b.StopTimer()
+			after := e.BufferPool().Stats()
+			b.ReportMetric(float64(after.Hits+after.Misses-before.Hits-before.Misses)/float64(b.N), "pages/op")
 		})
 	}
 }

@@ -38,14 +38,21 @@ type chaosGen struct {
 }
 
 // stmtFor picks a statement likely to hit the armed probe point: DML for the
-// WAL probe, a TAKE for the materialization probe, and a mixed workload for
-// the storage probes (every statement touches pages).
+// WAL probe, DML with an unindexed predicate for the disk.write probe, a TAKE
+// for the materialization probe, and a mixed workload for the read-side
+// storage probes (every statement touches pages).
 func (g *chaosGen) stmtFor(p faultinj.Point) string {
 	kind := g.rng.Intn(6)
 	switch p {
-	case faultinj.WALAppend, faultinj.DiskWrite:
-		kind = g.rng.Intn(3) // DML only: only writers append to the log, and
-		// dirty pages are what make evictions reach disk.write
+	case faultinj.WALAppend:
+		kind = g.rng.Intn(3) // DML only: only writers append to the log
+	case faultinj.DiskWrite:
+		// disk.write fires when the pool evicts a dirty page while the fault
+		// is armed, typically the page the previous writer left behind. DML
+		// that reaches its rows through an index touches a page or two and
+		// evicts nothing; an unindexed predicate scans CE through the 4-page
+		// pool and does.
+		kind = 6 + g.rng.Intn(2)
 	case faultinj.ComatMat:
 		kind = 4 // TAKE
 	}
@@ -65,6 +72,10 @@ func (g *chaosGen) stmtFor(p faultinj.Point) string {
 		return `SELECT COUNT(*), SUM(sal) FROM CE`
 	case 4:
 		return `OUT OF CV TAKE *`
+	case 6:
+		return fmt.Sprintf("UPDATE CE SET sal = sal + 3 WHERE ename = 'e%d'", 1+g.rng.Intn(g.nextE+2))
+	case 7:
+		return fmt.Sprintf("DELETE FROM CE WHERE ename = 'e%d'", 1+g.rng.Intn(g.nextE+2))
 	default:
 		return `SELECT CE.ename, CD.name FROM CD, CE WHERE CD.dno = CE.edno AND CD.budget > 150`
 	}

@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"sqlxnf/internal/catalog"
 	"sqlxnf/internal/exec"
+	"sqlxnf/internal/obs"
 	"sqlxnf/internal/optimizer"
 	"sqlxnf/internal/parser"
 	"sqlxnf/internal/qgm"
-	"strings"
-
 	"sqlxnf/internal/rewrite"
 	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
@@ -563,6 +565,49 @@ func (s *Session) insert(stmt *parser.InsertStmt) (*Result, error) {
 	return &Result{RowsAffected: n}, nil
 }
 
+// targetRows computes the target set of a searched UPDATE or DELETE: the rows
+// of t matching where under the statement's snapshot, and their RIDs. The set
+// is an ordinary plan, SELECT t.*, t.__rid FROM t [alias] WHERE …, compiled
+// per statement (never plan-cached) and run like any SELECT. Matches return
+// sorted by RID, so the caller's mutation order — and the heap's bytes — do
+// not depend on the access path. Callers hold t's lock and mutate only after
+// this returns (no Halloween problem). See EXECUTOR.md "DML target plans".
+func (s *Session) targetRows(ctx *exec.Context, t *catalog.Table, alias string, where parser.Expr) ([]types.Row, []storage.RID, error) {
+	tr := s.trace
+	var span int
+	if tr != nil {
+		span = tr.StartSpan(obs.PhaseOptimize)
+	}
+	box, err := s.builder().BuildTarget(t, alias, where)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, _, err := optimizer.CompileWithInfo(rewrite.Rewrite(box, s.eng.opts.Rewrite), s.eng.opts.Optimizer)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr != nil {
+		tr.EndSpan(span)
+		tr.Plan = exec.Dump(plan)
+		span = tr.StartSpan(obs.PhaseExecute)
+	}
+	rows, err := exec.Collect(ctx, plan)
+	if tr != nil {
+		tr.EndSpan(span)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	ridCol := len(t.Schema)
+	slices.SortFunc(rows, func(a, b types.Row) int { return cmp.Compare(a[ridCol].Int(), b[ridCol].Int()) })
+	rids := make([]storage.RID, len(rows))
+	for i, row := range rows {
+		rids[i] = storage.UnpackRID(row[ridCol].Int())
+		rows[i] = row[:ridCol:ridCol]
+	}
+	return rows, rids, nil
+}
+
 func (s *Session) update(stmt *parser.UpdateStmt) (*Result, error) {
 	t, err := s.eng.cat.Table(stmt.Table)
 	if err != nil {
@@ -576,10 +621,6 @@ func (s *Session) update(stmt *parser.UpdateStmt) (*Result, error) {
 		binding = t.Name
 	}
 	b := s.builder()
-	pred, err := s.compileRowPred(b, binding, t.Schema, stmt.Where)
-	if err != nil {
-		return nil, err
-	}
 	type setOp struct {
 		col  int
 		expr exec.Expr
@@ -601,39 +642,24 @@ func (s *Session) update(stmt *parser.UpdateStmt) (*Result, error) {
 		sets = append(sets, setOp{col: p, expr: ce})
 	}
 	ctx := s.newExecContext()
-	// Collect matches first, then mutate (no mutation under scan).
-	type match struct {
-		rid storage.RID
-		row types.Row
-	}
-	var matches []match
-	err = t.Heap.ScanVis(t.Tag, s.visFunc(), func(rid storage.RID, row types.Row) (bool, error) {
-		ok, perr := exec.EvalPred(ctx, pred, row)
-		if perr != nil {
-			return true, perr
-		}
-		if ok {
-			matches = append(matches, match{rid, row.Clone()})
-		}
-		return false, nil
-	})
+	rows, rids, err := s.targetRows(ctx, t, stmt.Alias, stmt.Where)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range matches {
-		newRow := m.row.Clone()
+	for i, row := range rows {
+		newRow := row.Clone()
 		for _, so := range sets {
-			v, err := so.expr.Eval(ctx, m.row)
+			v, err := so.expr.Eval(ctx, row)
 			if err != nil {
 				return nil, err
 			}
 			newRow[so.col] = v
 		}
-		if _, err := s.updateRowTx(t, m.rid, newRow); err != nil {
+		if _, err := s.updateRowTx(t, rids[i], newRow); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{RowsAffected: int64(len(matches))}, nil
+	return &Result{RowsAffected: int64(len(rows)), Stats: *ctx.Stats}, nil
 }
 
 func (s *Session) deleteStmt(stmt *parser.DeleteStmt) (*Result, error) {
@@ -644,26 +670,8 @@ func (s *Session) deleteStmt(stmt *parser.DeleteStmt) (*Result, error) {
 	if err := s.lockTable(t.Name); err != nil {
 		return nil, err
 	}
-	binding := stmt.Alias
-	if binding == "" {
-		binding = t.Name
-	}
-	pred, err := s.compileRowPred(s.builder(), binding, t.Schema, stmt.Where)
-	if err != nil {
-		return nil, err
-	}
 	ctx := s.newExecContext()
-	var rids []storage.RID
-	err = t.Heap.ScanVis(t.Tag, s.visFunc(), func(rid storage.RID, row types.Row) (bool, error) {
-		ok, perr := exec.EvalPred(ctx, pred, row)
-		if perr != nil {
-			return true, perr
-		}
-		if ok {
-			rids = append(rids, rid)
-		}
-		return false, nil
-	})
+	_, rids, err := s.targetRows(ctx, t, stmt.Alias, stmt.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -672,19 +680,7 @@ func (s *Session) deleteStmt(stmt *parser.DeleteStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	return &Result{RowsAffected: int64(len(rids))}, nil
-}
-
-// compileRowPred compiles an optional WHERE clause against one table row.
-func (s *Session) compileRowPred(b *qgm.Builder, binding string, schema types.Schema, where parser.Expr) (exec.Expr, error) {
-	if where == nil {
-		return nil, nil
-	}
-	qe, err := b.ResolveRowExpr(binding, schema, where)
-	if err != nil {
-		return nil, err
-	}
-	return optimizer.CompileRowExpr(qe)
+	return &Result{RowsAffected: int64(len(rids)), Stats: *ctx.Stats}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1430,36 +1430,52 @@ func (s *Session) lockSpecTables(spec *qgm.XNFSpec) error {
 // like any SELECT) wrapped in instrumentation, and the plan tree carries
 // actual per-operator row counts and timings next to the estimates.
 func (s *Session) explain(stmt *parser.ExplainStmt, text string) (*Result, error) {
+	if _, isSelect := stmt.Target.(*parser.SelectStmt); stmt.Analyze && !isSelect {
+		return nil, fmt.Errorf("engine: EXPLAIN ANALYZE supports SELECT queries")
+	}
+	var box *qgm.Box
+	var err error
 	switch target := stmt.Target.(type) {
 	case *parser.SelectStmt:
-		box, err := s.builder().BuildSelect(target)
-		if err != nil {
-			return nil, err
-		}
-		before := box.Dump()
-		box = rewrite.Rewrite(box, s.eng.opts.Rewrite)
-		after := box.Dump()
-		plan, err := optimizer.CompileWith(box, s.eng.opts.Optimizer)
-		if err != nil {
-			return nil, err
-		}
-		if stmt.Analyze {
-			return s.explainAnalyze(plan)
-		}
-		out := "-- QGM --\n" + before + "-- after rewrite --\n" + after + "-- plan --\n" + exec.Dump(plan)
-		return &Result{Explain: out}, nil
+		box, err = s.builder().BuildSelect(target)
+	case *parser.UpdateStmt:
+		box, err = s.targetBox(target.Table, target.Alias, target.Where)
+	case *parser.DeleteStmt:
+		box, err = s.targetBox(target.Table, target.Alias, target.Where)
 	case *parser.XNFQuery:
-		if stmt.Analyze {
-			return nil, fmt.Errorf("engine: EXPLAIN ANALYZE supports SELECT queries")
-		}
 		box, err := s.builder().BuildXNF(target)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Explain: "-- QGM (XNF operator) --\n" + box.Dump()}, nil
 	default:
-		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT and XNF queries")
+		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE, DELETE and XNF queries")
 	}
+	if err != nil {
+		return nil, err
+	}
+	before := box.Dump()
+	box = rewrite.Rewrite(box, s.eng.opts.Rewrite)
+	after := box.Dump()
+	plan, err := optimizer.CompileWith(box, s.eng.opts.Optimizer)
+	if err != nil {
+		return nil, err
+	}
+	if stmt.Analyze {
+		return s.explainAnalyze(plan)
+	}
+	out := "-- QGM --\n" + before + "-- after rewrite --\n" + after + "-- plan --\n" + exec.Dump(plan)
+	return &Result{Explain: out}, nil
+}
+
+// targetBox builds the target-set query of a searched UPDATE or DELETE (see
+// targetRows) for EXPLAIN, which prints its plan without executing anything.
+func (s *Session) targetBox(table, alias string, where parser.Expr) (*qgm.Box, error) {
+	t, err := s.eng.cat.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	return s.builder().BuildTarget(t, alias, where)
 }
 
 // explainAnalyze executes a freshly compiled (never cached, never pooled)

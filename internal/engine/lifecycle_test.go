@@ -279,3 +279,48 @@ func TestCancelledTakeStatement(t *testing.T) {
 		t.Fatal("TAKE returned no composite object")
 	}
 }
+
+// TestSearchedDMLObservesDeadline: the target scan of a searched UPDATE or
+// DELETE polls the statement's lifecycle context at batch boundaries like any
+// other plan. With an unindexed predicate over 300 000 rows and a 5 ms
+// timeout the statement ends with DeadlineExceeded well before an
+// uncancelled scan would, its transaction rolled back, no locks held and the
+// table as it was.
+func TestSearchedDMLObservesDeadline(t *testing.T) {
+	s := slowJoinDB(t, 300_000)
+	state := func() string { return s.MustExec(`SELECT COUNT(*), SUM(v) FROM BIG`).Rows[0].String() }
+	before := state()
+	// Uncancelled scan time, with a predicate that matches nothing.
+	t0 := time.Now()
+	if r := s.MustExec(`UPDATE BIG SET v = v + 1 WHERE v = 1000`); r.RowsAffected != 0 {
+		t.Fatalf("baseline update affected %d rows", r.RowsAffected)
+	}
+	full := time.Since(t0)
+
+	s.SetStatementTimeout(5 * time.Millisecond)
+	for _, stmt := range []string{
+		`UPDATE BIG SET v = v + 1 WHERE v = 5`,
+		`DELETE FROM BIG WHERE v = 5`,
+	} {
+		t0 := time.Now()
+		_, err := s.Exec(stmt)
+		took := time.Since(t0)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s under a 5ms timeout returned %v after %v, want DeadlineExceeded", stmt, err, took)
+		}
+		t.Logf("%s: %v (uncancelled scan %v)", stmt, took, full)
+		if took > full/2 {
+			t.Errorf("%s returned after %v; the uncancelled scan takes %v", stmt, took, full)
+		}
+		if s.InTx() {
+			t.Fatalf("%s: session stuck in a transaction", stmt)
+		}
+		if held := s.Engine().Locks().TotalHeld(); held != 0 {
+			t.Fatalf("%s: %d locks leaked", stmt, held)
+		}
+	}
+	s.SetStatementTimeout(0)
+	if after := state(); after != before {
+		t.Fatalf("table changed under timed-out statements: %s -> %s", before, after)
+	}
+}

@@ -69,6 +69,35 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestSlowQueryDML: the record of a searched UPDATE/DELETE carries the target
+// plan and optimize/execute spans like a SELECT's, and the class stays dml.
+func TestSlowQueryDML(t *testing.T) {
+	var lc logCapture
+	opts := DefaultOptions()
+	opts.SlowQueryThreshold = time.Nanosecond
+	opts.SlowQueryLogf = lc.logf
+	s := New(opts).Session()
+	s.MustExec("CREATE TABLE S (id INT PRIMARY KEY, v INT)")
+	for i := 0; i < 50; i++ {
+		s.MustExec(fmt.Sprintf("INSERT INTO S VALUES (%d, %d)", i, i))
+	}
+	for _, c := range []struct{ sql, plan string }{
+		{"UPDATE S SET v = v + 1 WHERE id = 7", "IndexScan S using S_PK"},
+		{"DELETE FROM S WHERE v < 3", "SeqScan S"},
+	} {
+		lc.mu.Lock()
+		lc.records = nil
+		lc.mu.Unlock()
+		s.MustExec(c.sql)
+		out := lc.joined()
+		for _, want := range []string{"slow query:", c.sql, "class=dml", "optimize=", "execute=", "plan:", c.plan} {
+			if !strings.Contains(out, want) {
+				t.Errorf("slow-query record of %q missing %q:\n%s", c.sql, want, out)
+			}
+		}
+	}
+}
+
 // TestSlowQueryDisabledByDefault: with no threshold, nothing logs and no
 // trace is created.
 func TestSlowQueryDisabledByDefault(t *testing.T) {

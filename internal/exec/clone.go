@@ -114,7 +114,7 @@ func cloneExprs(es []Expr) ([]Expr, bool) {
 
 // Clone implements Cloneable.
 func (s *SeqScan) Clone() Plan {
-	return &SeqScan{Table: s.Table, EstRows: s.EstRows}
+	return &SeqScan{Table: s.Table, EstRows: s.EstRows, WithRID: s.WithRID}
 }
 
 // Clone implements Cloneable.
@@ -128,8 +128,8 @@ func (s *IndexScan) Clone() Plan {
 		return nil
 	}
 	return &IndexScan{Table: s.Table, Index: s.Index, Lo: lo, Hi: hi,
-		LoInc: s.LoInc, HiInc: s.HiInc, HiPrefix: s.HiPrefix, LoPrefix: s.LoPrefix,
-		EstRows: s.EstRows}
+		LoInc: s.LoInc, HiInc: s.HiInc, HiPrefix: s.HiPrefix, LoPrefix: s.LoPrefix, LoPastNull: s.LoPastNull,
+		EstRows: s.EstRows, WithRID: s.WithRID}
 }
 
 // Clone implements Cloneable.

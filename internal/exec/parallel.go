@@ -58,6 +58,8 @@ type MorselScan struct {
 	Table *catalog.Table
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
 	EstRows float64
+	// WithRID: see SeqScan.WithRID.
+	WithRID bool
 
 	group   *morselGroup
 	reader  *storage.MorselReader
@@ -67,7 +69,7 @@ type MorselScan struct {
 }
 
 // Schema implements Plan.
-func (s *MorselScan) Schema() types.Schema { return s.Table.Schema }
+func (s *MorselScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) }
 
 // Open implements Plan.
 func (s *MorselScan) Open(ctx *Context) error {
@@ -78,6 +80,9 @@ func (s *MorselScan) Open(ctx *Context) error {
 		s.reader = s.Table.Heap.MorselReader(s.Table.Tag)
 	}
 	s.reader.Vis = ctx.Vis
+	if s.WithRID {
+		s.reader.EmitRID()
+	}
 	s.pending = nil
 	s.buf = s.buf[:0]
 	s.done = false
@@ -139,7 +144,7 @@ func (s *MorselScan) Close() error {
 
 // Explain implements Plan.
 func (s *MorselScan) Explain() string {
-	return "MorselScan " + s.Table.Name + estSuffix(s.EstRows)
+	return "MorselScan " + s.Table.Name + estSuffix(s.EstRows) + ridSuffix(s.WithRID)
 }
 
 // Children implements Plan.
@@ -148,7 +153,7 @@ func (s *MorselScan) Children() []Plan { return nil }
 // Clone implements Cloneable. The dispatcher group is per-execution state
 // and is wired by cloneWorkers, never copied.
 func (s *MorselScan) Clone() Plan {
-	return &MorselScan{Table: s.Table, EstRows: s.EstRows}
+	return &MorselScan{Table: s.Table, EstRows: s.EstRows, WithRID: s.WithRID}
 }
 
 // ---------------------------------------------------------------------------

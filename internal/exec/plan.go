@@ -57,19 +57,35 @@ type SeqScan struct {
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown);
 	// Explain prints it so access-path regressions are diffable.
 	EstRows float64
+	// WithRID makes the scan emit each tuple's location as one trailing INT
+	// column (types.RIDColumn). The optimizer sets it from the base box the scan
+	// implements; it is not an option. Every operator above sees a column.
+	WithRID bool
 	ps      *storage.PageScanner
 	buf     []types.Row
 	rids    []storage.RID
 	done    bool
 }
 
+// scanSchema is the output schema of a base-table scan: the table's columns,
+// plus the RID column when the scan carries it.
+func scanSchema(t *catalog.Table, withRID bool) types.Schema {
+	if !withRID {
+		return t.Schema
+	}
+	return t.Schema.Concat(types.Schema{types.RIDColumn})
+}
+
 // Schema implements Plan.
-func (s *SeqScan) Schema() types.Schema { return s.Table.Schema }
+func (s *SeqScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) }
 
 // Open implements Plan.
 func (s *SeqScan) Open(ctx *Context) error {
 	s.ps = s.Table.Heap.PageScanner(s.Table.Tag)
 	s.ps.Vis = ctx.Vis
+	if s.WithRID {
+		s.ps.EmitRID()
+	}
 	s.buf = s.buf[:0]
 	s.rids = s.rids[:0]
 	s.done = false
@@ -123,7 +139,9 @@ func (s *SeqScan) Close() error {
 }
 
 // Explain implements Plan.
-func (s *SeqScan) Explain() string { return "SeqScan " + s.Table.Name + estSuffix(s.EstRows) }
+func (s *SeqScan) Explain() string {
+	return "SeqScan " + s.Table.Name + estSuffix(s.EstRows) + ridSuffix(s.WithRID)
+}
 
 // estSuffix renders an optimizer cardinality estimate for Explain output.
 func estSuffix(est float64) string {
@@ -131,6 +149,14 @@ func estSuffix(est float64) string {
 		return ""
 	}
 	return fmt.Sprintf(" (est rows=%.0f)", est)
+}
+
+// ridSuffix marks a scan that carries the hidden RID column.
+func ridSuffix(withRID bool) string {
+	if withRID {
+		return " +rid"
+	}
+	return ""
 }
 
 // Children implements Plan.
@@ -159,20 +185,30 @@ type IndexScan struct {
 	// start with the prefix sort above the bare encoded prefix, so a `>`
 	// range must start past PrefixUpper of it or those keys leak in.
 	LoPrefix bool
+	// LoPastNull starts the range past the keys whose column right after the
+	// Lo prefix is NULL. A `<`/`<=` range has no lower bound of its own, but
+	// NULLs sort first in the key encoding and satisfy no comparison.
+	LoPastNull bool
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
 	EstRows float64
+	// WithRID: see SeqScan.WithRID.
+	WithRID bool
 	it      *btree.Iterator
 	buf     []types.Row
 	done    bool
 }
 
 // Schema implements Plan.
-func (s *IndexScan) Schema() types.Schema { return s.Table.Schema }
+func (s *IndexScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) }
 
 // Open implements Plan.
 func (s *IndexScan) Open(ctx *Context) error {
 	s.buf = s.buf[:0]
 	s.done = false
+	// Every bound value comes from a comparison conjunct the scan stands in
+	// for, and a comparison with NULL is never true: a NULL bound (a literal,
+	// or a parameter bound to NULL) makes the scan empty.
+	nullBound := false
 	evalBound := func(es []Expr) ([]byte, error) {
 		if es == nil {
 			return nil, nil
@@ -183,6 +219,7 @@ func (s *IndexScan) Open(ctx *Context) error {
 			if err != nil {
 				return nil, err
 			}
+			nullBound = nullBound || v.IsNull()
 			vals[i] = v
 		}
 		return types.EncodeKey(vals), nil
@@ -195,6 +232,10 @@ func (s *IndexScan) Open(ctx *Context) error {
 	if err != nil {
 		return err
 	}
+	if nullBound {
+		s.done = true
+		return nil
+	}
 	hiInc := s.HiInc
 	if hi != nil && s.HiPrefix {
 		hi = PrefixUpper(hi)
@@ -203,6 +244,10 @@ func (s *IndexScan) Open(ctx *Context) error {
 	loInc := s.LoInc
 	if lo != nil && s.LoPrefix {
 		lo = PrefixUpper(lo)
+		loInc = false
+	}
+	if s.LoPastNull {
+		lo = PrefixUpper(append(lo, types.EncodeKey([]types.Value{types.Null()})...))
 		loInc = false
 	}
 	if ctx.Stats != nil {
@@ -234,6 +279,9 @@ func (s *IndexScan) fill(ctx *Context) error {
 		if !visible {
 			continue
 		}
+		if s.WithRID {
+			row = append(row, types.NewInt(rid.Pack()))
+		}
 		s.buf = append(s.buf, row)
 	}
 	if ctx.Stats != nil {
@@ -262,7 +310,7 @@ func (s *IndexScan) Close() error {
 
 // Explain implements Plan.
 func (s *IndexScan) Explain() string {
-	return fmt.Sprintf("IndexScan %s using %s%s", s.Table.Name, s.Index.Name, estSuffix(s.EstRows))
+	return fmt.Sprintf("IndexScan %s using %s%s%s", s.Table.Name, s.Index.Name, estSuffix(s.EstRows), ridSuffix(s.WithRID))
 }
 
 // Children implements Plan.

@@ -67,7 +67,7 @@ func CompileWithInfo(box *qgm.Box, opt Options) (exec.Plan, *CompileInfo, error)
 }
 
 // CompileRowExpr compiles a scalar expression whose column references all
-// target one row (quantifier 0), e.g. UPDATE/DELETE predicates.
+// target one row (quantifier 0), e.g. UPDATE SET expressions.
 func CompileRowExpr(e qgm.Expr) (exec.Expr, error) {
 	c := &compiler{opt: DefaultOptions()}
 	return c.compileExpr(e, map[int]int{0: 0})
@@ -87,7 +87,7 @@ type compiler struct {
 func (c *compiler) compileBox(box *qgm.Box) (exec.Plan, error) {
 	switch box.Kind {
 	case qgm.KindBase:
-		return &exec.SeqScan{Table: box.Table}, nil
+		return &exec.SeqScan{Table: box.Table, WithRID: box.RID}, nil
 	case qgm.KindValues:
 		rows := make([]types.Row, len(box.ValueRows))
 		for i, r := range box.ValueRows {
@@ -582,9 +582,10 @@ func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, 
 			card = 1
 		}
 		is.EstRows = card
+		is.WithRID = base.RID
 		scan = is
 	} else {
-		scan = &exec.SeqScan{Table: t, EstRows: rows}
+		scan = &exec.SeqScan{Table: t, EstRows: rows, WithRID: base.RID}
 	}
 
 	// Remaining conjuncts become a filter; estimate their selectivity.
@@ -651,10 +652,10 @@ func (c *compiler) buildIndexScan(t *catalog.Table, cand *accessCandidate) (*exe
 		is.Hi = extended
 		is.HiInc = cand.rangeCmp == "<="
 		is.HiPrefix = cand.rangeCmp == "<=" && m+1 < nCols
-		if m > 0 {
-			is.Lo = eqExprs
-			is.LoInc = true
-		}
+		// No lower bound of its own, but the range column's NULLs sort first
+		// under the prefix and must stay out.
+		is.Lo = eqExprs
+		is.LoPastNull = true
 	}
 	return is, nil
 }
@@ -674,7 +675,8 @@ func (c *compiler) buildIndexScan(t *catalog.Table, cand *accessCandidate) (*exe
 func (c *compiler) tryIndexJoin(box *qgm.Box, inner *quantState, now []qgm.Expr,
 	outerOffsets, newOffsets map[int]int, outer exec.Plan, outerCard, outCard float64,
 ) (exec.Plan, float64, bool, error) {
-	if c.opt.NoIndexes || c.opt.NoIndexJoins || !inner.isBase {
+	// An index join reads the base table itself and fills no RID column.
+	if c.opt.NoIndexes || c.opt.NoIndexJoins || !inner.isBase || inner.box.RID {
 		return nil, 0, false, nil
 	}
 	t := inner.box.Table

@@ -161,7 +161,7 @@ func pipelineEst(p exec.Plan) (float64, bool) {
 func morselize(p exec.Plan, dop int) exec.Plan {
 	switch n := p.(type) {
 	case *exec.SeqScan:
-		return &exec.MorselScan{Table: n.Table, EstRows: n.EstRows}
+		return morselScan(n)
 	case *exec.Filter:
 		n.Child = morselize(n.Child, dop)
 		return n
@@ -177,6 +177,11 @@ func morselize(p exec.Plan, dop int) exec.Plan {
 		return n
 	}
 	return p
+}
+
+// morselScan is the parallel leaf standing in for a serial scan.
+func morselScan(n *exec.SeqScan) *exec.MorselScan {
+	return &exec.MorselScan{Table: n.Table, EstRows: n.EstRows, WithRID: n.WithRID}
 }
 
 // buildPipelineEst is pipelineEst restricted to plain chains over a SeqScan
@@ -200,7 +205,7 @@ func buildPipelineEst(p exec.Plan) (float64, bool) {
 func morselizeBuild(p exec.Plan) exec.Plan {
 	switch n := p.(type) {
 	case *exec.SeqScan:
-		return &exec.MorselScan{Table: n.Table, EstRows: n.EstRows}
+		return morselScan(n)
 	case *exec.Filter:
 		n.Child = morselizeBuild(n.Child)
 		return n

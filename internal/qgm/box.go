@@ -65,7 +65,7 @@ type OrderSpec struct {
 
 // Box is one QGM operator. Kind selects which fields are meaningful:
 //
-//	Base:   Table
+//	Base:   Table, RID
 //	Select: Quants, Pred, Head, Distinct, OrderBy, Limit, NumParams
 //	Group:  Quants (exactly 1), GroupBy, Aggs — output is keys then aggs
 //	Union:  Inputs (schemas must match)
@@ -76,8 +76,13 @@ type Box struct {
 	Name string
 	Out  types.Schema
 
-	// Base.
+	// Base. RID makes the box expose each tuple's storage location as one
+	// trailing hidden column (types.RIDColumn, the last column of Out): RIDs
+	// travel through the plan as data. The optimizer passes the flag to
+	// whichever scan it picks for the box (exec.SeqScan.WithRID); everything
+	// above the scan sees an ordinary INT column.
 	Table *catalog.Table
+	RID   bool
 
 	// Select / Group body.
 	Quants   []*Quantifier
@@ -124,6 +129,16 @@ type Box struct {
 
 // Schema returns the output schema.
 func (b *Box) Schema() types.Schema { return b.Out }
+
+// NewBase returns the base box ranging over t, exposing the RID column when
+// rid is set.
+func NewBase(t *catalog.Table, rid bool) *Box {
+	out := t.Schema
+	if rid {
+		out = out.Concat(types.Schema{types.RIDColumn})
+	}
+	return &Box{Kind: KindBase, Name: "base:" + t.Name, Out: out, Table: t, RID: rid}
+}
 
 // XNFNode is one component-table definition inside an XNF box.
 type XNFNode struct {

@@ -266,8 +266,7 @@ func (b *Builder) buildTableRef(ref parser.TableRef) (*Quantifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := &Box{Kind: KindBase, Name: "base:" + t.Name, Out: t.Schema, Table: t}
-	return &Quantifier{Name: ref.Binding(), Input: base}, nil
+	return &Quantifier{Name: ref.Binding(), Input: NewBase(t, false)}, nil
 }
 
 // hasAggregates reports whether the statement needs a GROUP box.
@@ -539,9 +538,37 @@ func (b *Builder) resolveColumn(cr *parser.ColumnRef, sc *scope) (Expr, error) {
 	return nil, err
 }
 
+// BuildTarget builds the target set of a searched UPDATE or DELETE as an
+// ordinary single-table query, SELECT t.*, t.__rid FROM t [alias] WHERE
+// where: every column of t, then the tuple's RID in the hidden column the
+// base box exposes (Box.RID). A nil where selects every row. The predicate
+// resolves like a SELECT's, EXISTS subqueries correlated to the row included.
+func (b *Builder) BuildTarget(t *catalog.Table, alias string, where parser.Expr) (*Box, error) {
+	if alias == "" {
+		alias = t.Name
+	}
+	base := NewBase(t, true)
+	var params []Expr
+	sc := &scope{params: &params}
+	sc.add(alias, base.Out)
+	box := &Box{Kind: KindSelect, Name: b.nextName("target"), Out: base.Out,
+		Quants: []*Quantifier{{Name: alias, Input: base}}}
+	if where != nil {
+		pred, err := b.resolveExpr(where, sc)
+		if err != nil {
+			return nil, err
+		}
+		box.Pred = pred
+	}
+	for ci, col := range base.Out {
+		box.Head = append(box.Head, HeadExpr{Name: col.Name, Expr: &ColRef{Quant: 0, Col: ci, Name: col.Name}})
+	}
+	return box, nil
+}
+
 // ResolveRowExpr resolves an expression against a single row binding (used
-// by the engine for UPDATE/DELETE predicates and SET expressions). All
-// column references resolve to quantifier 0.
+// by the engine for UPDATE SET expressions). All column references resolve
+// to quantifier 0.
 func (b *Builder) ResolveRowExpr(bindName string, schema types.Schema, e parser.Expr) (Expr, error) {
 	var params []Expr
 	sc := &scope{params: &params}
@@ -855,9 +882,8 @@ func (b *Builder) buildXNFSpec(q *parser.XNFQuery) (*XNFSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			base := &Box{Kind: KindBase, Name: "base:" + t.Name, Out: t.Schema, Table: t}
 			sel := &Box{Kind: KindSelect, Name: b.nextName("node"),
-				Quants: []*Quantifier{{Name: t.Name, Input: base}}}
+				Quants: []*Quantifier{{Name: t.Name, Input: NewBase(t, false)}}}
 			colMap := make([]int, len(t.Schema))
 			for ci, col := range t.Schema {
 				sel.Head = append(sel.Head, HeadExpr{Name: col.Name, Expr: &ColRef{Quant: 0, Col: ci, Name: col.Name}})

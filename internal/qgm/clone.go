@@ -87,14 +87,15 @@ func (c *cloner) box(b *Box) *Box {
 	}
 	out := &Box{
 		Kind: b.Kind, Name: b.Name, Out: b.Out,
-		Table:    b.Table, // catalog object, shared
-		Distinct: b.Distinct,
-		OrderBy:  append([]OrderSpec(nil), b.OrderBy...),
-		Limit:    b.Limit,
-		NumParams: b.NumParams,
+		Table:      b.Table, // catalog object, shared
+		RID:        b.RID,
+		Distinct:   b.Distinct,
+		OrderBy:    append([]OrderSpec(nil), b.OrderBy...),
+		Limit:      b.Limit,
+		NumParams:  b.NumParams,
 		HiddenSort: b.HiddenSort,
-		ValueRows: b.ValueRows, // materialized rows are read-only, shared
-		View:      b.View, Node: b.Node, EstRows: b.EstRows, COCached: b.COCached,
+		ValueRows:  b.ValueRows, // materialized rows are read-only, shared
+		View:       b.View, Node: b.Node, EstRows: b.EstRows, COCached: b.COCached,
 	}
 	c.boxes[b] = out
 	for _, q := range b.Quants {

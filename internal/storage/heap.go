@@ -23,6 +23,14 @@ func (r RID) Valid() bool { return r.Page != InvalidPage }
 // String renders the RID as page:slot.
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
+// Pack encodes the RID as one integer, page<<16|slot: the form in which a
+// RID travels through a plan as an ordinary INT column (see
+// PageScanner.EmitRID). Packed order equals physical (page, slot) order.
+func (r RID) Pack() int64 { return int64(r.Page)<<16 | int64(r.Slot) }
+
+// UnpackRID inverts RID.Pack.
+func UnpackRID(v int64) RID { return RID{Page: PageID(v >> 16), Slot: uint16(v)} }
+
 // RowVer carries the MVCC stamps of one row version: the transaction that
 // created it and (if any) the transaction that delete-marked it. The zero
 // value means "frozen": created before every live snapshot, never deleted —
@@ -584,8 +592,14 @@ type PageScanner struct {
 	next PageID
 	dec  types.RowDecoder
 	// Vis is the snapshot filter; nil scans latest-committed rows.
-	Vis VisFunc
+	Vis    VisFunc
+	ridCol bool
 }
+
+// EmitRID makes the scanner append each row's location (RID.Pack) as one
+// trailing INT column. The decoder reserves the slot, so the append never
+// re-allocates a row.
+func (ps *PageScanner) EmitRID() { ps.ridCol, ps.dec.Spare = true, 1 }
 
 // PageScanner returns a scanner positioned at the start of the heap chain
 // that visits only rows owned by tag.
@@ -633,6 +647,9 @@ func (ps *PageScanner) NextPage(rows []types.Row, rids []RID) ([]types.Row, []RI
 				row, _, derr := ps.dec.Decode(cell[n:])
 				if derr != nil {
 					return derr
+				}
+				if ps.ridCol {
+					row = append(row, types.NewInt(rid.Pack()))
 				}
 				rows = append(rows, row)
 				rids = append(rids, rid)

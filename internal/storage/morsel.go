@@ -80,8 +80,13 @@ type MorselReader struct {
 	tag uint32
 	dec types.RowDecoder
 	// Vis is the snapshot filter; nil scans latest-committed rows.
-	Vis VisFunc
+	Vis    VisFunc
+	ridCol bool
 }
+
+// EmitRID makes the reader append each row's location as a trailing INT
+// column, exactly as PageScanner.EmitRID does.
+func (r *MorselReader) EmitRID() { r.ridCol, r.dec.Spare = true, 1 }
 
 // MorselReader returns a reader over this heap for rows owned by tag.
 func (h *Heap) MorselReader(tag uint32) *MorselReader {
@@ -90,8 +95,7 @@ func (h *Heap) MorselReader(tag uint32) *MorselReader {
 
 // ReadPage appends the live rows of page id owned by the reader's table to
 // rows. Cells owned by other tables of a cluster family are skipped before
-// row decode. (No RID tracking: parallel scans have no provenance consumer;
-// the RID-keeping paths run through PageScanner.)
+// row decode.
 func (r *MorselReader) ReadPage(id PageID, rows []types.Row) ([]types.Row, error) {
 	h := r.h
 	h.mu.RLock()
@@ -108,12 +112,16 @@ func (r *MorselReader) ReadPage(id PageID, rows []types.Row) ([]types.Row, error
 		if uint32(tag) != r.tag {
 			return nil
 		}
-		if !h.visibleLocked(RID{Page: id, Slot: uint16(slot)}, r.Vis) {
+		rid := RID{Page: id, Slot: uint16(slot)}
+		if !h.visibleLocked(rid, r.Vis) {
 			return nil
 		}
 		row, _, derr := r.dec.Decode(cell[n:])
 		if derr != nil {
 			return derr
+		}
+		if r.ridCol {
+			row = append(row, types.NewInt(rid.Pack()))
 		}
 		rows = append(rows, row)
 		return nil

@@ -603,3 +603,63 @@ func TestPageScannerStreamsPages(t *testing.T) {
 		t.Fatalf("after Reset: ok=%v err=%v rows=%d", ok, err, len(rows))
 	}
 }
+
+// TestScannersEmitRID: with EmitRID, PageScanner and MorselReader append each
+// row's packed location as a trailing INT column — without re-allocating the
+// decoded row — and the packed form round-trips and orders like (page, slot).
+func TestScannersEmitRID(t *testing.T) {
+	h, err := CreateHeap(NewBufferPool(NewDisk(), 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		if _, err := h.Insert(1, types.Row{types.NewInt(int64(i)), types.NewString("payload-payload")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps := h.PageScanner(1)
+	ps.EmitRID()
+	var rows []types.Row
+	var rids []RID
+	for ok := true; ok; {
+		if rows, rids, ok, err = ps.NextPage(rows, rids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rows) != 600 {
+		t.Fatalf("scanned %d rows", len(rows))
+	}
+	for i, row := range rows {
+		if len(row) != 3 || cap(row) != 3 {
+			t.Fatalf("row %d: len %d cap %d, want the two columns plus the reserved RID slot", i, len(row), cap(row))
+		}
+		if got := UnpackRID(row[2].Int()); got != rids[i] {
+			t.Fatalf("row %d carries RID %v, scanner reported %v", i, got, rids[i])
+		}
+		if i > 0 && row[2].Int() <= rows[i-1][2].Int() {
+			t.Fatalf("packed RIDs out of physical order at row %d", i)
+		}
+	}
+	disp, err := h.MorselDispatcher(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr := h.MorselReader(1)
+	mr.EmitRID()
+	var mrows []types.Row
+	for pages := disp.Claim(); pages != nil; pages = disp.Claim() {
+		for _, id := range pages {
+			if mrows, err = mr.ReadPage(id, mrows); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(mrows) != len(rows) {
+		t.Fatalf("morsel reader saw %d rows, page scanner %d", len(mrows), len(rows))
+	}
+	for i := range mrows {
+		if !mrows[i].Equal(rows[i]) {
+			t.Fatalf("row %d: morsel reader %v, page scanner %v", i, mrows[i], rows[i])
+		}
+	}
+}

@@ -139,6 +139,10 @@ func DecodeRow(src []byte) (Row, int, error) {
 // to consumers, so chunks are handed out once and never reused; the zero
 // value is ready to use.
 type RowDecoder struct {
+	// Spare is extra capacity reserved past each decoded row's values, so a
+	// scan can append that many values (the RID column) without re-allocating
+	// the row.
+	Spare int
 	free  []Value
 	chunk int
 }
@@ -151,8 +155,9 @@ const (
 	decoderChunkMax = 4096
 )
 
-// take carves an n-value row from the current chunk.
+// take carves an n-value row (plus Spare capacity) from the current chunk.
 func (d *RowDecoder) take(n int) Row {
+	n += d.Spare
 	if len(d.free) < n {
 		switch {
 		case d.chunk == 0:

@@ -10,16 +10,25 @@ type Column struct {
 	Name    string
 	Kind    Kind
 	NotNull bool
+	// Hidden columns are positional only: Index never resolves their name
+	// and Names (EXPLAIN, shells) does not list them.
+	Hidden bool
 }
 
 // Schema is an ordered list of columns. Column names are matched
 // case-insensitively, following SQL identifier rules.
 type Schema []Column
 
-// Index returns the position of the named column, or -1.
+// RIDColumn is the hidden trailing column through which a tuple's storage
+// location travels as data: a base-table box may expose it (qgm.Box.RID) and
+// the scans fill it (exec.SeqScan.WithRID) with the packed storage.RID. It is
+// hidden, and no client-visible schema contains it.
+var RIDColumn = Column{Name: "__rid", Kind: KindInt, Hidden: true}
+
+// Index returns the position of the named (non-hidden) column, or -1.
 func (s Schema) Index(name string) int {
 	for i, c := range s {
-		if strings.EqualFold(c.Name, name) {
+		if !c.Hidden && strings.EqualFold(c.Name, name) {
 			return i
 		}
 	}
@@ -29,11 +38,13 @@ func (s Schema) Index(name string) int {
 // Has reports whether the schema contains the named column.
 func (s Schema) Has(name string) bool { return s.Index(name) >= 0 }
 
-// Names returns the column names in order.
+// Names returns the (non-hidden) column names in order.
 func (s Schema) Names() []string {
-	out := make([]string, len(s))
-	for i, c := range s {
-		out[i] = c.Name
+	out := make([]string, 0, len(s))
+	for _, c := range s {
+		if !c.Hidden {
+			out = append(out, c.Name)
+		}
 	}
 	return out
 }

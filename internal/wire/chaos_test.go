@@ -128,17 +128,19 @@ func TestServerDrainUnderLoad(t *testing.T) {
 
 	// Writers insert until the drain cuts them off; every error past that
 	// point must be a typed shutdown/cancel/connection failure, never a hang.
+	// All four connect before any load starts: a writer dialling from its own
+	// goroutine could lose the race against Shutdown closing the listener
+	// (three writers reach the admission count below on their own).
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatalf("writer dial: %v", err)
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				t.Errorf("writer dial: %v", err)
-				return
-			}
 			defer c.Close()
 			for i := 0; ; i++ {
 				select {
