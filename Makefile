@@ -26,9 +26,10 @@ vet:
 # Fault-injection chaos suite: hundreds of injected faults (disk, buffer
 # pool, WAL append, CO materialization) against a fault-free twin engine,
 # under the race detector. See EXECUTOR.md "Cancellation, timeouts & fault
-# injection".
+# injection". The engine suite repeats 5 times, like serve-test's load tests,
+# so a rare interleaving fails here (~15 s per pass).
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/engine/
+	$(GO) test -race -count=5 -run 'TestChaos' ./internal/engine/
 	$(GO) test -race -count=1 ./internal/faultinj/
 
 # Crash-injection harness: every durable commit point of a mixed workload is
@@ -64,7 +65,7 @@ metrics-test:
 # bench-rot without burning CI minutes. See EXECUTOR.md for real runs.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 1x ./internal/exec/
-	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML' -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML|BenchmarkTakeMiss' -benchtime 1x ./internal/engine/
 	$(GO) run ./cmd/xnfbench -exp e16
 	$(GO) run ./cmd/xnfbench -exp e17 -json
 	$(GO) run ./cmd/xnfbench -exp e18 -json

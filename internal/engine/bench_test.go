@@ -162,3 +162,90 @@ func BenchmarkSearchedDML(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTakeMiss measures a TAKE that misses the CO cache (cache off), on
+// a durable engine under wal.SyncNone: the XNF evaluator and its node
+// derivations are what is timed. company_1dept checks out one department of
+// the company CO (the department by primary key, employees and projects by a
+// one-value IN-list probe, 8 000 skills by an unindexed scan under a 20-value
+// list); composite_prefix derives a child through the leading column of a
+// two-column index; unindexed_child derives the same child by scanning 20 000
+// rows; many_parent_keys derives it under all 200 parent keys through a
+// one-column index, a list that selects the whole table and still has to
+// probe (filtering 20 000 rows through a 200-item list is the slower plan).
+// pages/op is buffer-pool fetches (hits + misses) per checkout.
+func BenchmarkTakeMiss(b *testing.B) {
+	bulk := func(s *Session, table string, n int, row func(i int) string) {
+		for lo := 0; lo < n; lo += 500 {
+			vals := make([]string, 0, 500)
+			for i := lo; i < lo+500 && i < n; i++ {
+				vals = append(vals, row(i))
+			}
+			s.MustExec("INSERT INTO " + table + " VALUES " + strings.Join(vals, ", "))
+		}
+	}
+	const depts, children = 200, 20_000
+	parentChild := func(indexDDL string) func(*Session) {
+		return func(s *Session) {
+			s.MustExec("CREATE TABLE P (pk INT PRIMARY KEY); CREATE TABLE C (ck INT PRIMARY KEY, cp INT, w INT);" + indexDDL)
+			bulk(s, "P", depts, func(i int) string { return fmt.Sprintf("(%d)", i) })
+			bulk(s, "C", children, func(i int) string { return fmt.Sprintf("(%d, %d, %d)", i, i%depts, i%7) })
+		}
+	}
+	parentChildTake := func(i int) string {
+		return fmt.Sprintf(`OUT OF Xp AS (SELECT * FROM P WHERE pk = %d), Xc AS C,
+			pc AS (RELATE Xp, Xc WHERE Xp.pk = Xc.cp) TAKE *`, i*7919%depts)
+	}
+	for _, c := range []struct {
+		name string
+		load func(s *Session)
+		take func(i int) string
+	}{
+		{"company_1dept", func(s *Session) {
+			s.MustExec(`CREATE TABLE DEPT (dno INT NOT NULL PRIMARY KEY, dname VARCHAR, budget FLOAT);
+				CREATE TABLE EMP (eno INT NOT NULL PRIMARY KEY, ename VARCHAR, sal FLOAT, edno INT);
+				CREATE TABLE PROJ (pno INT NOT NULL PRIMARY KEY, pname VARCHAR, pdno INT);
+				CREATE TABLE SKILLS (sno INT NOT NULL PRIMARY KEY, sname VARCHAR, esno INT);
+				CREATE INDEX emp_edno ON EMP (edno); CREATE INDEX proj_pdno ON PROJ (pdno)`)
+			bulk(s, "DEPT", depts, func(i int) string { return fmt.Sprintf("(%d, 'dept-%d', %d)", i, i, 100000+i) })
+			bulk(s, "EMP", depts*20, func(i int) string { return fmt.Sprintf("(%d, 'emp-%d', %d, %d)", i, i, 1000+i%3000, i/20) })
+			bulk(s, "PROJ", depts*5, func(i int) string { return fmt.Sprintf("(%d, 'proj-%d', %d)", i, i, i/5) })
+			bulk(s, "SKILLS", depts*40, func(i int) string { return fmt.Sprintf("(%d, 'skill-%d', %d)", i, i%50, i/2) })
+		}, func(i int) string {
+			return fmt.Sprintf(`OUT OF Xdept AS (SELECT * FROM DEPT WHERE dno = %d), Xemp AS EMP, Xproj AS PROJ, Xskills AS SKILLS,
+				employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
+				ownership AS (RELATE Xdept, Xproj WHERE Xdept.dno = Xproj.pdno),
+				empproperty AS (RELATE Xemp, Xskills WHERE Xemp.eno = Xskills.esno)
+				TAKE *`, i*7919%depts)
+		}},
+		{"composite_prefix", parentChild("CREATE INDEX c_cp_w ON C (cp, w)"), parentChildTake},
+		{"unindexed_child", parentChild(""), parentChildTake},
+		{"many_parent_keys", parentChild("CREATE INDEX c_cp ON C (cp)"), func(int) string {
+			return `OUT OF Xp AS P, Xc AS C, pc AS (RELATE Xp, Xc WHERE Xp.pk = Xc.cp) TAKE *`
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.DataDir = b.TempDir()
+			opts.Sync = wal.SyncNone
+			opts.COCacheBytes = -1
+			e, err := Open(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			s := e.Session()
+			c.load(s)
+			s.MustExec("ANALYZE")
+			before := e.BufferPool().Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MustExec(c.take(i))
+			}
+			b.StopTimer()
+			after := e.BufferPool().Stats()
+			b.ReportMetric(float64(after.Hits+after.Misses-before.Hits-before.Misses)/float64(b.N), "pages/op")
+		})
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"sqlxnf/internal/catalog"
 	"sqlxnf/internal/exec"
@@ -571,7 +570,7 @@ func (s *Session) insert(stmt *parser.InsertStmt) (*Result, error) {
 // per statement (never plan-cached) and run like any SELECT. Matches return
 // sorted by RID, so the caller's mutation order — and the heap's bytes — do
 // not depend on the access path. Callers hold t's lock and mutate only after
-// this returns (no Halloween problem). See EXECUTOR.md "DML target plans".
+// this returns (no Halloween problem). See EXECUTOR.md "RID-carrying plans".
 func (s *Session) targetRows(ctx *exec.Context, t *catalog.Table, alias string, where parser.Expr) ([]types.Row, []storage.RID, error) {
 	tr := s.trace
 	var span int
@@ -600,12 +599,19 @@ func (s *Session) targetRows(ctx *exec.Context, t *catalog.Table, alias string, 
 	}
 	ridCol := len(t.Schema)
 	slices.SortFunc(rows, func(a, b types.Row) int { return cmp.Compare(a[ridCol].Int(), b[ridCol].Int()) })
+	return rows, peelRIDs(rows), nil
+}
+
+// peelRIDs takes the hidden RID column, the last of every row a RID-carrying
+// plan returns, off rows (in place) and returns it as a parallel slice.
+func peelRIDs(rows []types.Row) []storage.RID {
 	rids := make([]storage.RID, len(rows))
 	for i, row := range rows {
+		ridCol := len(row) - 1
 		rids[i] = storage.UnpackRID(row[ridCol].Int())
 		rows[i] = row[:ridCol:ridCol]
 	}
-	return rows, rids, nil
+	return rids
 }
 
 func (s *Session) update(stmt *parser.UpdateStmt) (*Result, error) {
@@ -715,184 +721,37 @@ func (s *Session) RunBox(box *qgm.Box) ([]types.Row, error) {
 	return exec.Collect(s.newExecContext(), plan)
 }
 
-// RunBoxWithRIDs implements xnf.Host. Single-table selections (after the
-// rewrite phase collapses wrappers) run with provenance, using index
-// probes for equality and IN-list predicates on indexed columns; anything
-// else falls back to RunBox without RIDs.
+// RunBoxWithRIDs implements xnf.Host: run a node derivation, with base-tuple
+// provenance, in plan order, when its plan carries it (see nodePlan).
 func (s *Session) RunBoxWithRIDs(box *qgm.Box) ([]types.Row, []storage.RID, error) {
+	plan, withRID, err := s.nodePlan(box)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := exec.Collect(s.newExecContext(), plan)
+	if err != nil || !withRID {
+		return rows, nil, err
+	}
+	return rows, peelRIDs(rows), nil
+}
+
+// nodePlan rewrites and compiles an XNF node derivation. A selection over one
+// base table (once the rewrite phase collapsed its wrappers) is compiled with
+// the hidden RID column as its last output, like a DML target plan, and serial:
+// a Gather under every checkout's child derivations fights the concurrent
+// clients for cores and widens the latency tail (EXECUTOR.md "RID-carrying
+// plans"). Any other shape compiles as RunBox would, without provenance.
+func (s *Session) nodePlan(box *qgm.Box) (plan exec.Plan, withRID bool, err error) {
 	box = rewrite.Rewrite(box, s.eng.opts.Rewrite)
+	opt := s.eng.opts.Optimizer
 	if box.Kind == qgm.KindSelect && len(box.Quants) == 1 &&
 		box.Quants[0].Input.Kind == qgm.KindBase &&
 		!box.Distinct && len(box.OrderBy) == 0 && box.Limit == nil && box.NumParams == 0 {
-		return s.runSingleTableWithRIDs(box)
+		box, withRID = box.WithRID(), true
+		opt.MaxDOP = -1
 	}
-	rows, err := s.RunBox(box)
-	return rows, nil, err
-}
-
-// runSingleTableWithRIDs evaluates a single-table selection keeping base
-// RIDs. It picks an access path: index probes for `col = const` and
-// `col IN (consts)` conjuncts on indexed columns, hash-set filters for
-// large IN lists, else a heap scan.
-func (s *Session) runSingleTableWithRIDs(box *qgm.Box) ([]types.Row, []storage.RID, error) {
-	t := box.Quants[0].Input.Table
-	conj := qgm.Conjuncts(box.Pred)
-
-	// Access-path selection over the conjuncts.
-	var probeKeys [][]byte
-	var probeIx *catalog.Index
-	residual := conj
-	if !s.eng.opts.Optimizer.NoIndexes {
-	search:
-		for ci, cj := range conj {
-			col, vals, ok := probeableConjunct(cj)
-			if !ok {
-				continue
-			}
-			for _, ix := range t.Indexes {
-				if !strings.EqualFold(ix.Columns[0], t.Schema[col].Name) {
-					continue
-				}
-				seen := map[string]bool{}
-				for _, v := range vals {
-					key := types.EncodeKey([]types.Value{v})
-					if seen[string(key)] {
-						continue
-					}
-					seen[string(key)] = true
-					probeKeys = append(probeKeys, key)
-				}
-				probeIx = ix
-				residual = append(append([]qgm.Expr{}, conj[:ci]...), conj[ci+1:]...)
-				break search
-			}
-		}
-	}
-	var pred exec.Expr
-	var err error
-	if p := qgm.Conjoin(residual); p != nil {
-		pred, err = optimizer.CompileRowExpr(p)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	head := make([]exec.Expr, len(box.Head))
-	for i, h := range box.Head {
-		if head[i], err = optimizer.CompileRowExpr(h.Expr); err != nil {
-			return nil, nil, err
-		}
-	}
-	ctx := s.newExecContext()
-	var rows []types.Row
-	var rids []storage.RID
-	emit := func(rid storage.RID, row types.Row) error {
-		ok, perr := exec.EvalPred(ctx, pred, row)
-		if perr != nil {
-			return perr
-		}
-		if !ok {
-			return nil
-		}
-		out := make(types.Row, len(head))
-		for i, he := range head {
-			v, eerr := he.Eval(ctx, row)
-			if eerr != nil {
-				return eerr
-			}
-			out[i] = v
-		}
-		rows = append(rows, out)
-		rids = append(rids, rid)
-		return nil
-	}
-	if probeIx != nil {
-		seenRID := map[storage.RID]bool{}
-		for _, key := range probeKeys {
-			for _, rid := range probeIx.Tree.SeekEQ(key) {
-				if seenRID[rid] {
-					continue
-				}
-				seenRID[rid] = true
-				// Snapshot-filtered probe: entries for versions this snapshot
-				// cannot see — including vacuumed-away dangling entries — skip.
-				row, ok, gerr := t.Heap.GetVisible(t.Tag, rid, s.visFunc())
-				if gerr != nil {
-					return nil, nil, gerr
-				}
-				if !ok {
-					continue
-				}
-				if err := emit(rid, row); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		return rows, rids, nil
-	}
-	// Heap scan path: stream page batches off the heap chain (the same
-	// streaming substrate as the batched SeqScan) instead of a per-row
-	// callback over a materialized table.
-	ps := t.Heap.PageScanner(t.Tag)
-	ps.Vis = s.visFunc()
-	rowBuf := make([]types.Row, 0, exec.BatchSize)
-	ridBuf := make([]storage.RID, 0, exec.BatchSize)
-	for {
-		rowBuf, ridBuf = rowBuf[:0], ridBuf[:0]
-		var ok bool
-		rowBuf, ridBuf, ok, err = ps.NextPage(rowBuf, ridBuf)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		for i, row := range rowBuf {
-			if err := emit(ridBuf[i], row); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return rows, rids, nil
-}
-
-// probeableConjunct matches `col = const` and `col IN (const list)` shapes
-// usable as index probes, returning the column and the probe values.
-func probeableConjunct(cj qgm.Expr) (col int, vals []types.Value, ok bool) {
-	switch x := cj.(type) {
-	case *qgm.Binary:
-		if x.Op != "=" {
-			return 0, nil, false
-		}
-		if cr, isCol := x.L.(*qgm.ColRef); isCol {
-			if c, isConst := x.R.(*qgm.Const); isConst {
-				return cr.Col, []types.Value{c.Val}, true
-			}
-		}
-		if cr, isCol := x.R.(*qgm.ColRef); isCol {
-			if c, isConst := x.L.(*qgm.Const); isConst {
-				return cr.Col, []types.Value{c.Val}, true
-			}
-		}
-	case *qgm.InList:
-		if x.Negate {
-			return 0, nil, false
-		}
-		cr, isCol := x.E.(*qgm.ColRef)
-		if !isCol {
-			return 0, nil, false
-		}
-		for _, item := range x.List {
-			c, isConst := item.(*qgm.Const)
-			if !isConst {
-				return 0, nil, false
-			}
-			if !c.Val.IsNull() {
-				vals = append(vals, c.Val)
-			}
-		}
-		return cr.Col, vals, true
-	}
-	return 0, nil, false
+	plan, err = optimizer.CompileWith(box, opt)
+	return plan, withRID, err
 }
 
 // GetRow implements xnf.Host: fetch under the session's snapshot (or the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,6 +24,8 @@ import (
 // every statement all engines must report the same RowsAffected, have removed
 // exactly the RIDs the model matched, and hold identical heaps (same rows at
 // the same RIDs): mutation order is RID order whatever the plan delivered.
+// Every generated WHERE clause also runs as a SELECT on every engine, cold and
+// then as a plan-cache hit, against the same model.
 
 // mmCols is the one table shape the generator uses; what varies per world is
 // the data, the index set and whether statistics exist. a and u hold unique
@@ -78,13 +81,22 @@ func mmCompare(a, b types.Value) int {
 	if a.Kind() == types.KindString {
 		return strings.Compare(a.Str(), b.Str())
 	}
-	switch {
-	case a.Int() < b.Int():
+	switch { // INT and FLOAT compare by value; the table's ints are exact as floats
+	case a.Float() < b.Float():
 		return -1
-	case a.Int() > b.Int():
+	case a.Float() > b.Float():
 		return 1
 	}
 	return 0
+}
+
+// mmLit renders a literal; a FLOAT keeps its decimal point so it parses back
+// as a FLOAT even when whole.
+func mmLit(v types.Value) string {
+	if v.Kind() == types.KindFloat {
+		return strconv.FormatFloat(v.Float(), 'f', 1, 64)
+	}
+	return v.SQLLiteral()
 }
 
 type mmBetween struct {
@@ -103,16 +115,22 @@ func (p mmBetween) eval(row types.Row) types.Tri {
 	return types.TriOf(v.Int() >= p.lo && v.Int() <= p.hi)
 }
 
+// mmIn is col [NOT] IN (vals..., itemCols...): constants, then column
+// references (a list holding one is never an index probe).
 type mmIn struct {
-	col    int
-	vals   []types.Value
-	negate bool
+	col      int
+	vals     []types.Value
+	itemCols []int
+	negate   bool
 }
 
 func (p mmIn) sql(q string) string {
-	lits := make([]string, len(p.vals))
+	lits := make([]string, len(p.vals), len(p.vals)+len(p.itemCols))
 	for i, v := range p.vals {
-		lits[i] = v.SQLLiteral()
+		lits[i] = mmLit(v)
+	}
+	for _, c := range p.itemCols {
+		lits = append(lits, q+mmCols[c])
 	}
 	not := ""
 	if p.negate {
@@ -126,7 +144,11 @@ func (p mmIn) eval(row types.Row) types.Tri {
 	if v.IsNull() {
 		res = types.Unknown
 	} else {
-		for _, item := range p.vals {
+		items := p.vals
+		for _, c := range p.itemCols {
+			items = append(slices.Clip(items), row[c])
+		}
+		for _, item := range items {
 			if item.IsNull() {
 				res = types.Unknown
 			} else if mmCompare(v, item) == 0 {
@@ -261,9 +283,75 @@ func (g *mmGen) colVal(col int) types.Value {
 	}
 }
 
+// inList draws col [NOT] IN (...) over the list shapes an index probe has to
+// get right: repeated items, NULL items, nothing but NULLs, FLOAT items on an
+// INT column (whole: equal to that INT; fractional: equal to nothing), and a
+// column reference among the items.
+func (g *mmGen) inList(col int) mmIn {
+	p := mmIn{col: col, negate: g.rng.Intn(5) == 0}
+	for n := 1 + g.rng.Intn(5); n > 0; n-- {
+		v := g.colVal(col)
+		switch r := g.rng.Intn(8); {
+		case r == 0 && len(p.vals) > 0:
+			v = p.vals[g.rng.Intn(len(p.vals))]
+		case r == 1 && col != mmS && !v.IsNull():
+			v = types.NewFloat(float64(v.Int()) + 0.5*float64(g.rng.Intn(2)))
+		}
+		p.vals = append(p.vals, v)
+	}
+	switch r := g.rng.Intn(10); {
+	case r == 0:
+		for i := range p.vals {
+			p.vals[i] = types.Null()
+		}
+	case r == 1 && col != mmS:
+		p.itemCols = []int{[]int{mmB, mmC, mmD}[g.rng.Intn(3)]}
+	}
+	return p
+}
+
+// redraw returns p with every non-NULL constant drawn again from its column's
+// domain, INT staying INT and FLOAT FLOAT: the same statement shape with other
+// values, which is what a plan-cache hit rebinds.
+func (g *mmGen) redraw(p mmPred) mmPred {
+	again := func(col int, old types.Value) types.Value {
+		v := g.colVal(col)
+		for v.IsNull() {
+			v = g.colVal(col)
+		}
+		switch old.Kind() {
+		case types.KindNull:
+			return old
+		case types.KindFloat:
+			return types.NewFloat(float64(v.Int()) + 0.5*float64(g.rng.Intn(2)))
+		}
+		return v
+	}
+	switch x := p.(type) {
+	case mmCmp:
+		x.val = again(x.col, x.val)
+		return x
+	case mmBetween:
+		x.lo = again(x.col, types.NewInt(0)).Int()
+		x.hi = x.lo + g.rng.Int63n(6)
+		return x
+	case mmIn:
+		x.vals = slices.Clone(x.vals)
+		for i, v := range x.vals {
+			x.vals[i] = again(x.col, v)
+		}
+		return x
+	case mmBool:
+		return mmBool{op: x.op, l: g.redraw(x.l), r: g.redraw(x.r)}
+	case mmNot:
+		return mmNot{e: g.redraw(x.e)}
+	}
+	return p
+}
+
 func (g *mmGen) leaf() mmPred {
 	col := g.rng.Intn(len(mmCols))
-	switch g.rng.Intn(6) {
+	switch g.rng.Intn(7) {
 	case 0, 1:
 		return mmCmp{col: col, op: "=", val: g.colVal(col)}
 	case 2:
@@ -279,11 +367,10 @@ func (g *mmGen) leaf() mmPred {
 		}
 		return mmBetween{col: col, lo: lo.Int(), hi: lo.Int() + g.rng.Int63n(6)}
 	case 4:
-		p := mmIn{col: col, negate: g.rng.Intn(5) == 0}
-		for n := 1 + g.rng.Intn(4); n > 0; n-- {
-			p.vals = append(p.vals, g.colVal(col))
-		}
-		return p
+		return g.inList(col)
+	case 5: // a list right after an equality prefix of r_db, r_dca or r_bc
+		pair := [][2]int{{mmD, mmB}, {mmD, mmC}, {mmB, mmC}}[g.rng.Intn(3)]
+		return mmBool{op: "AND", l: mmCmp{col: pair[0], op: "=", val: g.colVal(pair[0])}, r: g.inList(pair[1])}
 	default:
 		return mmIsNull{col: col, negate: g.rng.Intn(2) == 0}
 	}
@@ -542,6 +629,9 @@ func newMMWorld(t *testing.T, seed int64, nRows int) *mmWorld {
 func (w *mmWorld) step(t *testing.T, pre *mmTable, st *mmStmt) *mmTable {
 	t.Helper()
 	sql := st.SQL()
+	if st.where != nil {
+		w.checkSelect(t, pre, st.alias, st.where)
+	}
 	exp := mmModel(pre, st, w.uniqueCols)
 	var post0 *mmTable
 	for i, s := range w.sess {
@@ -583,11 +673,41 @@ func (w *mmWorld) step(t *testing.T, pre *mmTable, st *mmStmt) *mmTable {
 	return post0
 }
 
+// checkSelect runs SELECT * FROM R WHERE where on every engine, twice — the
+// second execution is a plan-cache hit on the engines that cache plans — and
+// compares each result, as a multiset, with the model's row-by-row evaluation
+// over pre. Column a is unique, so equal multisets are equal RID sets.
+func (w *mmWorld) checkSelect(t *testing.T, pre *mmTable, alias string, where mmPred) {
+	t.Helper()
+	q := ""
+	if alias != "" {
+		q = alias + "."
+	}
+	sql := "SELECT * FROM R " + alias + " WHERE " + where.sql(q)
+	var want []types.Row
+	for _, r := range pre.rows {
+		if where.eval(r) == types.True {
+			want = append(want, r)
+		}
+	}
+	for i, s := range w.sess {
+		for _, run := range []string{"cold", "repeat"} {
+			res, err := s.Exec(sql)
+			if err != nil {
+				t.Fatalf("[%s, %s] %s\n  %v", w.names[i], run, sql, err)
+			}
+			if got, exp := mmSortedStrings(res.Rows), mmSortedStrings(want); !slices.Equal(got, exp) {
+				t.Fatalf("[%s, %s] %s\n  returned %d rows %v\n  model has %d rows %v", w.names[i], run, sql, len(got), got, len(exp), exp)
+			}
+		}
+	}
+}
+
 // TestMetamorphicDML: 24 random small worlds × 90 statements (2160 per
 // configuration), then one table large enough for the dop4 engine to run its
 // target scans under Gather.
 func TestMetamorphicDML(t *testing.T) {
-	indexed, total := 0, 0
+	indexed, inProbes, total := 0, 0, 0
 	for world := 0; world < 24; world++ {
 		w := newMMWorld(t, int64(100+world), 40+world*8)
 		state := mmSnapshot(t, w.sess[0])
@@ -597,15 +717,20 @@ func TestMetamorphicDML(t *testing.T) {
 				total++
 				if r, err := w.sess[0].Exec("EXPLAIN " + st.SQL()); err == nil && strings.Contains(r.Explain, "IndexScan") {
 					indexed++
+					if strings.Contains(r.Explain, "in-list") {
+						inProbes++
+					}
 				}
 			}
 			state = w.step(t, state, st)
 		}
 	}
 	// The configurations must actually differ in access path.
-	if indexed == 0 || indexed == total {
-		t.Fatalf("default engine chose IndexScan for %d of %d searched statements; the oracle needs both paths", indexed, total)
+	if indexed == 0 || indexed == total || inProbes == 0 {
+		t.Fatalf("default engine chose IndexScan for %d of %d searched statements, %d of them IN-list probes; the oracle needs every path",
+			indexed, total, inProbes)
 	}
+	t.Logf("%d searched statements: %d IndexScan, %d of them IN-list probes", total, indexed, inProbes)
 
 	big := newMMWorld(t, 7, 12_000)
 	if r := big.sess[2].MustExec("EXPLAIN UPDATE R SET d = 1 WHERE c + 0 = 5"); !strings.Contains(r.Explain, "Gather") {
@@ -618,6 +743,46 @@ func TestMetamorphicDML(t *testing.T) {
 			continue // keep the table above the parallel threshold
 		}
 		state = big.step(t, state, st)
+	}
+}
+
+// TestMetamorphicInListRebind: a cached plan whose index probe is an IN list
+// evaluates the list at Open, so a hit with other values of the same shape
+// probes for those values. Each IN-list shape runs as a SELECT on every engine
+// with three sets of values — cold, repeated, then rebound twice — against the
+// model.
+func TestMetamorphicInListRebind(t *testing.T) {
+	const worlds, shapes = 8, 40
+	var hits, probes int64
+	for world := 0; world < worlds; world++ {
+		w := newMMWorld(t, int64(500+world), 150)
+		pre := mmSnapshot(t, w.sess[0])
+		for i := 0; i < shapes; i++ {
+			var p mmPred = w.gen.inList(w.gen.rng.Intn(len(mmCols)))
+			switch w.gen.rng.Intn(3) {
+			case 0:
+				p = mmBool{op: "AND", l: w.gen.leaf(), r: p}
+			case 1:
+				lead := []int{mmD, mmB}[w.gen.rng.Intn(2)]
+				p = mmBool{op: "AND", l: mmCmp{col: lead, op: "=", val: w.gen.colVal(lead)}, r: w.gen.inList(mmC)}
+			}
+			if r := w.sess[0].MustExec("EXPLAIN SELECT * FROM R WHERE " + p.sql("")); strings.Contains(r.Explain, "in-list") {
+				probes++
+			}
+			for k := 0; k < 3; k++ {
+				w.checkSelect(t, pre, "", p)
+				p = w.gen.redraw(p)
+			}
+		}
+		hits += w.sess[0].Engine().PlanCacheStats().Hits
+	}
+	// Six executions per shape: one compile, then a repeat and four more under
+	// the same key when the rebinds hit.
+	if hits < 4*worlds*shapes {
+		t.Errorf("plan cache hit %d times over %d shapes; the rebinds are not hitting", hits, worlds*shapes)
+	}
+	if probes == 0 || probes == worlds*shapes {
+		t.Errorf("%d of %d shapes probe an index with their list; the oracle needs both paths", probes, worlds*shapes)
 	}
 }
 

@@ -1447,7 +1447,18 @@ func (s *Session) explain(stmt *parser.ExplainStmt, text string) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Explain: "-- QGM (XNF operator) --\n" + box.Dump()}, nil
+		out := "-- QGM (XNF operator) --\n" + box.Dump()
+		for _, n := range box.XNF.AllNodes() {
+			if n.Def == nil {
+				continue
+			}
+			plan, _, err := s.nodePlan(n.Def)
+			if err != nil {
+				return nil, err
+			}
+			out += "-- node " + n.Name + " --\n" + exec.Dump(plan)
+		}
+		return &Result{Explain: out}, nil
 	default:
 		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE, DELETE and XNF queries")
 	}

@@ -324,3 +324,66 @@ func TestSearchedDMLObservesDeadline(t *testing.T) {
 		t.Fatalf("table changed under timed-out statements: %s -> %s", before, after)
 	}
 }
+
+// TestTakeObservesDeadline: an XNF node derivation is an ordinary plan, so a
+// TAKE polls the statement's lifecycle context at batch boundaries like a
+// SELECT. The child here is derived by an unindexed scan of 200 000 rows; under
+// a 2 ms timeout the TAKE ends with DeadlineExceeded well before the
+// uncancelled derivation would, holding no lock and no snapshot, and leaves
+// nothing in the CO cache. Each TAKE has fresh text, so the cache cannot answer.
+func TestTakeObservesDeadline(t *testing.T) {
+	s := slowJoinDB(t, 200_000)
+	e := s.Engine()
+	s.MustExec(`CREATE TABLE P (pk INT NOT NULL PRIMARY KEY); INSERT INTO P VALUES (1), (2), (3), (4), (5)`)
+	take := func(pk int) string {
+		return fmt.Sprintf(`OUT OF Xp AS (SELECT * FROM P WHERE pk = %d), Xc AS BIG,
+			pc AS (RELATE Xp, Xc WHERE Xp.pk = Xc.v) TAKE *`, pk)
+	}
+	t0 := time.Now()
+	if r := s.MustExec(take(1)); len(r.CO.Node("Xc").Rows) == 0 {
+		t.Fatal("baseline TAKE found no child rows")
+	}
+	full := time.Since(t0)
+	entries := e.COCacheStats().Entries
+
+	s.SetStatementTimeout(2 * time.Millisecond)
+	// Up to three attempts, each with fresh text: every one must end with
+	// DeadlineExceeded, one of them within half the uncancelled time. (On the
+	// shared host a goroutine now and then loses the CPU for longer than the
+	// whole scan takes, which says nothing about whether the plan polls.)
+	var took time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		t0 := time.Now()
+		_, err := s.Exec(take(2 + attempt))
+		took = time.Since(t0)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("TAKE under a 2ms timeout returned %v after %v, want DeadlineExceeded", err, took)
+		}
+		t.Logf("timed-out TAKE: %v (uncancelled %v)", took, full)
+		if took <= full/2 {
+			break
+		}
+	}
+	if took > full/2 {
+		t.Errorf("TAKE returned after %v on the last of three attempts; uncancelled it takes %v", took, full)
+	}
+	if s.InTx() {
+		t.Fatal("session stuck in a transaction")
+	}
+	if held := e.Locks().TotalHeld(); held != 0 {
+		t.Fatalf("%d locks leaked", held)
+	}
+	e.mu.Lock()
+	snaps := len(e.snaps)
+	e.mu.Unlock()
+	if snaps != 0 {
+		t.Fatalf("%d snapshots left open", snaps)
+	}
+	if got := e.COCacheStats().Entries; got != entries {
+		t.Fatalf("CO cache went from %d to %d entries under a timed-out TAKE", entries, got)
+	}
+	s.SetStatementTimeout(0)
+	if r := s.MustExec(take(5)); len(r.CO.Node("Xc").Rows) == 0 {
+		t.Fatal("TAKE after the timed-out TAKE found no child rows")
+	}
+}

@@ -1,0 +1,213 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"sqlxnf/internal/storage"
+	"sqlxnf/internal/types"
+	"sqlxnf/internal/xnf"
+)
+
+// nodeMultiset renders a node's tuples with their RIDs, sorted: the form in
+// which two derivations of one node compare equal whatever their access path.
+func nodeMultiset(rows []types.Row, rids []storage.RID) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = fmt.Sprintf("%v %s", rids[i], row)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func coNode(t *testing.T, co *xnf.CO, name string) []string {
+	t.Helper()
+	n := co.Node(name)
+	if n == nil {
+		t.Fatalf("composite object has no node %s", name)
+	}
+	return nodeMultiset(n.Rows, n.RIDs)
+}
+
+// TestTakeCompositeIndexLeadingColumn: an index whose leading column carries
+// the node's predicate — or the top-down semi-join's IN list — is a prefix
+// probe, not an exact-key probe: with C (cp, w) indexed, a root node
+// `WHERE cp = 1` and a child derived through `Xp.pk = Xc.cp` return the same
+// ten rows as without the index.
+func TestTakeCompositeIndexLeadingColumn(t *testing.T) {
+	const rootQ = `OUT OF Xc AS (SELECT * FROM C WHERE cp = 1) TAKE *`
+	const childQ = `OUT OF Xp AS (SELECT * FROM P WHERE pk = 1), Xc AS C,
+		pc AS (RELATE Xp, Xc WHERE Xp.pk = Xc.cp) TAKE *`
+	take := func(t *testing.T, opts Options, index bool) (root, child []string) {
+		s := New(opts).Session()
+		s.MustExec(`CREATE TABLE P (pk INT NOT NULL PRIMARY KEY);
+			CREATE TABLE C (ck INT NOT NULL PRIMARY KEY, cp INT, w INT)`)
+		if index {
+			s.MustExec(`CREATE INDEX c_cp_w ON C (cp, w)`)
+		}
+		s.MustExec(`INSERT INTO P VALUES (1), (2), (3)`)
+		for i := 0; i < 30; i++ {
+			s.MustExec(fmt.Sprintf(`INSERT INTO C VALUES (%d, %d, %d)`, i, 1+i%3, i%7))
+		}
+		return coNode(t, s.MustExec(rootQ).CO, "Xc"), coNode(t, s.MustExec(childQ).CO, "Xc")
+	}
+	noIndexes := DefaultOptions()
+	noIndexes.Optimizer.NoIndexes = true
+	wantRoot, wantChild := take(t, DefaultOptions(), false)
+	if len(wantRoot) != 10 || len(wantChild) != 10 {
+		t.Fatalf("without the index: root %d rows, child %d rows, want 10 and 10", len(wantRoot), len(wantChild))
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"indexed", DefaultOptions()}, {"indexed, NoIndexes", noIndexes}} {
+		root, child := take(t, c.opts, true)
+		if !slices.Equal(root, wantRoot) {
+			t.Errorf("%s: root node WHERE cp = 1 returned %d rows %v, want %v", c.name, len(root), root, wantRoot)
+		}
+		if !slices.Equal(child, wantChild) {
+			t.Errorf("%s: top-down child returned %d rows %v, want %v", c.name, len(child), child, wantChild)
+		}
+	}
+}
+
+// TestExplainTake: EXPLAIN of an XNF query prints, after the operator dump,
+// the full-derivation plan of every node — compiled by the helper that runs
+// node queries, so the access path is the one a checkout would use — and
+// executes nothing. The hidden RID column shows only as the scan's +rid mark.
+func TestExplainTake(t *testing.T) {
+	s := newCompany(t)
+	s.MustExec(`CREATE INDEX emp_edno ON EMP (edno)`)
+	before := s.Engine().Stats().Eval.NodeQueries
+	r := s.MustExec(`EXPLAIN OUT OF
+		Xdept AS (SELECT * FROM DEPT WHERE dno = 1),
+		Xemp AS (SELECT eno, ename FROM EMP WHERE edno = 2),
+		Xskills AS (SELECT * FROM SKILLS WHERE sname = 's3'),
+		employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.eno)
+		TAKE *`)
+	for _, want := range []string{
+		"-- QGM (XNF operator) --",
+		"-- node XDEPT --", "IndexScan DEPT using DEPT_PK",
+		"-- node XEMP --", "IndexScan EMP using emp_edno", "Project [eno ename]",
+		"-- node XSKILLS --", "SeqScan SKILLS", "Filter",
+		"+rid",
+	} {
+		if !strings.Contains(strings.ToUpper(r.Explain), strings.ToUpper(want)) {
+			t.Errorf("EXPLAIN lacks %q:\n%s", want, r.Explain)
+		}
+	}
+	if strings.Contains(r.Explain, types.RIDColumn.Name) {
+		t.Errorf("EXPLAIN prints the hidden RID column:\n%s", r.Explain)
+	}
+	if strings.Contains(r.Explain, "Gather") {
+		t.Errorf("node derivation plans are serial; EXPLAIN shows a Gather:\n%s", r.Explain)
+	}
+	if after := s.Engine().Stats().Eval.NodeQueries; after != before {
+		t.Errorf("EXPLAIN ran %d node queries", after-before)
+	}
+	if _, err := s.Exec(`EXPLAIN ANALYZE OUT OF Xdept AS DEPT TAKE *`); err == nil {
+		t.Error("EXPLAIN ANALYZE of an XNF query succeeded")
+	}
+}
+
+// TestTakeEqualsNodeSelects: the paper's operation is guarded by the same
+// law as SELECT — an access path may not change a result. Over the company
+// database and random two-level specs, every node of a TAKE * equals, as a
+// multiset with RIDs, the hand-expanded SELECT of that node semi-joined to its
+// parents, under the default engine, without indexes, and without shared
+// subexpressions.
+func TestTakeEqualsNodeSelects(t *testing.T) {
+	noIndexes := DefaultOptions()
+	noIndexes.Optimizer.NoIndexes = true
+	noShare := DefaultOptions()
+	noShare.XNF.NoSharedSubexpressions = true
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"default", DefaultOptions()}, {"NoIndexes", noIndexes}, {"NoSharedSubexpressions", noShare}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			s := New(c.opts).Session()
+			s.MustExec(companyDDL)
+			s.MustExec(`CREATE INDEX emp_edno_sal ON EMP (edno, sal);
+				CREATE INDEX proj_pdno ON PROJ (pdno);
+				CREATE INDEX skills_esno ON SKILLS (esno)`)
+			for d := 1; d <= 12; d++ {
+				s.MustExec(fmt.Sprintf(`INSERT INTO DEPT VALUES (%d, 'd%d', '%s', %d, NULL)`,
+					d, d, []string{"NY", "SF", "LA"}[d%3], 1000*d))
+			}
+			for e := 1; e <= 120; e++ {
+				edno := fmt.Sprint(1 + rng.Intn(14)) // 13, 14: no such department
+				if e%17 == 0 {
+					edno = "NULL"
+				}
+				s.MustExec(fmt.Sprintf(`INSERT INTO EMP VALUES (%d, 'e%d', %d, 'staff', %s, NULL)`,
+					e, e, 1000+100*rng.Intn(20), edno))
+			}
+			for p := 1; p <= 40; p++ {
+				s.MustExec(fmt.Sprintf(`INSERT INTO PROJ VALUES (%d, 'p%d', %d, %d, NULL)`, p, p, 100*p, 1+rng.Intn(12)))
+			}
+			for k := 1; k <= 200; k++ {
+				s.MustExec(fmt.Sprintf(`INSERT INTO SKILLS VALUES (%d, 's%d', %d, NULL)`, k, k%9, 1+rng.Intn(130)))
+			}
+			if rng.Intn(2) == 0 {
+				s.MustExec(`ANALYZE`)
+			}
+			// The RID a SELECT of a node's tuple must report: where the base table
+			// holds the tuple with that primary key (column 0).
+			ridOf := map[string]map[int64]storage.RID{}
+			for _, table := range []string{"DEPT", "EMP", "PROJ", "SKILLS"} {
+				byKey := map[int64]storage.RID{}
+				if err := s.ScanTable(table, func(rid storage.RID, row types.Row) (bool, error) {
+					byKey[row[0].Int()] = rid
+					return false, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				ridOf[table] = byKey
+			}
+			selectNode := func(table, sql string) []string {
+				res := s.MustExec(sql)
+				rids := make([]storage.RID, len(res.Rows))
+				for i, row := range res.Rows {
+					rids[i] = ridOf[table][row[0].Int()]
+				}
+				return nodeMultiset(res.Rows, rids)
+			}
+			// Column names are unique across the four tables, so one predicate text
+			// serves the node definition and the EXISTS that stands for the
+			// semi-join to that node.
+			deptPreds := []string{"dno = %d", "dno IN (%d, 3, 3, NULL)", "dmgrno IS NULL AND dno > %d", "loc = 'NY' AND dno <> %d", "dno < %d"}
+			empPreds := []string{"eno > 0", "sal >= 2000", "sal IN (1500, 1500.0, 2500, NULL)", "edno IN (1, 2, 13)", "ename <> 'e7'"}
+			for iter := 0; iter < 40; iter++ {
+				deptPred := fmt.Sprintf(deptPreds[rng.Intn(len(deptPreds))], 1+rng.Intn(12))
+				empPred := empPreds[rng.Intn(len(empPreds))]
+				take := fmt.Sprintf(`OUT OF Xdept AS (SELECT * FROM DEPT WHERE %s),
+					Xemp AS (SELECT * FROM EMP WHERE %s), Xproj AS PROJ, Xskills AS SKILLS,
+					employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
+					ownership AS (RELATE Xdept, Xproj WHERE Xdept.dno = Xproj.pdno),
+					empproperty AS (RELATE Xemp, Xskills WHERE Xemp.eno = Xskills.esno)
+					TAKE *`, deptPred, empPred)
+				co := s.MustExec(take).CO
+				for _, n := range []struct{ node, table, sql string }{
+					{"Xdept", "DEPT", "SELECT * FROM DEPT WHERE " + deptPred},
+					{"Xemp", "EMP", "SELECT * FROM EMP WHERE " + empPred +
+						" AND EXISTS (SELECT 1 FROM DEPT WHERE dno = EMP.edno AND " + deptPred + ")"},
+					{"Xproj", "PROJ", "SELECT * FROM PROJ WHERE EXISTS (SELECT 1 FROM DEPT WHERE dno = PROJ.pdno AND " + deptPred + ")"},
+					{"Xskills", "SKILLS", "SELECT * FROM SKILLS WHERE EXISTS (SELECT 1 FROM EMP, DEPT WHERE eno = SKILLS.esno AND " +
+						empPred + " AND dno = edno AND " + deptPred + ")"},
+				} {
+					got, want := coNode(t, co, n.node), selectNode(n.table, n.sql)
+					if !slices.Equal(got, want) {
+						t.Fatalf("iteration %d, node %s: TAKE has %d tuples, %s has %d\n take: %v\n want: %v\n%s",
+							iter, n.node, len(got), n.sql, len(want), got, want, take)
+					}
+				}
+			}
+		})
+	}
+}

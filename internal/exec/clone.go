@@ -127,7 +127,11 @@ func (s *IndexScan) Clone() Plan {
 	if !ok {
 		return nil
 	}
-	return &IndexScan{Table: s.Table, Index: s.Index, Lo: lo, Hi: hi,
+	in, ok := cloneExprs(s.In)
+	if !ok {
+		return nil
+	}
+	return &IndexScan{Table: s.Table, Index: s.Index, Lo: lo, Hi: hi, In: in,
 		LoInc: s.LoInc, HiInc: s.HiInc, HiPrefix: s.HiPrefix, LoPrefix: s.LoPrefix, LoPastNull: s.LoPastNull,
 		EstRows: s.EstRows, WithRID: s.WithRID}
 }

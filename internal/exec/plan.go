@@ -189,11 +189,17 @@ type IndexScan struct {
 	// Lo prefix is NULL. A `<`/`<=` range has no lower bound of its own, but
 	// NULLs sort first in the key encoding and satisfy no comparison.
 	LoPastNull bool
+	// In makes the scan a series of equality probes standing in for
+	// `col IN (list)` on the index column right after the Lo/Hi equality
+	// prefix: one range per distinct non-NULL list value, in list order.
+	In []Expr
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
 	EstRows float64
 	// WithRID: see SeqScan.WithRID.
 	WithRID bool
 	it      *btree.Iterator
+	ranges  [][2][]byte // encoded lo/hi bounds: one pair, or one per In value
+	next    int         // first range not yet scanned
 	buf     []types.Row
 	done    bool
 }
@@ -204,6 +210,7 @@ func (s *IndexScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID
 // Open implements Plan.
 func (s *IndexScan) Open(ctx *Context) error {
 	s.buf = s.buf[:0]
+	s.ranges, s.next = s.ranges[:0], 0
 	s.done = false
 	// Every bound value comes from a comparison conjunct the scan stands in
 	// for, and a comparison with NULL is never true: a NULL bound (a literal,
@@ -236,6 +243,40 @@ func (s *IndexScan) Open(ctx *Context) error {
 		s.done = true
 		return nil
 	}
+	if s.In == nil {
+		s.ranges = append(s.ranges, [2][]byte{lo, hi})
+	} else {
+		// A NULL list item matches nothing and a repeated one nothing new.
+		// Keys normalize numerics, so 1 and 1.0 are one probe.
+		seen := make(map[string]bool, len(s.In))
+		for _, e := range s.In {
+			v, err := e.Eval(ctx, nil)
+			if err != nil {
+				return err
+			}
+			if v.IsNull() {
+				continue
+			}
+			key := append(lo[:len(lo):len(lo)], types.EncodeKey([]types.Value{v})...)
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				s.ranges = append(s.ranges, [2][]byte{key, key})
+			}
+		}
+	}
+	s.done = !s.nextRange(ctx)
+	return nil
+}
+
+// nextRange positions the iterator on the next pending key range, extending
+// its encoded bounds as the prefix flags require, and reports whether one was
+// left.
+func (s *IndexScan) nextRange(ctx *Context) bool {
+	if s.next == len(s.ranges) {
+		return false
+	}
+	lo, hi := s.ranges[s.next][0], s.ranges[s.next][1]
+	s.next++
 	hiInc := s.HiInc
 	if hi != nil && s.HiPrefix {
 		hi = PrefixUpper(hi)
@@ -254,7 +295,7 @@ func (s *IndexScan) Open(ctx *Context) error {
 		ctx.Stats.IndexProbes++
 	}
 	s.it = s.Index.Tree.Iter(lo, hi, loInc, hiInc)
-	return nil
+	return true
 }
 
 // fill pulls the next run of RIDs off the iterator and fetches their tuples.
@@ -267,8 +308,8 @@ func (s *IndexScan) fill(ctx *Context) error {
 	for !s.done && len(s.buf) < BatchSize {
 		_, rid, ok := s.it.Next()
 		if !ok {
-			s.done = true
-			break
+			s.done = !s.nextRange(ctx)
+			continue
 		}
 		// Entries may dangle under MVCC: old versions keep their index
 		// entries until vacuum, and invisible versions simply don't count.
@@ -310,7 +351,11 @@ func (s *IndexScan) Close() error {
 
 // Explain implements Plan.
 func (s *IndexScan) Explain() string {
-	return fmt.Sprintf("IndexScan %s using %s%s%s", s.Table.Name, s.Index.Name, estSuffix(s.EstRows), ridSuffix(s.WithRID))
+	in := ""
+	if s.In != nil {
+		in = fmt.Sprintf(" in-list(%d)", len(s.In))
+	}
+	return fmt.Sprintf("IndexScan %s using %s%s%s%s", s.Table.Name, s.Index.Name, in, estSuffix(s.EstRows), ridSuffix(s.WithRID))
 }
 
 // Children implements Plan.

@@ -445,12 +445,14 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 }
 
 // accessCandidate is one index access path: an equality-conjunct prefix of
-// the index columns (the composite probe key) plus at most one range
-// conjunct on the column right after the prefix.
+// the index columns (the composite probe key) plus, on the column right
+// after the prefix, at most one IN list or else one range conjunct.
 type accessCandidate struct {
 	ix       *catalog.Index
 	eqConjs  []int      // pushed-conjunct index per bound key position
 	eqVals   []qgm.Expr // probe values, in index-column order
+	inCj     int        // pushed-conjunct index of the IN list
+	inList   []qgm.Expr // its items (nil = no IN list)
 	rangeCol int        // schema column of the range conjunct (-1 = none)
 	rangeCj  int        // pushed-conjunct index of the range conjunct
 	rangeCmp string
@@ -461,7 +463,7 @@ type accessCandidate struct {
 
 // usesConj reports whether the candidate consumed pushed conjunct ci.
 func (cand *accessCandidate) usesConj(ci int) bool {
-	if cand.rangeCol >= 0 && cand.rangeCj == ci {
+	if cand.rangeCol >= 0 && cand.rangeCj == ci || cand.inList != nil && cand.inCj == ci {
 		return true
 	}
 	for _, used := range cand.eqConjs {
@@ -495,18 +497,25 @@ func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, 
 			val qgm.Expr
 		}
 		eqByCol := map[int]colPred{}
+		inByCol := map[int]colPred{}
 		rangeByCol := map[int][]colPred{}
 		for ci, cj := range pushed {
 			col, cmp, valExpr, ok := indexableConjunct(cj)
 			if !ok {
 				continue
 			}
-			if cmp == "=" {
+			p := colPred{ci: ci, cmp: cmp, val: valExpr}
+			switch cmp {
+			case "=":
 				if _, dup := eqByCol[col]; !dup {
-					eqByCol[col] = colPred{ci: ci, cmp: cmp, val: valExpr}
+					eqByCol[col] = p
 				}
-			} else {
-				rangeByCol[col] = append(rangeByCol[col], colPred{ci: ci, cmp: cmp, val: valExpr})
+			case "IN":
+				if _, dup := inByCol[col]; !dup {
+					inByCol[col] = p
+				}
+			default:
+				rangeByCol[col] = append(rangeByCol[col], p)
 			}
 		}
 		for _, ix := range t.Indexes {
@@ -525,25 +534,37 @@ func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, 
 			if ix.Unique && len(cand.eqConjs) == len(ix.Columns) {
 				sel = 1 / rows
 			}
-			// One range conjunct on the column right after the prefix.
+			// The column right after the prefix: an IN list — one more equality,
+			// probed once per value — or else one range conjunct.
 			if len(cand.eqConjs) < len(ix.Columns) {
 				col := t.Schema.Index(ix.Columns[len(cand.eqConjs)])
-				for _, p := range rangeByCol[col] {
-					rs := rangeSelectivity(t, col, p.cmp, p.val)
-					if cand.rangeCol < 0 || rs < cand.sel/sel {
-						cand.rangeCol, cand.rangeCj = col, p.ci
-						cand.rangeCmp, cand.rangeVal = p.cmp, p.val
-						cand.sel = sel * rs
+				if p, ok := inByCol[col]; ok {
+					cand.inCj, cand.inList = p.ci, p.val.(*qgm.InList).List
+					one := sel * eqSelectivity(t, col)
+					if ix.Unique && len(cand.eqConjs)+1 == len(ix.Columns) {
+						one = 1 / rows
+					}
+					sel = math.Min(1, float64(len(cand.inList))*one)
+				} else {
+					for _, p := range rangeByCol[col] {
+						rs := rangeSelectivity(t, col, p.cmp, p.val)
+						if cand.rangeCol < 0 || rs < cand.sel/sel {
+							cand.rangeCol, cand.rangeCj = col, p.ci
+							cand.rangeCmp, cand.rangeVal = p.cmp, p.val
+							cand.sel = sel * rs
+						}
 					}
 				}
 			}
 			if cand.rangeCol < 0 {
-				if len(cand.eqConjs) == 0 {
+				if len(cand.eqConjs) == 0 && cand.inList == nil {
 					continue
 				}
 				cand.sel = sel
 			}
-			cand.cost = indexProbeCost + cand.sel*rows*randomFetchCost
+			// One tree descent per probe key: one, or one per IN-list value.
+			probes := math.Max(1, float64(len(cand.inList)))
+			cand.cost = probes*indexProbeCost + cand.sel*rows*randomFetchCost
 			if best == nil || cand.cost < best.cost {
 				chosen := cand
 				best = &chosen
@@ -556,7 +577,10 @@ func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, 
 	seqCost := rows
 	useIndex := false
 	if best != nil {
-		if len(best.eqConjs) > 0 {
+		// The sequential scan filters every row through the list the index
+		// scan would have probed with.
+		seqCost += rows * float64(len(best.inList)) * inListCompareCost
+		if len(best.eqConjs) > 0 || best.inList != nil {
 			// Equality probes default to the index — they return few rows,
 			// and cost noise on tiny tables shouldn't flip a point lookup —
 			// unless ANALYZE stats prove the key is common enough that a
@@ -617,17 +641,19 @@ func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, 
 // it, so inclusive upper bounds over a prefix (and exclusive lower bounds)
 // must extend through PrefixUpper.
 func (c *compiler) buildIndexScan(t *catalog.Table, cand *accessCandidate) (*exec.IndexScan, error) {
-	eqExprs := make([]exec.Expr, len(cand.eqVals))
-	for i, v := range cand.eqVals {
-		e, err := c.compileExpr(v, nil)
-		if err != nil {
-			return nil, err
-		}
-		eqExprs[i] = e
+	eqExprs, err := c.compileExprs(cand.eqVals, nil)
+	if err != nil {
+		return nil, err
 	}
 	is := &exec.IndexScan{Table: t, Index: cand.ix}
 	m := len(eqExprs)
 	nCols := len(cand.ix.Columns)
+	if cand.inList != nil {
+		if is.In, err = c.compileExprs(cand.inList, nil); err != nil {
+			return nil, err
+		}
+		m++ // each probe key is the prefix plus one list value
+	}
 	if cand.rangeCol < 0 {
 		is.Lo, is.Hi = eqExprs, eqExprs
 		is.LoInc, is.HiInc = true, true
@@ -841,8 +867,22 @@ func conjSelectivity(cj qgm.Expr) float64 {
 	return selOther
 }
 
-// indexableConjunct matches col <cmp> constant shapes.
+// indexableConjunct matches col <cmp> constant shapes, and col IN (constants)
+// as cmp "IN" with val the *qgm.InList itself. NOT IN and a list holding a
+// column reference never qualify.
 func indexableConjunct(cj qgm.Expr) (col int, cmp string, val qgm.Expr, ok bool) {
+	if in, isIn := cj.(*qgm.InList); isIn {
+		cr, isCol := in.E.(*qgm.ColRef)
+		if !isCol || in.Negate {
+			return 0, "", nil, false
+		}
+		for _, item := range in.List {
+			if !isConstant(item) {
+				return 0, "", nil, false
+			}
+		}
+		return cr.Col, "IN", in, true
+	}
 	b, isBin := cj.(*qgm.Binary)
 	if !isBin {
 		return 0, "", nil, false
@@ -985,6 +1025,18 @@ func (c *compiler) compilePredicateFor(conj []qgm.Expr, offsets map[int]int) (ex
 	return out, nil
 }
 
+// compileExprs lowers a list of expressions under one offset mapping.
+func (c *compiler) compileExprs(es []qgm.Expr, offsets map[int]int) ([]exec.Expr, error) {
+	out := make([]exec.Expr, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], err = c.compileExpr(e, offsets); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // compileExpr lowers a QGM expression to an exec expression; offsets maps
 // quantifier index to flat row offset (nil for expressions with no columns).
 func (c *compiler) compileExpr(e qgm.Expr, offsets map[int]int) (exec.Expr, error) {
@@ -1034,11 +1086,9 @@ func (c *compiler) compileExpr(e qgm.Expr, offsets map[int]int) (exec.Expr, erro
 		if err != nil {
 			return nil, err
 		}
-		list := make([]exec.Expr, len(x.List))
-		for i, l := range x.List {
-			if list[i], err = c.compileExpr(l, offsets); err != nil {
-				return nil, err
-			}
+		list, err := c.compileExprs(x.List, offsets)
+		if err != nil {
+			return nil, err
 		}
 		return exec.InList{E: inner, List: list, Negate: x.Negate}, nil
 	case *qgm.Exists:
@@ -1046,11 +1096,9 @@ func (c *compiler) compileExpr(e qgm.Expr, offsets map[int]int) (exec.Expr, erro
 		if err != nil {
 			return nil, err
 		}
-		corr := make([]exec.Expr, len(x.Corr))
-		for i, ce := range x.Corr {
-			if corr[i], err = c.compileExpr(ce, offsets); err != nil {
-				return nil, err
-			}
+		corr, err := c.compileExprs(x.Corr, offsets)
+		if err != nil {
+			return nil, err
 		}
 		return exec.ExistsOp{Plan: sub, Corr: corr, Negate: x.Negate}, nil
 	default:

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -290,6 +291,58 @@ func TestStatsCommonKeyPrefersSeqScan(t *testing.T) {
 	rows, err := exec.Collect(exec.NewContext(), plan)
 	if err != nil || len(rows) != 100 {
 		t.Fatalf("rows = %d, %v", len(rows), err)
+	}
+}
+
+// TestStatsInListAccessPath: an IN list is costed on both sides — one tree
+// descent per value on the index, one comparison per value per scanned row on
+// the sequential scan. A long list that selects half the table still probes
+// (the filter alternative would make 50 comparisons on each of 2 000 rows);
+// a short list over two common keys seq-scans, as the equality does.
+func TestStatsInListAccessPath(t *testing.T) {
+	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(), 64))
+	tbl, err := cat.CreateTable("T", types.Schema{
+		{Name: "k", Kind: types.KindInt}, {Name: "c", Kind: types.KindInt},
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixk, _ := cat.CreateIndex("t_k", "T", []string{"k"}, false)
+	ixc, _ := cat.CreateIndex("t_c", "T", []string{"c"}, false)
+	for i := 0; i < 2000; i++ {
+		r := types.Row{types.NewInt(int64(i % 100)), types.NewInt(int64(i % 2))}
+		rid, err := tbl.Heap.Insert(tbl.Tag, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range []*catalog.Index{ixk, ixc} {
+			key, _ := ix.KeyFor(tbl.Schema, r)
+			_ = ix.Tree.Insert(key, rid)
+		}
+		tbl.AddRows(1)
+	}
+	if _, err := cat.AnalyzeTable("T"); err != nil {
+		t.Fatal(err)
+	}
+	items := make([]string, 50)
+	for i := range items {
+		items[i] = strconv.Itoa(2 * i)
+	}
+	for _, c := range []struct {
+		q, want string
+		rows    int
+	}{
+		{"SELECT k FROM T WHERE k IN (" + strings.Join(items, ", ") + ")", "IndexScan T using T_K in-list(50)", 1000},
+		{"SELECT k FROM T WHERE c IN (0, 1)", "SeqScan", 2000},
+	} {
+		plan := compileSQL(t, cat, c.q, DefaultOptions())
+		if dump := exec.Dump(plan); !strings.Contains(dump, c.want) {
+			t.Errorf("%s: want %s in\n%s", c.q, c.want, dump)
+		}
+		rows, err := exec.Collect(exec.NewContext(), plan)
+		if err != nil || len(rows) != c.rows {
+			t.Errorf("%s: %d rows, %v; want %d", c.q, len(rows), err, c.rows)
+		}
 	}
 }
 

@@ -140,6 +140,29 @@ func NewBase(t *catalog.Table, rid bool) *Box {
 	return &Box{Kind: KindBase, Name: "base:" + t.Name, Out: out, Table: t, RID: rid}
 }
 
+// WithRID returns a copy of b, a select box over one base table, that also
+// exposes each tuple's RID, the shape Builder.BuildTarget builds from a WHERE
+// clause. b is left as it was (node definitions are shared).
+func (b *Box) WithRID() *Box {
+	base := NewBase(b.Quants[0].Input.Table, true)
+	out := *b
+	out.Quants = []*Quantifier{{Name: b.Quants[0].Name, Input: base}}
+	out.Head = b.Head[:len(b.Head):len(b.Head)]
+	out.Out = b.Out[:len(b.Out):len(b.Out)]
+	out.exposeRID(base)
+	return &out
+}
+
+// exposeRID makes b, a select box whose quantifier 0 ranges over base (a
+// NewBase(t, true)), return each tuple's RID: base's hidden column becomes
+// the last column of b's head and of its output schema.
+func (b *Box) exposeRID(base *Box) {
+	rid := len(base.Out) - 1
+	col := base.Out[rid]
+	b.Head = append(b.Head, HeadExpr{Name: col.Name, Expr: &ColRef{Quant: 0, Col: rid, Name: col.Name}})
+	b.Out = append(b.Out, col)
+}
+
 // XNFNode is one component-table definition inside an XNF box.
 type XNFNode struct {
 	Name string

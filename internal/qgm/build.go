@@ -551,8 +551,9 @@ func (b *Builder) BuildTarget(t *catalog.Table, alias string, where parser.Expr)
 	var params []Expr
 	sc := &scope{params: &params}
 	sc.add(alias, base.Out)
-	box := &Box{Kind: KindSelect, Name: b.nextName("target"), Out: base.Out,
-		Quants: []*Quantifier{{Name: alias, Input: base}}}
+	n := len(t.Schema)
+	box := &Box{Kind: KindSelect, Name: b.nextName("target"), Out: base.Out[:n:n],
+		Head: make([]HeadExpr, 0, n+1), Quants: []*Quantifier{{Name: alias, Input: base}}}
 	if where != nil {
 		pred, err := b.resolveExpr(where, sc)
 		if err != nil {
@@ -560,9 +561,10 @@ func (b *Builder) BuildTarget(t *catalog.Table, alias string, where parser.Expr)
 		}
 		box.Pred = pred
 	}
-	for ci, col := range base.Out {
+	for ci, col := range box.Out {
 		box.Head = append(box.Head, HeadExpr{Name: col.Name, Expr: &ColRef{Quant: 0, Col: ci, Name: col.Name}})
 	}
+	box.exposeRID(base)
 	return box, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +152,45 @@ func TestServerErrorTaxonomyOverWire(t *testing.T) {
 	}
 	// The session survives both failures.
 	mustExec(t, c, `SELECT v FROM T WHERE id = 3`)
+}
+
+// TestServerTakeObservesRequestDeadline: a per-request deadline reaches the
+// node derivations of a TAKE. The child is an unindexed scan of 200 000 rows;
+// a 2 ms deadline ends the checkout with the typed deadline code, and the same
+// connection then runs the checkout to completion.
+func TestServerTakeObservesRequestDeadline(t *testing.T) {
+	db := sqlxnf.Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE P (pk INT PRIMARY KEY); INSERT INTO P VALUES (1), (2);
+		CREATE TABLE C (ck INT PRIMARY KEY, cp INT)`)
+	for base := 0; base < 200_000; base += 1000 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO C VALUES ")
+		for i := base; i < base+1000; i++ {
+			if i > base {
+				sb.WriteString(",")
+			}
+			sb.WriteString("(" + itoa(i) + "," + itoa(i%100) + ")")
+		}
+		db.MustExec(sb.String())
+	}
+	srv := startServer(t, db, Config{})
+	c := dialT(t, srv)
+	const take = `OUT OF Xp AS (SELECT * FROM P WHERE pk = 1), Xc AS C,
+		pc AS (RELATE Xp, Xc WHERE Xp.pk = Xc.cp) TAKE *`
+	resp, err := c.ExecTimeout(take, 2*time.Millisecond)
+	if err == nil {
+		t.Fatal("deadline-bound TAKE succeeded")
+	}
+	if resp.Err.Code != CodeDeadline {
+		t.Fatalf("deadline classified %+v", resp.Err)
+	}
+	if n := db.Engine().Locks().TotalHeld(); n != 0 {
+		t.Fatalf("%d locks held after the timed-out TAKE", n)
+	}
+	if resp := mustExec(t, c, take); resp.COText == "" {
+		t.Fatal("TAKE after the timed-out TAKE returned no composite object")
+	}
 }
 
 func TestServerProtocolErrors(t *testing.T) {

@@ -298,7 +298,7 @@ func allTrue(n int) []bool {
 func (ev *Evaluator) materializeFull(node *qgm.XNFNode) (*gnode, error) {
 	rows, rids, err := ev.host.RunBoxWithRIDs(node.Def)
 	if err != nil {
-		return nil, fmt.Errorf("xnf: node %s: %v", node.Name, err)
+		return nil, fmt.Errorf("xnf: node %s: %w", node.Name, err)
 	}
 	atomic.AddInt64(&ev.Stats.NodeQueries, 1)
 	gn := &gnode{
@@ -430,7 +430,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
 			}
 			rows, rids, rerr := ev.host.RunBoxWithRIDs(box)
 			if rerr != nil {
-				return fmt.Errorf("xnf: node %s: %v", node.Name, rerr)
+				return fmt.Errorf("xnf: node %s: %w", node.Name, rerr)
 			}
 			atomic.AddInt64(&ev.Stats.NodeQueries, 1)
 			for i, row := range rows {
