@@ -5,9 +5,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The engine and comat packages carry fuzz targets (FuzzExtractLiterals,
-# FuzzDepKey); their seed corpora run as plain tests here. `make fuzz`
-# explores beyond the seeds.
+# The engine, comat, wal and wire packages carry fuzz targets
+# (FuzzExtractLiterals, FuzzDepKey, FuzzWALReplay, FuzzWireFrame); their seed
+# corpora run as plain tests here. `make fuzz` explores beyond the seeds.
 test:
 	$(GO) test ./...
 
@@ -15,6 +15,7 @@ fuzz:
 	$(GO) test -fuzz FuzzExtractLiterals -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzDepKey -fuzztime 15s ./internal/comat/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
+	$(GO) test -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire/
 
 # The second line compile-checks the benchmark module, which `./...` does
 # not reach: it pins part of internal/'s exported surface (seconds, not the
@@ -66,6 +67,7 @@ metrics-test:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 1x ./internal/exec/
 	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML|BenchmarkTakeMiss' -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkFrameCodec|BenchmarkRenderCO' -benchtime 1x ./internal/wire/
 	$(GO) run ./cmd/xnfbench -exp e16
 	$(GO) run ./cmd/xnfbench -exp e17 -json
 	$(GO) run ./cmd/xnfbench -exp e18 -json

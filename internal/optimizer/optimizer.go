@@ -377,6 +377,16 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 				residualJoin = append(residualJoin, cj)
 			}
 		}
+		// A hash join builds on its right input. The greedy order appends the
+		// new quantifier there; when the joined side is estimated smaller, it
+		// builds instead and the new quantifier probes, its columns first.
+		buildJoined := len(leftKeys) > 0 && curCard < st.card
+		if buildJoined {
+			newOffsets = map[int]int{best: 0}
+			for k, v := range offsets {
+				newOffsets[k] = v + len(st.schema)
+			}
+		}
 		var resPred exec.Expr
 		if len(residualJoin) > 0 {
 			p, err := c.compilePredicateFor(residualJoin, newOffsets)
@@ -385,12 +395,17 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 			}
 			resPred = p
 		}
-		if len(leftKeys) > 0 {
+		switch {
+		case buildJoined:
+			plan = exec.NewHashJoin(st.plan, plan, rightKeys, leftKeys, resPred)
+			joinedSchema = st.schema.Concat(joinedSchema)
+		case len(leftKeys) > 0:
 			plan = exec.NewHashJoin(plan, st.plan, leftKeys, rightKeys, resPred)
-		} else {
+			joinedSchema = joinedSchema.Concat(st.schema)
+		default:
 			plan = exec.NewNLJoin(plan, st.plan, resPred)
+			joinedSchema = joinedSchema.Concat(st.schema)
 		}
-		joinedSchema = joinedSchema.Concat(st.schema)
 		offsets = newOffsets
 		states[best].joined = true
 		curCard = bestCard

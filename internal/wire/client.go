@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -17,6 +16,7 @@ type Client struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
+	rbuf   []byte // response frames are read into this
 	nextID uint64
 }
 
@@ -55,12 +55,13 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
-	payload, err := ReadFrame(c.r)
+	payload, err := readFrame(c.r, c.rbuf)
 	if err != nil {
 		return nil, err
 	}
+	c.rbuf = payload
 	var resp Response
-	if err := json.Unmarshal(payload, &resp); err != nil {
+	if err := decodeResponse(payload, &resp); err != nil {
 		return nil, fmt.Errorf("wire: malformed response: %v", err)
 	}
 	if !resp.OK {

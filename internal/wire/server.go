@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -251,6 +250,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	var buf []byte // request frames are read into this
 	for {
 		if s.closed.Load() {
 			// Shutdown begun: it closes registered connections, but a conn
@@ -261,14 +261,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.netFaults.Add(1)
 			return
 		}
-		payload, err := ReadFrame(r)
+		payload, err := readFrame(r, buf)
 		if err != nil {
 			// io.EOF is a clean hangup; anything else (oversized frame,
 			// short read) is unrecoverable mid-stream — drop the conn.
 			return
 		}
+		buf = payload
 		var req Request
-		if err := json.Unmarshal(payload, &req); err != nil {
+		if err := decodeRequest(payload, &req); err != nil {
 			s.protocolErrs.Add(1)
 			s.respond(w, &Response{OK: false, Err: &Error{Code: CodeProtocol, Message: "malformed request: " + err.Error()}})
 			continue

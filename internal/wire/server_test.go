@@ -233,6 +233,40 @@ func TestServerProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestWireNonFiniteResult: JSON has no infinities or NaN. A result holding
+// one is answered with a typed, non-retryable error; the connection, its
+// session and its open transaction survive, and neither the protocol-error
+// nor the panic counter moves.
+func TestWireNonFiniteResult(t *testing.T) {
+	db := sqlxnf.Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE T (id INT PRIMARY KEY, f FLOAT); INSERT INTO T VALUES (1, 1e308)`)
+	srv := startServer(t, db, Config{})
+	c := dialT(t, srv)
+
+	mustExec(t, c, "BEGIN; INSERT INTO T VALUES (2, 0)")
+	for _, q := range []string{"SELECT f * 10 FROM T WHERE id = 1", "SELECT f * 10 - f * 10 FROM T WHERE id = 1"} {
+		resp, err := c.Exec(q)
+		var we *Error
+		if !errors.As(err, &we) {
+			t.Fatalf("%s: err = %v (%T), want a typed wire error", q, err, err)
+		}
+		if we.Code != CodeSQL || we.Retryable || resp == nil || resp.OK {
+			t.Fatalf("%s: answered %+v with %+v", q, resp, we)
+		}
+		if resp := mustExec(t, c, "SELECT id FROM T"); len(resp.Rows) != 2 {
+			t.Fatalf("after %s: the transaction's row is gone: %v", q, resp.Rows)
+		}
+	}
+	mustExec(t, c, "ROLLBACK")
+	if resp := mustExec(t, c, "SELECT id FROM T"); len(resp.Rows) != 1 {
+		t.Fatalf("ROLLBACK left %v: the transaction was not open", resp.Rows)
+	}
+	if st := srv.Counters(); st.ProtocolErrs != 0 || st.Panics != 0 {
+		t.Fatalf("protocol errors %d, panics %d; want 0", st.ProtocolErrs, st.Panics)
+	}
+}
+
 func TestServerShedsStatementsAtWorkerCap(t *testing.T) {
 	db := sqlxnf.Open()
 	defer db.Close()

@@ -4,11 +4,12 @@
 // (client.go) used by xnfsh -connect and the xnfload load generator.
 //
 // A frame is a 4-byte big-endian payload length followed by that many bytes
-// of JSON. Requests carry an op ("exec", "stats", "ping"), responses echo
-// the request id and carry either results or a typed error from the
-// machine-readable taxonomy below (retryable vs fatal), so clients can
-// degrade gracefully: back off and retry on busy/write-conflict/
-// lock-timeout, fail over on shutdown, surface everything else.
+// of JSON, written and read by a reflection-free codec (codec.go). Requests
+// carry an op ("exec", "stats", "ping"), responses echo the request id and
+// carry either results or a typed error from the machine-readable taxonomy
+// below (retryable vs fatal), so clients can degrade gracefully: back off
+// and retry on busy/write-conflict/lock-timeout, fail over on shutdown,
+// surface everything else.
 package wire
 
 import (
@@ -18,6 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strings"
+	"sync"
 
 	"sqlxnf"
 	"sqlxnf/internal/engine"
@@ -31,39 +36,67 @@ import (
 // allocate gigabytes).
 const MaxFrameBytes = 8 << 20
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
+// framePool recycles the buffers frames are written from; one bigger than
+// maxPooledFrame is left to the collector rather than pinned.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
+
+// WriteFrame encodes v and writes it as one length-prefixed frame: a
+// *Request or *Response through the frame codec (codec.go), anything else
+// through encoding/json.
 func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	b := append((*bp)[:0], 0, 0, 0, 0) // the header, filled in below
+	var err error
+	switch v := v.(type) {
+	case *Request:
+		b = appendRequest(b, v)
+	case *Response:
+		b, err = appendResponse(b, v)
+	default:
+		var payload []byte
+		payload, err = json.Marshal(v)
+		b = append(b, payload...)
 	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrameBytes)
+	if n := len(b) - 4; err == nil && n > MaxFrameBytes {
+		err = fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if err == nil {
+		binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+		_, err = w.Write(b)
 	}
-	_, err = w.Write(payload)
+	if cap(b) <= maxPooledFrame {
+		*bp = b
+		framePool.Put(bp)
+	}
 	return err
 }
 
 // ReadFrame reads one frame's payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, nil) }
+
+// readFrame reads one frame's payload into buf's storage, growing it when
+// the frame does not fit. Client and server reuse one buffer per connection
+// (the decoders copy out what they keep), but not one that grew past
+// maxPooledFrame.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) > maxPooledFrame {
+		buf = nil
+	}
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("wire: announced frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // Request ops.
@@ -211,7 +244,9 @@ func Classify(err error) *Error {
 
 // encodeResult maps a statement result onto a response. Composite objects
 // render to text: the wire is a transport for applications and shells, not
-// for the pointer-linked navigation cache, which stays in-process.
+// for the pointer-linked navigation cache, which stays in-process. JSON has
+// no infinities or NaN, so a result holding one is answered with a typed
+// error; the statement itself stands (an open transaction stays open).
 func encodeResult(id uint64, r *sqlxnf.Result, retries int, elapsedUS int64) *Response {
 	resp := &Response{ID: id, OK: true, Retries: retries, ElapsedUS: elapsedUS}
 	if r == nil {
@@ -227,10 +262,22 @@ func encodeResult(id uint64, r *sqlxnf.Result, retries int, elapsedUS int64) *Re
 		for i, c := range r.Schema {
 			resp.Columns[i] = c.Name
 		}
+		n := 0
+		for _, row := range r.Rows {
+			n += len(row)
+		}
+		cells := make([]any, n)
 		resp.Rows = make([][]any, len(r.Rows))
 		for i, row := range r.Rows {
-			out := make([]any, len(row))
+			out := cells[:len(row):len(row)]
+			cells = cells[len(row):]
 			for j, v := range row {
+				if v.Kind() == types.KindFloat && (math.IsInf(v.Float(), 0) || math.IsNaN(v.Float())) {
+					return &Response{ID: id, OK: false, Retries: retries, ElapsedUS: elapsedUS, Err: &Error{
+						Code:    CodeSQL,
+						Message: fmt.Sprintf("column %s holds %v, which the wire's JSON cannot carry", r.Schema[j].Name, v.Float()),
+					}}
+				}
 				out[j] = valueJSON(v)
 			}
 			resp.Rows[i] = out
@@ -257,20 +304,33 @@ func valueJSON(v types.Value) any {
 
 // renderCO flattens a composite object to the text a remote shell prints —
 // the same shape xnfsh shows for in-process checkouts.
+// Each tuple prints as types.Row.String does.
 func renderCO(co *sqlxnf.CO) string {
-	out := co.String() + "\n"
+	var b strings.Builder
+	b.WriteString(co.String())
+	b.WriteByte('\n')
 	for _, n := range co.Nodes {
-		mark := ""
+		b.WriteString("-- ")
+		b.WriteString(n.Name)
 		if n.Root {
-			mark = "*"
+			b.WriteByte('*')
 		}
-		out += fmt.Sprintf("-- %s%s %v\n", n.Name, mark, n.Schema.Names())
+		b.WriteString(" [")
+		b.WriteString(strings.Join(n.Schema.Names(), " "))
+		b.WriteString("]\n")
 		for _, row := range n.Rows {
-			out += fmt.Sprintf("   %v\n", row)
+			b.WriteString("   (")
+			for i, v := range row {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(v.String())
+			}
+			b.WriteString(")\n")
 		}
 	}
 	for _, e := range co.Edges {
-		out += fmt.Sprintf("-- %s: %s -> %s (%d connections)\n", e.Name, e.Parent, e.Child, len(e.Conns))
+		fmt.Fprintf(&b, "-- %s: %s -> %s (%d connections)\n", e.Name, e.Parent, e.Child, len(e.Conns))
 	}
-	return out
+	return b.String()
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sqlxnf"
 	"sqlxnf/internal/lock"
+	company "sqlxnf/internal/workload"
 )
 
 func TestWireFrameRoundTrip(t *testing.T) {
@@ -113,6 +115,106 @@ func TestRetryableScript(t *testing.T) {
 		if got := retryableScript(c.sql); got != c.want {
 			t.Errorf("retryableScript(%q) = %v, want %v", c.sql, got, c.want)
 		}
+	}
+}
+
+// renderCOConcat is renderCO as it was written first, a Sprintf concatenated
+// per tuple: the reference the golden test and BenchmarkRenderCO hold the
+// builder to, byte for byte.
+func renderCOConcat(co *sqlxnf.CO) string {
+	out := co.String() + "\n"
+	for _, n := range co.Nodes {
+		mark := ""
+		if n.Root {
+			mark = "*"
+		}
+		out += fmt.Sprintf("-- %s%s %v\n", n.Name, mark, n.Schema.Names())
+		for _, row := range n.Rows {
+			out += fmt.Sprintf("   %v\n", row)
+		}
+	}
+	for _, e := range co.Edges {
+		out += fmt.Sprintf("-- %s: %s -> %s (%d connections)\n", e.Name, e.Parent, e.Child, len(e.Conns))
+	}
+	return out
+}
+
+// companyCO checks out department 1 of a two-department company database:
+// 66 tuples (1 DEPT, 20 EMP, 5 PROJ, 40 SKILLS), the bench's co_checkout CO.
+func companyCO(t testing.TB) *sqlxnf.CO {
+	t.Helper()
+	db := sqlxnf.Open()
+	t.Cleanup(func() { db.Close() })
+	cfg := company.CompanyConfig{Departments: 2, EmpsPerDept: 20, ProjsPerDept: 5, SkillsPerEmp: 2, Seed: 1}
+	if _, err := company.LoadCompany(db.Engine().Session(), cfg); err != nil {
+		t.Fatalf("LoadCompany: %v", err)
+	}
+	co, err := db.QueryCO(company.CompanyCOQuery(cfg, 1))
+	if err != nil {
+		t.Fatalf("QueryCO: %v", err)
+	}
+	if co.Size() < 66 {
+		t.Fatalf("company CO has %d tuples", co.Size())
+	}
+	return co
+}
+
+const goldenCOQuery = `OUT OF Xdept AS DEPT, Xemp AS EMP, Xnone AS (SELECT * FROM EMP WHERE eno < 0),
+	employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
+	nobody AS (RELATE Xdept, Xnone WHERE Xdept.dno = Xnone.edno) TAKE *`
+
+const goldenCOText = `CO{Xdept*:3 Xemp:3 Xnone:0 employment(Xdept->Xemp):3 nobody(Xdept->Xnone):0}
+-- Xdept* [dno dname budget open]
+   (1, toys, games, 1.5e+06, TRUE)
+   (2, NULL, 0.25, FALSE)
+   (3, , -1e-07, NULL)
+-- Xemp [eno ename edno]
+   (10, ann, 1)
+   (11, bob (jr), 1)
+   (12, NULL, 2)
+-- Xnone [eno ename edno]
+-- employment: Xdept -> Xemp (3 connections)
+-- nobody: Xdept -> Xnone (0 connections)
+`
+
+// TestRenderCOGolden: the rendered text is byte-identical to the Sprintf
+// concatenation it replaced — NULLs, floats, booleans, commas inside
+// strings, an empty node, an edge without connections, and the company CO.
+func TestRenderCOGolden(t *testing.T) {
+	db := sqlxnf.Open()
+	defer db.Close()
+	db.MustExec(`CREATE TABLE DEPT (dno INT PRIMARY KEY, dname VARCHAR, budget FLOAT, open BOOLEAN);
+		CREATE TABLE EMP (eno INT PRIMARY KEY, ename VARCHAR, edno INT);
+		INSERT INTO DEPT VALUES (1, 'toys, games', 1.5e6, TRUE), (2, NULL, 0.25, FALSE), (3, '', -1e-7, NULL);
+		INSERT INTO EMP VALUES (10, 'ann', 1), (11, 'bob (jr)', 1), (12, NULL, 2)`)
+	co, err := db.QueryCO(goldenCOQuery)
+	if err != nil {
+		t.Fatalf("QueryCO: %v", err)
+	}
+	if got := renderCO(co); got != goldenCOText {
+		t.Fatalf("renderCO:\n%s\nwant:\n%s", got, goldenCOText)
+	}
+	if got, want := renderCO(co), renderCOConcat(co); got != want {
+		t.Fatalf("renderCO:\n%s\nSprintf concatenation:\n%s", got, want)
+	}
+	co = companyCO(t)
+	if got, want := renderCO(co), renderCOConcat(co); got != want {
+		t.Fatalf("company CO: renderCO:\n%s\nSprintf concatenation:\n%s", got, want)
+	}
+}
+
+func BenchmarkRenderCO(b *testing.B) {
+	co := companyCO(b)
+	for _, arm := range []struct {
+		name   string
+		render func(*sqlxnf.CO) string
+	}{{"builder", renderCO}, {"concat", renderCOConcat}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arm.render(co)
+			}
+		})
 	}
 }
 
