@@ -62,18 +62,14 @@ metrics-test:
 	$(GO) test -race -count=1 -run 'TestExplainAnalyze|TestSlowQuery|TestTraceSpans|TestStatementClass|TestWriteConflictCounter|TestVacuumCounters|TestWALLatency|TestMetricsExposition|TestPreparedHit' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestWireMetrics|TestCountersRaceFree' ./internal/wire/
 
-# Smoke-run the executor micro-benchmarks (one iteration each): catches
-# bench-rot without burning CI minutes. See EXECUTOR.md for real runs.
+# Smoke-run the executor micro-benchmarks and the root paper benchmarks
+# (E1–E13, one iteration each): catches bench-rot without burning CI
+# minutes. See EXECUTOR.md for real runs.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 1x ./internal/exec/
 	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML|BenchmarkTakeMiss' -benchtime 1x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameCodec|BenchmarkRenderCO' -benchtime 1x ./internal/wire/
-	$(GO) run ./cmd/xnfbench -exp e16
-	$(GO) run ./cmd/xnfbench -exp e17 -json
-	$(GO) run ./cmd/xnfbench -exp e18 -json
-	$(GO) run ./cmd/xnfbench -exp e19
-	$(GO) run ./cmd/xnfbench -exp e23 -json
-	$(GO) run ./cmd/xnfload -conns 1,8 -duration 200ms -rows 2000 -json
+	$(GO) test -run '^$$' -bench 'BenchmarkE|BenchmarkCOCheckoutHit' -benchtime 1x .
 
 # The benchmark module (bench/, its own go.mod) imports a dozen internal/
 # packages but sits outside `go build ./...`: vet and test it here so a root

@@ -6,8 +6,10 @@ import (
 	"sqlxnf/internal/workload"
 )
 
-// BenchmarkCOCheckoutHit measures a warm composite-object checkout — the
-// e18 cached arm in Go-bench form (see cmd/xnfbench runE18).
+// BenchmarkCOCheckoutHit measures a warm composite-object checkout of a
+// design working set. It is the cache-hit arm on purpose: unlike the paper
+// benchmarks (bench_test.go), its engine keeps the CO cache on, and
+// internal/engine's BenchmarkTakeMiss is the matching miss arm.
 func BenchmarkCOCheckoutHit(b *testing.B) {
 	db := Open()
 	if _, err := workload.LoadDesign(db.Session(), workload.DesignConfig{

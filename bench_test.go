@@ -1,7 +1,9 @@
-// Benchmarks regenerating every experiment of DESIGN.md's per-experiment
-// index (E1–E13). Each benchmark corresponds to a figure or a performance
-// claim of the paper; cmd/xnfbench prints the same experiments as
-// paper-style tables with derived ratios.
+// Benchmarks timing every experiment of DESIGN.md's per-experiment index
+// (E1–E13). Each benchmark corresponds to a figure or a performance claim of
+// the paper; TestPaperFigures (paper_test.go) pins what each experiment
+// computes. Every engine here runs without the CO cache, so the benchmarks
+// time composite-object materialization, not cache hits;
+// BenchmarkCOCheckoutHit (bench_co_test.go) is the cache-hit arm.
 package sqlxnf
 
 import (
@@ -10,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"sqlxnf/internal/engine"
 	"sqlxnf/internal/lw90"
 	"sqlxnf/internal/oo1"
 	"sqlxnf/internal/parser"
@@ -19,12 +20,18 @@ import (
 	"sqlxnf/internal/workload"
 )
 
-// companyDB loads a company database for CO benches.
-func companyDB(b *testing.B, cfg workload.CompanyConfig) *DB {
-	b.Helper()
-	db := Open()
+// openPaper opens an engine for the paper experiments: the CO cache is off
+// so repeated TAKEs re-materialize instead of hitting the cache.
+func openPaper(opts ...Option) *DB {
+	return Open(append([]Option{WithoutCOCache()}, opts...)...)
+}
+
+// companyDB loads a company database for the paper experiments.
+func companyDB(tb testing.TB, cfg workload.CompanyConfig, opts ...Option) *DB {
+	tb.Helper()
+	db := openPaper(opts...)
 	if _, err := workload.LoadCompany(db.Session(), cfg); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db
 }
@@ -74,8 +81,8 @@ func BenchmarkE2_RepIndependence(b *testing.B) {
 }
 
 // companyViews installs ALL_DEPS / ALL_DEPS_ORG / EXT_ALL_DEPS_ORG.
-func companyViews(b *testing.B, db *DB) {
-	b.Helper()
+func companyViews(tb testing.TB, db *DB) {
+	tb.Helper()
 	db.MustExec(`CREATE TABLE EMPPROJ (epeno INT, eppno INT, percentage FLOAT)`)
 	// Wire some memberships: employee k works on project k%numProjects.
 	s := db.Session()
@@ -161,10 +168,7 @@ func BenchmarkE5_FixpointAblation(b *testing.B) {
 		opts []Option
 	}{{"semi_naive", nil}, {"naive", []Option{WithNaiveFixpoint()}}} {
 		b.Run(arm.name, func(b *testing.B) {
-			db := Open(arm.opts...)
-			if _, err := workload.LoadCompany(db.Session(), benchCompanyConfig()); err != nil {
-				b.Fatal(err)
-			}
+			db := companyDB(b, benchCompanyConfig(), arm.opts...)
 			companyViews(b, db)
 			q := "OUT OF EXT_ALL_DEPS_ORG TAKE *"
 			b.ResetTimer()
@@ -186,7 +190,7 @@ func BenchmarkE5_FixpointDeepChain(b *testing.B) {
 		opts []Option
 	}{{"semi_naive", nil}, {"naive", []Option{WithNaiveFixpoint()}}} {
 		b.Run(arm.name, func(b *testing.B) {
-			db := Open(arm.opts...)
+			db := openPaper(arm.opts...)
 			s := db.Session()
 			db.MustExec("CREATE TABLE CHAIN (id INT PRIMARY KEY, next INT)")
 			const n = 3000
@@ -366,7 +370,7 @@ func BenchmarkE9_CompilePipeline(b *testing.B) {
 // OO1 workload.
 func oo1Setup(b *testing.B, parts int) (*DB, *Cache) {
 	b.Helper()
-	db := Open()
+	db := openPaper()
 	s := db.Session()
 	if err := oo1.Load(s, oo1.Config{Parts: parts, Seed: 42}); err != nil {
 		b.Fatal(err)
@@ -444,7 +448,7 @@ func BenchmarkE10_OO1_InsertSQL(b *testing.B) {
 // instantiation (LW90) at high selectivity.
 func designSetup(b *testing.B) *DB {
 	b.Helper()
-	db := Open()
+	db := openPaper()
 	cfg := workload.DesignConfig{Designs: 1000, CompsPerDesign: 6, SubsPerComp: 4, Seed: 7}
 	if _, err := workload.LoadDesign(db.Session(), cfg); err != nil {
 		b.Fatal(err)
@@ -467,14 +471,20 @@ func BenchmarkE11_Extraction_XNF(b *testing.B) {
 	}
 }
 
-func BenchmarkE11_Extraction_LW90(b *testing.B) {
-	db := designSetup(b)
-	s := db.Session()
+// lw90Design is the design → component → subcomponent object model the
+// LW90 baseline instantiates one parent at a time.
+func lw90Design() *lw90.ObjectType {
 	sub := &lw90.ObjectType{Name: "Sub", Table: "SUBCOMP", KeyCol: "sid"}
 	comp := &lw90.ObjectType{Name: "Component", Table: "COMPONENTS", KeyCol: "cid",
 		Children: []lw90.ChildSpec{{Name: "subs", Type: sub, FKCol: "scid"}}}
-	design := &lw90.ObjectType{Name: "Design", Table: "DESIGNS", KeyCol: "did",
+	return &lw90.ObjectType{Name: "Design", Table: "DESIGNS", KeyCol: "did",
 		Children: []lw90.ChildSpec{{Name: "components", Type: comp, FKCol: "cdid"}}}
+}
+
+func BenchmarkE11_Extraction_LW90(b *testing.B) {
+	db := designSetup(b)
+	s := db.Session()
+	design := lw90Design()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model := fmt.Sprintf("model-%d", i%250)
@@ -496,7 +506,7 @@ func BenchmarkE12_Clustering(b *testing.B) {
 		clustered bool
 	}{{"clustered", true}, {"per_table", false}} {
 		b.Run(arm.name, func(b *testing.B) {
-			db := Open(WithBufferPool(16)) // small pool → real I/O
+			db := openPaper(WithBufferPool(16)) // small pool → real I/O
 			cfg := workload.CompanyConfig{Departments: 100, EmpsPerDept: 20,
 				ProjsPerDept: 5, SkillsPerEmp: 0, Seed: 3, Clustered: arm.clustered, Scatter: true}
 			if _, err := workload.LoadCompany(db.Session(), cfg); err != nil {
@@ -530,11 +540,8 @@ func BenchmarkE13_CSE(b *testing.B) {
 		opts []Option
 	}{{"shared", nil}, {"recomputed", []Option{WithoutCommonSubexpressions()}}} {
 		b.Run(arm.name, func(b *testing.B) {
-			db := Open(arm.opts...)
 			cfg := benchCompanyConfig()
-			if _, err := workload.LoadCompany(db.Session(), cfg); err != nil {
-				b.Fatal(err)
-			}
+			db := companyDB(b, cfg, arm.opts...)
 			q := workload.CompanyCOQuery(cfg, 11)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -545,5 +552,3 @@ func BenchmarkE13_CSE(b *testing.B) {
 		})
 	}
 }
-
-var _ = engine.DefaultOptions // keep the import anchored for pipeline benches

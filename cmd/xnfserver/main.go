@@ -12,7 +12,7 @@
 // conflict and vacuum counters, wire admission/shedding counters) and the
 // stdlib pprof profiles under /debug/pprof/.
 //
-// Connect with xnfsh -connect <addr> or load it with xnfload.
+// Connect with xnfsh -connect <addr>; bench/run.sh drives it under load.
 package main
 
 import (

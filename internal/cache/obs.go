@@ -21,17 +21,6 @@ var (
 		"XNF application-cache write-backs to base tables")
 )
 
-// GlobalStats returns the process-wide aggregate across every Cache
-// instance that ever lived, read race-free from the obs counters.
-func GlobalStats() Stats {
-	return Stats{
-		CursorOpens: gCursorOpens.Value(),
-		CursorMoves: gCursorMoves.Value(),
-		PointerHops: gPointerHops.Value(),
-		WriteBacks:  gWriteBacks.Value(),
-	}
-}
-
 // The note* helpers bump the instance counter and the process-wide
 // aggregate together, so the two views can never drift.
 

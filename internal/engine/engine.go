@@ -406,7 +406,8 @@ type Stats struct {
 	// (evaluators themselves are created per TAKE and discarded).
 	Eval xnf.EvalStats `json:"xnf_eval"`
 	// NavCache aggregates the XNF application-cache counters process-wide
-	// (cache instances are per-checkout; see cache.GlobalStats).
+	// (cache instances are per-checkout; the navcache_* counters of
+	// internal/cache/obs.go outlive them).
 	NavCache NavCacheStats `json:"nav_cache"`
 }
 

@@ -1,7 +1,7 @@
 // Package wire is the engine's network service layer: a length-prefixed
 // JSON wire protocol (this file), a TCP server with admission control,
 // overload shedding and graceful drain (server.go), and the matching client
-// (client.go) used by xnfsh -connect and the xnfload load generator.
+// (client.go) used by xnfsh -connect and the bench/ load driver.
 //
 // A frame is a 4-byte big-endian payload length followed by that many bytes
 // of JSON, written and read by a reflection-free codec (codec.go). Requests
