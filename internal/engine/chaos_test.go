@@ -35,6 +35,9 @@ CREATE VIEW CV AS
 type chaosGen struct {
 	rng   *rand.Rand
 	nextE int
+	// scans makes the read-side storage probes pick only statements that
+	// scan CE whole: the aggregate and the unindexed UPDATE/DELETE.
+	scans bool
 }
 
 // stmtFor picks a statement likely to hit the armed probe point: DML for the
@@ -55,6 +58,10 @@ func (g *chaosGen) stmtFor(p faultinj.Point) string {
 		kind = 6 + g.rng.Intn(2)
 	case faultinj.ComatMat:
 		kind = 4 // TAKE
+	case faultinj.BufferFetch, faultinj.DiskRead:
+		if g.scans {
+			kind = []int{3, 6, 7}[g.rng.Intn(3)]
+		}
 	}
 	switch kind {
 	case 0:
@@ -144,11 +151,46 @@ func resultFingerprint(r *Result) string {
 // DML/SELECT/TAKE workload runs against an engine whose probe points inject
 // errors and panics (>500 fired faults across all five points), while a
 // fault-free twin executes every statement that survived. After every
-// injected failure the faulty engine must hold zero locks, sit outside any
-// transaction, expose base-table state identical to the twin's, and serve
-// TAKE/SELECT results identical to the twin's — i.e. rollback is complete and
-// no poisoned plan-cache or CO-cache entry is ever served.
+// injected failure the faulty engine must hold zero locks and pinned frames,
+// sit outside any transaction, expose base-table state identical to the
+// twin's, and serve TAKE/SELECT results identical to the twin's — i.e.
+// rollback is complete and no poisoned plan-cache or CO-cache entry is ever
+// served.
 func TestChaosDifferential(t *testing.T) {
+	runChaos(t, chaosArm{seedRows: 400, points: faultinj.Points(), wantTotal: 520, wantPerPt: 30})
+}
+
+// TestChaosParallelScan runs the same differential suite with both engines
+// at MaxDOP 4 and CE grown past the optimizer's parallel threshold, so the
+// aggregate and the unindexed DML targets run as parallel pipelines: every
+// injected buffer-pool and disk-read fault lands inside a morsel worker
+// instead of a serial scan.
+func TestChaosParallelScan(t *testing.T) {
+	runChaos(t, chaosArm{
+		maxDOP:       4,
+		seedRows:     12_000,
+		scans:        true,
+		points:       []faultinj.Point{faultinj.BufferFetch, faultinj.DiskRead},
+		wantTotal:    20,
+		wantPerPt:    10,
+		wantParallel: 20,
+	})
+}
+
+// chaosArm configures one run of the differential chaos suite.
+type chaosArm struct {
+	maxDOP    int              // optimizer MaxDOP for both engines (0 = default)
+	seedRows  int              // CE rows inserted past the six chaosDDL seeds
+	scans     bool             // see chaosGen.scans
+	points    []faultinj.Point // probe points armed in rotation
+	wantTotal int64            // faults that must fire in total
+	wantPerPt int64            // faults that must fire at every point
+	// wantParallel is how many faults must fire inside statements whose plan
+	// runs in parallel (EXPLAIN shows "parallel=").
+	wantParallel int64
+}
+
+func runChaos(t *testing.T, arm chaosArm) {
 	baseline := runtime.NumGoroutine()
 	inj := faultinj.New()
 	fopts := DefaultOptions()
@@ -163,13 +205,17 @@ func TestChaosDifferential(t *testing.T) {
 	topts := DefaultOptions()
 	topts.BufferPoolPages = 4
 	topts.VacuumDeadRows = -1
+	if arm.maxDOP != 0 {
+		fopts.Optimizer.MaxDOP = arm.maxDOP
+		topts.Optimizer.MaxDOP = arm.maxDOP
+	}
 	faulty := New(fopts).Session()
 	twin := New(topts).Session()
 	// Pre-grow CE past the pool so every round sees real page misses and
 	// dirty evictions (the disk probes never fire out of a fully cached DB).
 	var grow strings.Builder
 	grow.WriteString("INSERT INTO CE VALUES (101, 'e1', 1000, 1)")
-	for i := 2; i <= 400; i++ {
+	for i := 2; i <= arm.seedRows; i++ {
 		fmt.Fprintf(&grow, ",(%d, 'e%d', %d, %d)", 100+i, i, 1000+i%700, 1+i%4)
 	}
 	for _, s := range []*Session{faulty, twin} {
@@ -182,21 +228,26 @@ func TestChaosDifferential(t *testing.T) {
 	}
 
 	const (
-		wantTotal   = 520
-		wantPerPt   = 30
 		maxRounds   = 60000
 		panicEveryN = 6
 	)
-	points := faultinj.Points()
-	gen := &chaosGen{rng: rand.New(rand.NewSource(7)), nextE: 400} // ids 101..500 are seeded
+	pool := faulty.Engine().BufferPool()
+	gen := &chaosGen{rng: rand.New(rand.NewSource(7)), nextE: arm.seedRows, scans: arm.scans} // ids 101..100+seedRows are seeded
 	firedAt := map[faultinj.Point]int64{}
-	var totalFired int64
+	var totalFired, parallelFired int64
+	runsParallel := func(stmt string) bool {
+		r, err := twin.Exec("EXPLAIN " + stmt)
+		return err == nil && strings.Contains(r.Explain, "parallel=")
+	}
 
 	verify := func(round int, p faultinj.Point, stmt string, stmtErr error) {
 		t.Helper()
 		label := fmt.Sprintf("round %d (%s after %q -> %v)", round, p, stmt, stmtErr)
 		if held := faulty.Engine().Locks().TotalHeld(); held != 0 {
 			t.Fatalf("%s: %d locks leaked", label, held)
+		}
+		if pinned := pool.PinnedCount(); pinned != 0 {
+			t.Fatalf("%s: %d buffer-pool frames left pinned", label, pinned)
 		}
 		if faulty.InTx() {
 			t.Fatalf("%s: session left inside a transaction", label)
@@ -220,16 +271,16 @@ func TestChaosDifferential(t *testing.T) {
 
 	round := 0
 	for ; round < maxRounds; round++ {
-		done := totalFired >= wantTotal
-		for _, p := range points {
-			if firedAt[p] < wantPerPt {
+		done := totalFired >= arm.wantTotal && parallelFired >= arm.wantParallel
+		for _, p := range arm.points {
+			if firedAt[p] < arm.wantPerPt {
 				done = false
 			}
 		}
 		if done {
 			break
 		}
-		p := points[round%len(points)]
+		p := arm.points[round%len(arm.points)]
 		stmt := gen.stmtFor(p)
 		inj.Arm(faultinj.Fault{
 			Point: p,
@@ -247,6 +298,9 @@ func TestChaosDifferential(t *testing.T) {
 			totalFired++
 			if err == nil {
 				t.Fatalf("round %d: fault fired at %s during %q but the statement reported success", round, p, stmt)
+			}
+			if arm.wantParallel > 0 && runsParallel(stmt) {
+				parallelFired++
 			}
 			verify(round, p, stmt, err)
 			continue
@@ -266,16 +320,19 @@ func TestChaosDifferential(t *testing.T) {
 			t.Fatalf("round %d: %d locks held after successful %q", round, held, stmt)
 		}
 	}
-	for _, p := range points {
-		if firedAt[p] < wantPerPt {
+	for _, p := range arm.points {
+		if firedAt[p] < arm.wantPerPt {
 			t.Fatalf("probe %s fired only %d faults in %d rounds (want >= %d); coverage gap",
-				p, firedAt[p], round, wantPerPt)
+				p, firedAt[p], round, arm.wantPerPt)
 		}
 	}
-	if totalFired < wantTotal {
-		t.Fatalf("only %d faults fired in %d rounds, want >= %d", totalFired, round, wantTotal)
+	if totalFired < arm.wantTotal {
+		t.Fatalf("only %d faults fired in %d rounds, want >= %d", totalFired, round, arm.wantTotal)
 	}
-	t.Logf("chaos: %d faults fired over %d rounds: %v", totalFired, round, firedAt)
+	if parallelFired < arm.wantParallel {
+		t.Fatalf("only %d faults fired inside parallel plans in %d rounds, want >= %d", parallelFired, round, arm.wantParallel)
+	}
+	t.Logf("chaos: %d faults fired over %d rounds (%d inside parallel plans): %v", totalFired, round, parallelFired, firedAt)
 
 	// No goroutine may outlive its statement, injected failures included.
 	deadline := time.Now().Add(3 * time.Second)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sqlxnf/internal/catalog"
 	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/wal"
@@ -253,82 +254,55 @@ func (rp *replayer) replayDDL(rec wal.Record) error {
 	return nil
 }
 
-// replayDelete and replayUpdate resolve the logged RID through the replay
-// map, verifying the resident row matches the logged before-image (a mapping
-// can go stale across DROP/re-CREATE of a table name), and fall back to a
-// scan for the first matching row — the pre-RID recovery behavior, kept as a
-// checked safety net.
-func (rp *replayer) replayDelete(rec wal.Record) error {
+// target resolves the row a logged delete or update (op) applies to: the
+// logged RID through the replay map, if the resident row matches the logged
+// before-image (a mapping can go stale across DROP/re-CREATE of a table
+// name), else the first row of a scan that matches it — the pre-RID recovery
+// behavior, kept as a checked safety net. The resolved mapping is dropped;
+// an update re-maps its new RID.
+func (rp *replayer) target(rec wal.Record, op string) (*catalog.Table, storage.RID, error) {
 	t, err := rp.s.eng.cat.Table(rec.Table)
 	if err != nil {
-		return fmt.Errorf("engine: recovery delete: %v", err)
+		return nil, storage.NilRID, fmt.Errorf("engine: recovery %s: %v", op, err)
 	}
-	target, ok := storage.NilRID, false
-	if m := rp.rids[rec.Table]; m != nil {
-		if rid, have := m[rec.RID]; have {
-			if row, gerr := t.Heap.Get(t.Tag, rid); gerr == nil && row.Equal(rec.Before) {
-				target, ok = rid, true
-			}
-		}
+	m := rp.rids[rec.Table]
+	target, ok := m[rec.RID]
+	if ok {
+		row, gerr := t.Heap.Get(t.Tag, target)
+		ok = gerr == nil && row.Equal(rec.Before)
 	}
 	if !ok {
 		err = t.Heap.Scan(t.Tag, func(rid storage.RID, row types.Row) (bool, error) {
-			if row.Equal(rec.Before) {
-				target, ok = rid, true
-				return true, nil
-			}
-			return false, nil
+			target, ok = rid, row.Equal(rec.Before)
+			return ok, nil
 		})
 		if err != nil {
-			return err
+			return nil, storage.NilRID, err
 		}
 	}
 	if !ok {
-		return fmt.Errorf("engine: recovery delete: no tuple of %s matches %v", rec.Table, rec.Before)
+		return nil, storage.NilRID, fmt.Errorf("engine: recovery %s: no tuple of %s matches %v", op, rec.Table, rec.Before)
 	}
-	if err := rp.s.deleteRowTx(t, target); err != nil {
+	delete(m, rec.RID)
+	return t, target, nil
+}
+
+func (rp *replayer) replayDelete(rec wal.Record) error {
+	t, target, err := rp.target(rec, "delete")
+	if err != nil {
 		return err
 	}
-	if m := rp.rids[rec.Table]; m != nil {
-		delete(m, rec.RID)
-	}
-	return nil
+	return rp.s.deleteRowTx(t, target)
 }
 
 func (rp *replayer) replayUpdate(rec wal.Record) error {
-	t, err := rp.s.eng.cat.Table(rec.Table)
+	t, target, err := rp.target(rec, "update")
 	if err != nil {
-		return fmt.Errorf("engine: recovery update: %v", err)
-	}
-	target, ok := storage.NilRID, false
-	if m := rp.rids[rec.Table]; m != nil {
-		if rid, have := m[rec.RID]; have {
-			if row, gerr := t.Heap.Get(t.Tag, rid); gerr == nil && row.Equal(rec.Before) {
-				target, ok = rid, true
-			}
-		}
-	}
-	if !ok {
-		err = t.Heap.Scan(t.Tag, func(rid storage.RID, row types.Row) (bool, error) {
-			if row.Equal(rec.Before) {
-				target, ok = rid, true
-				return true, nil
-			}
-			return false, nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if !ok {
-		return fmt.Errorf("engine: recovery update: no tuple of %s matches %v", rec.Table, rec.Before)
+		return err
 	}
 	newRID, err := rp.s.updateRowTx(t, target, rec.After)
 	if err != nil {
 		return err
-	}
-	if m := rp.rids[rec.Table]; m != nil {
-		delete(m, rec.RID)
 	}
 	rp.map_(rec.Table, rec.NewRID, newRID)
 	return nil

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"sqlxnf/internal/catalog"
-	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
 )
 
@@ -40,20 +39,13 @@ func (s *Stats) add(o *Stats) {
 // MorselScan
 // ---------------------------------------------------------------------------
 
-// morselGroup is the per-execution shared state behind one MorselScan
-// template position: all worker clones of that position pull page-range
-// morsels from the same dispatcher, so together they scan the table exactly
-// once.
-type morselGroup struct {
-	disp *storage.MorselDispatcher
-}
-
 // MorselScan is the parallel counterpart of SeqScan: a scan leaf that reads
 // whatever page-range morsels it can claim from a dispatcher shared with its
-// sibling worker clones. Decoding runs through a private MorselReader arena,
-// so workers share no allocation state. A MorselScan only executes inside a
-// parallel operator (Gather or a parallel GroupAgg/hash-join build), which
-// wires the shared dispatcher before Open.
+// sibling worker clones, so together they scan the table exactly once. It
+// runs SeqScan's page-claim loop; decoding goes through a private
+// MorselReader arena, so workers share no allocation state. A MorselScan
+// only executes inside a parallel operator (Gather or a parallel
+// GroupAgg/hash-join build), which wires the shared dispatcher before Open.
 type MorselScan struct {
 	Table *catalog.Table
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
@@ -61,11 +53,7 @@ type MorselScan struct {
 	// WithRID: see SeqScan.WithRID.
 	WithRID bool
 
-	group   *morselGroup
-	reader  *storage.MorselReader
-	pending []storage.PageID
-	buf     []types.Row
-	done    bool
+	pageScan // disp is wired by cloneWorkers
 }
 
 // Schema implements Plan.
@@ -73,74 +61,15 @@ func (s *MorselScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRI
 
 // Open implements Plan.
 func (s *MorselScan) Open(ctx *Context) error {
-	if s.group == nil || s.group.disp == nil {
+	if s.disp == nil {
 		return fmt.Errorf("exec: MorselScan of %s opened outside a parallel execution (no dispatcher wired)", s.Table.Name)
 	}
-	if s.reader == nil {
-		s.reader = s.Table.Heap.MorselReader(s.Table.Tag)
-	}
-	s.reader.Vis = ctx.Vis
-	if s.WithRID {
-		s.reader.EmitRID()
-	}
-	s.pending = nil
-	s.buf = s.buf[:0]
-	s.done = false
-	return nil
-}
-
-// fill replaces the buffer with rows from the next claimed pages. The
-// interrupt poll runs once per claim, so a cancelled worker stops after at
-// most one morsel's reads — that is what bounds Gather cancellation latency
-// to one batch of work per worker.
-func (s *MorselScan) fill(ctx *Context) error {
-	s.buf = s.buf[:0]
-	for len(s.buf) < BatchSize {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		if len(s.pending) == 0 {
-			s.pending = s.group.disp.Claim()
-			if len(s.pending) == 0 {
-				s.done = true
-				break
-			}
-		}
-		id := s.pending[0]
-		s.pending = s.pending[1:]
-		var err error
-		s.buf, err = s.reader.ReadPage(id, s.buf)
-		if err != nil {
-			return err
-		}
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.RowsScanned += int64(len(s.buf))
-	}
+	s.open(ctx, s.Table, s.WithRID)
 	return nil
 }
 
 // NextBatch implements Plan.
-func (s *MorselScan) NextBatch(ctx *Context) ([]types.Row, error) {
-	for {
-		if s.done {
-			return nil, nil
-		}
-		if err := s.fill(ctx); err != nil {
-			return nil, err
-		}
-		if len(s.buf) > 0 || s.done {
-			return s.buf, nil
-		}
-	}
-}
-
-// Close implements Plan. The reader keeps its decoder arena for reopen.
-func (s *MorselScan) Close() error {
-	s.buf = s.buf[:0]
-	s.pending = nil
-	return nil
-}
+func (s *MorselScan) NextBatch(ctx *Context) ([]types.Row, error) { return s.next(ctx) }
 
 // Explain implements Plan.
 func (s *MorselScan) Explain() string {
@@ -150,7 +79,7 @@ func (s *MorselScan) Explain() string {
 // Children implements Plan.
 func (s *MorselScan) Children() []Plan { return nil }
 
-// Clone implements Cloneable. The dispatcher group is per-execution state
+// Clone implements Cloneable. The shared dispatcher is per-execution state
 // and is wired by cloneWorkers, never copied.
 func (s *MorselScan) Clone() Plan {
 	return &MorselScan{Table: s.Table, EstRows: s.EstRows, WithRID: s.WithRID}
@@ -175,23 +104,19 @@ func cloneWorkers(template Plan, n int) ([]Plan, error) {
 		}
 		workers[i] = w
 	}
-	var wire func(tmpl Plan, clones []Plan) error
-	wire = func(tmpl Plan, clones []Plan) error {
+	var wire func(tmpl Plan, clones []Plan)
+	wire = func(tmpl Plan, clones []Plan) {
 		switch tn := tmpl.(type) {
 		case *Gather:
 			// A nested Gather wires its own workers at Open; its subtree is
 			// not this worker set's to share.
-			return nil
+			return
 		case *MorselScan:
-			disp, err := tn.Table.Heap.MorselDispatcher(0)
-			if err != nil {
-				return err
-			}
-			grp := &morselGroup{disp: disp}
+			disp := tn.Table.Heap.MorselDispatcher(0)
 			for _, c := range clones {
-				c.(*MorselScan).group = grp
+				c.(*MorselScan).disp = disp
 			}
-			return nil
+			return
 		case *HashJoin:
 			if tn.Shared {
 				sb := newSharedBuild(tn, n)
@@ -204,7 +129,8 @@ func cloneWorkers(template Plan, n int) ([]Plan, error) {
 				// The build side belongs to the sharedBuild (which clones it
 				// afresh); the workers' own Right subtrees never open, so only
 				// the probe side needs wiring.
-				return wire(tn.Left, sub)
+				wire(tn.Left, sub)
+				return
 			}
 		}
 		kids := tmpl.Children()
@@ -213,15 +139,10 @@ func cloneWorkers(template Plan, n int) ([]Plan, error) {
 			for i, c := range clones {
 				sub[i] = c.Children()[ki]
 			}
-			if err := wire(kids[ki], sub); err != nil {
-				return err
-			}
+			wire(kids[ki], sub)
 		}
-		return nil
 	}
-	if err := wire(template, workers); err != nil {
-		return nil, err
-	}
+	wire(template, workers)
 	return workers, nil
 }
 

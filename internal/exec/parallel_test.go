@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 
+	"sqlxnf/internal/catalog"
+	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
 )
 
@@ -382,5 +384,41 @@ func TestGatherStatsMerge(t *testing.T) {
 	}
 	if ctx.Stats.RowsScanned != 1500 {
 		t.Fatalf("RowsScanned = %d, want 1500", ctx.Stats.RowsScanned)
+	}
+}
+
+// TestScanReadsEachPageOnce: a serial SeqScan and a Gather over MorselScans
+// at DOP 2 and 4 each fetch every heap page exactly once. Dispatching page
+// ids must not cost a read of its own.
+func TestScanReadsEachPageOnce(t *testing.T) {
+	bp := storage.NewBufferPool(storage.NewDisk(), 1<<14)
+	cat := catalog.New(bp)
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "pad", Kind: types.KindString}}
+	in := make([]types.Row, 30_000)
+	for i := range in {
+		in[i] = types.Row{iv(int64(i)), sv(fmt.Sprintf("%040d", i))}
+	}
+	tab := loadTable(t, cat, "PAGES", schema, in)
+	pages := tab.Heap.MorselDispatcher(0).Pages()
+	if pages < 300 {
+		t.Fatalf("table spans %d pages; the test wants several hundred", pages)
+	}
+	for _, tc := range []struct {
+		name string
+		plan Plan
+	}{
+		{"serial", &SeqScan{Table: tab}},
+		{"gather_dop2", NewGather(&MorselScan{Table: tab}, 2)},
+		{"gather_dop4", NewGather(&MorselScan{Table: tab}, 4)},
+	} {
+		before := bp.Stats()
+		out := mustCollect(t, tc.plan)
+		after := bp.Stats()
+		if len(out) != len(in) {
+			t.Fatalf("%s: %d rows, want %d", tc.name, len(out), len(in))
+		}
+		if fetches := (after.Hits + after.Misses) - (before.Hits + before.Misses); fetches != int64(pages) {
+			t.Errorf("%s: %d page fetches for a %d-page heap, want one per page", tc.name, fetches, pages)
+		}
 	}
 }

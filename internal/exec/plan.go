@@ -51,7 +51,8 @@ func Dump(p Plan) string {
 
 // SeqScan reads every live row of a table, streaming batches straight off
 // heap pages: at any moment it holds about a batch of decoded rows, never
-// the whole table.
+// the whole table. It claims every morsel of a private dispatcher, so it
+// reads the pages in directory order.
 type SeqScan struct {
 	Table *catalog.Table
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown);
@@ -61,10 +62,62 @@ type SeqScan struct {
 	// column (types.RIDColumn). The optimizer sets it from the base box the scan
 	// implements; it is not an option. Every operator above sees a column.
 	WithRID bool
-	ps      *storage.PageScanner
+	pageScan
+}
+
+// pageScan is the page-claim loop behind SeqScan and MorselScan: claim page
+// runs from a dispatcher, decode each page through a private
+// storage.MorselReader, and stop once a batch is full or the dispatcher is
+// dry. The row buffer keeps its capacity across Close, so a reopened scan
+// (correlated subplans, pooled prepared plans) reuses it.
+type pageScan struct {
+	disp    *storage.MorselDispatcher
+	reader  storage.MorselReader
+	pending []storage.PageID
 	buf     []types.Row
-	rids    []storage.RID
-	done    bool
+}
+
+func (s *pageScan) open(ctx *Context, t *catalog.Table, withRID bool) {
+	s.reader = *t.Heap.MorselReader(t.Tag)
+	s.reader.Vis = ctx.Vis
+	if withRID {
+		s.reader.EmitRID()
+	}
+	s.pending, s.buf = nil, s.buf[:0]
+}
+
+// next replaces the buffer with the rows of the next claimed pages, at least
+// BatchSize of them unless the dispatcher runs dry (a batch overshoots to a
+// page boundary). The interrupt poll before every page read bounds
+// cancellation latency to one page of work per scan.
+func (s *pageScan) next(ctx *Context) ([]types.Row, error) {
+	s.buf = s.buf[:0]
+	for len(s.buf) < BatchSize {
+		if err := ctx.Interrupted(); err != nil {
+			return nil, err
+		}
+		if len(s.pending) == 0 {
+			if s.pending = s.disp.Claim(); s.pending == nil {
+				break
+			}
+		}
+		var err error
+		if s.buf, err = s.reader.ReadPage(s.pending[0], s.buf); err != nil {
+			return nil, err
+		}
+		s.pending = s.pending[1:]
+	}
+	if ctx.Stats != nil {
+		ctx.Stats.RowsScanned += int64(len(s.buf))
+	}
+	return s.buf, nil
+}
+
+// Close implements Plan for both scans. It drops the reader, and with it
+// the decoder arena, so an idle pooled plan pins no decoded values.
+func (s *pageScan) Close() error {
+	s.reader, s.pending, s.buf = storage.MorselReader{}, nil, s.buf[:0]
+	return nil
 }
 
 // scanSchema is the output schema of a base-table scan: the table's columns,
@@ -81,62 +134,13 @@ func (s *SeqScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) 
 
 // Open implements Plan.
 func (s *SeqScan) Open(ctx *Context) error {
-	s.ps = s.Table.Heap.PageScanner(s.Table.Tag)
-	s.ps.Vis = ctx.Vis
-	if s.WithRID {
-		s.ps.EmitRID()
-	}
-	s.buf = s.buf[:0]
-	s.rids = s.rids[:0]
-	s.done = false
-	return nil
-}
-
-// fill replaces the buffer with the next run of pages totalling at least
-// BatchSize rows (or whatever remains in the chain). The interrupt poll
-// here bounds cancellation latency to one batch of page reads.
-func (s *SeqScan) fill(ctx *Context) error {
-	if err := ctx.Interrupted(); err != nil {
-		return err
-	}
-	s.buf = s.buf[:0]
-	s.rids = s.rids[:0]
-	for !s.done && len(s.buf) < BatchSize {
-		var ok bool
-		var err error
-		s.buf, s.rids, ok, err = s.ps.NextPage(s.buf, s.rids)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			s.done = true
-		}
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.RowsScanned += int64(len(s.buf))
-	}
+	s.disp = s.Table.Heap.MorselDispatcher(0)
+	s.open(ctx, s.Table, s.WithRID)
 	return nil
 }
 
 // NextBatch implements Plan.
-func (s *SeqScan) NextBatch(ctx *Context) ([]types.Row, error) {
-	if s.done {
-		return nil, nil
-	}
-	if err := s.fill(ctx); err != nil {
-		return nil, err
-	}
-	return s.buf, nil
-}
-
-// Close implements Plan. Row and RID buffers keep their capacity so a
-// reopened scan (correlated subplans, pooled prepared plans) reuses them.
-func (s *SeqScan) Close() error {
-	s.buf = s.buf[:0]
-	s.rids = s.rids[:0]
-	s.ps = nil
-	return nil
-}
+func (s *SeqScan) NextBatch(ctx *Context) ([]types.Row, error) { return s.next(ctx) }
 
 // Explain implements Plan.
 func (s *SeqScan) Explain() string {

@@ -16,8 +16,7 @@ import (
 
 // parallelRowThreshold is the driving-scan cardinality below which a
 // pipeline stays serial: at ~10k rows the per-query cost of spawning
-// workers, cloning the pipeline, and walking the page chain outweighs the
-// scan itself.
+// workers and cloning the pipeline outweighs the scan itself.
 const parallelRowThreshold = 10_000
 
 // maxAutoDOP caps the automatic degree of parallelism; beyond ~8 workers

@@ -25,7 +25,7 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
 // Pack encodes the RID as one integer, page<<16|slot: the form in which a
 // RID travels through a plan as an ordinary INT column (see
-// PageScanner.EmitRID). Packed order equals physical (page, slot) order.
+// MorselReader.EmitRID). Packed order equals physical (page, slot) order.
 func (r RID) Pack() int64 { return int64(r.Page)<<16 | int64(r.Slot) }
 
 // UnpackRID inverts RID.Pack.
@@ -51,23 +51,28 @@ type VersionEntry struct {
 	Ver RowVer
 }
 
-// Heap is a chain of slotted pages storing encoded rows. Several tables may
-// share one heap (a cluster family); each cell is prefixed with the owning
-// table's tag so per-table scans can filter. InsertNear places a tuple on
-// (or close to) the page of a related tuple, which is how composite-object
-// clustering co-locates parents with their children.
+// Heap is a directory of slotted pages storing encoded rows. Several tables
+// may share one heap (a cluster family); each cell is prefixed with the
+// owning table's tag so per-table scans can filter. InsertNear places a tuple
+// on (or close to) the page of a related tuple, which is how
+// composite-object clustering co-locates parents with their children.
+//
+// The page directory lists the heap's pages in the order they were
+// allocated; every scan walks a snapshot of it, so no page is fetched only to
+// find the next one. Heaps live as long as their engine: recovery replays
+// the log into fresh heaps, so the directory is never rebuilt from disk.
 //
 // Under MVCC readers no longer hold table locks, so the heap carries its own
-// latch: mu guards the page chain, page bytes, and the version map. Public
-// operations latch and delegate to unexported unlatched implementations
-// (Update re-enters Insert internally). Scan callbacks run with the latch
-// released — rows are decoded page-at-a-time into copies first — so a
-// callback may safely touch other tables of the same cluster family.
+// latch: mu guards the page directory, page bytes, and the version map.
+// Public operations latch and delegate to unexported unlatched
+// implementations (Update re-enters Insert internally). Scan callbacks run
+// with the latch released — rows are decoded page-at-a-time into copies
+// first — so a callback may safely touch other tables of the same cluster
+// family.
 type Heap struct {
 	bp    *BufferPool
 	mu    sync.RWMutex
-	first PageID
-	last  PageID // append hint; rediscovered on open
+	pages []PageID // page directory; the last entry is the append tail
 	vers  map[RID]RowVer
 }
 
@@ -79,37 +84,26 @@ func CreateHeap(bp *BufferPool) (*Heap, error) {
 	}
 	id := p.ID
 	bp.Unpin(id, true)
-	return &Heap{bp: bp, first: id, last: id, vers: make(map[RID]RowVer)}, nil
+	return &Heap{bp: bp, pages: []PageID{id}, vers: make(map[RID]RowVer)}, nil
 }
 
-// OpenHeap attaches to an existing heap rooted at first.
-func OpenHeap(bp *BufferPool, first PageID) (*Heap, error) {
-	h := &Heap{bp: bp, first: first, last: first, vers: make(map[RID]RowVer)}
-	// Walk to the tail so appends go to the end.
-	id := first
-	for {
-		p, err := bp.Fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		next := p.Next()
-		bp.Unpin(id, false)
-		if next == InvalidPage {
-			break
-		}
-		id = next
+// directory snapshots the page directory. Appends after the snapshot never
+// write into it: the capped slice makes any append through it copy, and the
+// heap only ever appends past the snapshot's length.
+func (h *Heap) directory() []PageID {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.pages[:len(h.pages):len(h.pages)]
+}
+
+// encodeCell prefixes the row encoding with the owner tag and rejects a row
+// no page can hold.
+func encodeCell(tag uint32, row types.Row) ([]byte, error) {
+	cell := row.Encode(binary.AppendUvarint(nil, uint64(tag)))
+	if len(cell) > PageSize-pageHeaderSize-slotSize {
+		return nil, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(cell))
 	}
-	h.last = id
-	return h, nil
-}
-
-// FirstPage returns the root page id (persisted in the catalog).
-func (h *Heap) FirstPage() PageID { return h.first }
-
-// encodeCell prefixes the row encoding with the owner tag.
-func encodeCell(tag uint32, row types.Row) []byte {
-	buf := binary.AppendUvarint(nil, uint64(tag))
-	return row.Encode(buf)
+	return cell, nil
 }
 
 // decodeCell splits a cell into tag and row.
@@ -146,37 +140,39 @@ func (h *Heap) InsertTx(tag uint32, row types.Row, tx uint64) (RID, error) {
 }
 
 func (h *Heap) insertLocked(tag uint32, row types.Row, tx uint64) (RID, error) {
-	cell := encodeCell(tag, row)
-	if len(cell) > PageSize-pageHeaderSize-slotSize {
-		return NilRID, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(cell))
+	cell, err := encodeCell(tag, row)
+	if err != nil {
+		return NilRID, err
 	}
 	// Try the tail page first.
-	p, err := h.bp.Fetch(h.last)
+	p, err := h.bp.Fetch(h.pages[len(h.pages)-1])
 	if err != nil {
 		return NilRID, err
 	}
-	if slot, ok := p.InsertCell(cell); ok {
-		rid := RID{Page: p.ID, Slot: uint16(slot)}
-		h.bp.Unpin(p.ID, true)
-		h.stampLocked(rid, tx)
-		return rid, nil
-	}
-	// Tail full: chain a new page.
-	np, err := h.bp.NewPage()
-	if err != nil {
-		h.bp.Unpin(p.ID, false)
-		return NilRID, err
-	}
-	p.SetNext(np.ID)
-	h.bp.Unpin(p.ID, true)
-	slot, ok := np.InsertCell(cell)
+	slot, ok := p.InsertCell(cell)
+	h.bp.Unpin(p.ID, ok)
 	if !ok {
-		h.bp.Unpin(np.ID, true)
+		return h.appendPageLocked(cell, tx)
+	}
+	rid := RID{Page: p.ID, Slot: uint16(slot)}
+	h.stampLocked(rid, tx)
+	return rid, nil
+}
+
+// appendPageLocked stores cell on a newly allocated page and appends that
+// page to the directory, making it the new tail.
+func (h *Heap) appendPageLocked(cell []byte, tx uint64) (RID, error) {
+	p, err := h.bp.NewPage()
+	if err != nil {
+		return NilRID, err
+	}
+	slot, ok := p.InsertCell(cell)
+	h.bp.Unpin(p.ID, true)
+	if !ok {
 		return NilRID, fmt.Errorf("storage: fresh page cannot hold %d-byte row", len(cell))
 	}
-	rid := RID{Page: np.ID, Slot: uint16(slot)}
-	h.last = np.ID
-	h.bp.Unpin(np.ID, true)
+	h.pages = append(h.pages, p.ID)
+	rid := RID{Page: p.ID, Slot: uint16(slot)}
 	h.stampLocked(rid, tx)
 	return rid, nil
 }
@@ -192,7 +188,7 @@ func (h *Heap) stampLocked(rid RID, tx uint64) {
 }
 
 // InsertOnFreshPage places the row on a newly allocated page at the end of
-// the chain. Cluster-family loaders use it to give each composite-object
+// the directory. Cluster-family loaders use it to give each composite-object
 // root its own page neighborhood, which children then fill via InsertNear.
 func (h *Heap) InsertOnFreshPage(tag uint32, row types.Row) (RID, error) {
 	return h.InsertOnFreshPageTx(tag, row, 0)
@@ -200,33 +196,13 @@ func (h *Heap) InsertOnFreshPage(tag uint32, row types.Row) (RID, error) {
 
 // InsertOnFreshPageTx is InsertOnFreshPage with a create stamp.
 func (h *Heap) InsertOnFreshPageTx(tag uint32, row types.Row, tx uint64) (RID, error) {
-	cell := encodeCell(tag, row)
-	if len(cell) > PageSize-pageHeaderSize-slotSize {
-		return NilRID, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(cell))
+	cell, err := encodeCell(tag, row)
+	if err != nil {
+		return NilRID, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	tail, err := h.bp.Fetch(h.last)
-	if err != nil {
-		return NilRID, err
-	}
-	np, err := h.bp.NewPage()
-	if err != nil {
-		h.bp.Unpin(tail.ID, false)
-		return NilRID, err
-	}
-	tail.SetNext(np.ID)
-	h.bp.Unpin(tail.ID, true)
-	slot, ok := np.InsertCell(cell)
-	if !ok {
-		h.bp.Unpin(np.ID, true)
-		return NilRID, fmt.Errorf("storage: fresh page cannot hold %d-byte row", len(cell))
-	}
-	rid := RID{Page: np.ID, Slot: uint16(slot)}
-	h.last = np.ID
-	h.bp.Unpin(np.ID, true)
-	h.stampLocked(rid, tx)
-	return rid, nil
+	return h.appendPageLocked(cell, tx)
 }
 
 // InsertNear tries to place the row on the same page as near — the cluster
@@ -242,7 +218,10 @@ func (h *Heap) InsertNearTx(tag uint32, near RID, row types.Row, tx uint64) (RID
 	if !near.Valid() {
 		return h.insertLocked(tag, row, tx)
 	}
-	cell := encodeCell(tag, row)
+	cell, err := encodeCell(tag, row)
+	if err != nil {
+		return NilRID, err
+	}
 	p, err := h.bp.Fetch(near.Page)
 	if err != nil {
 		return NilRID, err
@@ -429,7 +408,10 @@ func (h *Heap) FreezeVersion(rid RID, ver RowVer) bool {
 func (h *Heap) Update(tag uint32, rid RID, row types.Row) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	cell := encodeCell(tag, row)
+	cell, err := encodeCell(tag, row)
+	if err != nil {
+		return NilRID, err
+	}
 	p, err := h.bp.Fetch(rid.Page)
 	if err != nil {
 		return NilRID, err
@@ -509,180 +491,25 @@ func (h *Heap) Scan(tag uint32, fn func(rid RID, row types.Row) (stop bool, err 
 	return h.ScanVis(tag, nil, fn)
 }
 
-// ScanVis is Scan under an explicit visibility snapshot.
+// ScanVis is Scan under an explicit visibility snapshot. It walks the page
+// directory as it stood at the call through the executor's page reader: a
+// page's rows, and their RIDs beside them, are decoded under the latch.
 func (h *Heap) ScanVis(tag uint32, vis VisFunc, fn func(rid RID, row types.Row) (stop bool, err error)) error {
-	return h.scan(vis, func(rid RID, ctag uint32, row types.Row) (bool, error) {
-		if ctag != tag {
-			return false, nil
+	r := h.MorselReader(tag)
+	r.Vis = vis
+	r.rids = make([]RID, 0, 64)
+	var rows []types.Row
+	for _, id := range h.directory() {
+		var err error
+		r.rids = r.rids[:0]
+		if rows, err = r.ReadPage(id, rows[:0]); err != nil {
+			return err
 		}
-		return fn(rid, row)
-	})
-}
-
-// ScanAll visits every visible row of every owner, exposing the tag. The
-// cache loader uses it to consume heterogeneous answer streams.
-func (h *Heap) ScanAll(fn func(rid RID, tag uint32, row types.Row) (stop bool, err error)) error {
-	return h.scan(nil, fn)
-}
-
-func (h *Heap) scan(vis VisFunc, fn func(rid RID, tag uint32, row types.Row) (bool, error)) error {
-	type item struct {
-		rid RID
-		tag uint32
-		row types.Row
-	}
-	var items []item
-	h.mu.RLock()
-	id := h.first
-	h.mu.RUnlock()
-	for id != InvalidPage {
-		items = items[:0]
-		var next PageID
-		// Latch and pin released by defer: a panic out of the buffer pool
-		// (fault injection) must not leave the latch held — the session's
-		// panic containment keeps running against this heap.
-		err := func() error {
-			h.mu.RLock()
-			defer h.mu.RUnlock()
-			p, err := h.bp.Fetch(id)
-			if err != nil {
+		for i, row := range rows {
+			if stop, err := fn(r.rids[i], row); err != nil || stop {
 				return err
 			}
-			defer h.bp.Unpin(id, false)
-			err = p.LiveCells(func(slot int, cell []byte) error {
-				rid := RID{Page: id, Slot: uint16(slot)}
-				if !h.visibleLocked(rid, vis) {
-					return nil
-				}
-				tag, row, derr := decodeCell(cell)
-				if derr != nil {
-					return derr
-				}
-				items = append(items, item{rid: rid, tag: tag, row: row})
-				return nil
-			})
-			next = p.Next()
-			return err
-		}()
-		if err != nil {
-			return err
 		}
-		for _, it := range items {
-			stop, ferr := fn(it.rid, it.tag, it.row)
-			if ferr != nil {
-				return ferr
-			}
-			if stop {
-				return nil
-			}
-		}
-		id = next
 	}
 	return nil
-}
-
-// PageScanner streams the visible rows one table owns page-at-a-time, in
-// physical order. Unlike Scan it is pull-based: each NextPage call fetches
-// and decodes exactly one non-empty page, so a consumer holds at most a
-// page's worth of rows at a time — the substrate for the executor's batched
-// SeqScan, which no longer materializes whole tables at Open.
-type PageScanner struct {
-	h    *Heap
-	tag  uint32
-	next PageID
-	dec  types.RowDecoder
-	// Vis is the snapshot filter; nil scans latest-committed rows.
-	Vis    VisFunc
-	ridCol bool
-}
-
-// EmitRID makes the scanner append each row's location (RID.Pack) as one
-// trailing INT column. The decoder reserves the slot, so the append never
-// re-allocates a row.
-func (ps *PageScanner) EmitRID() { ps.ridCol, ps.dec.Spare = true, 1 }
-
-// PageScanner returns a scanner positioned at the start of the heap chain
-// that visits only rows owned by tag.
-func (h *Heap) PageScanner(tag uint32) *PageScanner {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return &PageScanner{h: h, tag: tag, next: h.first}
-}
-
-// Reset rewinds the scanner to the start of the chain.
-func (ps *PageScanner) Reset() { ps.next = ps.h.first }
-
-// NextPage appends the visible rows of the next page holding any rows of the
-// scanned table to rows (and their locations to rids), skipping pages that
-// hold none. It reports ok=false at the end of the chain. Cells owned by
-// other tables are skipped before row decode, so clustered families pay only
-// a tag check for foreign tuples.
-func (ps *PageScanner) NextPage(rows []types.Row, rids []RID) ([]types.Row, []RID, bool, error) {
-	h := ps.h
-	for ps.next != InvalidPage {
-		id := ps.next
-		before := len(rows)
-		// Latch and pin released by defer: a panic out of the buffer pool
-		// (fault injection) must not leave the latch held.
-		err := func() error {
-			h.mu.RLock()
-			defer h.mu.RUnlock()
-			p, err := h.bp.Fetch(id)
-			if err != nil {
-				return err
-			}
-			defer h.bp.Unpin(id, false)
-			err = p.LiveCells(func(slot int, cell []byte) error {
-				tag, n := binary.Uvarint(cell)
-				if n <= 0 {
-					return fmt.Errorf("storage: corrupt cell tag")
-				}
-				if uint32(tag) != ps.tag {
-					return nil
-				}
-				rid := RID{Page: id, Slot: uint16(slot)}
-				if !h.visibleLocked(rid, ps.Vis) {
-					return nil
-				}
-				row, _, derr := ps.dec.Decode(cell[n:])
-				if derr != nil {
-					return derr
-				}
-				if ps.ridCol {
-					row = append(row, types.NewInt(rid.Pack()))
-				}
-				rows = append(rows, row)
-				rids = append(rids, rid)
-				return nil
-			})
-			ps.next = p.Next()
-			return err
-		}()
-		if err != nil {
-			return rows, rids, false, err
-		}
-		if len(rows) > before {
-			return rows, rids, true, nil
-		}
-	}
-	return rows, rids, false, nil
-}
-
-// PageCount walks the chain and returns the number of pages in the heap.
-func (h *Heap) PageCount() (int, error) {
-	n := 0
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	id := h.first
-	for id != InvalidPage {
-		p, err := h.bp.Fetch(id)
-		if err != nil {
-			return 0, err
-		}
-		next := p.Next()
-		h.bp.Unpin(id, false)
-		n++
-		id = next
-	}
-	return n, nil
 }

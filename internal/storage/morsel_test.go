@@ -26,16 +26,14 @@ func morselHeap(t *testing.T, n int) (*Heap, uint32) {
 	return h, tag
 }
 
-// TestMorselDispatcherCoversChainOnce: concurrent workers claiming morsels
-// collectively read every row exactly once, regardless of claim interleaving.
+// TestMorselDispatcherCoversChainOnce: concurrent workers claiming morsels of
+// the page directory collectively read every row exactly once, regardless of
+// claim interleaving.
 func TestMorselDispatcherCoversChainOnce(t *testing.T) {
 	const total = 5000
 	h, tag := morselHeap(t, total)
 	for _, workers := range []int{1, 2, 4, 7} {
-		disp, err := h.MorselDispatcher(3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		disp := h.MorselDispatcher(3)
 		var mu sync.Mutex
 		seen := make(map[int64]int, total)
 		var wg sync.WaitGroup
@@ -99,10 +97,7 @@ func TestMorselDispatcherSkipsForeignTags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	disp, err := h.MorselDispatcher(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disp := h.MorselDispatcher(0)
 	r := h.MorselReader(1)
 	count := 0
 	for {

@@ -9,7 +9,8 @@ import (
 //
 //	offset 0:  numSlots   uint16
 //	offset 2:  freeEnd    uint16  (cells grow down from PageSize to freeEnd)
-//	offset 4:  next       uint32  (PageID of next page in the heap chain)
+//	offset 4:  unused     4 bytes (zero; the heap's page directory, not the
+//	           page, records which pages belong to a heap)
 //	offset 8:  slot array: numSlots entries of [cellOff uint16, cellLen uint16]
 //
 // Dead slots have cellOff == 0. Cell space is reclaimed by compaction when
@@ -34,7 +35,6 @@ func (p *Page) Init() {
 	}
 	p.setNumSlots(0)
 	p.setFreeEnd(PageSize)
-	p.SetNext(InvalidPage)
 }
 
 func (p *Page) numSlots() int     { return int(binary.LittleEndian.Uint16(p.Data[0:])) }
@@ -57,12 +57,6 @@ func (p *Page) realFreeEnd() int {
 	}
 	return int(v)
 }
-
-// Next returns the next page in the chain, or InvalidPage.
-func (p *Page) Next() PageID { return PageID(binary.LittleEndian.Uint32(p.Data[4:])) }
-
-// SetNext links the page chain.
-func (p *Page) SetNext(id PageID) { binary.LittleEndian.PutUint32(p.Data[4:], uint32(id)) }
 
 // NumSlots returns the slot-directory size (including dead slots).
 func (p *Page) NumSlots() int { return p.numSlots() }

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sqlxnf/internal/types"
@@ -364,15 +366,17 @@ func TestHeapTagIsolation(t *testing.T) {
 		t.Error("cross-tag Update should fail")
 	}
 	// Per-tag scans are disjoint.
-	count := map[uint32]int{}
-	if err := h.ScanAll(func(_ RID, tag uint32, _ types.Row) (bool, error) {
-		count[tag]++
-		return false, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count[1] != 1 || count[2] != 1 {
-		t.Errorf("ScanAll counts = %v", count)
+	for tag, want := range map[uint32]RID{1: ridA, 2: ridB} {
+		var got []RID
+		if err := h.Scan(tag, func(rid RID, _ types.Row) (bool, error) {
+			got = append(got, rid)
+			return false, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("tag %d scan = %v, want [%v]", tag, got, want)
+		}
 	}
 }
 
@@ -415,43 +419,6 @@ func TestHeapUpdateDeleteAndMove(t *testing.T) {
 	}
 	if bp.PinnedCount() != 0 {
 		t.Errorf("pin leak: %d", bp.PinnedCount())
-	}
-}
-
-func TestHeapOpenFindsTail(t *testing.T) {
-	bp := NewBufferPool(NewDisk(), 64)
-	h, _ := CreateHeap(bp)
-	for i := 0; i < 3000; i++ {
-		if _, err := h.Insert(1, row(i, "some-filler-content")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pc, err := h.PageCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc < 2 {
-		t.Fatalf("expected multi-page heap, got %d pages", pc)
-	}
-	h2, err := OpenHeap(bp, h.FirstPage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Appending through the reopened heap must not corrupt the chain.
-	if _, err := h2.Insert(1, row(-1, "tail")); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	last := -2
-	if err := h2.Scan(1, func(_ RID, r types.Row) (bool, error) {
-		n++
-		last = int(r[0].Int())
-		return false, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3001 || last != -1 {
-		t.Errorf("reopened heap scan: n=%d last=%d", n, last)
 	}
 }
 
@@ -513,10 +480,12 @@ func TestHeapInsertOnFreshPage(t *testing.T) {
 			t.Errorf("child %d landed on page %d, want %d", i, rid.Page, r1.Page)
 		}
 	}
-	// The chain stays scannable end to end.
+	// The heap stays scannable end to end.
 	n := 0
-	if err := h.ScanAll(func(RID, uint32, types.Row) (bool, error) { n++; return false, nil }); err != nil {
-		t.Fatal(err)
+	for _, tag := range []uint32{1, 2} {
+		if err := h.Scan(tag, func(RID, types.Row) (bool, error) { n++; return false, nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n != 12 {
 		t.Errorf("scan found %d rows", n)
@@ -532,7 +501,25 @@ func TestHeapInsertOnFreshPage(t *testing.T) {
 	}
 }
 
-func TestPageScannerStreamsPages(t *testing.T) {
+// readSerial drains every morsel of a fresh dispatcher through one reader —
+// the serial scan path — and returns the rows page by page.
+func readSerial(t *testing.T, h *Heap, r *MorselReader, pagesPerMorsel int) [][]types.Row {
+	t.Helper()
+	var pages [][]types.Row
+	d := h.MorselDispatcher(pagesPerMorsel)
+	for claim := d.Claim(); claim != nil; claim = d.Claim() {
+		for _, id := range claim {
+			rows, err := r.ReadPage(id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages = append(pages, rows)
+		}
+	}
+	return pages
+}
+
+func TestPageReaderStreamsPages(t *testing.T) {
 	bp := NewBufferPool(NewDisk(), 256)
 	h, err := CreateHeap(bp)
 	if err != nil {
@@ -551,115 +538,257 @@ func TestPageScannerStreamsPages(t *testing.T) {
 			want[int64(i)] = true
 		}
 	}
-	ps := h.PageScanner(1)
-	var rows []types.Row
-	var rids []RID
-	pages := 0
+	r := h.MorselReader(1)
+	r.EmitRID()
 	got := map[int64]bool{}
-	for {
-		rows, rids = rows[:0], rids[:0]
-		var ok bool
-		rows, rids, ok, err = ps.NextPage(rows, rids)
-		if err != nil {
-			t.Fatal(err)
+	pages := 0
+	for _, rows := range readSerial(t, h, r, 0) {
+		if len(rows) > 0 {
+			pages++
 		}
-		if !ok {
-			break
-		}
-		pages++
-		if len(rows) != len(rids) {
-			t.Fatalf("page %d: %d rows but %d rids", pages, len(rows), len(rids))
-		}
-		for i, r := range rows {
-			id := r[0].Int()
+		for _, row := range rows {
+			id := row[0].Int()
 			if !want[id] {
-				t.Fatalf("scanner returned foreign or unknown row id %d", id)
+				t.Fatalf("reader returned foreign or unknown row id %d", id)
 			}
 			if got[id] {
-				t.Fatalf("scanner returned row id %d twice", id)
+				t.Fatalf("reader returned row id %d twice", id)
 			}
 			got[id] = true
-			// RID must round-trip through Get for the same owner.
-			back, err := h.Get(1, rids[i])
+			// The RID must round-trip through Get for the same owner.
+			rid := UnpackRID(row[2].Int())
+			back, err := h.Get(1, rid)
 			if err != nil {
-				t.Fatalf("Get(%v): %v", rids[i], err)
+				t.Fatalf("Get(%v): %v", rid, err)
 			}
-			if !back.Equal(r) {
-				t.Fatalf("rid %v: Get returned %v, scan returned %v", rids[i], back, r)
+			if !back.Equal(row[:2]) {
+				t.Fatalf("rid %v: Get returned %v, scan returned %v", rid, back, row[:2])
 			}
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("scanner returned %d rows, want %d", len(got), len(want))
+		t.Fatalf("reader returned %d rows, want %d", len(got), len(want))
 	}
 	if pages < 2 {
 		t.Fatalf("scan covered %d pages; test needs a multi-page heap", pages)
 	}
-	// Reset rewinds to the first page.
-	ps.Reset()
-	rows, rids = rows[:0], rids[:0]
-	rows, _, ok, err := ps.NextPage(rows, rids)
-	if err != nil || !ok || len(rows) == 0 {
-		t.Fatalf("after Reset: ok=%v err=%v rows=%d", ok, err, len(rows))
+	// A second dispatcher starts over at the first page.
+	if again := readSerial(t, h, r, 0); len(again[0]) == 0 || again[0][0][0].Int() != 0 {
+		t.Fatalf("a fresh dispatcher did not restart at row 0")
+	}
+	if bp.PinnedCount() != 0 {
+		t.Errorf("pin leak: %d", bp.PinnedCount())
 	}
 }
 
-// TestScannersEmitRID: with EmitRID, PageScanner and MorselReader append each
-// row's packed location as a trailing INT column — without re-allocating the
-// decoded row — and the packed form round-trips and orders like (page, slot).
+// TestScannersEmitRID: with EmitRID, the page reader appends each row's packed
+// location as a trailing INT column — without re-allocating the decoded row —
+// and the packed form round-trips and orders like (page, slot), also when
+// fresh-page and near placement put rows out of insertion order. Heap.Scan
+// (the serial callback path) and a morsel reader agree row for row.
 func TestScannersEmitRID(t *testing.T) {
 	h, err := CreateHeap(NewBufferPool(NewDisk(), 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 600; i++ {
-		if _, err := h.Insert(1, types.Row{types.NewInt(int64(i)), types.NewString("payload-payload")}); err != nil {
+	payload := func(i int) types.Row {
+		return types.Row{types.NewInt(int64(i)), types.NewString("payload-payload")}
+	}
+	var first []RID
+	for i := 0; i < 300; i++ {
+		rid, err := h.Insert(1, payload(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		first = append(first, rid)
 	}
-	ps := h.PageScanner(1)
-	ps.EmitRID()
-	var rows []types.Row
-	var rids []RID
-	for ok := true; ok; {
-		if rows, rids, ok, err = ps.NextPage(rows, rids); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(rows) != 600 {
-		t.Fatalf("scanned %d rows", len(rows))
-	}
-	for i, row := range rows {
-		if len(row) != 3 || cap(row) != 3 {
-			t.Fatalf("row %d: len %d cap %d, want the two columns plus the reserved RID slot", i, len(row), cap(row))
-		}
-		if got := UnpackRID(row[2].Int()); got != rids[i] {
-			t.Fatalf("row %d carries RID %v, scanner reported %v", i, got, rids[i])
-		}
-		if i > 0 && row[2].Int() <= rows[i-1][2].Int() {
-			t.Fatalf("packed RIDs out of physical order at row %d", i)
-		}
-	}
-	disp, err := h.MorselDispatcher(0)
+	root, err := h.InsertOnFreshPage(1, payload(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr := h.MorselReader(1)
-	mr.EmitRID()
+	for i := 301; i < 320; i++ {
+		if _, err := h.InsertNear(1, root, payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Free slots on the first page, then refill them near a row there: the
+	// newest rows land physically first.
+	for _, rid := range first[:5] {
+		if err := h.Delete(1, rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 320; i < 325; i++ {
+		if _, err := h.InsertNear(1, first[10], payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 325; i < 600; i++ {
+		if _, err := h.Insert(1, payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const total = 595
+	var rows []types.Row
+	var rids []RID
+	if err := h.Scan(1, func(rid RID, row types.Row) (bool, error) {
+		rows, rids = append(rows, row), append(rids, rid)
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != total {
+		t.Fatalf("Heap.Scan returned %d rows, want %d", len(rows), total)
+	}
+	if rows[0][0].Int() != 320 {
+		t.Fatalf("first row is %v, want the near-placed row 320 in a reused slot", rows[0])
+	}
+	r := h.MorselReader(1)
+	r.EmitRID()
 	var mrows []types.Row
-	for pages := disp.Claim(); pages != nil; pages = disp.Claim() {
-		for _, id := range pages {
-			if mrows, err = mr.ReadPage(id, mrows); err != nil {
-				t.Fatal(err)
+	for _, page := range readSerial(t, h, r, 3) {
+		mrows = append(mrows, page...)
+	}
+	if len(mrows) != total {
+		t.Fatalf("morsel reader saw %d rows, Heap.Scan %d", len(mrows), total)
+	}
+	for i, row := range mrows {
+		if len(row) != 3 || cap(row) != 3 {
+			t.Fatalf("row %d: len %d cap %d, want the two columns plus the reserved RID slot", i, len(row), cap(row))
+		}
+		if !row[:2].Equal(rows[i]) {
+			t.Fatalf("row %d: morsel reader %v, Heap.Scan %v", i, row[:2], rows[i])
+		}
+		if got := UnpackRID(row[2].Int()); got != rids[i] {
+			t.Fatalf("row %d carries RID %v, Heap.Scan reported %v", i, got, rids[i])
+		}
+		if i > 0 && row[2].Int() <= mrows[i-1][2].Int() {
+			t.Fatalf("packed RIDs out of physical order at row %d", i)
+		}
+	}
+}
+
+// TestHeapDirectoryGrowsUnderScans: a writer appends rows — and with them
+// pages — while scanners snapshot the directory through Heap.Scan and through
+// shared morsel dispatchers. No scan returns a row twice, and every scan
+// returns every row whose insert finished before the scan began. Run it
+// under -race: the directory is read and appended concurrently.
+func TestHeapDirectoryGrowsUnderScans(t *testing.T) {
+	bp := NewBufferPool(NewDisk(), 1<<12)
+	h, err := CreateHeap(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const preload, total = 500, 4000
+	var inserted atomic.Int64
+	insert := func(i int) error {
+		var err error
+		if i%97 == 0 {
+			_, err = h.InsertOnFreshPage(1, row(i, "grow"))
+		} else {
+			_, err = h.Insert(1, row(i, "grow-grow-grow"))
+		}
+		inserted.Store(int64(i + 1))
+		return err
+	}
+	for i := 0; i < preload; i++ {
+		if err := insert(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	var writerErr error
+	var writing atomic.Bool
+	writing.Store(true)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writing.Store(false)
+		for i := preload; i < total && writerErr == nil; i++ {
+			writerErr = insert(i)
+		}
+	}()
+	scanIDs := func() ([]int64, error) {
+		var ids []int64
+		err := h.Scan(1, func(_ RID, r types.Row) (bool, error) {
+			ids = append(ids, r[0].Int())
+			return false, nil
+		})
+		return ids, err
+	}
+	check := func(label string, before int64, ids []int64) error {
+		seen := make(map[int64]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				return fmt.Errorf("%s: row %d returned twice", label, id)
+			}
+			seen[id] = true
+		}
+		for id := int64(0); id < before; id++ {
+			if !seen[id] {
+				return fmt.Errorf("%s: row %d was inserted before the scan began but not returned", label, id)
 			}
 		}
+		return nil
 	}
-	if len(mrows) != len(rows) {
-		t.Fatalf("morsel reader saw %d rows, page scanner %d", len(mrows), len(rows))
+	scanErrs := make([]error, 4)
+	for s := range scanErrs {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			// Scan for as long as the writer runs, and a few times after.
+			for round := 0; (round < 5 || writing.Load()) && scanErrs[s] == nil; round++ {
+				before := inserted.Load()
+				var ids []int64
+				if s%2 == 0 {
+					ids, scanErrs[s] = scanIDs()
+				} else {
+					// Two readers share one dispatcher, as Gather workers do.
+					d := h.MorselDispatcher(2)
+					var mu sync.Mutex
+					var inner sync.WaitGroup
+					for w := 0; w < 2; w++ {
+						inner.Add(1)
+						go func() {
+							defer inner.Done()
+							r := h.MorselReader(1)
+							for claim := d.Claim(); claim != nil; claim = d.Claim() {
+								for _, id := range claim {
+									rows, err := r.ReadPage(id, nil)
+									mu.Lock()
+									if err != nil && scanErrs[s] == nil {
+										scanErrs[s] = err
+									}
+									for _, r := range rows {
+										ids = append(ids, r[0].Int())
+									}
+									mu.Unlock()
+								}
+							}
+						}()
+					}
+					inner.Wait()
+				}
+				if scanErrs[s] == nil {
+					scanErrs[s] = check(fmt.Sprintf("scanner %d round %d", s, round), before, ids)
+				}
+			}
+		}(s)
 	}
-	for i := range mrows {
-		if !mrows[i].Equal(rows[i]) {
-			t.Fatalf("row %d: morsel reader %v, page scanner %v", i, mrows[i], rows[i])
+	wg.Wait()
+	if writerErr != nil {
+		t.Fatal(writerErr)
+	}
+	for _, err := range scanErrs {
+		if err != nil {
+			t.Fatal(err)
 		}
+	}
+	ids, err := scanIDs()
+	if err == nil {
+		err = check("final scan", total, ids)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
