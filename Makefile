@@ -19,10 +19,12 @@ fuzz:
 
 # The second line compile-checks the benchmark module, which `./...` does
 # not reach: it pins part of internal/'s exported surface (seconds, not the
-# ~17 s of bench-check).
+# ~17 s of bench-check). The last fails on any file gofmt would rewrite;
+# its walk from the root reaches bench/ too.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Fault-injection chaos suite: hundreds of injected faults (disk, buffer
 # pool, WAL append, CO materialization) against a fault-free twin engine,

@@ -252,7 +252,6 @@ func printCOStats(db *sqlxnf.DB) {
 	st := est.COCache
 	fmt.Printf("co-cache: entries=%d resident=%s hits=%d misses=%d invalidations=%d evictions=%d waits=%d\n",
 		st.Entries, fmtBytes(st.ResidentBytes), st.Hits, st.Misses, st.Invalidations, st.Evictions, st.Waits)
-	fmt.Printf("spec-cache: hits=%d misses=%d\n", st.SpecHits, st.SpecMisses)
 	ents := eng.COCacheEntries()
 	if len(ents) == 0 {
 		fmt.Println("(no resident composite objects)")

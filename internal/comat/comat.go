@@ -4,21 +4,15 @@
 // objects repeatedly, so repeated checkouts should run at cache-hit speed
 // instead of re-deriving every component table and relationship.
 //
-// The cache holds two kinds of artifacts, both stamped with the catalog's
-// schema/statistics epoch:
-//
-//   - Compiled XNF specs (the QGM payload of an XNF box after parsing and
-//     name resolution), keyed like the prepared-plan cache by normalized
-//     statement text (or view name). Checkouts return deep clones, because
-//     the query-rewrite phase mutates box trees in place during evaluation.
-//
-//   - Materialized composite objects, keyed the same way, each carrying its
-//     dependency set: the base tables the materialization read, with their
-//     DML version counters at materialization time. DML to any component
-//     table bumps that table's version (engine/dml.go), which invalidates
-//     exactly the cached COs that read it — entries over disjoint tables
-//     keep serving hits. Entries live in an LRU bounded by a resident-byte
-//     budget.
+// The cache holds one kind of artifact: materialized composite objects, keyed
+// by normalized statement text (or view name) and stamped with the catalog's
+// schema/statistics epoch. Each carries its dependency set: the base tables
+// the materialization read, with their DML version counters at
+// materialization time. DML to any component table bumps that table's
+// version (engine/dml.go), which invalidates exactly the cached COs that read
+// it — entries over disjoint tables keep serving hits. Entries live in an LRU
+// bounded by a resident-byte budget. A miss builds its XNF spec afresh; only
+// the finished CO is worth keeping.
 //
 // Materialization is single-flight: when several sessions miss on the same
 // key concurrently, one runs the evaluator and the rest wait for its result.
@@ -33,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sqlxnf/internal/qgm"
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/xnf"
 )
@@ -63,7 +56,8 @@ type Stats struct {
 	Waits         int64 // sessions that waited on another session's materialization
 	Entries       int
 	ResidentBytes int64
-	// Spec-cache counters.
+	// SpecHits and SpecMisses are always zero: the cache no longer holds
+	// compiled specs. The fields stay because the benchmark module reads them.
 	SpecHits   int64
 	SpecMisses int64
 }
@@ -99,11 +93,6 @@ type flight struct {
 	err  error
 }
 
-type specEntry struct {
-	epoch uint64
-	spec  *qgm.XNFSpec
-}
-
 // Cache is the composite-object materialization cache. Safe for concurrent
 // use by many sessions.
 type Cache struct {
@@ -112,11 +101,9 @@ type Cache struct {
 	lru      *list.List // of *entry; front = most recently used
 	entries  map[string]*list.Element
 	flights  map[string]*flight
-	specs    map[string]*specEntry
 	resident int64
 
 	hits, misses, invalidations, evictions, waits int64
-	specHits, specMisses                          int64
 }
 
 // New creates a cache with the given resident-byte budget (0 means
@@ -130,7 +117,6 @@ func New(budget int64) *Cache {
 		lru:     list.New(),
 		entries: map[string]*list.Element{},
 		flights: map[string]*flight{},
-		specs:   map[string]*specEntry{},
 	}
 }
 
@@ -142,7 +128,6 @@ func (c *Cache) Stats() Stats {
 		Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations,
 		Evictions: c.evictions, Waits: c.waits,
 		Entries: len(c.entries), ResidentBytes: c.resident,
-		SpecHits: c.specHits, SpecMisses: c.specMisses,
 	}
 }
 
@@ -157,53 +142,6 @@ func (c *Cache) Entries() []Entry {
 			Hits: e.hits.Load(), Tuples: e.co.Size()})
 	}
 	return out
-}
-
-// Spec returns the cached compiled spec for key (a deep clone, private to
-// the caller), building and caching it on miss. Entries are epoch-stamped:
-// DDL and ANALYZE invalidate them wholesale.
-func (c *Cache) Spec(key string, epoch uint64, build func() (*qgm.XNFSpec, error)) (*qgm.XNFSpec, error) {
-	c.mu.Lock()
-	if se, ok := c.specs[key]; ok && se.epoch == epoch {
-		c.specHits++
-		spec := se.spec
-		c.mu.Unlock()
-		return qgm.CloneXNFSpec(spec), nil
-	}
-	c.specMisses++
-	c.mu.Unlock()
-	spec, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.specs[key] = &specEntry{epoch: epoch, spec: spec}
-	if len(c.specs) > maxSpecs {
-		// Spec sets are small (one per view / statement shape); a full reset
-		// on overflow beats LRU bookkeeping, mirroring the engine's parsed-
-		// statement cache.
-		c.specs = map[string]*specEntry{key: c.specs[key]}
-	}
-	c.mu.Unlock()
-	return qgm.CloneXNFSpec(spec), nil
-}
-
-// maxSpecs bounds the spec cache.
-const maxSpecs = 512
-
-// PeekSpec returns the cached spec itself — NOT a clone — for read-only
-// traversal (dependency-table enumeration). The stored spec is pristine
-// (only clones are ever evaluated or rewritten), so concurrent reads are
-// safe; callers must not mutate or evaluate it. Like PeekDeps, it does not
-// touch the hit/miss counters — those count checkouts, not metadata walks.
-func (c *Cache) PeekSpec(key string, epoch uint64) (*qgm.XNFSpec, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	se, ok := c.specs[key]
-	if !ok || se.epoch != epoch {
-		return nil, false
-	}
-	return se.spec, true
 }
 
 // PeekDeps returns the dependency table set of a cached CO without touching

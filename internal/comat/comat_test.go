@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"sqlxnf/internal/qgm"
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/xnf"
 )
@@ -211,43 +210,6 @@ func TestSingleFlight(t *testing.T) {
 	st := c.Stats()
 	if st.Waits == 0 {
 		t.Fatalf("no waits recorded under concurrent fetch: %+v", st)
-	}
-}
-
-func TestSpecCacheReturnsPrivateClones(t *testing.T) {
-	c := New(0)
-	var builds atomic.Int64
-	build := func() (*qgm.XNFSpec, error) {
-		builds.Add(1)
-		return &qgm.XNFSpec{
-			Nodes: []*qgm.XNFNode{{Name: "X", Def: &qgm.Box{Kind: qgm.KindSelect, Name: "sel"}}},
-			Take:  qgm.XNFTakeSpec{All: true},
-		}, nil
-	}
-	s1, err := c.Spec("V", 1, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c.Spec("V", 1, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != 1 {
-		t.Fatalf("builds = %d, want 1", builds.Load())
-	}
-	if s1 == s2 || s1.Nodes[0] == s2.Nodes[0] || s1.Nodes[0].Def == s2.Nodes[0].Def {
-		t.Fatal("spec checkouts alias shared structure")
-	}
-	// Epoch change rebuilds.
-	if _, err := c.Spec("V", 2, build); err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != 2 {
-		t.Fatalf("builds after epoch change = %d, want 2", builds.Load())
-	}
-	st := c.Stats()
-	if st.SpecHits != 1 || st.SpecMisses != 2 {
-		t.Fatalf("spec stats = %+v", st)
 	}
 }
 

@@ -106,40 +106,21 @@ func (s *Session) fetchViewCO(view string) (*xnf.CO, bool, error) {
 	})
 }
 
-// viewSpec returns the compiled spec of a stored XNF view, through the
-// comat spec cache when enabled (checkouts are private deep clones).
+// viewSpec builds the compiled spec of a stored XNF view.
 func (s *Session) viewSpec(v *catalog.View) (*qgm.XNFSpec, error) {
-	build := func() (*qgm.XNFSpec, error) {
-		st, err := s.eng.stmts.parse(v.Definition)
-		if err != nil {
-			return nil, err
-		}
-		xq, ok := st.(*parser.XNFQuery)
-		if !ok {
-			return nil, fmt.Errorf("engine: stored XNF view %q is not an XNF query", v.Name)
-		}
-		box, err := s.builder().BuildXNF(xq)
-		if err != nil {
-			return nil, err
-		}
-		return box.XNF, nil
+	st, err := parser.ParseOne(v.Definition)
+	if err != nil {
+		return nil, err
 	}
-	if cm := s.eng.comat; cm != nil {
-		return cm.Spec("VIEW:"+v.Name, s.eng.cat.Epoch(), build)
+	xq, ok := st.(*parser.XNFQuery)
+	if !ok {
+		return nil, fmt.Errorf("engine: stored XNF view %q is not an XNF query", v.Name)
 	}
-	return build()
-}
-
-// viewSpecReadOnly returns a view's compiled spec for read-only traversal
-// (table enumeration): the shared cached spec when resident — no deep clone
-// — else a freshly checked-out one.
-func (s *Session) viewSpecReadOnly(v *catalog.View) (*qgm.XNFSpec, error) {
-	if cm := s.eng.comat; cm != nil {
-		if spec, ok := cm.PeekSpec("VIEW:"+v.Name, s.eng.cat.Epoch()); ok {
-			return spec, nil
-		}
+	box, err := s.builder().BuildXNF(xq)
+	if err != nil {
+		return nil, err
 	}
-	return s.viewSpec(v)
+	return box.XNF, nil
 }
 
 // fetchCO is the core checkout: serve the cached CO for key when its
@@ -153,18 +134,25 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	}
 	defer s.coFetchDepth.Add(-1)
 
+	evaluate := func(spec *qgm.XNFSpec) (*xnf.CO, error) {
+		// The comat.materialize probe sits before the evaluator: an injected
+		// failure here fails the flight cleanly (waiters retry, nothing is
+		// stored), proving a failed materialization never poisons the cache.
+		if err := s.eng.faults.Hit(faultinj.ComatMat); err != nil {
+			return nil, err
+		}
+		ev := xnf.NewEvaluator(s, s.eng.opts.XNF)
+		co, err := ev.Evaluate(spec)
+		s.eng.met.addEvalStats(&ev.Stats)
+		return co, err
+	}
 	cm := s.eng.comat
 	if cm == nil || key == "" {
 		spec, err := specFn()
 		if err != nil {
 			return nil, false, err
 		}
-		if err := s.eng.faults.Hit(faultinj.ComatMat); err != nil {
-			return nil, false, err
-		}
-		ev := xnf.NewEvaluator(s, s.eng.opts.XNF)
-		co, err := ev.Evaluate(spec)
-		s.eng.met.addEvalStats(&ev.Stats)
+		co, err := evaluate(spec)
 		return co, false, err
 	}
 
@@ -175,8 +163,8 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	vf := s.eng.cat.TableVersion
 
 	// Fast path: a cached entry names its own dependency tables, so the
-	// hit path never builds (or even checks out) the spec — validate the
-	// entry, then confirm the session's snapshot covers its dependency set.
+	// hit path never builds the spec — validate the entry, then confirm the
+	// session's snapshot covers its dependency set.
 	if tables, ok := cm.PeekDeps(key, epoch); ok {
 		if co, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables) {
 			return co, true, nil
@@ -191,22 +179,10 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	if err != nil {
 		return nil, false, err
 	}
-	evaluate := func() (*xnf.CO, error) {
-		// The comat.materialize probe sits before the evaluator: an injected
-		// failure here fails the flight cleanly (waiters retry, nothing is
-		// stored), proving a failed materialization never poisons the cache.
-		if err := s.eng.faults.Hit(faultinj.ComatMat); err != nil {
-			return nil, err
-		}
-		ev := xnf.NewEvaluator(s, s.eng.opts.XNF)
-		co, err := ev.Evaluate(spec)
-		s.eng.met.addEvalStats(&ev.Stats)
-		return co, err
-	}
 	mine := false
 	co, hit, err := cm.FetchCO(s.sctx, key, epoch, vf, func() (*xnf.CO, []comat.TableDep, error) {
 		mine = true
-		co, err := evaluate()
+		co, err := evaluate(spec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -252,7 +228,7 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 			return co2, true, nil
 		}
 	}
-	co, err = evaluate()
+	co, err = evaluate(spec)
 	return co, false, err
 }
 
@@ -283,7 +259,7 @@ func (s *Session) specTables(spec *qgm.XNFSpec) ([]string, error) {
 			if err != nil {
 				return err
 			}
-			sub, err := s.viewSpecReadOnly(v)
+			sub, err := s.viewSpec(v)
 			if err != nil {
 				return err
 			}
@@ -348,7 +324,7 @@ func (s *Session) nodeRefPlanDeps(box *qgm.Box) ([]comat.TableDep, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec, err := s.viewSpecReadOnly(v)
+		spec, err := s.viewSpec(v)
 		if err != nil {
 			return nil, err
 		}

@@ -299,7 +299,11 @@ func TestDifferentialDML(t *testing.T) {
 // cold. Node rows and CO fingerprints must agree as multisets after every
 // step: a stale entry surviving a component-table mutation, a mis-tracked
 // dependency, or a shared materialization leaking a private mutation all
-// surface as a divergence here.
+// surface as a divergence here. Besides the flat view ORG the mix reads
+// ORG_ALLOC, a view over ORG adding an attributed relationship through a
+// link table (the Fig. 3 shape), and a TAKE whose node reads FROM "ORG.Xe",
+// so a miss resolves nested view specs; its ANALYZE/CREATE INDEX arm bumps
+// the catalog epoch under all of them.
 func TestDifferentialXNFCoCache(t *testing.T) {
 	cached := NewDefault().Session()
 	refOpts := DefaultOptions()
@@ -310,9 +314,15 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 	ddl := `CREATE TABLE DEPT (dno INT PRIMARY KEY, dname VARCHAR, budget INT);
 		CREATE TABLE EMP (eno INT PRIMARY KEY, ename VARCHAR, sal INT, edno INT);
 		CREATE INDEX emp_edno ON EMP (edno);
+		CREATE TABLE ALLOC (adno INT, aeno INT, share INT);
 		CREATE VIEW ORG AS
 		 OUT OF Xd AS DEPT, Xe AS (SELECT eno, ename, sal, edno FROM EMP WHERE sal >= 0),
 		  works AS (RELATE Xd, Xe WHERE Xd.dno = Xe.edno)
+		 TAKE *;
+		CREATE VIEW ORG_ALLOC AS
+		 OUT OF ORG,
+		  funds AS (RELATE Xd, Xe WITH ATTRIBUTES a.share USING ALLOC a
+		   WHERE Xd.dno = a.adno AND Xe.eno = a.aeno)
 		 TAKE *`
 	cached.MustExec(ddl)
 	ref.MustExec(ddl)
@@ -327,20 +337,37 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		seed(fmt.Sprintf("INSERT INTO EMP VALUES (%d, 'e%d', %d, %d)", i, i, rng.Intn(5000), 1+rng.Intn(6)))
 	}
+	for i := 0; i < 30; i++ {
+		seed(fmt.Sprintf("INSERT INTO ALLOC VALUES (%d, %d, %d)", 1+rng.Intn(6), rng.Intn(40), rng.Intn(100)))
+	}
 
 	takes := []string{
 		"OUT OF ORG TAKE *",
 		"OUT OF ORG WHERE Xe e SUCH THAT e.sal > 2000 TAKE *",
 		"OUT OF ORG TAKE Xd(*), works, Xe(eno, sal)",
+		"OUT OF ORG_ALLOC TAKE *",
+		"OUT OF ORG_ALLOC WHERE Xd d SUCH THAT d.dno <= 3 TAKE Xd(*), funds, Xe(eno)",
+		`OUT OF Xd AS DEPT, Xr AS (SELECT eno, sal, edno FROM "ORG.Xe" WHERE sal > 2500),
+		  rich AS (RELATE Xd, Xr WHERE Xd.dno = Xr.edno)
+		 TAKE *`,
 	}
 	nodeSelects := []string{
 		`SELECT eno, sal FROM "ORG.Xe" WHERE sal > 1000`,
 		`SELECT COUNT(*) FROM "ORG.Xe"`,
 		`SELECT d.dname, e.ename FROM "ORG.Xd" d, "ORG.Xe" e WHERE d.dno = e.edno`,
+		`SELECT COUNT(*) FROM "ORG_ALLOC.Xe" WHERE sal < 2500`,
+	}
+	// Epoch bumps: ANALYZE, or a new index while names last.
+	epochStmts := []string{
+		"ANALYZE EMP",
+		"CREATE INDEX emp_sal ON EMP (sal)",
+		"ANALYZE ALLOC",
+		"CREATE INDEX alloc_aeno ON ALLOC (aeno)",
+		"ANALYZE",
 	}
 	nextENO := 1000
-	for round := 0; round < 150; round++ {
-		switch rng.Intn(6) {
+	for round := 0; round < 200; round++ {
+		switch rng.Intn(9) {
 		case 0: // INSERT into a component table
 			stmt := fmt.Sprintf("INSERT INTO EMP VALUES (%d, 'n%d', %d, %d)",
 				nextENO, nextENO, rng.Intn(5000), 1+rng.Intn(6))
@@ -354,7 +381,19 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 			seed(fmt.Sprintf("UPDATE EMP SET %s = %d WHERE eno = %d", col, val, rng.Intn(nextENO)))
 		case 2: // DELETE from a component table
 			seed(fmt.Sprintf("DELETE FROM EMP WHERE eno = %d", rng.Intn(nextENO)))
-		case 3: // node-ref select, run twice on the cached engine (hit path)
+		case 3: // DML on the link table only ORG_ALLOC reads
+			if rng.Intn(2) == 0 {
+				seed(fmt.Sprintf("INSERT INTO ALLOC VALUES (%d, %d, %d)", 1+rng.Intn(6), rng.Intn(nextENO), rng.Intn(100)))
+			} else {
+				seed(fmt.Sprintf("UPDATE ALLOC SET share = %d WHERE aeno = %d", rng.Intn(100), rng.Intn(nextENO)))
+			}
+		case 4: // schema/statistics epoch bump
+			stmt := epochStmts[len(epochStmts)-1]
+			if len(epochStmts) > 1 {
+				stmt, epochStmts = epochStmts[0], epochStmts[1:]
+			}
+			seed(stmt)
+		case 5: // node-ref select, run twice on the cached engine (hit path)
 			q := nodeSelects[rng.Intn(len(nodeSelects))]
 			want := outcome(ref.Exec(q))
 			if got := outcome(cached.Exec(q)); got != want {
@@ -380,8 +419,8 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 		}
 	}
 	st := cached.Engine().COCacheStats()
-	if st.Hits == 0 || st.Invalidations == 0 {
-		t.Fatalf("harness exercised neither hits nor invalidations: %+v", st)
+	if st.Hits == 0 || st.Invalidations == 0 || st.Evictions == 0 {
+		t.Fatalf("harness missed hits, invalidations or epoch evictions: %+v", st)
 	}
 }
 

@@ -133,11 +133,9 @@ type Engine struct {
 	// plans is the prepared-plan cache (nil when disabled).
 	plans *planCache
 	// comat is the composite-object materialization cache (nil when
-	// disabled): compiled XNF specs plus materialized COs with tracked
-	// base-table dependencies (see internal/comat and engine/comat.go).
+	// disabled): materialized COs with tracked base-table dependencies, and
+	// nothing else (see internal/comat and engine/comat.go).
 	comat *comat.Cache
-	// stmts caches parsed view-definition ASTs.
-	stmts *stmtCache
 	// recovering disables WAL writes while a log replays.
 	recovering bool
 	// faults is the optional fault injector (nil = probes inert).
@@ -200,7 +198,6 @@ func New(opts Options) *Engine {
 		locks:    lock.NewManager(),
 		nextTx:   1,
 		opts:     opts,
-		stmts:    newStmtCache(256),
 		activeTx: map[uint64]struct{}{},
 		snaps:    map[uint64]*snapshot{},
 	}
@@ -1008,12 +1005,9 @@ func (s *Session) lockTable(name string) error {
 	return s.eng.locks.AcquireContext(ctx, s.txID, name, lock.Exclusive)
 }
 
-// builder returns a QGM builder wired to this session's XNF node resolver
-// and the engine's parsed-AST cache for view definitions.
+// builder returns a QGM builder wired to this session's XNF node resolver.
 func (s *Session) builder() *qgm.Builder {
-	b := qgm.NewBuilder(s.eng.cat, s.resolveXNFNode)
-	b.ParseView = s.eng.stmts.parse
-	return b
+	return qgm.NewBuilder(s.eng.cat, s.resolveXNFNode)
 }
 
 // resolveXNFNode lives in comat.go: node references resolve through the
@@ -1371,24 +1365,17 @@ func (s *Session) xnfQuery(stmt *parser.XNFQuery, text string) (*Result, error) 
 	if text != "" {
 		key = "CO:" + normalizeSQL(text)
 	}
-	specFn := func() (*qgm.XNFSpec, error) {
-		build := func() (*qgm.XNFSpec, error) {
-			box, err := s.builder().BuildXNF(stmt)
-			if err != nil {
-				return nil, err
-			}
-			return box.XNF, nil
+	co, _, err := s.fetchCO(key, func() (*qgm.XNFSpec, error) {
+		box, err := s.builder().BuildXNF(stmt)
+		if err != nil {
+			return nil, err
 		}
-		if cm := s.eng.comat; cm != nil && key != "" {
-			return cm.Spec(key, s.eng.cat.Epoch(), build)
-		}
-		return build()
-	}
-	co, hit, err := s.fetchCO(key, specFn)
+		return box.XNF, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if hit || s.eng.comat != nil {
+	if s.eng.comat != nil {
 		// The cache retains (or just stored) this CO; the application gets
 		// a private copy.
 		co = comat.CloneCO(co)

@@ -149,8 +149,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 			{Name: "comat_waits_total", Help: "single-flight waits behind another session's materialization", Value: float64(st.COCache.Waits)},
 			{Name: "comat_entries", Help: "CO cache resident entries", Value: float64(st.COCache.Entries), Gauge: true},
 			{Name: "comat_resident_bytes", Help: "CO cache resident bytes", Value: float64(st.COCache.ResidentBytes), Gauge: true},
-			{Name: "comat_spec_hits_total", Help: "compiled-spec cache hits", Value: float64(st.COCache.SpecHits)},
-			{Name: "comat_spec_misses_total", Help: "compiled-spec cache misses", Value: float64(st.COCache.SpecMisses)},
 			{Name: "pool_hits_total", Help: "buffer-pool page hits", Value: float64(st.Pool.Hits)},
 			{Name: "pool_misses_total", Help: "buffer-pool page misses", Value: float64(st.Pool.Misses)},
 			{Name: "pool_evictions_total", Help: "buffer-pool page evictions", Value: float64(st.Pool.Evictions)},

@@ -8,7 +8,6 @@ import (
 	"sqlxnf/internal/comat"
 	"sqlxnf/internal/exec"
 	"sqlxnf/internal/optimizer"
-	"sqlxnf/internal/parser"
 	"sqlxnf/internal/qgm"
 	"sqlxnf/internal/types"
 )
@@ -308,44 +307,4 @@ func walkBoxExprs(b *qgm.Box, visit func(qgm.Expr)) {
 			each(a.Arg)
 		}
 	}
-}
-
-// stmtCache caches parsed view-definition ASTs keyed by definition text.
-// The builder re-parses view bodies on every reference (SQL views inline
-// during QGM build; XNF views re-evaluate per reference), which made view
-// expansion pay the lexer+parser on the hot path. Parsed statements are
-// read-only during building, so one AST serves all sessions. Keying by the
-// definition text itself makes entries immune to DROP/CREATE VIEW churn —
-// a redefined view simply misses to a new key.
-type stmtCache struct {
-	mu  sync.Mutex
-	m   map[string]parser.Statement
-	cap int
-}
-
-func newStmtCache(capacity int) *stmtCache {
-	return &stmtCache{m: map[string]parser.Statement{}, cap: capacity}
-}
-
-// parse returns the cached AST for src, parsing on miss.
-func (sc *stmtCache) parse(src string) (parser.Statement, error) {
-	sc.mu.Lock()
-	if st, ok := sc.m[src]; ok {
-		sc.mu.Unlock()
-		return st, nil
-	}
-	sc.mu.Unlock()
-	st, err := parser.ParseOne(src)
-	if err != nil {
-		return nil, err
-	}
-	sc.mu.Lock()
-	if len(sc.m) >= sc.cap {
-		// Simple full reset: view sets are small; precision is not worth
-		// LRU bookkeeping here.
-		sc.m = map[string]parser.Statement{}
-	}
-	sc.m[src] = st
-	sc.mu.Unlock()
-	return st, nil
 }

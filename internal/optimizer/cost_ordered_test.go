@@ -53,9 +53,9 @@ func TestOrderedRangeSelectivityBounds(t *testing.T) {
 	}
 	const nameCol = 1
 	cases := []struct {
-		cmp     string
-		val     string
-		want    float64
+		cmp    string
+		val    string
+		want   float64
 		fromMM bool // estimate derived from the min/max comparison
 		approx bool // want is a floor, not exact
 	}{

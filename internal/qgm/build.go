@@ -36,12 +36,6 @@ type XNFNodeResolver func(view, node string) (*XNFNodeRef, error)
 type Builder struct {
 	cat      *catalog.Catalog
 	resolver XNFNodeResolver
-	// ParseView optionally overrides parsing of stored view definitions;
-	// the engine points it at a shared parsed-AST cache so repeated view
-	// references skip the lexer and parser. nil falls back to
-	// parser.ParseOne. The builder treats parsed ASTs as read-only, so a
-	// cached statement may be shared across sessions.
-	ParseView func(definition string) (parser.Statement, error)
 	// ParamLiterals enables statement parameterization: literals carrying a
 	// parser ordinal resolve to parameter-slot constants (Const.Param) that
 	// bind at execute instead of baking into the plan. The engine turns it on
@@ -52,14 +46,6 @@ type Builder struct {
 	ParamLiterals bool
 	depth         int
 	boxSeq        int
-}
-
-// parseView parses (or fetches the cached AST of) a view definition.
-func (b *Builder) parseView(definition string) (parser.Statement, error) {
-	if b.ParseView != nil {
-		return b.ParseView(definition)
-	}
-	return parser.ParseOne(definition)
 }
 
 // NewBuilder returns a builder over cat. resolver may be nil (type (3)
@@ -219,7 +205,7 @@ func (b *Builder) buildTableRef(ref parser.TableRef) (*Quantifier, error) {
 		if b.depth >= maxViewDepth {
 			return nil, fmt.Errorf("qgm: view nesting deeper than %d (cycle?)", maxViewDepth)
 		}
-		st, err := b.parseView(v.Definition)
+		st, err := parser.ParseOne(v.Definition)
 		if err != nil {
 			return nil, fmt.Errorf("qgm: stored view %q fails to parse: %v", name, err)
 		}
@@ -956,7 +942,7 @@ func (b *Builder) expandXNFView(name string) (*XNFSpec, error) {
 	if b.depth >= maxViewDepth {
 		return nil, fmt.Errorf("qgm: XNF view nesting deeper than %d (cycle?)", maxViewDepth)
 	}
-	st, err := b.parseView(v.Definition)
+	st, err := parser.ParseOne(v.Definition)
 	if err != nil {
 		return nil, fmt.Errorf("qgm: stored XNF view %q fails to parse: %v", name, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,5 +200,51 @@ func TestServerDrainUnderLoad(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutines leaked: %d > baseline %d", n, baseline)
+	}
+}
+
+// TestServerDrainAdmissionRace races statement admission against Shutdown,
+// round after round, with no network in between to order them. Shutdown's
+// wait must cover every admitted request: under -race, an admission that
+// raises the in-flight count from zero unordered with that wait is reported.
+// And once Shutdown has returned, nothing more is admitted.
+func TestServerDrainAdmissionRace(t *testing.T) {
+	db := sqlxnf.Open()
+	defer db.Close()
+	const rounds, clients = 50, 4
+	for r := 0; r < rounds; r++ {
+		srv := NewServer(db, Config{Workers: clients})
+		var stopped atomic.Bool
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			sess := db.Session()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := &Request{Op: OpExec, SQL: "SELECT 1"}
+				for {
+					after := stopped.Load()
+					resp := srv.handleExec(sess, req)
+					if after {
+						if resp.OK || resp.Err.Code != CodeShutdown {
+							t.Errorf("request sent after Shutdown returned got %+v, want the shutdown error", resp)
+						}
+						return
+					}
+				}
+			}()
+		}
+		// Let the clients run, without polling the counters: an atomic read
+		// of them would order the admissions it saw before the Shutdown.
+		time.Sleep(200 * time.Microsecond)
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatalf("round %d: Shutdown: %v", r, err)
+		}
+		admitted := srv.Counters().Admitted
+		stopped.Store(true)
+		wg.Wait()
+		if late := srv.Counters().Admitted - admitted; late != 0 {
+			t.Fatalf("round %d: %d requests admitted after Shutdown returned", r, late)
+		}
 	}
 }

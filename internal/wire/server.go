@@ -95,8 +95,13 @@ type Server struct {
 	reqWG    sync.WaitGroup // admitted in-flight requests
 	baseCtx  context.Context
 	hardStop context.CancelFunc
-	draining atomic.Bool
-	closed   atomic.Bool
+	// drainGate makes handleExec's draining check and its reqWG.Add one
+	// step with respect to Shutdown, which sets draining under the write
+	// lock: a request either joins reqWG before Shutdown waits on it or sees
+	// draining and is shed.
+	drainGate sync.RWMutex
+	draining  atomic.Bool
+	closed    atomic.Bool
 
 	accepted, rejectedConns         atomic.Int64
 	liveConns, liveSessions         atomic.Int64
@@ -315,17 +320,21 @@ func (s *Server) handle(sess *sqlxnf.Session, req *Request) *Response {
 // never queues excess statements.
 func (s *Server) handleExec(sess *sqlxnf.Session, req *Request) *Response {
 	s.requests.Add(1)
+	s.drainGate.RLock()
 	if s.draining.Load() {
+		s.drainGate.RUnlock()
 		s.shedShutdown.Add(1)
 		return &Response{ID: req.ID, OK: false, Err: ErrShuttingDown}
 	}
 	select {
 	case s.slots <- struct{}{}:
 	default:
+		s.drainGate.RUnlock()
 		s.shedBusy.Add(1)
 		return &Response{ID: req.ID, OK: false, Err: ErrServerBusy}
 	}
 	s.reqWG.Add(1)
+	s.drainGate.RUnlock()
 	defer func() {
 		<-s.slots
 		s.reqWG.Done()
@@ -437,7 +446,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	s.drainGate.Lock()
 	s.draining.Store(true)
+	s.drainGate.Unlock()
 	if s.lis != nil {
 		_ = s.lis.Close()
 	}
