@@ -64,11 +64,13 @@ func (t *Tuple) MustValue(col string) types.Value {
 // Deleted reports whether the tuple has been deleted through the cache.
 func (t *Tuple) Deleted() bool { return t.deleted }
 
-// Link is one cached connection instance.
+// Link is one cached connection instance. A link-table connection keeps
+// the RID of its link row (NilRID otherwise).
 type Link struct {
 	Parent *Tuple
 	Child  *Tuple
 	Attrs  types.Row
+	rid    storage.RID
 	edge   *Edge
 	dead   bool
 }
@@ -128,7 +130,7 @@ func Load(host xnf.Host, co *xnf.CO) (*Cache, error) {
 		e := &Edge{Name: ei.Name, Parent: p, Child: ch, AttrSchema: ei.AttrSchema, inst: ei}
 		key := strings.ToUpper(ei.Name)
 		for _, conn := range ei.Conns {
-			l := &Link{Parent: p.Tuples[conn.P], Child: ch.Tuples[conn.C], Attrs: conn.Attrs, edge: e}
+			l := &Link{Parent: p.Tuples[conn.P], Child: ch.Tuples[conn.C], Attrs: conn.Attrs, rid: conn.LinkRID, edge: e}
 			e.Links = append(e.Links, l)
 			l.Parent.out[key] = append(l.Parent.out[key], l)
 			l.Child.in[key] = append(l.Child.in[key], l)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"sqlxnf/internal/engine"
@@ -293,5 +294,121 @@ func TestStatsCount(t *testing.T) {
 	}
 	if c.Stats.CursorOpens < 3 || c.Stats.PointerHops < 3 {
 		t.Errorf("stats = %+v", c.Stats)
+	}
+}
+
+// linkCache loads, over P(pid), C(cid) and the link table PC created by
+// pcDDL with pcRows, the CO of parent 1 whose link edge relates through PC
+// with the given ATTRIBUTES clause and extra predicate.
+func linkCache(t *testing.T, pcDDL, pcRows, attrs, pred string) (*engine.Session, *Cache) {
+	t.Helper()
+	s := engine.NewDefault().Session()
+	s.MustExec(`CREATE TABLE P (pid INT PRIMARY KEY, pname VARCHAR);
+		CREATE TABLE C (cid INT PRIMARY KEY);
+		INSERT INTO P VALUES (1, 'p1'), (2, 'p2');
+		INSERT INTO C VALUES (10), (20);` + pcDDL)
+	if pcRows != "" {
+		s.MustExec("INSERT INTO PC VALUES " + pcRows)
+	}
+	r := s.MustExec(`OUT OF Xp AS (SELECT * FROM P WHERE pid = 1), Xc AS C,
+		link AS (RELATE Xp, Xc ` + attrs + ` USING PC
+			WHERE Xp.pid = PC.lp AND Xc.cid = PC.lc` + pred + `)
+		TAKE *`)
+	c, err := Load(s, r.CO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, c
+}
+
+// firstTuple returns the tuple of node whose column col holds v.
+func firstTuple(t *testing.T, c *Cache, node, col string, v int64) *Tuple {
+	t.Helper()
+	cur, err := c.Open(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next() {
+		if cur.Tuple().MustValue(col).Int() == v {
+			return cur.Tuple()
+		}
+	}
+	t.Fatalf("%s has no tuple with %s = %d", node, col, v)
+	return nil
+}
+
+// linkWeights lists the w column of PC, ascending.
+func linkWeights(t *testing.T, s *engine.Session) []float64 {
+	t.Helper()
+	var out []float64
+	for _, row := range s.MustExec("SELECT w FROM PC ORDER BY w").Rows {
+		out = append(out, row[0].Float())
+	}
+	return out
+}
+
+// TestDisconnectDeletesItsOwnLinkRow: of two link rows joining the same
+// parent and child, only the one that passes the edge predicate is a
+// connection, and Disconnect deletes that row, not the other one.
+func TestDisconnectDeletesItsOwnLinkRow(t *testing.T) {
+	s, c := linkCache(t, "CREATE TABLE PC (lp INT, lc INT, w FLOAT)", "(1, 20, 0.1), (1, 20, 0.7)",
+		"WITH ATTRIBUTES PC.w", " AND PC.w > 0.6")
+	links := c.Edge("link").Links
+	if len(links) != 1 || links[0].Attrs[0].Float() != 0.7 {
+		t.Fatalf("links = %v, want the one 0.7 connection", links)
+	}
+	if err := c.Disconnect("link", firstTuple(t, c, "Xp", "pid", 1), firstTuple(t, c, "Xc", "cid", 20)); err != nil {
+		t.Fatal(err)
+	}
+	if got := linkWeights(t, s); !reflect.DeepEqual(got, []float64{0.1}) {
+		t.Errorf("link rows left: w = %v, want [0.1]", got)
+	}
+}
+
+// TestDisconnectAfterConcurrentLinkUpdate: a link row another session
+// updated between checkout and Disconnect is either the row Disconnect
+// deletes or the cause of a clean error; no other link row is touched.
+func TestDisconnectAfterConcurrentLinkUpdate(t *testing.T) {
+	s, c := linkCache(t, "CREATE TABLE PC (lp INT, lc INT, w FLOAT)", "(1, 20, 0.1), (1, 20, 0.7), (2, 20, 0.9)",
+		"", " AND PC.w > 0.6")
+	s.Engine().Session().MustExec("UPDATE PC SET w = 0.8 WHERE w = 0.7")
+	err := c.Disconnect("link", firstTuple(t, c, "Xp", "pid", 1), firstTuple(t, c, "Xc", "cid", 20))
+	got := linkWeights(t, s)
+	switch {
+	case err != nil && reflect.DeepEqual(got, []float64{0.1, 0.8, 0.9}):
+	case err == nil && reflect.DeepEqual(got, []float64{0.1, 0.9}):
+	default:
+		t.Errorf("Disconnect err = %v, link rows left w = %v", err, got)
+	}
+}
+
+// TestConnectWritesAttributeColumns: Connect writes each attribute into the
+// link column it reads, wherever that column sits in the link table, and
+// refuses attributes of a relationship whose attributes are not all plain
+// link columns.
+func TestConnectWritesAttributeColumns(t *testing.T) {
+	for _, noteKind := range []string{"VARCHAR", "FLOAT"} {
+		s, c := linkCache(t, "CREATE TABLE PC (note "+noteKind+", lp INT, lc INT, w FLOAT)", "(NULL, 1, 20, 0.3)",
+			"WITH ATTRIBUTES PC.w", "")
+		if err := c.Connect("link", firstTuple(t, c, "Xp", "pid", 1), firstTuple(t, c, "Xc", "cid", 20), types.NewFloat(0.5)); err != nil {
+			t.Fatalf("note %s: %v", noteKind, err)
+		}
+		r := s.MustExec("SELECT note, w FROM PC WHERE w = 0.5")
+		if len(r.Rows) != 1 || !r.Rows[0][0].IsNull() {
+			t.Errorf("note %s: link rows (note, w) with w = 0.5: %v, want one with a NULL note", noteKind, r.Rows)
+		}
+	}
+	for _, attrs := range []string{"WITH ATTRIBUTES PC.w * 2 AS w2", "WITH ATTRIBUTES PC.w, Xp.pname"} {
+		s, c := linkCache(t, "CREATE TABLE PC (lp INT, lc INT, w FLOAT)", "(1, 20, 0.3)", attrs, "")
+		p1, c20 := firstTuple(t, c, "Xp", "pid", 1), firstTuple(t, c, "Xc", "cid", 20)
+		if err := c.Connect("link", p1, c20, types.NewFloat(0.5)); err == nil {
+			t.Errorf("%s: Connect with an attribute succeeded", attrs)
+		}
+		if err := c.Connect("link", p1, c20); err != nil {
+			t.Errorf("%s: Connect without attributes: %v", attrs, err)
+		}
+		if r := s.MustExec("SELECT COUNT(*), COUNT(w) FROM PC"); r.Rows[0][0].Int() != 2 || r.Rows[0][1].Int() != 1 {
+			t.Errorf("%s: (link rows, non-NULL w) = %v, want (2, 1)", attrs, r.Rows[0])
+		}
 	}
 }

@@ -147,8 +147,9 @@ func (c *Cache) Delete(t *Tuple) error {
 
 // Connect creates a connection instance. FK relationships set the child's
 // foreign key to the parent's key; M:N link-table relationships insert a
-// link row (attrs populate the link row's attribute columns). Relationships
-// without update provenance are read-only.
+// link row (attrs[i] fills the link column attribute i reads, so every
+// attribute must be a plain link column). Relationships without update
+// provenance are read-only.
 func (c *Cache) Connect(edge string, parent, child *Tuple, attrs ...types.Value) error {
 	e := c.Edge(edge)
 	if e == nil {
@@ -157,6 +158,7 @@ func (c *Cache) Connect(edge string, parent, child *Tuple, attrs ...types.Value)
 	if !strings.EqualFold(parent.node.Name, e.Parent.Name) || !strings.EqualFold(child.node.Name, e.Child.Name) {
 		return fmt.Errorf("cache: Connect(%s) expects (%s, %s) tuples", edge, e.Parent.Name, e.Child.Name)
 	}
+	rid := storage.NilRID
 	switch {
 	case e.inst.FKChildCol != "":
 		if len(attrs) > 0 {
@@ -181,6 +183,12 @@ func (c *Cache) Connect(edge string, parent, child *Tuple, attrs ...types.Value)
 		}
 		child.rid = newRID
 	case e.inst.LinkTable != "":
+		if len(attrs) > len(e.inst.LinkAttrCols) {
+			return fmt.Errorf("cache: relationship %s has %d attributes, got %d", edge, len(e.inst.LinkAttrCols), len(attrs))
+		}
+		if len(attrs) > 0 && !e.inst.AttrsOnLink() {
+			return fmt.Errorf("cache: relationship %s has an attribute that is not a link column; connect it without attributes", edge)
+		}
 		schema, err := c.host.TableSchema(e.inst.LinkTable)
 		if err != nil {
 			return err
@@ -198,22 +206,16 @@ func (c *Cache) Connect(edge string, parent, child *Tuple, attrs ...types.Value)
 		}
 		row[pCol] = parent.Row[pKey]
 		row[cCol] = child.Row[cKey]
-		// Attributes fill remaining columns positionally in attr order.
-		ai := 0
-		for i := range schema {
-			if i == pCol || i == cCol || ai >= len(attrs) {
-				continue
-			}
-			row[i] = attrs[ai]
-			ai++
+		for i, v := range attrs {
+			row[schema.Index(e.inst.LinkAttrCols[i])] = v
 		}
-		if _, err := c.host.InsertRow(e.inst.LinkTable, row); err != nil {
+		if rid, err = c.host.InsertRow(e.inst.LinkTable, row); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("cache: relationship %s is not updatable (no FK or link-table provenance)", edge)
 	}
-	l := &Link{Parent: parent, Child: child, edge: e}
+	l := &Link{Parent: parent, Child: child, rid: rid, edge: e}
 	if len(attrs) > 0 {
 		l.Attrs = types.Row(attrs).Clone()
 	}
@@ -227,7 +229,8 @@ func (c *Cache) Connect(edge string, parent, child *Tuple, attrs ...types.Value)
 
 // Disconnect removes the connection between parent and child. FK
 // relationships nullify the child's foreign key; M:N link-table
-// relationships delete the link row (paper §3.7).
+// relationships delete the link row (paper §3.7), by the RID it had at
+// checkout or at Connect.
 func (c *Cache) Disconnect(edge string, parent, child *Tuple) error {
 	e := c.Edge(edge)
 	if e == nil {
@@ -264,33 +267,7 @@ func (c *Cache) Disconnect(edge string, parent, child *Tuple) error {
 		}
 		child.rid = newRID
 	case e.inst.LinkTable != "":
-		schema, err := c.host.TableSchema(e.inst.LinkTable)
-		if err != nil {
-			return err
-		}
-		pCol := schema.Index(e.inst.LinkParentCol)
-		cCol := schema.Index(e.inst.LinkChildCol)
-		pKey := parent.node.Schema.Index(e.inst.LinkParentKey)
-		cKey := child.node.Schema.Index(e.inst.LinkChildKey)
-		if pCol < 0 || cCol < 0 || pKey < 0 || cKey < 0 {
-			return fmt.Errorf("cache: relationship %s provenance incomplete", edge)
-		}
-		var rid storage.RID
-		found := false
-		err = c.host.ScanTable(e.inst.LinkTable, func(r storage.RID, row types.Row) (bool, error) {
-			if types.Equal(row[pCol], parent.Row[pKey]) && types.Equal(row[cCol], child.Row[cKey]) {
-				rid, found = r, true
-				return true, nil
-			}
-			return false, nil
-		})
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("cache: link row for %s connection not found", edge)
-		}
-		if err := c.host.DeleteRow(e.inst.LinkTable, rid); err != nil {
+		if err := c.host.DeleteRow(e.inst.LinkTable, link.rid); err != nil {
 			return err
 		}
 	default:

@@ -372,11 +372,7 @@ func CloneCO(co *xnf.CO) *xnf.CO {
 	for _, e := range co.Edges {
 		ne := &xnf.EdgeInstance{
 			Name: e.Name, Parent: e.Parent, Child: e.Child,
-			AttrSchema:  e.AttrSchema,
-			FKParentCol: e.FKParentCol, FKChildCol: e.FKChildCol,
-			LinkTable: e.LinkTable, LinkParentCol: e.LinkParentCol,
-			LinkChildCol: e.LinkChildCol, LinkParentKey: e.LinkParentKey,
-			LinkChildKey: e.LinkChildKey,
+			AttrSchema: e.AttrSchema, EdgeProvenance: e.EdgeProvenance,
 		}
 		ne.Conns = make([]xnf.Conn, len(e.Conns))
 		for i, cn := range e.Conns {

@@ -709,21 +709,11 @@ func (s *Session) autoTx(fn func() error) error {
 	return s.commit()
 }
 
-// RunBox implements xnf.Host: rewrite, optimize, execute. The context
-// carries the session's node-reference handle so node definitions that
-// themselves read FROM "VIEW.NODE" resolve through the CO cache.
-func (s *Session) RunBox(box *qgm.Box) ([]types.Row, error) {
-	box = rewrite.Rewrite(box, s.eng.opts.Rewrite)
-	plan, err := optimizer.CompileWith(box, s.eng.opts.Optimizer)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(s.newExecContext(), plan)
-}
-
-// RunBoxWithRIDs implements xnf.Host: run a node derivation, with base-tuple
-// provenance, in plan order, when its plan carries it (see nodePlan).
-func (s *Session) RunBoxWithRIDs(box *qgm.Box) ([]types.Row, []storage.RID, error) {
+// RunBox implements xnf.Host: rewrite, optimize, execute, with base-tuple
+// provenance, in plan order, when the plan carries it (see nodePlan). The
+// context carries the session's node-reference handle so node definitions
+// that themselves read FROM "VIEW.NODE" resolve through the CO cache.
+func (s *Session) RunBox(box *qgm.Box) ([]types.Row, []storage.RID, error) {
 	plan, withRID, err := s.nodePlan(box)
 	if err != nil {
 		return nil, nil, err
@@ -740,7 +730,7 @@ func (s *Session) RunBoxWithRIDs(box *qgm.Box) ([]types.Row, []storage.RID, erro
 // the hidden RID column as its last output, like a DML target plan, and serial:
 // a Gather under every checkout's child derivations fights the concurrent
 // clients for cores and widens the latency tail (EXECUTOR.md "RID-carrying
-// plans"). Any other shape compiles as RunBox would, without provenance.
+// plans"). Any other shape compiles as is, without provenance.
 func (s *Session) nodePlan(box *qgm.Box) (plan exec.Plan, withRID bool, err error) {
 	box = rewrite.Rewrite(box, s.eng.opts.Rewrite)
 	opt := s.eng.opts.Optimizer
@@ -858,16 +848,6 @@ func (s *Session) DeleteRow(table string, rid storage.RID) error {
 		}
 		return s.deleteRowTx(t, rid)
 	})
-}
-
-// ScanTable implements xnf.Host: scan under the session's snapshot (or the
-// latest-committed view between statements).
-func (s *Session) ScanTable(table string, fn func(rid storage.RID, row types.Row) (bool, error)) error {
-	t, err := s.eng.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	return t.Heap.ScanVis(t.Tag, s.visFunc(), fn)
 }
 
 // TableSchema implements xnf.Host.

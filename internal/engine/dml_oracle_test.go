@@ -455,7 +455,7 @@ type mmTable struct {
 func mmSnapshot(t *testing.T, s *Session) *mmTable {
 	t.Helper()
 	tb := &mmTable{}
-	err := s.ScanTable("R", func(rid storage.RID, row types.Row) (bool, error) {
+	err := scanTable(s, "R", func(rid storage.RID, row types.Row) (bool, error) {
 		tb.rids = append(tb.rids, rid)
 		tb.rows = append(tb.rows, row)
 		return false, nil

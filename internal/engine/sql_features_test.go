@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -216,6 +217,35 @@ func TestXNFDeleteWithLinkRows(t *testing.T) {
 	q = s.MustExec("SELECT COUNT(*) FROM C")
 	if q.Rows[0][0].Int() != 0 {
 		t.Errorf("children left = %v (both were reachable)", q.Rows[0][0])
+	}
+}
+
+// TestXNFDeleteLinkRowsByIdentity: CO DELETE removes exactly the link rows
+// behind the CO's connections. A link row that fails the edge predicate is
+// no connection and survives, though it joins the same parent and child as
+// one that is.
+func TestXNFDeleteLinkRowsByIdentity(t *testing.T) {
+	s := NewDefault().Session()
+	s.MustExec(`
+	CREATE TABLE P (pid INT PRIMARY KEY);
+	CREATE TABLE C (cid INT PRIMARY KEY);
+	CREATE TABLE PC (lp INT, lc INT, w FLOAT);
+	INSERT INTO P VALUES (1), (2);
+	INSERT INTO C VALUES (10), (20);
+	INSERT INTO PC VALUES (1, 20, 0.1), (1, 10, 0.5), (1, 20, 0.7), (2, 20, 0.9);
+	`)
+	r := s.MustExec(`OUT OF
+		Xp AS (SELECT * FROM P WHERE pid = 1),
+		Xc AS C,
+		link AS (RELATE Xp, Xc USING PC WHERE Xp.pid = PC.lp AND Xc.cid = PC.lc AND PC.w > 0.6)
+		DELETE *`)
+	// p1 + c20 + the (1, 20, 0.7) link row; c10 is unreachable.
+	if r.RowsAffected != 3 {
+		t.Fatalf("deleted %d, want 3", r.RowsAffected)
+	}
+	q := s.MustExec("SELECT lp, lc, w FROM PC ORDER BY w")
+	if got := fmt.Sprint(q.Rows); got != "[(1, 20, 0.1) (1, 10, 0.5) (2, 20, 0.9)]" {
+		t.Errorf("link rows left = %s", got)
 	}
 }
 

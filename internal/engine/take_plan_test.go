@@ -24,6 +24,16 @@ func nodeMultiset(rows []types.Row, rids []storage.RID) []string {
 	return out
 }
 
+// scanTable visits every live tuple of a base table with its RID, under the
+// session's snapshot (or the latest-committed view between statements).
+func scanTable(s *Session, table string, fn func(rid storage.RID, row types.Row) (bool, error)) error {
+	t, err := s.eng.cat.Table(table)
+	if err != nil {
+		return err
+	}
+	return t.Heap.ScanVis(t.Tag, s.visFunc(), fn)
+}
+
 func coNode(t *testing.T, co *xnf.CO, name string) []string {
 	t.Helper()
 	n := co.Node(name)
@@ -162,7 +172,7 @@ func TestTakeEqualsNodeSelects(t *testing.T) {
 			ridOf := map[string]map[int64]storage.RID{}
 			for _, table := range []string{"DEPT", "EMP", "PROJ", "SKILLS"} {
 				byKey := map[int64]storage.RID{}
-				if err := s.ScanTable(table, func(rid storage.RID, row types.Row) (bool, error) {
+				if err := scanTable(s, table, func(rid storage.RID, row types.Row) (bool, error) {
 					byKey[row[0].Int()] = rid
 					return false, nil
 				}); err != nil {
@@ -209,5 +219,138 @@ func TestTakeEqualsNodeSelects(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTakeEdgesEqualEdgeSelects: TAKE edges against their hand-expanded
+// SELECTs. Over random data and root predicates, the connections of every
+// edge of a TAKE * equal, as a multiset, the rows of its RELATE predicate
+// joined over the CO's partner nodes: parent key, child key, attributes and,
+// for the link-table edge, the heap RID of the link row (NilRID for the FK
+// edge). The link edge is resolved inline from the link-table fetch (two
+// conjuncts) or by the edge query (an extra conjunct on the link table),
+// with and without an index on the link table, under the default engine,
+// without indexes and without shared subexpressions.
+func TestTakeEdgesEqualEdgeSelects(t *testing.T) {
+	noIndexes := DefaultOptions()
+	noIndexes.Optimizer.NoIndexes = true
+	noShare := DefaultOptions()
+	noShare.XNF.NoSharedSubexpressions = true
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"default", DefaultOptions()}, {"NoIndexes", noIndexes}, {"NoSharedSubexpressions", noShare}} {
+		for _, linkIndex := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/linkIndex=%v", c.name, linkIndex), func(t *testing.T) {
+				opts := c.opts
+				opts.COCacheBytes = -1 // every TAKE evaluates
+				rng := rand.New(rand.NewSource(30))
+				s := New(opts).Session()
+				s.MustExec(`CREATE TABLE P (pid INT NOT NULL PRIMARY KEY, pcat INT);
+					CREATE TABLE F (fid INT NOT NULL PRIMARY KEY, fp INT);
+					CREATE TABLE C (cid INT NOT NULL PRIMARY KEY);
+					CREATE TABLE PC (lid INT, lp INT, lc INT, w FLOAT)`)
+				if linkIndex {
+					s.MustExec(`CREATE INDEX pc_lp ON PC (lp)`)
+				}
+				key := func(n int) string { // 1..n (past the referenced table when n exceeds it), sometimes NULL
+					if rng.Intn(12) == 0 {
+						return "NULL"
+					}
+					return fmt.Sprint(1 + rng.Intn(n))
+				}
+				for p := 1; p <= 10; p++ {
+					s.MustExec(fmt.Sprintf(`INSERT INTO P VALUES (%d, %d)`, p, rng.Intn(3)))
+				}
+				for f := 1; f <= 40; f++ {
+					s.MustExec(fmt.Sprintf(`INSERT INTO F VALUES (%d, %s)`, f, key(12)))
+				}
+				for k := 1; k <= 30; k++ {
+					s.MustExec(fmt.Sprintf(`INSERT INTO C VALUES (%d)`, k))
+				}
+				// Few distinct (lp, lc) pairs among many link rows: one parent
+				// and child are often joined by several link rows.
+				for l := 1; l <= 150; l++ {
+					s.MustExec(fmt.Sprintf(`INSERT INTO PC VALUES (%d, %s, %s, %d.%d)`, l, key(12), key(8), rng.Intn(2), rng.Intn(10)))
+				}
+				if rng.Intn(2) == 0 {
+					s.MustExec(`ANALYZE`)
+				}
+				ridOf := map[int64]storage.RID{} // PC.lid → heap RID
+				if err := scanTable(s, "PC", func(rid storage.RID, row types.Row) (bool, error) {
+					ridOf[row[0].Int()] = rid
+					return false, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				render := func(p, c types.Value, attrs types.Row, rid storage.RID) string {
+					return fmt.Sprintf("%v %v %v %v", p, c, attrs, rid)
+				}
+				selectEdge := func(sql string, link bool) []string {
+					var out []string
+					for _, row := range s.MustExec(sql).Rows {
+						if link {
+							out = append(out, render(row[0], row[1], row[2:3], ridOf[row[3].Int()]))
+						} else {
+							out = append(out, render(row[0], row[1], nil, storage.NilRID))
+						}
+					}
+					sort.Strings(out)
+					return out
+				}
+				coEdge := func(co *xnf.CO, name string) []string {
+					e := co.Edge(name)
+					if e == nil {
+						t.Fatalf("composite object has no edge %s", name)
+					}
+					p, c := co.Node(e.Parent), co.Node(e.Child)
+					var out []string
+					for _, conn := range e.Conns {
+						out = append(out, render(p.Rows[conn.P][0], c.Rows[conn.C][0], conn.Attrs, conn.LinkRID))
+					}
+					sort.Strings(out)
+					return out
+				}
+				pPreds := []string{"pid = %d", "pid < %d", "pcat = %d", "pid IN (%d, 4, NULL)", "pid <> %d"}
+				for iter := 0; iter < 30; iter++ {
+					pPred := fmt.Sprintf(pPreds[rng.Intn(len(pPreds))], 1+rng.Intn(10))
+					extra := ""
+					if rng.Intn(2) == 0 {
+						extra = fmt.Sprintf(" AND PC.w > %d.%d", rng.Intn(2), rng.Intn(10))
+					}
+					take := fmt.Sprintf(`OUT OF Xp AS (SELECT * FROM P WHERE %s), Xf AS F, Xc AS C,
+						fk AS (RELATE Xp, Xf WHERE Xp.pid = Xf.fp),
+						link AS (RELATE Xp, Xc WITH ATTRIBUTES PC.w USING PC
+							WHERE Xp.pid = PC.lp AND Xc.cid = PC.lc%s)
+						TAKE *`, pPred, extra)
+					inline := s.Engine().Stats().Eval.InlineEdges
+					co := s.MustExec(take).CO
+					inline = s.Engine().Stats().Eval.InlineEdges - inline
+					wantInline := int64(2) // fk, and link with two conjuncts
+					switch {
+					case c.opts.XNF.NoSharedSubexpressions:
+						wantInline = 0
+					case extra != "":
+						wantInline = 1
+					}
+					if inline != wantInline {
+						t.Fatalf("iteration %d: %d edges resolved inline, want %d\n%s", iter, inline, wantInline, take)
+					}
+					for _, e := range []struct {
+						name, sql string
+						link      bool
+					}{
+						{"fk", "SELECT pid, fid FROM P, F WHERE " + pPred + " AND pid = fp", false},
+						{"link", "SELECT pid, cid, w, lid FROM P, C, PC WHERE " + pPred + " AND pid = lp AND cid = lc" + extra, true},
+					} {
+						got, want := coEdge(co, e.name), selectEdge(e.sql, e.link)
+						if !slices.Equal(got, want) {
+							t.Fatalf("iteration %d, edge %s: TAKE has %d connections, %s has %d\n take: %v\n want: %v\n%s",
+								iter, e.name, len(got), e.sql, len(want), got, want, take)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package qgm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sqlxnf/internal/catalog"
@@ -192,19 +193,35 @@ type XNFEdge struct {
 	// Attrs are relationship attributes (paper: WITH ATTRIBUTES), resolved
 	// over the same quantifier numbering as Pred.
 	Attrs []HeadExpr
-	// FK provenance for connect/disconnect: when the edge predicate is
-	// parent.key = child.fk over base-backed nodes, FKChildCol names the fk
-	// column (child side) and FKParentCol the parent key. For link-table
-	// (M:N) edges, LinkTable names the USING base table.
+	EdgeProvenance
+}
+
+// EdgeProvenance says how an edge's connections map down to base rows, for
+// connect/disconnect and CO DELETE (paper §3.7). It travels unchanged from
+// the spec to every materialized relationship.
+type EdgeProvenance struct {
+	// FK edges: the predicate is parent.key = child.fk over base-backed
+	// nodes; FKChildCol names the fk column (child side), FKParentCol the
+	// parent key.
 	FKParentCol string
 	FKChildCol  string
-	LinkTable   string
-	// LinkParentCol/LinkChildCol give, for link-table edges, the link-table
-	// columns equated with the parent key and child key.
+	// Link-table (M:N) edges: LinkTable names the USING base table, whose
+	// columns LinkParentCol and LinkChildCol are equated with the parent
+	// node's LinkParentKey and the child node's LinkChildKey. LinkAttrCols[i]
+	// is the link column attribute i reads, or "" when attribute i is not a
+	// plain link column.
+	LinkTable     string
 	LinkParentCol string
 	LinkChildCol  string
 	LinkParentKey string
 	LinkChildKey  string
+	LinkAttrCols  []string
+}
+
+// AttrsOnLink reports whether every attribute of a link-table edge is a
+// plain column of its link table.
+func (p *EdgeProvenance) AttrsOnLink() bool {
+	return p.LinkTable != "" && !slices.Contains(p.LinkAttrCols, "")
 }
 
 // XNFRestrictionSpec is a resolved node or edge restriction. Path

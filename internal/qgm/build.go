@@ -1103,11 +1103,18 @@ func (b *Builder) analyzeEdgeProvenance(e *XNFEdge, parent, child *XNFNode) {
 			}
 		}
 		if pLink != "" && cLink != "" {
-			e.LinkTable = e.Using[0].Input.Table.Name
+			link := e.Using[0].Input
+			e.LinkTable = link.Table.Name
 			e.LinkParentCol = pLink
 			e.LinkChildCol = cLink
 			e.LinkParentKey = pKey
 			e.LinkChildKey = cKey
+			e.LinkAttrCols = make([]string, len(e.Attrs))
+			for i, a := range e.Attrs {
+				if cr, ok := a.Expr.(*ColRef); ok && cr.Quant == 2 {
+					e.LinkAttrCols[i] = link.Out[cr.Col].Name
+				}
+			}
 		}
 	}
 }

@@ -185,6 +185,9 @@ func TestBuildXNFSpecShapes(t *testing.T) {
 	if len(mem.Attrs) != 1 || mem.Attrs[0].Name != "percentage" {
 		t.Errorf("membership attrs = %+v", mem.Attrs)
 	}
+	if len(mem.LinkAttrCols) != 1 || mem.LinkAttrCols[0] != "percentage" || !mem.AttrsOnLink() {
+		t.Errorf("membership attribute columns = %q", mem.LinkAttrCols)
+	}
 	// Take projection recorded.
 	if spec.Take.All || len(spec.Take.Items) != 6 {
 		t.Errorf("take = %+v", spec.Take)

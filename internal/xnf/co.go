@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"strings"
 
+	"sqlxnf/internal/qgm"
 	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
 )
 
 // Conn is one connection instance: indexes into the parent and child node
 // instance rows, plus relationship attribute values and, for link-table
-// relationships, the RID of the backing link row.
+// relationships, the RID of the backing link row (NilRID otherwise).
 type Conn struct {
 	P, C    int
 	Attrs   types.Row
@@ -41,14 +42,7 @@ type EdgeInstance struct {
 	Child      string
 	AttrSchema types.Schema
 	Conns      []Conn
-	// Updatability provenance (see qgm.XNFEdge).
-	FKParentCol   string
-	FKChildCol    string
-	LinkTable     string
-	LinkParentCol string
-	LinkChildCol  string
-	LinkParentKey string
-	LinkChildKey  string
+	qgm.EdgeProvenance
 }
 
 // CO is a materialized composite object: a heterogeneous set of interrelated

@@ -54,13 +54,39 @@ type gedge struct {
 	attrSchema types.Schema
 	conns      []Conn
 	alive      []bool
-	fkParent   string
-	fkChild    string
-	linkTable  string
-	linkPCol   string
-	linkCCol   string
-	linkPKey   string
-	linkCKey   string
+	qgm.EdgeProvenance
+}
+
+// newGedge starts the candidate relationship e over parent and child.
+func newGedge(e *qgm.XNFEdge, parent, child *gnode) *gedge {
+	return &gedge{
+		name: e.Name, parent: parent.name, child: child.name,
+		parentRole: e.ParentRole, childRole: e.ChildRole,
+		attrSchema: edgeAttrSchema(e, parent, child), EdgeProvenance: e.EdgeProvenance,
+	}
+}
+
+// edgeAttrSchema types e's attributes: a plain column reference takes its
+// column's kind, any other expression stays untyped.
+func edgeAttrSchema(e *qgm.XNFEdge, parent, child *gnode) types.Schema {
+	var out types.Schema
+	for _, a := range e.Attrs {
+		col := types.Column{Name: a.Name, Kind: types.KindNull}
+		if cr, ok := a.Expr.(*qgm.ColRef); ok {
+			switch cr.Quant {
+			case 0:
+				col.Kind = parent.schema[cr.Col].Kind
+			case 1:
+				col.Kind = child.schema[cr.Col].Kind
+			default:
+				if uq := cr.Quant - 2; uq < len(e.Using) {
+					col.Kind = e.Using[uq].Input.Out[cr.Col].Kind
+				}
+			}
+		}
+		out = append(out, col)
+	}
+	return out
 }
 
 // egraph is the candidate instance graph of one composition level. Node and
@@ -296,7 +322,7 @@ func allTrue(n int) []bool {
 
 // materializeFull runs a node's full defining query.
 func (ev *Evaluator) materializeFull(node *qgm.XNFNode) (*gnode, error) {
-	rows, rids, err := ev.host.RunBoxWithRIDs(node.Def)
+	rows, rids, err := ev.host.RunBox(node.Def)
 	if err != nil {
 		return nil, fmt.Errorf("xnf: node %s: %w", node.Name, err)
 	}
@@ -385,6 +411,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
 			keys []types.Value
 		}
 		var fetches []fetch
+		var links map[*qgm.XNFEdge]*linkRows // nil without link edges
 		full := false
 		for _, e := range inc {
 			parent := g.node(e.Parent)
@@ -394,14 +421,18 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
 			}
 			switch {
 			case e.FKChildCol != "" && len(e.Using) == 0:
-				keys := distinctColumn(parent, e.FKParentCol)
+				keys := distinctColumn(parent.rows, parent.schema.Index(e.FKParentCol))
 				fetches = append(fetches, fetch{col: e.FKChildCol, keys: keys})
 			case e.LinkTable != "":
-				keys, lerr := ev.linkChildKeys(e, parent)
+				lr, lerr := ev.fetchLinks(e, parent)
 				if lerr != nil {
 					return lerr
 				}
-				fetches = append(fetches, fetch{col: e.LinkChildKey, keys: keys})
+				if links == nil {
+					links = map[*qgm.XNFEdge]*linkRows{}
+				}
+				links[e] = lr
+				fetches = append(fetches, fetch{col: e.LinkChildKey, keys: distinctColumn(lr.rows, lr.cCol)})
 			default:
 				full = true
 			}
@@ -428,7 +459,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
 			if berr != nil {
 				return berr
 			}
-			rows, rids, rerr := ev.host.RunBoxWithRIDs(box)
+			rows, rids, rerr := ev.host.RunBox(box)
 			if rerr != nil {
 				return fmt.Errorf("xnf: node %s: %w", node.Name, rerr)
 			}
@@ -472,7 +503,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
 		// fetch structure: the child column values point back at parent
 		// keys, so a hash match replaces the general edge join.
 		for _, e := range inc {
-			ev.resolveEdgeInline(e, g)
+			ev.resolveEdgeInline(e, g, links[e])
 		}
 	}
 	return nil
@@ -480,8 +511,9 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
 
 // resolveEdgeInline derives an edge's connections without a join when its
 // predicate is exactly the provenance equi-structure and its attributes (if
-// any) live on the link table. Unresolvable edges stay for evalEdge.
-func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph) {
+// any) live on the link table, whose rows links holds for a link-table edge.
+// Unresolvable edges stay for evalEdge.
+func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph, links *linkRows) {
 	parent, child := g.node(e.Parent), g.node(e.Child)
 	if parent == nil || child == nil {
 		return
@@ -495,11 +527,7 @@ func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph) {
 			return
 		}
 		byKey := indexByValue(parent, pIdx)
-		ge := &gedge{
-			name: e.Name, parent: parent.name, child: child.name,
-			parentRole: e.ParentRole, childRole: e.ChildRole,
-			fkParent: e.FKParentCol, fkChild: e.FKChildCol,
-		}
+		ge := newGedge(e, parent, child)
 		for ci, row := range child.rows {
 			v := row[cIdx]
 			if v.IsNull() {
@@ -512,33 +540,31 @@ func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph) {
 		ge.alive = allTrue(len(ge.conns))
 		g.addEdge(ge)
 		atomic.AddInt64(&ev.Stats.InlineEdges, 1)
-	case e.LinkTable != "" && conjN == 2 && attrsOnLink(e):
-		pairs, attrRows, attrSchema, err := ev.linkPairs(e, parent)
-		if err != nil {
-			return // fall back to the join
-		}
+	case links != nil && conjN == 2 && e.AttrsOnLink():
 		pKey := parent.schema.Index(e.LinkParentKey)
 		cKey := child.schema.Index(e.LinkChildKey)
 		if pKey < 0 || cKey < 0 {
 			return
 		}
+		linkOut := e.Using[0].Input.Out
+		attrCols := make([]int, len(e.LinkAttrCols))
+		for i, col := range e.LinkAttrCols {
+			attrCols[i] = linkOut.Index(col)
+		}
 		pByKey := indexByValue(parent, pKey)
 		cByKey := indexByValue(child, cKey)
-		ge := &gedge{
-			name: e.Name, parent: parent.name, child: child.name,
-			parentRole: e.ParentRole, childRole: e.ChildRole,
-			attrSchema: attrSchema,
-			linkTable:  e.LinkTable, linkPCol: e.LinkParentCol, linkCCol: e.LinkChildCol,
-			linkPKey: e.LinkParentKey, linkCKey: e.LinkChildKey,
-		}
-		for i, pr := range pairs {
+		ge := newGedge(e, parent, child)
+		for i, row := range links.rows {
 			var attrs types.Row
-			if attrRows != nil {
-				attrs = attrRows[i]
+			if len(attrCols) > 0 {
+				attrs = make(types.Row, len(attrCols))
+				for j, col := range attrCols {
+					attrs[j] = row[col]
+				}
 			}
-			for _, pi := range lookupByValue(pByKey, parent, pKey, pr[0]) {
-				for _, ci := range lookupByValue(cByKey, child, cKey, pr[1]) {
-					ge.conns = append(ge.conns, Conn{P: pi, C: ci, Attrs: attrs, LinkRID: storage.NilRID})
+			for _, pi := range lookupByValue(pByKey, parent, pKey, row[links.pCol]) {
+				for _, ci := range lookupByValue(cByKey, child, cKey, row[links.cCol]) {
+					ge.conns = append(ge.conns, Conn{P: pi, C: ci, Attrs: attrs, LinkRID: links.rids[i]})
 				}
 			}
 		}
@@ -548,71 +574,32 @@ func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph) {
 	}
 }
 
-// attrsOnLink reports whether every relationship attribute is a plain
-// column of the USING table (quantifier 2).
-func attrsOnLink(e *qgm.XNFEdge) bool {
-	for _, a := range e.Attrs {
-		cr, ok := a.Expr.(*qgm.ColRef)
-		if !ok || cr.Quant != 2 {
-			return false
-		}
-	}
-	return true
+// linkRows is a link-table edge's one fetch from its link table: the whole
+// link rows whose parent column holds a key of the materialized parent, with
+// their RIDs. It supplies both the child keys of the top-down extraction and
+// the inline connections.
+type linkRows struct {
+	rows       []types.Row
+	rids       []storage.RID
+	pCol, cCol int // positions of the parent and child link columns
 }
 
-// linkPairs fetches (parentKey, childKey, attrs...) rows from the link
-// table for the materialized parent keys.
-func (ev *Evaluator) linkPairs(e *qgm.XNFEdge, parent *gnode) ([][2]types.Value, []types.Row, types.Schema, error) {
-	parentKeys := distinctColumn(parent, e.LinkParentKey)
-	linkBox := e.Using[0].Input
-	pCol := linkBox.Out.Index(e.LinkParentCol)
-	cCol := linkBox.Out.Index(e.LinkChildCol)
-	if pCol < 0 || cCol < 0 {
-		return nil, nil, nil, fmt.Errorf("xnf: link provenance of %s is incomplete", e.Name)
+// fetchLinks reads the link rows of e that join parent's materialized keys.
+func (ev *Evaluator) fetchLinks(e *qgm.XNFEdge, parent *gnode) (*linkRows, error) {
+	link := e.Using[0].Input
+	lr := &linkRows{pCol: link.Out.Index(e.LinkParentCol), cCol: link.Out.Index(e.LinkChildCol)}
+	if lr.pCol < 0 || lr.cCol < 0 {
+		return nil, fmt.Errorf("xnf: link provenance of %s is incomplete", e.Name)
 	}
-	list := make([]qgm.Expr, len(parentKeys))
-	for i, v := range parentKeys {
-		list[i] = &qgm.Const{Val: v}
-	}
-	sel := &qgm.Box{
-		Kind:   qgm.KindSelect,
-		Name:   "linkpairs:" + e.Name,
-		Quants: []*qgm.Quantifier{{Name: "__u", Input: linkBox}},
-		Pred: &qgm.InList{
-			E:    &qgm.ColRef{Quant: 0, Col: pCol, Name: e.LinkParentCol},
-			List: list,
-		},
-		Head: []qgm.HeadExpr{
-			{Name: e.LinkParentCol, Expr: &qgm.ColRef{Quant: 0, Col: pCol, Name: e.LinkParentCol}},
-			{Name: e.LinkChildCol, Expr: &qgm.ColRef{Quant: 0, Col: cCol, Name: e.LinkChildCol}},
-		},
-		Out: types.Schema{linkBox.Out[pCol], linkBox.Out[cCol]},
-	}
-	var attrSchema types.Schema
-	for _, a := range e.Attrs {
-		cr := a.Expr.(*qgm.ColRef) // checked by attrsOnLink
-		sel.Head = append(sel.Head, qgm.HeadExpr{Name: a.Name,
-			Expr: &qgm.ColRef{Quant: 0, Col: cr.Col, Name: a.Name}})
-		col := types.Column{Name: a.Name, Kind: linkBox.Out[cr.Col].Kind}
-		sel.Out = append(sel.Out, col)
-		attrSchema = append(attrSchema, col)
-	}
-	rows, _, err := ev.host.RunBoxWithRIDs(sel)
+	box, err := wrapWithInFilter(link, e.LinkParentCol,
+		distinctColumn(parent.rows, parent.schema.Index(e.LinkParentKey)))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	pairs := make([][2]types.Value, len(rows))
-	var attrRows []types.Row
-	if len(attrSchema) > 0 {
-		attrRows = make([]types.Row, len(rows))
+	if lr.rows, lr.rids, err = ev.host.RunBox(box); err != nil {
+		return nil, fmt.Errorf("xnf: relationship %s: %w", e.Name, err)
 	}
-	for i, r := range rows {
-		pairs[i] = [2]types.Value{r[0], r[1]}
-		if attrRows != nil {
-			attrRows[i] = r[2:].Clone()
-		}
-	}
-	return pairs, attrRows, attrSchema, nil
+	return lr, nil
 }
 
 // indexByValue hashes a node column for repeated lookups.
@@ -677,15 +664,15 @@ func topoNodes(spec *qgm.XNFSpec) ([]*qgm.XNFNode, error) {
 	return out, nil
 }
 
-// distinctColumn returns the distinct non-null values of one parent column.
-func distinctColumn(n *gnode, col string) []types.Value {
-	i := n.schema.Index(col)
+// distinctColumn returns the distinct non-null values of column i of rows,
+// in first-seen order; none when i < 0.
+func distinctColumn(rows []types.Row, i int) []types.Value {
 	if i < 0 {
 		return nil
 	}
 	seen := map[uint64][]types.Value{}
 	var out []types.Value
-	for _, row := range n.rows {
+	for _, row := range rows {
 		v := row[i]
 		if v.IsNull() {
 			continue
@@ -705,46 +692,6 @@ func distinctColumn(n *gnode, col string) []types.Value {
 		out = append(out, v)
 	}
 	return out
-}
-
-// linkChildKeys queries the link table for the distinct child keys joined
-// to the parent's materialized keys.
-func (ev *Evaluator) linkChildKeys(e *qgm.XNFEdge, parent *gnode) ([]types.Value, error) {
-	parentKeys := distinctColumn(parent, e.LinkParentKey)
-	linkBox := e.Using[0].Input
-	pCol := linkBox.Out.Index(e.LinkParentCol)
-	cCol := linkBox.Out.Index(e.LinkChildCol)
-	if pCol < 0 || cCol < 0 {
-		return nil, fmt.Errorf("xnf: link provenance of %s is incomplete", e.Name)
-	}
-	list := make([]qgm.Expr, len(parentKeys))
-	for i, v := range parentKeys {
-		list[i] = &qgm.Const{Val: v}
-	}
-	sel := &qgm.Box{
-		Kind:   qgm.KindSelect,
-		Name:   "linkkeys:" + e.Name,
-		Quants: []*qgm.Quantifier{{Name: "__u", Input: linkBox}},
-		Pred: &qgm.InList{
-			E:    &qgm.ColRef{Quant: 0, Col: pCol, Name: e.LinkParentCol},
-			List: list,
-		},
-		Head: []qgm.HeadExpr{{Name: e.LinkChildCol,
-			Expr: &qgm.ColRef{Quant: 0, Col: cCol, Name: e.LinkChildCol}}},
-		Out:      types.Schema{linkBox.Out[cCol]},
-		Distinct: true,
-	}
-	rows, err := ev.host.RunBox(sel)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]types.Value, 0, len(rows))
-	for _, r := range rows {
-		if !r[0].IsNull() {
-			out = append(out, r[0])
-		}
-	}
-	return out, nil
 }
 
 // wrapWithInFilter narrows a node derivation to rows whose output column
@@ -790,16 +737,17 @@ func (ev *Evaluator) evalEdge(edge *qgm.XNFEdge, g *egraph, spec *qgm.XNFSpec) (
 		// implementation without cross-query common subexpressions.
 		for _, n := range []string{edge.Parent, edge.Child} {
 			if def := findNodeDef(spec, n); def != nil {
-				if _, err := ev.host.RunBox(def); err != nil {
+				if _, _, err := ev.host.RunBox(def); err != nil {
 					return nil, err
 				}
 				atomic.AddInt64(&ev.Stats.RecomputedNodes, 1)
 			}
 		}
 	}
-	// Build the edge query: SELECT p.__tid, c.__tid, attrs...
+	// Build the edge query: SELECT p.__tid, c.__tid, [link.__rid,] attrs...
 	// FROM <parent materialization> p, <child materialization> c, using...
-	// WHERE <relate predicate>.
+	// WHERE <relate predicate>. A link table's quantifier ranges over the
+	// base table with its hidden RID column: the link row's identity.
 	pBox := valuesBoxWithTID(edge.Parent+"_m", parent)
 	cBox := valuesBoxWithTID(edge.Child+"_m", child)
 	quants := []*qgm.Quantifier{
@@ -818,43 +766,31 @@ func (ev *Evaluator) evalEdge(edge *qgm.XNFEdge, g *egraph, spec *qgm.XNFSpec) (
 		{Name: "__ptid", Kind: types.KindInt},
 		{Name: "__ctid", Kind: types.KindInt},
 	}
-	var attrSchema types.Schema
-	for _, a := range edge.Attrs {
-		sel.Head = append(sel.Head, a)
-		col := types.Column{Name: a.Name, Kind: types.KindNull}
-		if cr, ok := a.Expr.(*qgm.ColRef); ok {
-			switch cr.Quant {
-			case 0:
-				col.Kind = parent.schema[cr.Col].Kind
-			case 1:
-				col.Kind = child.schema[cr.Col].Kind
-			default:
-				uq := cr.Quant - 2
-				if uq < len(edge.Using) {
-					col.Kind = edge.Using[uq].Input.Out[cr.Col].Kind
-				}
-			}
-		}
-		sel.Out = append(sel.Out, col)
-		attrSchema = append(attrSchema, col)
+	if edge.LinkTable != "" {
+		link := *edge.Using[0]
+		link.Input = qgm.NewBase(link.Input.Table, true)
+		quants[2] = &link
+		rid := len(link.Input.Out) - 1
+		sel.Head = append(sel.Head, qgm.HeadExpr{Name: types.RIDColumn.Name,
+			Expr: &qgm.ColRef{Quant: 2, Col: rid, Name: types.RIDColumn.Name}})
+		sel.Out = append(sel.Out, link.Input.Out[rid])
 	}
-	rows, err := ev.host.RunBox(sel)
+	attrsAt := len(sel.Head)
+	ge := newGedge(edge, parent, child)
+	sel.Head = append(sel.Head, edge.Attrs...)
+	sel.Out = append(sel.Out, ge.attrSchema...)
+	rows, _, err := ev.host.RunBox(sel)
 	if err != nil {
 		return nil, fmt.Errorf("xnf: relationship %s: %v", edge.Name, err)
 	}
 	atomic.AddInt64(&ev.Stats.EdgeQueries, 1)
-	ge := &gedge{
-		name: edge.Name, parent: parent.name, child: child.name,
-		parentRole: edge.ParentRole, childRole: edge.ChildRole,
-		attrSchema: attrSchema,
-		fkParent:   edge.FKParentCol, fkChild: edge.FKChildCol,
-		linkTable: edge.LinkTable, linkPCol: edge.LinkParentCol,
-		linkCCol: edge.LinkChildCol, linkPKey: edge.LinkParentKey, linkCKey: edge.LinkChildKey,
-	}
 	for _, r := range rows {
 		conn := Conn{P: int(r[0].Int()), C: int(r[1].Int()), LinkRID: storage.NilRID}
-		if len(r) > 2 {
-			conn.Attrs = r[2:].Clone()
+		if edge.LinkTable != "" {
+			conn.LinkRID = storage.UnpackRID(r[2].Int())
+		}
+		if len(r) > attrsAt {
+			conn.Attrs = r[attrsAt:].Clone()
 		}
 		ge.conns = append(ge.conns, conn)
 	}
@@ -1144,10 +1080,7 @@ func (ev *Evaluator) finalize(g *egraph) (*CO, error) {
 	for _, e := range g.edges {
 		ei := &EdgeInstance{
 			Name: e.name, Parent: g.node(e.parent).name, Child: g.node(e.child).name,
-			AttrSchema:  e.attrSchema,
-			FKParentCol: e.fkParent, FKChildCol: e.fkChild,
-			LinkTable: e.linkTable, LinkParentCol: e.linkPCol, LinkChildCol: e.linkCCol,
-			LinkParentKey: e.linkPKey, LinkChildKey: e.linkCKey,
+			AttrSchema: e.attrSchema, EdgeProvenance: e.EdgeProvenance,
 		}
 		pMap, cMap := remap[e.parent], remap[e.child]
 		for ci, conn := range e.conns {
@@ -1182,70 +1115,41 @@ func (ev *Evaluator) Delete(spec *qgm.XNFSpec) (int, error) {
 		}
 	}
 	deleted := 0
-	// Link rows first (they reference the node tuples' keys).
+	seen := map[string]map[storage.RID]bool{}
+	del := func(table string, rid storage.RID) error {
+		if !rid.Valid() {
+			return fmt.Errorf("xnf: a %s row of the composite object has no base provenance", table)
+		}
+		if seen[table] == nil {
+			seen[table] = map[storage.RID]bool{}
+		}
+		if seen[table][rid] {
+			return nil
+		}
+		seen[table][rid] = true
+		if err := ev.host.DeleteRow(table, rid); err != nil {
+			return err
+		}
+		deleted++
+		return nil
+	}
+	// Link rows first (they reference the node tuples' keys), each by the
+	// RID it was read at; then node tuples. Both deduplicate by base identity.
 	for _, e := range co.Edges {
 		if e.LinkTable == "" {
 			continue
 		}
-		p := co.Node(e.Parent)
-		c := co.Node(e.Child)
-		schema, err := ev.host.TableSchema(e.LinkTable)
-		if err != nil {
-			return deleted, err
-		}
-		pCol := schema.Index(e.LinkParentCol)
-		cCol := schema.Index(e.LinkChildCol)
-		pKey := p.Schema.Index(e.LinkParentKey)
-		cKey := c.Schema.Index(e.LinkChildKey)
-		if pCol < 0 || cCol < 0 || pKey < 0 || cKey < 0 {
-			return deleted, fmt.Errorf("xnf: link provenance of %s is incomplete", e.Name)
-		}
-		// Collect the key pairs to remove.
-		want := map[[2]uint64][]Conn{}
 		for _, conn := range e.Conns {
-			k := [2]uint64{p.Rows[conn.P][pKey].Hash(), c.Rows[conn.C][cKey].Hash()}
-			want[k] = append(want[k], conn)
-		}
-		var rids []storage.RID
-		err = ev.host.ScanTable(e.LinkTable, func(rid storage.RID, row types.Row) (bool, error) {
-			k := [2]uint64{row[pCol].Hash(), row[cCol].Hash()}
-			for _, conn := range want[k] {
-				if types.Equal(row[pCol], p.Rows[conn.P][pKey]) && types.Equal(row[cCol], c.Rows[conn.C][cKey]) {
-					rids = append(rids, rid)
-					break
-				}
-			}
-			return false, nil
-		})
-		if err != nil {
-			return deleted, err
-		}
-		for _, rid := range rids {
-			if err := ev.host.DeleteRow(e.LinkTable, rid); err != nil {
+			if err := del(e.LinkTable, conn.LinkRID); err != nil {
 				return deleted, err
 			}
-			deleted++
 		}
 	}
-	// Node tuples, deduplicated by base identity.
-	seen := map[string]map[storage.RID]bool{}
 	for _, n := range co.Nodes {
-		for i := range n.Rows {
-			rid := n.RIDs[i]
-			if !rid.Valid() {
-				return deleted, fmt.Errorf("xnf: tuple %d of %s has no base provenance", i, n.Name)
-			}
-			if seen[n.BaseTable] == nil {
-				seen[n.BaseTable] = map[storage.RID]bool{}
-			}
-			if seen[n.BaseTable][rid] {
-				continue
-			}
-			seen[n.BaseTable][rid] = true
-			if err := ev.host.DeleteRow(n.BaseTable, rid); err != nil {
+		for _, rid := range n.RIDs {
+			if err := del(n.BaseTable, rid); err != nil {
 				return deleted, err
 			}
-			deleted++
 		}
 	}
 	return deleted, nil

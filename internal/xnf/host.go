@@ -21,15 +21,15 @@ import (
 )
 
 // Host is the engine surface the XNF evaluator and CO cache need: running
-// rewritten SQL boxes and mutating base tables. The engine implements it;
-// defining it here keeps the dependency one-way (engine → xnf).
+// rewritten SQL boxes and reading and writing base rows by RID. Node tuples
+// and link rows alike are named by the RID they had at checkout. The engine
+// implements it; defining it here keeps the dependency one-way (engine → xnf).
 type Host interface {
-	// RunBox compiles (rewrite + optimize) and executes a box.
-	RunBox(box *qgm.Box) ([]types.Row, error)
-	// RunBoxWithRIDs additionally reports base-tuple provenance when the
-	// box is a single-table selection; rids[i] is the base RID of row i
-	// (invalid RIDs mark non-updatable rows).
-	RunBoxWithRIDs(box *qgm.Box) ([]types.Row, []storage.RID, error)
+	// RunBox compiles (rewrite + optimize) and executes a box. When the box
+	// is a selection over one base table, rids[i] is the base RID of row i;
+	// otherwise rids is nil. A box that reads a base table's hidden RID
+	// column (qgm.NewBase(t, true)) gets RIDs as data either way.
+	RunBox(box *qgm.Box) (rows []types.Row, rids []storage.RID, err error)
 	// GetRow fetches a base tuple.
 	GetRow(table string, rid storage.RID) (types.Row, error)
 	// InsertRow appends a base tuple (maintaining indexes) and returns its RID.
@@ -38,8 +38,6 @@ type Host interface {
 	UpdateRow(table string, rid storage.RID, row types.Row) (storage.RID, error)
 	// DeleteRow removes a base tuple (maintaining indexes).
 	DeleteRow(table string, rid storage.RID) error
-	// ScanTable visits every live tuple of a base table with its RID.
-	ScanTable(table string, fn func(rid storage.RID, row types.Row) (stop bool, err error)) error
 	// TableSchema returns a base table's schema.
 	TableSchema(table string) (types.Schema, error)
 }
