@@ -30,9 +30,11 @@ vet:
 # pool, WAL append, CO materialization) against a fault-free twin engine,
 # under the race detector. See EXECUTOR.md "Cancellation, timeouts & fault
 # injection". The engine suite repeats 5 times, like serve-test's load tests,
-# so a rare interleaving fails here (~15 s per pass).
+# so a rare interleaving fails here (~15 s per pass). So does the concurrent
+# CO-cache test: sessions on different goroutines share resident COs.
 chaos:
 	$(GO) test -race -count=5 -run 'TestChaos' ./internal/engine/
+	$(GO) test -race -count=5 -run 'TestCOCacheConcurrentSessions' ./internal/engine/
 	$(GO) test -race -count=1 ./internal/faultinj/
 
 # Crash-injection harness: every durable commit point of a mixed workload is

@@ -1,6 +1,7 @@
 package sqlxnf
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -89,5 +90,63 @@ func TestQueryCacheCombined(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("cached tuples = %d", n)
+	}
+}
+
+// TestOpenCacheLeavesResidentCOIntact: a TAKE hit hands out the CO cache's
+// resident CO, so the navigation cache loaded from it must copy what an
+// application may write — tuple rows and link attributes. Edits made in one
+// loaded cache never reach the next checkout.
+func TestOpenCacheLeavesResidentCOIntact(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE P (pid INT PRIMARY KEY, pname VARCHAR);
+		CREATE TABLE C (cid INT PRIMARY KEY);
+		CREATE TABLE PC (lp INT, lc INT, w FLOAT);
+		INSERT INTO P VALUES (1, 'p1');
+		INSERT INTO C VALUES (10), (20);
+		INSERT INTO PC VALUES (1, 10, 0.5), (1, 20, 0.7)`)
+	q := `OUT OF Xp AS P, Xc AS C,
+		link AS (RELATE Xp, Xc WITH ATTRIBUTES PC.w USING PC
+		 WHERE Xp.pid = PC.lp AND Xc.cid = PC.lc)
+		TAKE *`
+	co, err := db.QueryCO(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// values renders what the loaded cache copies: node rows and link
+	// attributes.
+	values := func(co *CO) string {
+		out := fmt.Sprint(co.Node("Xp").Rows)
+		for _, cn := range co.Edge("link").Conns {
+			out += " " + cn.Attrs.String()
+		}
+		return out
+	}
+	want := values(co)
+	c, err := db.OpenCache(co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := c.Edge("link").Links
+	if len(links) != 2 || len(links[0].Attrs) != 1 {
+		t.Fatalf("loaded links = %d", len(links))
+	}
+	for _, l := range links {
+		l.Attrs[0] = NewFloat(-1)
+	}
+	for _, tp := range c.Node("Xp").Tuples {
+		tp.Row[1] = NewString("scribbled")
+	}
+
+	hits := db.Engine().COCacheStats().Hits
+	again, err := db.QueryCO(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Engine().COCacheStats().Hits != hits+1 || again != co {
+		t.Fatal("second checkout did not serve the resident CO")
+	}
+	if got := values(again); got != want {
+		t.Fatalf("edits in the loaded cache reached the resident CO:\nwant %s\ngot  %s", want, got)
 	}
 }

@@ -106,7 +106,10 @@ type Cache struct {
 	Stats Stats
 }
 
-// Load transfers a materialized CO into the pointer-linked cache.
+// Load transfers a materialized CO into the pointer-linked cache. Tuple rows
+// and link attributes are copied: the CO is read-only (it may be the CO
+// cache's resident entry, shared by every checkout) and the cache is the
+// application's to edit.
 func Load(host xnf.Host, co *xnf.CO) (*Cache, error) {
 	c := &Cache{host: host}
 	byName := map[string]*Node{}
@@ -130,7 +133,10 @@ func Load(host xnf.Host, co *xnf.CO) (*Cache, error) {
 		e := &Edge{Name: ei.Name, Parent: p, Child: ch, AttrSchema: ei.AttrSchema, inst: ei}
 		key := strings.ToUpper(ei.Name)
 		for _, conn := range ei.Conns {
-			l := &Link{Parent: p.Tuples[conn.P], Child: ch.Tuples[conn.C], Attrs: conn.Attrs, rid: conn.LinkRID, edge: e}
+			l := &Link{Parent: p.Tuples[conn.P], Child: ch.Tuples[conn.C], rid: conn.LinkRID, edge: e}
+			if conn.Attrs != nil {
+				l.Attrs = conn.Attrs.Clone()
+			}
 			e.Links = append(e.Links, l)
 			l.Parent.out[key] = append(l.Parent.out[key], l)
 			l.Child.in[key] = append(l.Child.in[key], l)

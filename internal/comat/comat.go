@@ -8,16 +8,18 @@
 // by normalized statement text (or view name) and stamped with the catalog's
 // schema/statistics epoch. Each carries its dependency set: the base tables
 // the materialization read, with their DML version counters at
-// materialization time. DML to any component table bumps that table's
-// version (engine/dml.go), which invalidates exactly the cached COs that read
-// it — entries over disjoint tables keep serving hits. Entries live in an LRU
+// materialization time. A commit that wrote a component table bumps that
+// table's version (engine/mvcc.go), which invalidates exactly the cached COs
+// that read it — entries over disjoint tables keep serving hits. Entries live in an LRU
 // bounded by a resident-byte budget. A miss builds its XNF spec afresh; only
 // the finished CO is worth keeping.
 //
 // Materialization is single-flight: when several sessions miss on the same
 // key concurrently, one runs the evaluator and the rest wait for its result.
-// Cached COs are shared and read-only; callers that hand rows to
-// applications clone first (CloneCO).
+// Cached COs are shared and read-only: every checkout of a resident entry
+// hands out the same *xnf.CO, and nothing may write into it. An application
+// that wants to edit a CO loads it into the navigation cache (cache.Load),
+// which copies what it may change.
 package comat
 
 import (
@@ -78,10 +80,13 @@ type entry struct {
 	// deps is depKey decoded once at store time (the canonical round trip
 	// the fuzz target pins); validation walks this instead of re-decoding
 	// per hit.
-	deps  []TableDep
-	co    *xnf.CO
-	bytes int64
-	hits  atomic.Int64
+	deps []TableDep
+	// tables names deps' tables, in order: what a hit hands the caller to
+	// check its snapshot against.
+	tables []string
+	co     *xnf.CO
+	bytes  int64
+	hits   atomic.Int64
 }
 
 // flight is one in-progress materialization; concurrent fetchers of the
@@ -144,41 +149,21 @@ func (c *Cache) Entries() []Entry {
 	return out
 }
 
-// PeekDeps returns the dependency table set of a cached CO without touching
-// hit/miss counters — the engine checks its snapshot against exactly these
-// tables after validating the entry.
-func (c *Cache) PeekDeps(key string, epoch uint64) ([]string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if e.epoch != epoch {
-		return nil, false
-	}
-	tables := make([]string, len(e.deps))
-	for i, d := range e.deps {
-		tables[i] = d.Table
-	}
-	return tables, true
-}
-
 // Get returns the cached CO for key when it is current at epoch and under
-// vf, i.e. equal to latest-committed state. Whether that state is the one
-// the caller's snapshot sees is the caller's check (PeekDeps names the tables
-// to compare). The returned CO is shared: read-only for the caller.
-func (c *Cache) Get(key string, epoch uint64, vf VersionFn) (*xnf.CO, bool) {
+// vf, i.e. equal to latest-committed state, together with the entry's
+// dependency tables. Whether that state is the one the caller's snapshot
+// sees is the caller's check, against exactly those tables. The CO and the
+// table slice are shared: read-only for the caller.
+func (c *Cache) Get(key string, epoch uint64, vf VersionFn) (*xnf.CO, []string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.validateLocked(key, epoch, vf)
 	if e == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	c.hits++
 	e.hits.Add(1)
-	return e.co, true
+	return e.co, e.tables, true
 }
 
 // validateLocked returns the entry for key if current, evicting stale ones.
@@ -327,7 +312,12 @@ func (c *Cache) storeLocked(key string, epoch uint64, deps []TableDep, co *xnf.C
 	if err != nil {
 		return
 	}
-	e := &entry{key: key, epoch: epoch, depKey: depKey, deps: canonical, co: co, bytes: coBytes(co)}
+	tables := make([]string, len(canonical))
+	for i, d := range canonical {
+		tables[i] = d.Table
+	}
+	e := &entry{key: key, epoch: epoch, depKey: depKey, deps: canonical, tables: tables,
+		co: co, bytes: coBytes(co)}
 	c.entries[key] = c.lru.PushFront(e)
 	c.resident += e.bytes
 	for c.resident > c.budget && c.lru.Len() > 1 {
@@ -336,65 +326,6 @@ func (c *Cache) storeLocked(key string, epoch uint64, deps []TableDep, co *xnf.C
 		c.removeLocked(back, be)
 		c.evictions++
 	}
-}
-
-// CloneCO deep-copies a composite object. The cache's resident COs are
-// shared across sessions and must stay immutable; anything handed to an
-// application (which may edit rows or load them into the navigation cache)
-// gets a clone.
-func CloneCO(co *xnf.CO) *xnf.CO {
-	out := &xnf.CO{}
-	for _, n := range co.Nodes {
-		nn := &xnf.NodeInstance{
-			Name: n.Name, Schema: n.Schema,
-			BaseTable: n.BaseTable, Root: n.Root,
-			ColMap: append([]int(nil), n.ColMap...),
-		}
-		nn.Rows = make([]types.Row, len(n.Rows))
-		arity := len(n.Schema)
-		if uniformArity(n.Rows, arity) {
-			// One backing array for the whole node instead of one
-			// allocation per row — checkouts clone on every hit.
-			backing := make([]types.Value, len(n.Rows)*arity)
-			for i, r := range n.Rows {
-				row := backing[i*arity : (i+1)*arity : (i+1)*arity]
-				copy(row, r)
-				nn.Rows[i] = row
-			}
-		} else {
-			for i, r := range n.Rows {
-				nn.Rows[i] = r.Clone()
-			}
-		}
-		nn.RIDs = append(nn.RIDs[:0], n.RIDs...)
-		out.Nodes = append(out.Nodes, nn)
-	}
-	for _, e := range co.Edges {
-		ne := &xnf.EdgeInstance{
-			Name: e.Name, Parent: e.Parent, Child: e.Child,
-			AttrSchema: e.AttrSchema, EdgeProvenance: e.EdgeProvenance,
-		}
-		ne.Conns = make([]xnf.Conn, len(e.Conns))
-		for i, cn := range e.Conns {
-			nc := cn
-			if cn.Attrs != nil {
-				nc.Attrs = cn.Attrs.Clone()
-			}
-			ne.Conns[i] = nc
-		}
-		out.Edges = append(out.Edges, ne)
-	}
-	return out
-}
-
-// uniformArity reports whether every row has exactly the given arity.
-func uniformArity(rows []types.Row, arity int) bool {
-	for _, r := range rows {
-		if len(r) != arity {
-			return false
-		}
-	}
-	return true
 }
 
 // coBytes approximates a CO's resident size for the LRU budget.

@@ -123,7 +123,7 @@ func TestFetchHitAndFineGrainedInvalidation(t *testing.T) {
 	delete(vm.m, "T2")
 	vm.m["T2X"] = 1
 	vm.mu.Unlock()
-	if _, ok := c.Get("K2", 1, vm.fn); ok {
+	if _, _, ok := c.Get("K2", 1, vm.fn); ok {
 		t.Fatal("entry over a dropped table validated")
 	}
 }
@@ -137,7 +137,7 @@ func TestEpochEvictsEverything(t *testing.T) {
 	if _, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, mat); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("K", 2, vm.fn); ok {
+	if _, _, ok := c.Get("K", 2, vm.fn); ok {
 		t.Fatal("entry survived an epoch change")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -213,22 +213,31 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-func TestCloneCOIsDeep(t *testing.T) {
-	co := testCO(2)
-	co.Edges = append(co.Edges, &xnf.EdgeInstance{
-		Name: "e", Parent: "X", Child: "X",
-		Conns: []xnf.Conn{{P: 0, C: 1, Attrs: types.Row{types.NewString("a")}}},
-	})
-	cp := CloneCO(co)
-	if !reflect.DeepEqual(co.Nodes[0].Rows, cp.Nodes[0].Rows) {
-		t.Fatal("clone rows differ")
+// TestGetServesResidentEntry: one Get returns the stored CO itself and the
+// tables of its dependency snapshot, so a caller checks its snapshot against
+// the entry it was served and nothing else.
+func TestGetServesResidentEntry(t *testing.T) {
+	c := New(0)
+	vm := &versionMap{m: map[string]uint64{"A": 3, "B": 4}}
+	stored := testCO(2)
+	deps := []TableDep{{Table: "B", Version: 4}, {Table: "A", Version: 3}}
+	if _, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+		return stored, deps, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	cp.Nodes[0].Rows[0][0] = types.NewInt(99)
-	cp.Edges[0].Conns[0].Attrs[0] = types.NewString("mutated")
-	if co.Nodes[0].Rows[0][0].Int() != 0 {
-		t.Fatal("mutating the clone reached the original rows")
+	co, tables, ok := c.Get("K", 1, vm.fn)
+	if !ok || co != stored {
+		t.Fatalf("Get = %p, %v; want the stored CO %p", co, ok, stored)
 	}
-	if co.Edges[0].Conns[0].Attrs[0].Str() != "a" {
-		t.Fatal("mutating the clone reached the original attrs")
+	// The canonical dependency key sorts by table name.
+	if !reflect.DeepEqual(tables, []string{"A", "B"}) {
+		t.Fatalf("tables = %v, want [A B]", tables)
+	}
+	if st := c.Stats(); st.Hits != 1 {
+		t.Fatalf("hits = %d, want 1", st.Hits)
+	}
+	if co, tables, ok := c.Get("absent", 1, vm.fn); ok || co != nil || tables != nil {
+		t.Fatalf("Get on an absent key = %p, %v, %v", co, tables, ok)
 	}
 }

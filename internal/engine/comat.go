@@ -125,8 +125,8 @@ func (s *Session) viewSpec(v *catalog.View) (*qgm.XNFSpec, error) {
 
 // fetchCO is the core checkout: serve the cached CO for key when its
 // dependency versions still hold, otherwise materialize with single-flight.
-// The returned CO is shared and read-only — TAKE results clone it before
-// reaching the application. hit reports a served cache entry.
+// The returned CO is shared and read-only, TAKE results included. hit
+// reports a served cache entry.
 func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf.CO, bool, error) {
 	if s.coFetchDepth.Add(1) > maxCOFetchDepth {
 		s.coFetchDepth.Add(-1)
@@ -165,10 +165,8 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	// Fast path: a cached entry names its own dependency tables, so the
 	// hit path never builds the spec — validate the entry, then confirm the
 	// session's snapshot covers its dependency set.
-	if tables, ok := cm.PeekDeps(key, epoch); ok {
-		if co, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables) {
-			return co, true, nil
-		}
+	if co, tables, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables) {
+		return co, true, nil
 	}
 
 	spec, err := specFn()
@@ -224,7 +222,7 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 		return co, true, nil
 	}
 	if !hit {
-		if co2, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables) {
+		if co2, tables2, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables2) {
 			return co2, true, nil
 		}
 	}

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"sqlxnf/internal/cache"
+	"sqlxnf/internal/types"
 	"sqlxnf/internal/xnf"
 )
 
@@ -66,6 +69,61 @@ func sortedCopy(in []string) []string {
 	out := append([]string(nil), in...)
 	sort.Strings(out)
 	return out
+}
+
+// coExact renders, in stored order, everything a writer could change in a
+// CO: node rows, RIDs and column maps; edge connections with their
+// endpoints, attributes and link-row RIDs.
+func coExact(co *xnf.CO) string {
+	var b strings.Builder
+	for _, n := range co.Nodes {
+		fmt.Fprintf(&b, "node %s %v base=%s colmap=%v root=%v rids=%v\n",
+			n.Name, n.Schema, n.BaseTable, n.ColMap, n.Root, n.RIDs)
+		for _, r := range n.Rows {
+			b.WriteString(r.String() + "\n")
+		}
+	}
+	for _, e := range co.Edges {
+		fmt.Fprintf(&b, "edge %s %s->%s %v\n", e.Name, e.Parent, e.Child, e.AttrSchema)
+		for _, c := range e.Conns {
+			fmt.Fprintf(&b, "%d->%d %s %v\n", c.P, c.C, c.Attrs.String(), c.LinkRID)
+		}
+	}
+	return b.String()
+}
+
+// coGuard catches writers into served COs. A cache hit hands every
+// checkout the same resident CO, so the guard fingerprints each CO it is
+// given and re-checks it when the same CO comes back and in verify: a
+// fingerprint that moved means someone wrote into a CO that is read-only.
+// Safe for concurrent use.
+type coGuard struct {
+	mu   sync.Mutex
+	held map[*xnf.CO]string
+}
+
+func (g *coGuard) hold(t *testing.T, co *xnf.CO) {
+	fp := coExact(co)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.held == nil {
+		g.held = map[*xnf.CO]string{}
+	}
+	if was, ok := g.held[co]; ok && was != fp {
+		t.Errorf("a served CO changed between checkouts:\nwas:\n%s\nnow:\n%s", was, fp)
+	}
+	g.held[co] = fp
+}
+
+// verify re-fingerprints every held CO.
+func (g *coGuard) verify(t *testing.T) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for co, was := range g.held {
+		if now := coExact(co); now != was {
+			t.Errorf("a served CO changed after it was handed out:\nwas:\n%s\nnow:\n%s", was, now)
+		}
+	}
 }
 
 const takeDeps = "OUT OF DEPS TAKE *"
@@ -145,17 +203,83 @@ func TestCOCacheInvalidationPrecision(t *testing.T) {
 	}
 }
 
-// TestCOCacheResultsArePrivate: mutating a checked-out CO (as an
-// application may) must not corrupt the cache-resident materialization.
-func TestCOCacheResultsArePrivate(t *testing.T) {
-	_, s := coFixture(t)
-	co := s.MustExec(takeDeps).CO
-	co.Node("Xe").Rows[0][1] = co.Node("Xe").Rows[0][0] // scribble on the result
-	co2 := s.MustExec(takeDeps).CO
-	for _, r := range co2.Node("Xe").Rows {
-		if r[1].Kind() == r[0].Kind() && r[1].String() == r[0].String() {
-			t.Fatal("application mutation reached the cached CO")
+// TestCOCacheHitSharesResidentCO: a checkout hands out the cache-resident
+// CO itself, on every path that serves it — the miss that stored it, the
+// parser-skipping fast path, the parse path (a multi-statement script), an
+// explicit transaction and another session.
+func TestCOCacheHitSharesResidentCO(t *testing.T) {
+	e, s := coFixture(t)
+	resident := s.MustExec(takeDeps).CO
+	hits := e.COCacheStats().Hits
+	var guard coGuard
+	guard.hold(t, resident)
+	for _, c := range []struct {
+		name string
+		sess *Session
+		sql  string
+	}{
+		{"fast path", s, takeDeps},
+		{"parse path", s, takeDeps + "; " + takeDeps},
+		{"other session", e.Session(), takeDeps},
+	} {
+		if co := c.sess.MustExec(c.sql).CO; co != resident {
+			t.Fatalf("%s: checkout returned a different CO than the resident one", c.name)
 		}
+	}
+	s.MustExec("BEGIN")
+	if co := s.MustExec(takeDeps).CO; co != resident {
+		t.Fatal("explicit transaction: checkout returned a different CO than the resident one")
+	}
+	s.MustExec("COMMIT")
+	// The script runs two checkouts: five hits in all.
+	if got := e.COCacheStats().Hits; got != hits+5 {
+		t.Fatalf("hits = %d, want %d", got, hits+5)
+	}
+	guard.verify(t)
+}
+
+// TestCOCacheHitCostIndependentOfSize: a warm checkout costs the same
+// allocations and bytes whether the resident CO holds 10 tuples or 1 000 —
+// nothing on the hit path copies the CO.
+func TestCOCacheHitCostIndependentOfSize(t *testing.T) {
+	e := NewDefault()
+	s := e.Session()
+	s.MustExec(`CREATE TABLE SMALL (id INT PRIMARY KEY, v INT);
+		CREATE TABLE BIG (id INT PRIMARY KEY, v INT)`)
+	for i := 0; i < 1000; i++ {
+		if i < 10 {
+			s.MustExec(fmt.Sprintf("INSERT INTO SMALL VALUES (%d, %d)", i, i))
+		}
+		s.MustExec(fmt.Sprintf("INSERT INTO BIG VALUES (%d, %d)", i, i))
+	}
+	const runs = 200
+	perHit := func(q string, tuples int) (allocs, bytes float64) {
+		if n := s.MustExec(q).CO.Size(); n != tuples {
+			t.Fatalf("%q: CO has %d tuples, want %d", q, n, tuples)
+		}
+		hits := e.COCacheStats().Hits
+		allocs = testing.AllocsPerRun(runs, func() { s.MustExec(q) })
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			s.MustExec(q)
+		}
+		runtime.ReadMemStats(&m1)
+		// AllocsPerRun adds one warm-up call.
+		if got := e.COCacheStats().Hits - hits; got != 2*runs+1 {
+			t.Fatalf("%q: %d hits, want %d", q, got, 2*runs+1)
+		}
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := perHit("OUT OF Xs AS SMALL TAKE *", 10)
+	bigAllocs, bigBytes := perHit("OUT OF Xb AS BIG TAKE *", 1000)
+	t.Logf("per hit: 10 tuples %.0f allocs %.0f B, 1000 tuples %.0f allocs %.0f B",
+		smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if bigAllocs-smallAllocs > 1 {
+		t.Errorf("a 1000-tuple hit allocates %.0f times, a 10-tuple hit %.0f", bigAllocs, smallAllocs)
+	}
+	if bigBytes-smallBytes >= 1024 {
+		t.Errorf("a 1000-tuple hit allocates %.0f B, a 10-tuple hit %.0f B", bigBytes, smallBytes)
 	}
 }
 
@@ -219,8 +343,9 @@ func TestCOCacheRollbackInvalidates(t *testing.T) {
 		t.Fatalf("own uncommitted write invisible: %d, want %d", got, before+1)
 	}
 	s.MustExec("ROLLBACK")
-	// The undo bumped the version again, so the mid-transaction entry never
-	// serves: the next checkout re-materializes the committed state.
+	// The in-transaction checkout was private (the transaction wrote EMP)
+	// and versions bump only at commit, so the entry from before the
+	// transaction still serves the committed state.
 	if got := len(s.MustExec(takeDeps).CO.Node("Xe").Rows); got != before {
 		t.Fatalf("rolled-back write leaked into the cache: %d, want %d", got, before)
 	}
@@ -229,9 +354,53 @@ func TestCOCacheRollbackInvalidates(t *testing.T) {
 
 // TestCOCacheConcurrentSessions drives TAKE checkouts, node-ref SELECTs and
 // DML from many sessions against one engine (run with -race): results must
-// stay internally consistent and the suite must be data-race free.
+// stay internally consistent and the suite must be data-race free. Sessions
+// on different goroutines share resident COs, so the checkout arms
+// fingerprint every CO they receive (coGuard), load it into a navigation
+// cache and write into the loaded copy; every held CO is checked again at
+// the end.
 func TestCOCacheConcurrentSessions(t *testing.T) {
-	e, _ := coFixture(t)
+	e, s := coFixture(t)
+	// DEPTAGS adds a link-table edge with attributes over tables no arm
+	// writes, so its entry keeps serving hits to every goroutine.
+	s.MustExec(`CREATE TABLE DT (ddno INT, dtid INT, w INT);
+		INSERT INTO DT VALUES (1, 1, 10), (1, 2, 20), (2, 2, 30), (3, 5, 40);
+		CREATE VIEW DEPTAGS AS
+		 OUT OF Xd AS DEPT, Xt AS TAGS,
+		  tagged AS (RELATE Xd, Xt WITH ATTRIBUTES DT.w USING DT
+		   WHERE Xd.dno = DT.ddno AND Xt.tid = DT.dtid)
+		 TAKE *`)
+	var guard coGuard
+	checkout := func(sess *Session, q string) error {
+		r, err := sess.Exec(q)
+		if err != nil {
+			return err
+		}
+		guard.hold(t, r.CO)
+		if err := r.CO.Validate(); err != nil {
+			return err
+		}
+		if err := r.CO.CheckReachability(); err != nil {
+			return err
+		}
+		c, err := cache.Load(sess, r.CO)
+		if err != nil {
+			return err
+		}
+		for _, n := range c.Nodes() {
+			for _, tp := range n.Tuples {
+				tp.Row[0] = types.NewString("scribbled")
+			}
+		}
+		for _, ed := range c.Edges() {
+			for _, l := range ed.Links {
+				for i := range l.Attrs {
+					l.Attrs[i] = types.NewInt(-1)
+				}
+			}
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -239,18 +408,9 @@ func TestCOCacheConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			sess := e.Session()
 			for i := 0; i < 30; i++ {
-				switch (g + i) % 4 {
+				switch (g + i) % 5 {
 				case 0:
-					r, err := sess.Exec(takeDeps)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if err := r.CO.Validate(); err != nil {
-						t.Error(err)
-						return
-					}
-					if err := r.CO.CheckReachability(); err != nil {
+					if err := checkout(sess, takeDeps); err != nil {
 						t.Error(err)
 						return
 					}
@@ -260,7 +420,7 @@ func TestCOCacheConcurrentSessions(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := sess.Exec("OUT OF TAGV TAKE *"); err != nil {
+					if err := checkout(sess, "OUT OF TAGV TAKE *"); err != nil {
 						t.Error(err)
 						return
 					}
@@ -271,13 +431,18 @@ func TestCOCacheConcurrentSessions(t *testing.T) {
 						t.Error(err)
 						return
 					}
+				case 4:
+					if err := checkout(sess, "OUT OF DEPTAGS TAKE *"); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Final checkout reflects every committed insert: 20 seeded + 8*8
-	// (case 3 runs ~7-8 times per goroutine depending on phase).
+	guard.verify(t)
+	// The final checkout reflects every committed insert.
 	final := e.Session().MustExec(takeDeps).CO
 	emp, err := e.Catalog().Table("EMP")
 	if err != nil {
@@ -285,6 +450,9 @@ func TestCOCacheConcurrentSessions(t *testing.T) {
 	}
 	if got := len(final.Node("Xe").Rows); int64(got) != emp.RowCount() {
 		t.Fatalf("final CO has %d employees, table has %d", got, emp.RowCount())
+	}
+	if st := e.COCacheStats(); st.Hits == 0 {
+		t.Fatalf("concurrent checkouts never shared a resident CO: %+v", st)
 	}
 }
 

@@ -351,11 +351,11 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 		  rich AS (RELATE Xd, Xr WHERE Xd.dno = Xr.edno)
 		 TAKE *`,
 	}
-	nodeSelects := []string{
-		`SELECT eno, sal FROM "ORG.Xe" WHERE sal > 1000`,
-		`SELECT COUNT(*) FROM "ORG.Xe"`,
-		`SELECT d.dname, e.ename FROM "ORG.Xd" d, "ORG.Xe" e WHERE d.dno = e.edno`,
-		`SELECT COUNT(*) FROM "ORG_ALLOC.Xe" WHERE sal < 2500`,
+	nodeSelects := []struct{ view, sql string }{
+		{"ORG", `SELECT eno, sal FROM "ORG.Xe" WHERE sal > 1000`},
+		{"ORG", `SELECT COUNT(*) FROM "ORG.Xe"`},
+		{"ORG", `SELECT d.dname, e.ename FROM "ORG.Xd" d, "ORG.Xe" e WHERE d.dno = e.edno`},
+		{"ORG_ALLOC", `SELECT COUNT(*) FROM "ORG_ALLOC.Xe" WHERE sal < 2500`},
 	}
 	// Epoch bumps: ANALYZE, or a new index while names last.
 	epochStmts := []string{
@@ -365,6 +365,10 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 		"CREATE INDEX alloc_aeno ON ALLOC (aeno)",
 		"ANALYZE",
 	}
+	// Cached checkouts share resident COs: every one is held and re-checked
+	// at the end, so a write into a served CO fails here even when no later
+	// checkout reads the entry again.
+	var guard coGuard
 	nextENO := 1000
 	for round := 0; round < 200; round++ {
 		switch rng.Intn(9) {
@@ -394,13 +398,27 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 			}
 			seed(stmt)
 		case 5: // node-ref select, run twice on the cached engine (hit path)
-			q := nodeSelects[rng.Intn(len(nodeSelects))]
+			ns := nodeSelects[rng.Intn(len(nodeSelects))]
+			q := ns.sql
+			// The view's resident CO, when there is one, is held before the
+			// selects read it and again after: they must not write into it.
+			holdView := func() bool {
+				co, _, ok := cached.eng.comat.Get("VIEW:"+ns.view, cached.eng.cat.Epoch(), cached.eng.cat.TableVersion)
+				if ok {
+					guard.hold(t, co)
+				}
+				return ok
+			}
+			holdView()
 			want := outcome(ref.Exec(q))
 			if got := outcome(cached.Exec(q)); got != want {
 				t.Fatalf("round %d: node-ref cold diverged on %q:\n ref:    %q\n cached: %q", round, q, want, got)
 			}
 			if got := outcome(cached.Exec(q)); got != want {
 				t.Fatalf("round %d: node-ref hit diverged on %q vs %q", round, q, want)
+			}
+			if !holdView() {
+				t.Fatalf("round %d: %q left no resident entry for view %s", round, q, ns.view)
 			}
 		default: // TAKE checkout, compared as CO fingerprints
 			q := takes[rng.Intn(len(takes))]
@@ -412,12 +430,14 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: cached TAKE failed: %v", round, err)
 			}
+			guard.hold(t, gotCO.CO)
 			if coFingerprint(refCO.CO) != coFingerprint(gotCO.CO) {
 				t.Fatalf("round %d: TAKE diverged on %q:\nref:\n%s\ncached:\n%s",
 					round, q, coFingerprint(refCO.CO), coFingerprint(gotCO.CO))
 			}
 		}
 	}
+	guard.verify(t)
 	st := cached.Engine().COCacheStats()
 	if st.Hits == 0 || st.Invalidations == 0 || st.Evictions == 0 {
 		t.Fatalf("harness missed hits, invalidations or epoch evictions: %+v", st)

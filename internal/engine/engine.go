@@ -449,7 +449,9 @@ type Result struct {
 	Rows   []types.Row
 	// RowsAffected counts DML effects.
 	RowsAffected int64
-	// CO is the materialized composite object of an XNF TAKE query.
+	// CO is the materialized composite object of an XNF TAKE query. It is
+	// read-only: a CO-cache hit returns the resident CO, shared with every
+	// other checkout. cache.Load (DB.OpenCache) makes a mutable copy.
 	CO *xnf.CO
 	// Explain carries EXPLAIN text.
 	Explain string
@@ -1241,45 +1243,38 @@ func startsWithOut(sql string) bool {
 }
 
 // execCachedTake serves a TAKE checkout straight from the CO cache when the
-// statement's normalized text has a resident, still-valid entry: validate
-// its version snapshot against the session's snapshot, clone, done — no
-// parser, no builder, no evaluator. ok=false means "not served"; the caller
-// falls back to the parse path (which will re-materialize through the normal
-// single-flight fetch).
+// statement's normalized text has a resident, still-valid entry whose state
+// the session's snapshot sees: one probe, and the resident CO itself is the
+// result — no parser, no builder, no evaluator, no copy. ok=false means "not
+// served"; the caller falls back to the parse path (which will
+// re-materialize through the normal single-flight fetch).
 func (s *Session) execCachedTake(key string) (*Result, bool, error) {
 	s.stmtClass = classTake
 	if tr := s.trace; tr != nil {
 		tr.Key = key
 	}
-	epoch := s.eng.cat.Epoch()
-	tables, ok := s.eng.comat.PeekDeps(key, epoch)
-	if !ok {
-		return nil, false, nil
-	}
 	auto := !s.inTx
 	if auto {
 		s.begin()
 	}
-	co, hit := s.eng.comat.Get(key, epoch, s.eng.cat.TableVersion)
-	if !hit || !s.snapshotCovers(tables) {
-		// Invalidated between peek and validate, or the shared entry tracks
-		// a newer committed state than this transaction's snapshot sees:
-		// release the autocommit wrapper and let the parse path handle it
-		// (re-materialize, or evaluate privately under the snapshot).
-		if auto {
-			if cerr := s.commit(); cerr != nil {
-				return nil, true, cerr
-			}
-		}
-		return nil, false, nil
-	}
-	res := &Result{CO: comat.CloneCO(co)}
+	// Order matters: the snapshot is captured (begin) before Get validates
+	// the entry's versions, and snapshotCovers runs after that validation,
+	// so "covered" proves no commit to a dependency landed in between.
+	co, tables, hit := s.eng.comat.Get(key, s.eng.cat.Epoch(), s.eng.cat.TableVersion)
+	served := hit && s.snapshotCovers(tables)
+	// The autocommit wrapper ends here either way. An entry that is absent,
+	// stale or newer than this transaction's snapshot leaves the statement
+	// to the parse path (re-materialize, or evaluate privately under the
+	// snapshot).
 	if auto {
 		if cerr := s.commit(); cerr != nil {
 			return nil, true, cerr
 		}
 	}
-	return res, true, nil
+	if !served {
+		return nil, false, nil
+	}
+	return &Result{CO: co}, true, nil
 }
 
 // recompileBound is the bind-time fallback: reinject the bindings into the
@@ -1343,9 +1338,9 @@ func (s *Session) maybeAutoAnalyze(tables []string) (bool, error) {
 // xnfQuery evaluates an XNF composite-object query (TAKE or DELETE). TAKE
 // queries check out through the composite-object cache keyed by normalized
 // statement text: a repeated checkout whose component tables are unchanged
-// serves the cached materialization (cloned — the application may edit the
-// result or load it into the navigation cache); DML to any component table
-// invalidates exactly the entries that read it.
+// serves the cached materialization itself, shared and read-only (an
+// application edits a CO through the navigation cache, which copies it);
+// DML to any component table invalidates exactly the entries that read it.
 func (s *Session) xnfQuery(stmt *parser.XNFQuery, text string) (*Result, error) {
 	if stmt.Delete {
 		box, err := s.builder().BuildXNF(stmt)
@@ -1374,11 +1369,6 @@ func (s *Session) xnfQuery(stmt *parser.XNFQuery, text string) (*Result, error) 
 	})
 	if err != nil {
 		return nil, err
-	}
-	if s.eng.comat != nil {
-		// The cache retains (or just stored) this CO; the application gets
-		// a private copy.
-		co = comat.CloneCO(co)
 	}
 	return &Result{CO: co}, nil
 }

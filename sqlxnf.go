@@ -341,7 +341,9 @@ func (db *DB) MustExec(sql string) *Result { return db.def.MustExec(sql) }
 func (db *DB) Query(sql string) (*Result, error) { return db.def.Query(sql) }
 
 // QueryCO runs an XNF TAKE query and returns the materialized composite
-// object.
+// object. The CO is read-only: with the CO cache on, a repeated checkout
+// returns the very CO the cache holds, shared with every other checkout.
+// OpenCache gives a copy the application may edit.
 func (db *DB) QueryCO(sql string) (*CO, error) {
 	r, err := db.def.Exec(sql)
 	if err != nil {
@@ -355,10 +357,12 @@ func (db *DB) QueryCO(sql string) (*CO, error) {
 
 // OpenCache loads a composite object into the pointer-linked navigation
 // cache bound to the default session (write-through operations join that
-// session's transactions).
+// session's transactions). The cache copies the CO's rows and link
+// attributes, so it is the way to get a mutable copy of a read-only CO.
 func (db *DB) OpenCache(co *CO) (*Cache, error) { return cache.Load(db.def, co) }
 
-// QueryCache combines QueryCO and OpenCache.
+// QueryCache combines QueryCO and OpenCache: the checked-out CO stays
+// read-only, the returned cache is the application's own copy.
 func (db *DB) QueryCache(sql string) (*Cache, error) {
 	co, err := db.QueryCO(sql)
 	if err != nil {
