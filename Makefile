@@ -6,13 +6,13 @@ build:
 	$(GO) build ./...
 
 # The engine, comat, wal and wire packages carry fuzz targets
-# (FuzzExtractLiterals, FuzzDepKey, FuzzWALReplay, FuzzWireFrame); their seed
+# (FuzzStmtKey, FuzzDepKey, FuzzWALReplay, FuzzWireFrame); their seed
 # corpora run as plain tests here. `make fuzz` explores beyond the seeds.
 test:
 	$(GO) test ./...
 
 fuzz:
-	$(GO) test -fuzz FuzzExtractLiterals -fuzztime 30s ./internal/engine/
+	$(GO) test -fuzz FuzzStmtKey -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzDepKey -fuzztime 15s ./internal/comat/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire/

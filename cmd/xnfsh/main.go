@@ -258,8 +258,10 @@ func printCOStats(db *sqlxnf.DB) {
 		return
 	}
 	for _, e := range ents {
+		// Keys are exact statement text; collapse its line breaks and
+		// indentation so each entry prints on one line.
 		fmt.Printf("  %-40s tuples=%-6d bytes=%-10s hits=%-6d deps=%s\n",
-			e.Key, e.Tuples, fmtBytes(e.Bytes), e.Hits, e.DepKey)
+			strings.Join(strings.Fields(e.Key), " "), e.Tuples, fmtBytes(e.Bytes), e.Hits, e.DepKey)
 	}
 }
 

@@ -5,7 +5,7 @@
 // instead of re-deriving every component table and relationship.
 //
 // The cache holds one kind of artifact: materialized composite objects, keyed
-// by normalized statement text (or view name) and stamped with the catalog's
+// by exact statement text (or view name) and stamped with the catalog's
 // schema/statistics epoch. Each carries its dependency set: the base tables
 // the materialization read, with their DML version counters at
 // materialization time. A commit that wrote a component table bumps that

@@ -179,6 +179,33 @@ func TestCOCacheFastPathTerminatedText(t *testing.T) {
 	}
 }
 
+// TestCOCacheCommentNewlineKeysApart: two TAKEs that differ only by the
+// newline ending a `--` comment — in the second the comment swallows the
+// node restriction — must not share a CO-cache entry. Each checkout, on the
+// fast path and on the parse path, must equal a fresh engine's.
+func TestCOCacheCommentNewlineKeysApart(t *testing.T) {
+	pair := []string{
+		"OUT OF Xd AS DEPT --c\nWHERE Xd SUCH THAT dno = 1\nTAKE *",
+		"OUT OF Xd AS DEPT --c WHERE Xd SUCH THAT dno = 1\nTAKE *",
+	}
+	paths := map[string]func(string) string{
+		"fast path":  func(q string) string { return q },
+		"parse path": func(q string) string { return "SELECT dname FROM DEPT WHERE dno = 0;\n" + q },
+	}
+	for name, script := range paths {
+		_, s := coFixture(t)
+		for _, q := range pair {
+			_, fresh := coFixture(t)
+			want := coFingerprint(fresh.MustExec(q).CO)
+			for rep := 0; rep < 2; rep++ {
+				if got := coFingerprint(s.MustExec(script(q)).CO); got != want {
+					t.Errorf("%s: %q checked out\n%s\na fresh engine\n%s", name, q, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCOCacheInvalidationPrecision: DML to one CO's component table leaves
 // entries over disjoint tables serving hits.
 func TestCOCacheInvalidationPrecision(t *testing.T) {

@@ -518,12 +518,11 @@ type Session struct {
 func (e *Engine) Session() *Session { return &Session{eng: e} }
 
 // Exec parses and runs a script, returning the last statement's result.
-// A script whose normalized text hits the prepared-plan cache skips the
-// parser entirely: the cache entry proves the text is a single cacheable
-// SELECT, so repeated statements go straight to bind-and-execute. Literal
-// extraction makes the key parameter-shaped, so statements differing only in
-// constants share one entry and the extracted literals bind into the cached
-// plan.
+// A script whose cache key hits the prepared-plan cache skips the parser
+// entirely: the cache entry proves the text is a single cacheable SELECT, so
+// repeated statements go straight to bind-and-execute. Literal extraction
+// makes the key parameter-shaped, so statements differing only in constants
+// share one entry and the extracted literals bind into the cached plan.
 func (s *Session) Exec(sql string) (*Result, error) {
 	return s.ExecContext(context.Background(), sql)
 }
@@ -540,35 +539,32 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.eng.comat != nil && startsWithOut(sql) {
-		// The CO-cache analogue of the plan-cache fast path below: a
-		// resident entry under this normalized text proves it is a single
-		// cacheable TAKE statement, so a repeated checkout skips the parser
-		// and goes straight to validate-serve. Any miss (raced
-		// invalidation, epoch change) falls through to the regular parse
-		// path. Gated on the "OUT" prefix so SELECT traffic never pays the
-		// probe, and TAKE traffic never pays literal extraction. The
-		// trailing terminator strips because stored keys come from
-		// parser-delimited statement text, which ends before the ';' — a
-		// script with interior ';' keeps it and simply never matches.
-		var served bool
-		res, err := s.govern(ctx, sql, func() (*Result, error) {
-			r, ok, err := s.execCachedTake("CO:" + normalizeSQL(trimStmtTail(sql)))
-			served = ok
-			return r, err
-		})
-		if served || err != nil {
-			return res, err
-		}
-	} else if s.eng.plans != nil {
-		key, binds, ok := extractLiterals(sql)
-		if !ok {
-			key, binds = normalizeSQL(sql), nil
-		}
-		if ent := s.eng.plans.peek(key, s.eng.cat.Epoch()); ent != nil && ent.nParams == len(binds) {
-			return s.govern(ctx, sql, func() (*Result, error) {
-				return s.execCachedSelect(ent, binds)
+	// The fast paths dispatch on the first token: a resident cache entry
+	// under the script's key proves the text is a single cacheable
+	// statement, so a repeat skips the parser. Any miss (raced
+	// invalidation, epoch change, a script with interior ';' — stored keys
+	// never hold one) falls through to the parse path, as does every
+	// statement that starts with another token.
+	if first, err := parser.NewLexer(sql).Next(); err == nil && first.Kind == parser.TokKeyword {
+		switch {
+		case first.Text == "OUT" && s.eng.comat != nil:
+			// A TAKE checkout goes straight to validate-serve under its
+			// exact text.
+			res, err := s.govern(ctx, sql, func() (*Result, error) {
+				return s.execCachedTake("CO:" + stmtText(sql))
 			})
+			if res != nil || err != nil {
+				return res, err
+			}
+		case first.Text == "SELECT" && s.eng.plans != nil:
+			key, binds, _ := planKey(sql)
+			if ent := s.eng.plans.peek(key, s.eng.cat.Epoch()); ent != nil && ent.nParams == len(binds) {
+				return s.govern(ctx, sql, func() (*Result, error) {
+					return s.autocommit(func() (*Result, error) {
+						return s.runCachedPlan(ent, binds, nil, sql)
+					})
+				})
+			}
 		}
 	}
 	var parseStart time.Time
@@ -747,32 +743,36 @@ func (s *Session) execStmt(st parser.ScriptStmt) (*Result, error) {
 		err := s.rollback()
 		return &Result{}, err
 	default:
-		auto := !s.inTx
-		if auto {
-			s.begin()
-		}
-		res, err := s.dispatch(st)
-		if auto {
-			if err != nil {
-				if rbErr := s.rollback(); rbErr != nil {
-					return nil, fmt.Errorf("%v (rollback also failed: %v)", err, rbErr)
-				}
-				return nil, err
-			}
-			if cerr := s.commit(); cerr != nil {
-				return nil, cerr
-			}
-		} else if err != nil {
-			// Statement failure inside an explicit transaction: the paper's
-			// host (Starburst) rolls back the statement; we roll back the
-			// transaction for simplicity and surface that.
-			if rbErr := s.rollback(); rbErr != nil {
-				return nil, fmt.Errorf("%v (rollback also failed: %v)", err, rbErr)
-			}
-			return nil, fmt.Errorf("%w (transaction rolled back)", err)
-		}
-		return res, err
+		return s.autocommit(func() (*Result, error) { return s.dispatch(st) })
 	}
+}
+
+// autocommit runs one statement inside the session's transaction, opening
+// and committing one around it when none is open. A failure rolls the
+// transaction back. Inside an explicit transaction the paper's host
+// (Starburst) rolls back the statement; we roll back the transaction for
+// simplicity and surface that.
+func (s *Session) autocommit(fn func() (*Result, error)) (*Result, error) {
+	auto := !s.inTx
+	if auto {
+		s.begin()
+	}
+	res, err := fn()
+	if err != nil {
+		if rbErr := s.rollback(); rbErr != nil {
+			return nil, fmt.Errorf("%v (rollback also failed: %v)", err, rbErr)
+		}
+		if auto {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w (transaction rolled back)", err)
+	}
+	if auto {
+		if cerr := s.commit(); cerr != nil {
+			return nil, cerr
+		}
+	}
+	return res, nil
 }
 
 func (s *Session) dispatch(st parser.ScriptStmt) (*Result, error) {
@@ -1027,17 +1027,14 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 	var binds []types.Value
 	paramOK := false
 	if s.eng.plans != nil && text != "" {
-		key, binds, paramOK = extractLiterals(text)
-		if !paramOK {
-			key, binds = normalizeSQL(text), nil
-		}
+		key, binds, paramOK = planKey(text)
 		// Epoch read precedes the lookup AND the cold compile below: a
 		// concurrent DDL/ANALYZE between this read and entry insertion makes
 		// the new entry conservatively stale (evicted next lookup) rather
 		// than silently current.
 		epoch := s.eng.cat.Epoch()
 		if ent := s.eng.plans.get(key, epoch); ent != nil && ent.nParams == len(binds) {
-			return s.runCachedPlan(ent, binds)
+			return s.runCachedPlan(ent, binds, stmt, text)
 		}
 	}
 	epoch := s.eng.cat.Epoch()
@@ -1055,9 +1052,9 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 		// A literal landed somewhere the builder treats structurally and the
 		// slot set no longer matches the extracted vector (defense in depth —
 		// the extractor's conservative rules should prevent this). Compile
-		// unparameterized under the literal-text key.
+		// unparameterized under the exact-text key.
 		paramOK = false
-		key, binds = normalizeSQL(text), nil
+		key, binds = stmtText(text), nil
 		b.ParamLiterals = false
 		if box, err = b.BuildSelect(stmt); err != nil {
 			return nil, err
@@ -1121,38 +1118,14 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 	return &Result{Schema: schema, Rows: rows, Stats: *ctx.Stats}, nil
 }
 
-// execCachedSelect runs a cache entry with the same autocommit/rollback
-// semantics execStmt gives a SELECT statement.
-func (s *Session) execCachedSelect(ent *planEntry, binds []types.Value) (*Result, error) {
-	auto := !s.inTx
-	if auto {
-		s.begin()
-	}
-	res, err := s.runCachedPlan(ent, binds)
-	if err != nil {
-		if rbErr := s.rollback(); rbErr != nil {
-			return nil, fmt.Errorf("%v (rollback also failed: %v)", err, rbErr)
-		}
-		if auto {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w (transaction rolled back)", err)
-	}
-	if auto {
-		if cerr := s.commit(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	return res, nil
-}
-
 // runCachedPlan executes a prepared-plan cache entry: re-check the entry's
 // bind guards against this execution's bindings, acquire a pooled (or
 // freshly cloned) instance, and drive it with the bindings in the execution
 // context. A guard rejection means the plan was chosen for constants with
-// very different estimated selectivity, so this execution recompiles fresh
-// (the entry stays for conforming bindings).
-func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value) (*Result, error) {
+// very different estimated selectivity, so this execution recompiles the
+// statement — stmt, or text when the fast path has no AST — fresh (the
+// entry stays for conforming bindings).
+func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value, stmt *parser.SelectStmt, text string) (*Result, error) {
 	if len(binds) != ent.nParams {
 		return nil, fmt.Errorf("engine: cached plan for %q expects %d parameters, got %d",
 			ent.key, ent.nParams, len(binds))
@@ -1166,7 +1139,7 @@ func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value) (*Result, e
 		// Statistics just refreshed: the entry's epoch stamp is stale (it
 		// evicts on next lookup), so this execution plans fresh against the
 		// new estimates instead of running a plan costed on drifted stats.
-		return s.recompileBound(ent, binds)
+		return s.recompileBound(stmt, text)
 	}
 	tr := s.trace
 	var bindSpan int
@@ -1179,7 +1152,7 @@ func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value) (*Result, e
 			if tr != nil {
 				tr.EndSpan(bindSpan)
 			}
-			return s.recompileBound(ent, binds)
+			return s.recompileBound(stmt, text)
 		}
 	}
 	var cacheSpan int
@@ -1211,87 +1184,49 @@ func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value) (*Result, e
 	return &Result{Schema: ent.schema, Rows: rows, Stats: *ctx.Stats}, nil
 }
 
-// trimStmtTail drops trailing whitespace and statement terminators so
-// "OUT OF V TAKE *;" probes the same CO-cache key the parser-delimited
-// statement text produced.
-func trimStmtTail(sql string) string {
-	end := len(sql)
-	for end > 0 {
-		switch sql[end-1] {
-		case ' ', '\t', '\n', '\r', ';':
-			end--
-		default:
-			return sql[:end]
-		}
-	}
-	return sql[:end]
-}
-
-// startsWithOut reports whether the statement text begins with the OUT
-// keyword (every XNF TAKE constructor does).
-func startsWithOut(sql string) bool {
-	i := 0
-	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
-		i++
-	}
-	if i+3 > len(sql) {
-		return false
-	}
-	o, u, t := sql[i], sql[i+1], sql[i+2]
-	return (o == 'O' || o == 'o') && (u == 'U' || u == 'u') && (t == 'T' || t == 't') &&
-		(i+3 == len(sql) || sql[i+3] == ' ' || sql[i+3] == '\t' || sql[i+3] == '\n' || sql[i+3] == '\r')
-}
-
-// execCachedTake serves a TAKE checkout straight from the CO cache when the
-// statement's normalized text has a resident, still-valid entry whose state
-// the session's snapshot sees: one probe, and the resident CO itself is the
-// result — no parser, no builder, no evaluator, no copy. ok=false means "not
-// served"; the caller falls back to the parse path (which will
-// re-materialize through the normal single-flight fetch).
-func (s *Session) execCachedTake(key string) (*Result, bool, error) {
+// execCachedTake serves a TAKE checkout straight from the CO cache when key
+// has a resident, still-valid entry whose state the session's snapshot
+// sees: one probe, and the resident CO itself is the result — no parser, no
+// builder, no evaluator, no copy. A nil result means "not served": an entry
+// that is absent, stale or newer than this transaction's snapshot leaves
+// the statement to the parse path (re-materialize, or evaluate privately
+// under the snapshot).
+func (s *Session) execCachedTake(key string) (*Result, error) {
 	s.stmtClass = classTake
 	if tr := s.trace; tr != nil {
 		tr.Key = key
 	}
-	auto := !s.inTx
-	if auto {
-		s.begin()
-	}
-	// Order matters: the snapshot is captured (begin) before Get validates
-	// the entry's versions, and snapshotCovers runs after that validation,
-	// so "covered" proves no commit to a dependency landed in between.
-	co, tables, hit := s.eng.comat.Get(key, s.eng.cat.Epoch(), s.eng.cat.TableVersion)
-	served := hit && s.snapshotCovers(tables)
-	// The autocommit wrapper ends here either way. An entry that is absent,
-	// stale or newer than this transaction's snapshot leaves the statement
-	// to the parse path (re-materialize, or evaluate privately under the
-	// snapshot).
-	if auto {
-		if cerr := s.commit(); cerr != nil {
-			return nil, true, cerr
+	return s.autocommit(func() (*Result, error) {
+		// Order matters: the snapshot is captured (begin) before Get
+		// validates the entry's versions, and snapshotCovers runs after
+		// that validation, so "covered" proves no commit to a dependency
+		// landed in between.
+		co, tables, hit := s.eng.comat.Get(key, s.eng.cat.Epoch(), s.eng.cat.TableVersion)
+		if !hit || !s.snapshotCovers(tables) {
+			return nil, nil
 		}
-	}
-	if !served {
-		return nil, false, nil
-	}
-	return &Result{CO: co}, true, nil
+		return &Result{CO: co}, nil
+	})
 }
 
-// recompileBound is the bind-time fallback: reinject the bindings into the
-// entry's parameter-shaped key as plain literals and compile that statement
-// cold. The empty text keeps the fresh plan out of the cache — the cached
-// template remains the right plan for bindings that pass the guards.
-func (s *Session) recompileBound(ent *planEntry, binds []types.Value) (*Result, error) {
-	src := reinjectSQL(ent.key, binds)
-	st, err := parser.ParseOne(src)
-	if err != nil {
-		return nil, fmt.Errorf("engine: reparsing %q for bind-time recompile: %v", src, err)
+// recompileBound is the bind-time fallback: compile the statement cold with
+// its literals as plain constants. The empty text keeps the fresh plan out
+// of the cache — the cached template remains the right plan for bindings
+// that pass the guards. The parse path hands over its AST; the fast path
+// has only the script text, which parses here.
+func (s *Session) recompileBound(stmt *parser.SelectStmt, text string) (*Result, error) {
+	if stmt == nil {
+		st, err := parser.ParseOne(text)
+		if err != nil {
+			return nil, err
+		}
+		sel, ok := st.(*parser.SelectStmt)
+		if !ok {
+			return nil, fmt.Errorf("engine: %q is not a SELECT", text)
+		}
+		stmt = sel
 	}
-	sel, ok := st.(*parser.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: cached plan for %q is not a SELECT", ent.key)
-	}
-	return s.selectStmt(sel, "")
+	return s.selectStmt(stmt, "")
 }
 
 // statsDriftFactor is the auto-ANALYZE trigger: when a table's live row
@@ -1336,7 +1271,7 @@ func (s *Session) maybeAutoAnalyze(tables []string) (bool, error) {
 }
 
 // xnfQuery evaluates an XNF composite-object query (TAKE or DELETE). TAKE
-// queries check out through the composite-object cache keyed by normalized
+// queries check out through the composite-object cache keyed by their exact
 // statement text: a repeated checkout whose component tables are unchanged
 // serves the cached materialization itself, shared and read-only (an
 // application edits a CO through the navigation cache, which copies it);
@@ -1358,7 +1293,7 @@ func (s *Session) xnfQuery(stmt *parser.XNFQuery, text string) (*Result, error) 
 	}
 	var key string
 	if text != "" {
-		key = "CO:" + normalizeSQL(text)
+		key = "CO:" + stmtText(text)
 	}
 	co, _, err := s.fetchCO(key, func() (*qgm.XNFSpec, error) {
 		box, err := s.builder().BuildXNF(stmt)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strconv"
 	"strings"
 
 	"sqlxnf/internal/parser"
@@ -9,236 +8,85 @@ import (
 	"sqlxnf/internal/types"
 )
 
-// Literal extraction: the text-level half of auto-parameterization.
+// Cache keys. Every plan- and CO-cache key comes from parser.Lexer or from
+// the statement's own text; the engine scans no SQL bytes itself.
 //
-// extractLiterals scans statement text with the same lexical rules as the
-// parser and produces a parameter-shaped cache key — the token stream,
-// case-folded and single-spaced, with every number/string literal replaced
-// by `?` — plus the extracted literals in source order. Two statements that
-// differ only in constants map to one key, so the plan cache holds one entry
-// per statement *shape* and the engine binds the extracted vector into the
+// extractLiterals lexes a SELECT into a parameter-shaped key — the token
+// stream single-spaced, keywords bare, unquoted identifiers upper-cased
+// (ASCII only), quoted ones in quotes, every number/string literal replaced
+// by `?` — plus the literals in source order. Two statements that differ
+// only in constants map to one key, so the plan cache holds one entry per
+// statement *shape* and the engine binds the extracted vector into the
 // cached plan at execute.
 //
-// The numbering here must agree exactly with the parser, which stamps each
-// number/string literal token with its source-order ordinal (Literal.Param):
-// both sides count the same token kinds in the same order, and both skip the
-// LIMIT count (the parser folds it into the plan structure, so `LIMIT 5` and
-// `LIMIT 50` are genuinely different shapes). The fuzz harness
-// (FuzzExtractLiterals) cross-checks the two against each other.
+// The numbering must agree exactly with the parser, which stamps each
+// number/string literal with its source-order ordinal (Literal.Param): both
+// count the lexer's literal tokens, and both skip the LIMIT count (the
+// parser folds it into the plan structure, so `LIMIT 5` and `LIMIT 50` are
+// genuinely different shapes). FuzzStmtKey holds the two together.
 //
 // Extraction is conservative: statements using GROUP BY, HAVING, ORDER BY,
 // or aggregates resolve select items against group keys and order keys
-// positionally/textually, so their literals are structural — ok=false keeps
-// them on the PR 2 behavior (cache keyed on full literal text). The same
-// applies to text the lexer would reject.
+// positionally/textually, so their literals are structural: ok=false, as
+// for text the lexer rejects, and planKey keys them by their exact text.
 func extractLiterals(src string) (key string, binds []types.Value, ok bool) {
-	var b strings.Builder
-	b.Grow(len(src))
-	emit := func(tok string) {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+	buf := make([]byte, 0, 256)
+	l := parser.NewLexer(src)
+	prevLimit := false
+	for {
+		tok, err := l.Next()
+		if err != nil {
+			return "", nil, false
 		}
-		b.WriteString(tok)
-	}
-	prevKeyword := ""
-	pos := 0
-	peek := func(off int) byte {
-		if pos+off >= len(src) {
-			return 0
+		if tok.Kind == parser.TokEOF {
+			break
 		}
-		return src[pos+off]
-	}
-	for pos < len(src) {
-		ch := src[pos]
+		if len(buf) > 0 {
+			buf = append(buf, ' ')
+		}
 		switch {
-		case ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n':
-			pos++
-			continue // whitespace separates tokens; keep prevKeyword
-		case ch == '-' && peek(1) == '-':
-			for pos < len(src) && src[pos] != '\n' {
-				pos++
-			}
-			continue
-		case ch == '/' && peek(1) == '*':
-			pos += 2
-			for pos < len(src) && !(src[pos] == '*' && peek(1) == '/') {
-				pos++
-			}
-			pos += 2
-			continue
-		case isIdentByte(ch, true):
-			start := pos
-			for pos < len(src) && isIdentByte(src[pos], false) {
-				pos++
-			}
-			word := strings.ToUpper(src[start:pos])
-			switch word {
+		case tok.Kind == parser.TokKeyword:
+			switch tok.Text {
 			case "GROUP", "HAVING", "ORDER", "COUNT", "SUM", "AVG", "MIN", "MAX":
-				// Structural-literal territory (see doc comment): bail.
 				return "", nil, false
 			}
-			emit(word)
-			prevKeyword = word
-			continue
-		case ch == '"':
-			// Quoted identifier: keep the quotes so reinjection cannot
-			// confuse its content with key syntax; fold case (the catalog
-			// resolves names case-insensitively).
-			end := pos + 1
-			for end < len(src) && src[end] != '"' {
-				end++
+			buf = tok.AppendKey(buf)
+		case tok.Kind == parser.TokString:
+			binds = append(binds, types.NewString(tok.Text))
+			buf = append(buf, '?')
+		case tok.Kind == parser.TokNumber && !prevLimit:
+			v, err := parser.NumberValue(tok.Text)
+			if err != nil {
+				return "", nil, false // the parser rejects it too
 			}
-			if end >= len(src) {
-				return "", nil, false // unterminated: the lexer rejects it too
-			}
-			emit(strings.ToUpper(src[pos : end+1]))
-			pos = end + 1
-		case ch >= '0' && ch <= '9':
-			start := pos
-			seenDot := false
-			for pos < len(src) {
-				c := src[pos]
-				if c >= '0' && c <= '9' {
-					pos++
-				} else if c == '.' && !seenDot && peek(1) >= '0' && peek(1) <= '9' {
-					seenDot = true
-					pos++
-				} else {
-					break
-				}
-			}
-			if pos < len(src) && (src[pos] == 'e' || src[pos] == 'E') {
-				save := pos
-				pos++
-				if pos < len(src) && (src[pos] == '+' || src[pos] == '-') {
-					pos++
-				}
-				if pos < len(src) && src[pos] >= '0' && src[pos] <= '9' {
-					for pos < len(src) && src[pos] >= '0' && src[pos] <= '9' {
-						pos++
-					}
-				} else {
-					pos = save
-				}
-			}
-			text := src[start:pos]
-			if prevKeyword == "LIMIT" {
-				// LIMIT folds into plan structure; its literal stays in the
-				// key (the parser assigns it no ordinal either).
-				emit(text)
-			} else {
-				v, err := parser.NumberValue(text)
-				if err != nil {
-					return "", nil, false // parser would reject it too
-				}
-				binds = append(binds, v)
-				emit("?")
-			}
-		case ch == '\'':
-			pos++
-			var sb strings.Builder
-			for {
-				if pos >= len(src) {
-					return "", nil, false // unterminated string
-				}
-				c := src[pos]
-				pos++
-				if c == '\'' {
-					if pos < len(src) && src[pos] == '\'' {
-						sb.WriteByte('\'')
-						pos++
-						continue
-					}
-					break
-				}
-				sb.WriteByte(c)
-			}
-			binds = append(binds, types.NewString(sb.String()))
-			emit("?")
+			binds = append(binds, v)
+			buf = append(buf, '?')
 		default:
-			two := ""
-			if pos+1 < len(src) {
-				two = src[pos : pos+2]
-			}
-			switch two {
-			case "->", "<=", ">=", "<>", "!=", "||":
-				emit(two)
-				pos += 2
-			default:
-				switch ch {
-				case '+', '-', '*', '/', '%', '(', ')', ',', '.', ';', '=', '<', '>':
-					emit(string(ch))
-					pos++
-				default:
-					return "", nil, false // the lexer rejects it too
-				}
-			}
+			buf = tok.AppendKey(buf)
 		}
-		prevKeyword = ""
+		prevLimit = tok.Kind == parser.TokKeyword && tok.Text == "LIMIT"
 	}
-	// Trailing semicolons separate nothing: trimming them makes the
+	// Trailing semicolons separate nothing: dropping them makes the
 	// whole-script key of a "SELECT ...;" script equal the per-statement
 	// key the compile path stored.
-	key = strings.TrimRight(b.String(), "; ")
-	return key, binds, true
+	return strings.TrimRight(string(buf), "; "), binds, true
 }
 
-func isIdentByte(ch byte, start bool) bool {
-	if ch >= 'a' && ch <= 'z' || ch >= 'A' && ch <= 'Z' || ch == '_' {
-		return true
+// planKey is a SELECT's plan-cache key: the parameter-shaped key and its
+// bindings when the literals can become parameters, else the exact text.
+func planKey(text string) (key string, binds []types.Value, param bool) {
+	if key, binds, ok := extractLiterals(text); ok {
+		return key, binds, true
 	}
-	return !start && ch >= '0' && ch <= '9'
+	return stmtText(text), nil, false
 }
 
-// reinjectSQL substitutes bindings back into a parameter-shaped key,
-// producing a statement semantically identical to one that would have
-// extracted to (key, binds). The engine uses it for the bind-time fallback:
-// when a guard rejects a binding, the reinjected text recompiles cold with
-// the binding as a plain literal. `?` occurs in keys only as the parameter
-// marker or inside a quoted identifier, which is skipped verbatim.
-func reinjectSQL(key string, binds []types.Value) string {
-	var b strings.Builder
-	b.Grow(len(key) + 8*len(binds))
-	bi := 0
-	for i := 0; i < len(key); i++ {
-		ch := key[i]
-		switch ch {
-		case '"':
-			j := i + 1
-			for j < len(key) && key[j] != '"' {
-				j++
-			}
-			if j < len(key) {
-				j++
-			}
-			b.WriteString(key[i:j])
-			i = j - 1
-		case '?':
-			if bi < len(binds) {
-				b.WriteString(bindLiteralText(binds[bi]))
-				bi++
-			} else {
-				b.WriteByte('?')
-			}
-		default:
-			b.WriteByte(ch)
-		}
-	}
-	return b.String()
-}
-
-// bindLiteralText renders a binding as SQL literal text that re-extracts to
-// the same value: floats keep a '.'/exponent marker so they re-lex as FLOAT
-// (FormatFloat drops ".0" from whole floats, which would re-parse INTEGER).
-func bindLiteralText(v types.Value) string {
-	if v.Kind() == types.KindFloat {
-		s := strconv.FormatFloat(v.Float(), 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
-		}
-		return s
-	}
-	return v.SQLLiteral()
+// stmtText trims what separates statements — surrounding whitespace and
+// trailing ';' — from statement text. A single-statement script and its
+// ParseScript text trim to the same string (bar a leading comment), and
+// identical text parses identically, so an exact-text key cannot collide.
+func stmtText(sql string) string {
+	return strings.TrimRight(strings.TrimLeft(sql, " \t\r\n"), " \t\r\n;")
 }
 
 // paramSlotsCovered verifies the builder marked exactly the parameter slots

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"sqlxnf/internal/comat"
@@ -13,10 +12,11 @@ import (
 )
 
 // planCache is the engine's LRU prepared-plan cache. Entries are keyed by
-// normalized SQL text and stamped with the catalog schema/stats epoch at
-// compile time: DDL and ANALYZE bump the epoch, so stale entries evict on
-// the next lookup instead of serving plans over dropped schema or outdated
-// cost estimates. DML does not invalidate — plans reference live heaps.
+// planKey (a parameter-shaped key, else the exact statement text) and
+// stamped with the catalog schema/stats epoch at compile time: DDL and
+// ANALYZE bump the epoch, so stale entries evict on the next lookup instead
+// of serving plans over dropped schema or outdated cost estimates. DML does
+// not invalidate — plans reference live heaps.
 //
 // A cached plan is a template with per-execution operator state, so it never
 // runs directly: each execution acquires a structural clone, and finished
@@ -130,9 +130,8 @@ func (pc *planCache) get(key string, epoch uint64) *planEntry {
 	return pc.lookup(key, epoch, true)
 }
 
-// peek is the pre-parse fast-path lookup. "Not cached" there usually just
-// means "not a SELECT" (every INSERT/UPDATE script probes too), which would
-// drown the miss counter in DML noise — so absence is not charged.
+// peek is the pre-parse fast-path lookup. Absence is not charged: the
+// parse path's get charges the same statement's miss.
 func (pc *planCache) peek(key string, epoch uint64) *planEntry {
 	return pc.lookup(key, epoch, false)
 }
@@ -179,48 +178,6 @@ func (ent *planEntry) release(p exec.Plan) {
 		ent.pool = append(ent.pool, p)
 	}
 	ent.poolMu.Unlock()
-}
-
-// normalizeSQL canonicalizes statement text for cache keying: whitespace
-// runs collapse to one space and characters case-fold — except inside
-// single-quoted string literals, which stay verbatim (SQL identifiers and
-// keywords match case-insensitively; string values do not).
-func normalizeSQL(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	inStr := false
-	pendingSpace := false
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		if inStr {
-			b.WriteByte(ch)
-			if ch == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case ch == '\'':
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			inStr = true
-			b.WriteByte(ch)
-		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r':
-			pendingSpace = true
-		default:
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			if ch >= 'a' && ch <= 'z' {
-				ch -= 'a' - 'A'
-			}
-			b.WriteByte(ch)
-		}
-	}
-	return b.String()
 }
 
 // walkBoxes visits every box reachable from root — through quantifiers,

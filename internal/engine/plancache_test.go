@@ -72,6 +72,35 @@ func TestPlanCacheHitMatchesColdCompile(t *testing.T) {
 	}
 }
 
+// TestPlanCacheCommentNewlineKeysApart: two aggregate SELECTs that differ
+// only by the newline ending a `--` comment are different statements — in
+// the second the comment swallows the WHERE clause — so they must not share
+// a cache entry. Each answer, on the parser-skipping fast path and on the
+// parse path (the statement last in a two-statement script), must equal a
+// fresh engine's.
+func TestPlanCacheCommentNewlineKeysApart(t *testing.T) {
+	pair := []string{
+		"SELECT COUNT(*) FROM EMP --c\nWHERE sal > 1400",
+		"SELECT COUNT(*) FROM EMP --c WHERE sal > 1400",
+	}
+	paths := map[string]func(string) string{
+		"fast path":  func(q string) string { return q },
+		"parse path": func(q string) string { return "SELECT dname FROM DEPT WHERE dno = 0;\n" + q },
+	}
+	for name, script := range paths {
+		_, s := cacheFixture(t)
+		for _, q := range pair {
+			_, fresh := cacheFixture(t)
+			want := rowsFingerprint(fresh.MustExec(q))
+			for rep := 0; rep < 2; rep++ {
+				if got := rowsFingerprint(s.MustExec(script(q))); got != want {
+					t.Errorf("%s: %q answered %q, a fresh engine %q", name, q, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPlanCacheSeesDML: cached plans read live heaps — DML between
 // executions must show up without any invalidation.
 func TestPlanCacheSeesDML(t *testing.T) {
@@ -255,25 +284,6 @@ func multiset(rows []types.Row) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
-}
-
-// TestNormalizeSQL pins the keying rules: whitespace collapses, identifiers
-// case-fold, string literals stay verbatim.
-func TestNormalizeSQL(t *testing.T) {
-	cases := [][2]string{
-		{"select *\n\tfrom  t", "SELECT * FROM T"},
-		{"  SELECT x FROM t  ", "SELECT X FROM T"},
-		{"select 'It''s  a str' from t", "SELECT 'It''s  a str' FROM T"},
-	}
-	for _, c := range cases {
-		if got := normalizeSQL(c[0]); got != c[1] {
-			t.Errorf("normalizeSQL(%q) = %q, want %q", c[0], got, c[1])
-		}
-	}
-	// Case inside string literals must NOT fold into the same key.
-	if normalizeSQL("SELECT * FROM T WHERE s = 'a'") == normalizeSQL("SELECT * FROM T WHERE s = 'A'") {
-		t.Error("string literals must stay case-sensitive in cache keys")
-	}
 }
 
 // TestAnalyzeEndToEnd: ANALYZE via SQL installs stats the optimizer

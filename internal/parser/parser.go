@@ -10,6 +10,7 @@ import (
 
 // Parser consumes a token stream and produces statements.
 type Parser struct {
+	src  string
 	toks []Token
 	pos  int
 	// litSeq numbers the number/string literal tokens of the statement being
@@ -29,7 +30,7 @@ func NewParser(src string) (*Parser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parser{toks: toks}, nil
+	return &Parser{src: src, toks: toks}, nil
 }
 
 // Parse parses a semicolon-separated script.
@@ -144,8 +145,7 @@ func (p *Parser) advance() Token {
 }
 
 func (p *Parser) errorf(format string, args ...interface{}) error {
-	t := p.cur()
-	return fmt.Errorf("parser: line %d col %d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
+	return errorAt(p.src, p.cur().Off, format, args...)
 }
 
 func (p *Parser) isKeyword(kw string) bool {

@@ -57,6 +57,9 @@ func TestLexerErrors(t *testing.T) {
 	if _, err := Tokenize("a ? b"); err == nil {
 		t.Error("stray character should fail")
 	}
+	if _, err := Tokenize("a\n  é #"); err == nil || !strings.Contains(err.Error(), "line 2 col 6") {
+		t.Errorf("stray character error = %v, want it placed at line 2 col 6", err)
+	}
 }
 
 func TestLexerBlockComment(t *testing.T) {
@@ -66,6 +69,28 @@ func TestLexerBlockComment(t *testing.T) {
 	}
 	if len(toks) != 3 || toks[0].Text != "a" || toks[1].Text != "b" {
 		t.Errorf("tokens = %v", toks)
+	}
+}
+
+// TestLexerUTF8Identifiers: identifiers decode as UTF-8 runes, keywords
+// fold ASCII case only, and bytes that are no valid UTF-8 letter are
+// rejected rather than read as Latin-1.
+func TestLexerUTF8Identifiers(t *testing.T) {
+	for _, src := range []string{"prénom", "fête", "ſelect", "x_é2"} {
+		toks, err := Tokenize(src)
+		if err != nil {
+			t.Errorf("%q: %v", src, err)
+			continue
+		}
+		if len(toks) != 2 || toks[0].Kind != TokIdent || toks[0].Text != src {
+			t.Errorf("%q lexed as %+v, want one identifier", src, toks)
+		}
+	}
+	if _, err := Tokenize("a\xc3"); err == nil {
+		t.Error("a lone UTF-8 lead byte must not lex as part of an identifier")
+	}
+	if _, err := Tokenize("\xc3"); err == nil {
+		t.Error("a lone UTF-8 lead byte must not lex as an identifier")
 	}
 }
 
