@@ -31,10 +31,12 @@ vet:
 # under the race detector. See EXECUTOR.md "Cancellation, timeouts & fault
 # injection". The engine suite repeats 5 times, like serve-test's load tests,
 # so a rare interleaving fails here (~15 s per pass). So does the concurrent
-# CO-cache test: sessions on different goroutines share resident COs.
+# CO-cache test: sessions on different goroutines share resident COs. So do
+# the scan-pushdown tests: Gather workers test rows on borrowed page bytes.
 chaos:
 	$(GO) test -race -count=5 -run 'TestChaos' ./internal/engine/
 	$(GO) test -race -count=5 -run 'TestCOCacheConcurrentSessions' ./internal/engine/
+	$(GO) test -race -count=5 -run 'TestScanPushdownParity|TestPushedScanRowsOwnTheirBytes' ./internal/exec/
 	$(GO) test -race -count=1 ./internal/faultinj/
 
 # Crash-injection harness: every durable commit point of a mixed workload is

@@ -9,9 +9,9 @@
 // schema/statistics epoch. Each carries its dependency set: the base tables
 // the materialization read, with their DML version counters at
 // materialization time. A commit that wrote a component table bumps that
-// table's version (engine/mvcc.go), which invalidates exactly the cached COs
-// that read it — entries over disjoint tables keep serving hits. Entries live in an LRU
-// bounded by a resident-byte budget. A miss builds its XNF spec afresh; only
+// table's version (engine/mvcc.go) and purges exactly the cached COs that
+// read it (Purge) — entries over disjoint tables keep serving hits. Entries
+// live in an LRU bounded by a resident-byte budget. A miss builds its XNF spec afresh; only
 // the finished CO is worth keeping.
 //
 // Materialization is single-flight: when several sessions miss on the same
@@ -101,10 +101,13 @@ type flight struct {
 // Cache is the composite-object materialization cache. Safe for concurrent
 // use by many sessions.
 type Cache struct {
-	mu       sync.Mutex
-	budget   int64
-	lru      *list.List // of *entry; front = most recently used
-	entries  map[string]*list.Element
+	mu      sync.Mutex
+	budget  int64
+	lru     *list.List // of *entry; front = most recently used
+	entries map[string]*list.Element
+	// byTable indexes entries by dependency table, so a commit finds the
+	// entries it made stale without walking the LRU.
+	byTable  map[string]map[*list.Element]struct{}
 	flights  map[string]*flight
 	resident int64
 
@@ -121,6 +124,7 @@ func New(budget int64) *Cache {
 		budget:  budget,
 		lru:     list.New(),
 		entries: map[string]*list.Element{},
+		byTable: map[string]map[*list.Element]struct{}{},
 		flights: map[string]*flight{},
 	}
 }
@@ -195,6 +199,35 @@ func (c *Cache) removeLocked(el *list.Element, e *entry) {
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.resident -= e.bytes
+	for _, tn := range e.tables {
+		delete(c.byTable[tn], el)
+		if len(c.byTable[tn]) == 0 {
+			delete(c.byTable, tn)
+		}
+	}
+}
+
+// Purge drops every entry that depends on table at a version other than
+// vf's current one: a commit that wrote table calls it once the new version
+// is installed, so a CO that re-evaluation would no longer return stops
+// occupying the heap at once instead of at its next checkout. Entries that
+// depend only on other tables, or that already read the new version, stay.
+// Validation on Get/FetchCO still guards an entry a racing flight stored
+// after the purge.
+func (c *Cache) Purge(table string, vf VersionFn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, ok := vf(table)
+	for el := range c.byTable[table] {
+		e := el.Value.(*entry)
+		for _, d := range e.deps {
+			if d.Table == table && (!ok || d.Version != cur) {
+				c.removeLocked(el, e)
+				c.invalidations++
+				break
+			}
+		}
+	}
 }
 
 // FetchCO returns the CO for key, serving the cached materialization when
@@ -318,8 +351,15 @@ func (c *Cache) storeLocked(key string, epoch uint64, deps []TableDep, co *xnf.C
 	}
 	e := &entry{key: key, epoch: epoch, depKey: depKey, deps: canonical, tables: tables,
 		co: co, bytes: coBytes(co)}
-	c.entries[key] = c.lru.PushFront(e)
+	el := c.lru.PushFront(e)
+	c.entries[key] = el
 	c.resident += e.bytes
+	for _, tn := range tables {
+		if c.byTable[tn] == nil {
+			c.byTable[tn] = map[*list.Element]struct{}{}
+		}
+		c.byTable[tn][el] = struct{}{}
+	}
 	for c.resident > c.budget && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		be := back.Value.(*entry)

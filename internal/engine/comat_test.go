@@ -206,27 +206,78 @@ func TestCOCacheCommentNewlineKeysApart(t *testing.T) {
 	}
 }
 
-// TestCOCacheInvalidationPrecision: DML to one CO's component table leaves
-// entries over disjoint tables serving hits.
+// residentKeys lists the CO-cache keys, sorted.
+func residentKeys(e *Engine) []string {
+	var keys []string
+	for _, en := range e.COCacheEntries() {
+		keys = append(keys, en.Key)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestCOCacheInvalidationPrecision: a commit to one CO's component table
+// drops exactly the entries that read it, at the commit; an entry over
+// disjoint tables stays resident and keeps serving hits.
 func TestCOCacheInvalidationPrecision(t *testing.T) {
 	e, s := coFixture(t)
+	s.MustExec("OUT OF TAGV TAKE *")
+	tagOnly := residentKeys(e)
 	s.MustExec(takeDeps)
-	s.MustExec("OUT OF TAGV TAKE *")
-	hits0 := e.COCacheStats().Hits
+	if got := residentKeys(e); len(got) != 2 {
+		t.Fatalf("resident after two checkouts: %q", got)
+	}
 	s.MustExec("INSERT INTO EMP VALUES (999, 'new', 5000, 2)") // touches DEPS only
-	s.MustExec("OUT OF TAGV TAKE *")                           // must still hit
+	if got := residentKeys(e); strings.Join(got, "|") != strings.Join(tagOnly, "|") {
+		t.Fatalf("after DML to EMP resident = %q, want only %q", got, tagOnly)
+	}
+	if st := e.COCacheStats(); st.Invalidations != 1 {
+		t.Fatalf("DML to EMP dropped %d entries, want 1: %+v", st.Invalidations, st)
+	}
+	hits0 := e.COCacheStats().Hits
+	s.MustExec("OUT OF TAGV TAKE *") // must still hit
 	s.MustExec("OUT OF TAGV TAKE *")
-	st := e.COCacheStats()
-	if st.Hits != hits0+2 {
+	if st := e.COCacheStats(); st.Hits != hits0+2 || st.Invalidations != 1 {
 		t.Fatalf("non-dependent entry stopped hitting after unrelated DML: %+v", st)
 	}
-	if st.Invalidations != 0 {
-		t.Fatalf("unrelated DML invalidated something: %+v", st)
-	}
-	// The dependent entry does invalidate on its next touch.
+}
+
+// TestCommitPurgesStaleCOs: the commit of a write to EMP removes every
+// EMP-dependent entry and its resident bytes at once, before any checkout
+// touches them; an uncommitted or rolled-back write removes nothing, and an
+// entry over TAGS keeps hitting throughout.
+func TestCommitPurgesStaleCOs(t *testing.T) {
+	e, s := coFixture(t)
+	s.MustExec("OUT OF TAGV TAKE *")
+	tagOnly := e.COCacheStats()
 	s.MustExec(takeDeps)
-	if st := e.COCacheStats(); st.Invalidations != 1 {
-		t.Fatalf("dependent entry did not invalidate: %+v", st)
+	s.MustExec("OUT OF Xe AS EMP TAKE *")
+	full := e.COCacheStats()
+	if full.Entries != 3 || full.ResidentBytes <= tagOnly.ResidentBytes {
+		t.Fatalf("three checkouts left %+v", full)
+	}
+	for _, end := range []string{"ROLLBACK", "COMMIT"} {
+		s.MustExec("BEGIN")
+		s.MustExec("INSERT INTO EMP VALUES (999, 'new', 5000, 2)")
+		if st := e.COCacheStats(); st.Entries != 3 {
+			t.Fatalf("an uncommitted write dropped entries: %+v", st)
+		}
+		s.MustExec(end)
+	}
+	st := e.COCacheStats()
+	if st.Entries != 1 || st.ResidentBytes != tagOnly.ResidentBytes {
+		t.Fatalf("after the commit: %d entries, %d resident bytes; want 1 and %d (TAGV alone)",
+			st.Entries, st.ResidentBytes, tagOnly.ResidentBytes)
+	}
+	if st.Invalidations != 2 {
+		t.Fatalf("commit dropped %d entries, want the 2 over EMP", st.Invalidations)
+	}
+	s.MustExec("OUT OF TAGV TAKE *")
+	if got := e.COCacheStats().Hits; got != st.Hits+1 {
+		t.Fatal("the entry over TAGS stopped hitting")
+	}
+	if n := len(s.MustExec(takeDeps).CO.Node("Xe").Rows); n != 21 {
+		t.Fatalf("refetch after the purge has %d employees, want 21", n)
 	}
 }
 

@@ -833,12 +833,13 @@ func (s *Session) begin() {
 
 // commit ends the transaction. The order is: append the commit record (a
 // failed append rolls the transaction back instead — without that record it
-// never committed); make the transaction MVCC-visible (finishTx); release
-// locks; force the log through the commit record; acknowledge. Locks release
-// before the force (early lock release): durability is prefix-closed, so
-// syncing this commit's LSN also syncs everything the next lock holder
-// depends on. A transaction that logged nothing skips the record and the
-// force. See EXECUTOR.md "Commit ordering" for what a failed force means.
+// never committed); make the transaction MVCC-visible (finishTx); purge the
+// cached COs it made stale; release locks; force the log through the commit
+// record; acknowledge. Locks release before the force (early lock release):
+// durability is prefix-closed, so syncing this commit's LSN also syncs
+// everything the next lock holder depends on. A transaction that logged
+// nothing skips the record and the force. See EXECUTOR.md "Commit ordering"
+// for what a failed force means.
 func (s *Session) commit() error {
 	e := s.eng
 	if tr := s.trace; tr != nil {
@@ -861,6 +862,13 @@ func (s *Session) commit() error {
 	// release: the next writer of any table this transaction touched must
 	// observe both the new versions and this commit's visibility.
 	e.finishTx(s.txID, s.snap, s.written, true)
+	// A CO over a table this commit wrote no longer equals re-evaluation:
+	// drop it now rather than at its next checkout.
+	if e.comat != nil {
+		for t := range s.written {
+			e.comat.Purge(t.Name, e.cat.TableVersion)
+		}
+	}
 	if s.versWork > 0 {
 		e.deadRows.Add(s.versWork)
 	}

@@ -37,6 +37,30 @@ func slowJoinDB(t *testing.T, n int) *Session {
 	return s
 }
 
+// deadlineDB returns a session over an unindexed BIG (id INT, v INT) of n
+// rows whose v cycles through 0..96. It inserts 1 000 rows and then doubles
+// the table with INSERT … SELECT, which loads a million rows in about two
+// seconds: the deadline tests need a scan that takes many times their
+// timeout, and a filtered scan is quick.
+func deadlineDB(t *testing.T, n int) *Session {
+	t.Helper()
+	s := NewDefault().Session()
+	s.MustExec(`CREATE TABLE BIG (id INT, v INT)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO BIG VALUES ")
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			sb.WriteString(",")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, i%97)
+	}
+	s.MustExec(sb.String())
+	for have := 1000; have < n; have *= 2 {
+		s.MustExec(fmt.Sprintf(`INSERT INTO BIG SELECT id + %d, v FROM BIG WHERE id < %d`, have, n-have))
+	}
+	return s
+}
+
 const slowQuery = `SELECT COUNT(*) FROM BIG a, BIG b WHERE a.v < b.v`
 
 // TestExecContextCancelMidStatement: cancelling the context mid-join aborts
@@ -282,12 +306,12 @@ func TestCancelledTakeStatement(t *testing.T) {
 
 // TestSearchedDMLObservesDeadline: the target scan of a searched UPDATE or
 // DELETE polls the statement's lifecycle context at batch boundaries like any
-// other plan. With an unindexed predicate over 300 000 rows and a 5 ms
-// timeout the statement ends with DeadlineExceeded well before an
-// uncancelled scan would, its transaction rolled back, no locks held and the
-// table as it was.
+// other plan. With an unindexed predicate over 1 500 000 rows (an uncancelled
+// scan takes well over ten times the timeout) and a 5 ms timeout the
+// statement ends with DeadlineExceeded well before an uncancelled scan
+// would, its transaction rolled back, no locks held and the table as it was.
 func TestSearchedDMLObservesDeadline(t *testing.T) {
-	s := slowJoinDB(t, 300_000)
+	s := deadlineDB(t, 1_500_000)
 	state := func() string { return s.MustExec(`SELECT COUNT(*), SUM(v) FROM BIG`).Rows[0].String() }
 	before := state()
 	// Uncancelled scan time, with a predicate that matches nothing.
@@ -327,14 +351,15 @@ func TestSearchedDMLObservesDeadline(t *testing.T) {
 
 // TestTakeObservesDeadline: an XNF node derivation is an ordinary plan, so a
 // TAKE polls the statement's lifecycle context at batch boundaries like a
-// SELECT. The child here is derived by an unindexed scan of 200 000 rows; under
-// a 2 ms timeout the TAKE ends with DeadlineExceeded well before the
-// uncancelled derivation would, holding no lock and no snapshot, and leaves
-// nothing in the CO cache. Each TAKE has fresh text, so the cache cannot answer.
+// SELECT. The child here is derived by an unindexed scan of 800 000 rows
+// (uncancelled, well over ten times the timeout); under a 2 ms timeout the
+// TAKE ends with DeadlineExceeded well before the uncancelled derivation
+// would, holding no lock and no snapshot, and leaves nothing in the CO
+// cache. Each TAKE has fresh text, so the cache cannot answer.
 func TestTakeObservesDeadline(t *testing.T) {
-	s := slowJoinDB(t, 200_000)
+	s := deadlineDB(t, 800_000)
 	e := s.Engine()
-	s.MustExec(`CREATE TABLE P (pk INT NOT NULL PRIMARY KEY); INSERT INTO P VALUES (1), (2), (3), (4), (5)`)
+	s.MustExec(`CREATE TABLE P (pk INT NOT NULL PRIMARY KEY); INSERT INTO P VALUES (1), (2), (3)`)
 	take := func(pk int) string {
 		return fmt.Sprintf(`OUT OF Xp AS (SELECT * FROM P WHERE pk = %d), Xc AS BIG,
 			pc AS (RELATE Xp, Xc WHERE Xp.pk = Xc.v) TAKE *`, pk)
@@ -347,25 +372,15 @@ func TestTakeObservesDeadline(t *testing.T) {
 	entries := e.COCacheStats().Entries
 
 	s.SetStatementTimeout(2 * time.Millisecond)
-	// Up to three attempts, each with fresh text: every one must end with
-	// DeadlineExceeded, one of them within half the uncancelled time. (On the
-	// shared host a goroutine now and then loses the CPU for longer than the
-	// whole scan takes, which says nothing about whether the plan polls.)
-	var took time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		t0 := time.Now()
-		_, err := s.Exec(take(2 + attempt))
-		took = time.Since(t0)
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("TAKE under a 2ms timeout returned %v after %v, want DeadlineExceeded", err, took)
-		}
-		t.Logf("timed-out TAKE: %v (uncancelled %v)", took, full)
-		if took <= full/2 {
-			break
-		}
+	t0 = time.Now()
+	_, err := s.Exec(take(2))
+	took := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("TAKE under a 2ms timeout returned %v after %v, want DeadlineExceeded", err, took)
 	}
+	t.Logf("timed-out TAKE: %v (uncancelled %v)", took, full)
 	if took > full/2 {
-		t.Errorf("TAKE returned after %v on the last of three attempts; uncancelled it takes %v", took, full)
+		t.Errorf("TAKE returned after %v; uncancelled it takes %v", took, full)
 	}
 	if s.InTx() {
 		t.Fatal("session stuck in a transaction")
@@ -383,7 +398,7 @@ func TestTakeObservesDeadline(t *testing.T) {
 		t.Fatalf("CO cache went from %d to %d entries under a timed-out TAKE", entries, got)
 	}
 	s.SetStatementTimeout(0)
-	if r := s.MustExec(take(5)); len(r.CO.Node("Xc").Rows) == 0 {
+	if r := s.MustExec(take(3)); len(r.CO.Node("Xc").Rows) == 0 {
 		t.Fatal("TAKE after the timed-out TAKE found no child rows")
 	}
 }

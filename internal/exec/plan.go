@@ -75,6 +75,10 @@ type pageScan struct {
 	reader  storage.MorselReader
 	pending []storage.PageID
 	buf     []types.Row
+	// pushed holds the conjuncts the parent Filter handed down at its Open
+	// (see Filter.Open): they run inside ReadPage's loop, so the scan builds
+	// only the rows they keep.
+	pushed []predKernel
 }
 
 func (s *pageScan) open(ctx *Context, t *catalog.Table, withRID bool) {
@@ -82,6 +86,9 @@ func (s *pageScan) open(ctx *Context, t *catalog.Table, withRID bool) {
 	s.reader.Vis = ctx.Vis
 	if withRID {
 		s.reader.EmitRID()
+	}
+	if len(s.pushed) > 0 {
+		s.reader.Keep = matchAll(s.pushed)
 	}
 	s.pending, s.buf = nil, s.buf[:0]
 }
@@ -92,6 +99,7 @@ func (s *pageScan) open(ctx *Context, t *catalog.Table, withRID bool) {
 // cancellation latency to one page of work per scan.
 func (s *pageScan) next(ctx *Context) ([]types.Row, error) {
 	s.buf = s.buf[:0]
+	examined := s.reader.Examined
 	for len(s.buf) < BatchSize {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
@@ -108,7 +116,7 @@ func (s *pageScan) next(ctx *Context) ([]types.Row, error) {
 		s.pending = s.pending[1:]
 	}
 	if ctx.Stats != nil {
-		ctx.Stats.RowsScanned += int64(len(s.buf))
+		ctx.Stats.RowsScanned += s.reader.Examined - examined
 	}
 	return s.buf, nil
 }
@@ -413,11 +421,17 @@ func (v *Values) Children() []Plan { return nil }
 // Filter passes rows satisfying Pred. It compiles the predicate
 // into vectorized conjunct kernels (see kernel.go): common shapes like
 // `col < const` run as tight comparison loops without per-row expression
-// dispatch.
+// dispatch. Over a SeqScan or MorselScan the pushable kernels run inside
+// the scan's page loop instead (pushDown); the Filter keeps the rest.
 type Filter struct {
-	Child    Plan
-	Pred     Expr
+	Child Plan
+	Pred  Expr
+	// kernels are the conjuncts this Filter applies; pushed went to the
+	// scan child. Both compile once, at the first Open: Pred is immutable
+	// after construction, so one compilation serves every reopen
+	// (correlated subplans reopen per outer row and must not pay it).
 	kernels  []predKernel
+	pushed   []predKernel
 	compiled bool
 	bufA     []types.Row
 	bufB     []types.Row
@@ -426,17 +440,59 @@ type Filter struct {
 // Schema implements Plan.
 func (f *Filter) Schema() types.Schema { return f.Child.Schema() }
 
-// Open implements Plan.
-func (f *Filter) Open(ctx *Context) error { return f.Child.Open(ctx) }
-
-// NextBatch implements Plan. Kernels compile lazily on the first batch —
-// Pred is immutable after construction, so one compilation serves every
-// reopen (correlated subplans reopen per outer row and must not pay it).
-func (f *Filter) NextBatch(ctx *Context) ([]types.Row, error) {
+// Open implements Plan. It resolves the kernels' statement parameters and
+// hands the pushed ones to the scan before opening it.
+func (f *Filter) Open(ctx *Context) error {
+	scan := scanChild(f.Child)
 	if !f.compiled {
 		f.kernels = compileKernels(f.Pred)
+		if scan != nil {
+			f.kernels, f.pushed = pushDown(f.kernels)
+		}
 		f.compiled = true
 	}
+	for i := range f.kernels {
+		f.kernels[i].prepare(ctx)
+	}
+	for i := range f.pushed {
+		f.pushed[i].prepare(ctx)
+	}
+	if scan != nil {
+		scan.pushed = f.pushed
+	}
+	return f.Child.Open(ctx)
+}
+
+// scanChild returns the page loop of a heap-scan child, seen through
+// EXPLAIN ANALYZE's wrapper, or nil.
+func scanChild(p Plan) *pageScan {
+	if w, ok := p.(*Instrumented); ok {
+		p = w.Inner
+	}
+	switch s := p.(type) {
+	case *SeqScan:
+		return &s.pageScan
+	case *MorselScan:
+		return &s.pageScan
+	}
+	return nil
+}
+
+// pushDown splits kernels into the generic ones the Filter keeps and the
+// pushable ones its scan runs per row, each in conjunct order.
+func pushDown(kernels []predKernel) (kept, pushed []predKernel) {
+	for _, k := range kernels {
+		if k.pushable() {
+			pushed = append(pushed, k)
+		} else {
+			kept = append(kept, k)
+		}
+	}
+	return kept, pushed
+}
+
+// NextBatch implements Plan.
+func (f *Filter) NextBatch(ctx *Context) ([]types.Row, error) {
 	for {
 		batch, err := f.Child.NextBatch(ctx)
 		if err != nil {

@@ -17,10 +17,13 @@ type PoolStats struct {
 
 type frame struct {
 	id    PageID
-	data  []byte
+	page  *Page // the frame's page view, handed to every pinner: no per-fetch allocation
 	pins  int
 	dirty bool
-	elem  *list.Element // position in the LRU list; nil while pinned
+	// elem is the frame's LRU position. A frame stays in the list while
+	// pinned (eviction skips it) and moves to the front when its last pin
+	// goes, so pinning and unpinning allocate nothing.
+	elem *list.Element
 }
 
 // BufferPool caches disk pages with pin counting and LRU replacement.
@@ -69,8 +72,8 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
-		bp.pinLocked(f)
-		return &Page{ID: id, Data: f.data}, nil
+		f.pins++
+		return f.page, nil
 	}
 	bp.stats.Misses++
 	f, err := bp.allocFrameLocked(id)
@@ -84,14 +87,15 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	ok := false
 	defer func() {
 		if !ok {
+			bp.lru.Remove(f.elem)
 			delete(bp.frames, id)
 		}
 	}()
-	if err := bp.disk.Read(id, f.data); err != nil {
+	if err := bp.disk.Read(id, f.page.Data); err != nil {
 		return nil, err
 	}
 	ok = true
-	return &Page{ID: id, Data: f.data}, nil
+	return f.page, nil
 }
 
 // NewPage allocates a fresh disk page, pins it, and formats it as an empty
@@ -104,16 +108,19 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Page{ID: id, Data: f.data}
-	p.Init()
+	f.page.Init()
 	f.dirty = true
-	return p, nil
+	return f.page, nil
 }
 
-// allocFrameLocked finds room for a new pinned frame, evicting if needed.
+// allocFrameLocked finds room for a new pinned frame, evicting the least
+// recently unpinned frame if needed.
 func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 	for len(bp.frames) >= bp.cap {
 		back := bp.lru.Back()
+		for back != nil && bp.frames[back.Value.(PageID)].pins > 0 {
+			back = back.Prev()
+		}
 		if back == nil {
 			return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.cap)
 		}
@@ -123,27 +130,19 @@ func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 		// panics, the victim stays fully cached (still in the LRU, still
 		// dirty) and the pool remains consistent for the next caller.
 		if vf.dirty {
-			if err := bp.disk.Write(victim, vf.data); err != nil {
+			if err := bp.disk.Write(victim, vf.page.Data); err != nil {
 				return nil, err
 			}
 			vf.dirty = false
 		}
 		bp.lru.Remove(back)
-		vf.elem = nil
 		delete(bp.frames, victim)
 		bp.stats.Evictions++
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), pins: 1}
+	f := &frame{id: id, page: &Page{ID: id, Data: make([]byte, PageSize)}, pins: 1}
+	f.elem = bp.lru.PushFront(id)
 	bp.frames[id] = f
 	return f, nil
-}
-
-func (bp *BufferPool) pinLocked(f *frame) {
-	f.pins++
-	if f.elem != nil {
-		bp.lru.Remove(f.elem)
-		f.elem = nil
-	}
 }
 
 // Unpin releases one pin; dirty marks the page modified.
@@ -159,7 +158,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.elem = bp.lru.PushFront(id)
+		bp.lru.MoveToFront(f.elem)
 	}
 }
 
@@ -169,7 +168,7 @@ func (bp *BufferPool) FlushAll() error {
 	defer bp.mu.Unlock()
 	for id, f := range bp.frames {
 		if f.dirty {
-			if err := bp.disk.Write(id, f.data); err != nil {
+			if err := bp.disk.Write(id, f.page.Data); err != nil {
 				return err
 			}
 			f.dirty = false
@@ -188,7 +187,7 @@ func (bp *BufferPool) DropAll() error {
 			return fmt.Errorf("storage: DropAll with page %d still pinned", id)
 		}
 		if f.dirty {
-			if err := bp.disk.Write(id, f.data); err != nil {
+			if err := bp.disk.Write(id, f.page.Data); err != nil {
 				return err
 			}
 		}

@@ -67,8 +67,15 @@ type MorselReader struct {
 	tag uint32
 	dec types.RowDecoder
 	// Vis is the snapshot filter; nil scans latest-committed rows.
-	Vis    VisFunc
-	ridCol bool
+	Vis VisFunc
+	// Keep, when set, tests each visible row before ReadPage builds it, and
+	// only the rows it passes are returned. The row Keep sees is borrowed
+	// scratch whose strings alias the latched page: Keep must not retain it,
+	// and since it runs under the heap latch it must not re-enter storage.
+	Keep func(types.Row) (bool, error)
+	// Examined counts the visible rows ReadPage has looked at, kept or not.
+	Examined int64
+	ridCol   bool
 	// rids, when non-nil, receives the RID of every row ReadPage returns
 	// (Heap.ScanVis), so those rows need no RID column.
 	rids []RID
@@ -86,7 +93,9 @@ func (h *Heap) MorselReader(tag uint32) *MorselReader {
 
 // ReadPage appends the visible rows of page id owned by the reader's table
 // to rows, in slot order. Cells owned by other tables of a cluster family
-// are skipped before row decode, so they cost only a tag check.
+// are skipped before row decode, so they cost only a tag check. Under Keep,
+// every visible row decodes once into scratch and only survivors are copied
+// out, so a row Keep drops allocates nothing.
 func (r *MorselReader) ReadPage(id PageID, rows []types.Row) ([]types.Row, error) {
 	h := r.h
 	// Latch and pin released by defer: a panic out of the buffer pool (fault
@@ -111,12 +120,26 @@ func (r *MorselReader) ReadPage(id PageID, rows []types.Row) ([]types.Row, error
 		if !h.visibleLocked(rid, r.Vis) {
 			return nil
 		}
-		row, _, derr := r.dec.Decode(cell[n:])
+		r.Examined++
+		var row types.Row
+		var derr error
+		if r.Keep != nil {
+			row, _, derr = r.dec.Borrow(cell[n:])
+		} else {
+			row, _, derr = r.dec.Decode(cell[n:])
+		}
 		if derr != nil {
 			return derr
 		}
 		if r.ridCol {
 			row = append(row, types.NewInt(rid.Pack()))
+		}
+		if r.Keep != nil {
+			keep, kerr := r.Keep(row)
+			if kerr != nil || !keep {
+				return kerr
+			}
+			row = r.dec.Own(row)
 		}
 		rows = append(rows, row)
 		if r.rids != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
+	"unsafe"
 )
 
 // Row is one tuple: a slice of values positionally matched to a Schema.
@@ -129,8 +131,11 @@ func varintLen(x int64) int {
 // DecodeRow parses a row previously produced by Encode. It returns the row
 // and the number of bytes consumed.
 func DecodeRow(src []byte) (Row, int, error) {
-	var d RowDecoder
-	return d.decode(src, false)
+	n, used, err := rowHeader(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeValues(src, used, n, make(Row, 0, n), false)
 }
 
 // RowDecoder decodes consecutive rows, carving their value storage from
@@ -142,12 +147,13 @@ type RowDecoder struct {
 	// Spare is extra capacity reserved past each decoded row's values, so a
 	// scan can append that many values (the RID column) without re-allocating
 	// the row.
-	Spare int
-	free  []Value
-	chunk int
+	Spare   int
+	free    []Value
+	chunk   int
+	scratch Row
 }
 
-// Arena granularity in values (~48 B each): chunks start small so scanning a
+// Arena granularity in values (40 B each): chunks start small so scanning a
 // handful of rows stays cheap, and double per refill up to the max so large
 // scans amortize to one allocation per ~thousand values.
 const (
@@ -155,9 +161,8 @@ const (
 	decoderChunkMax = 4096
 )
 
-// take carves an n-value row (plus Spare capacity) from the current chunk.
+// take carves an n-value row from the current chunk.
 func (d *RowDecoder) take(n int) Row {
-	n += d.Spare
 	if len(d.free) < n {
 		switch {
 		case d.chunk == 0:
@@ -175,23 +180,56 @@ func (d *RowDecoder) take(n int) Row {
 	return row
 }
 
-// Decode parses one row, returning it and the number of bytes consumed.
+// Decode parses one row into the arena (with Spare capacity), returning it
+// and the number of bytes consumed.
 func (d *RowDecoder) Decode(src []byte) (Row, int, error) {
-	return d.decode(src, true)
+	n, used, err := rowHeader(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeValues(src, used, n, d.take(int(n)+d.Spare), false)
 }
 
-func (d *RowDecoder) decode(src []byte, arena bool) (Row, int, error) {
-	n, used := binary.Uvarint(src)
+// Borrow parses one row into the decoder's scratch row (with Spare
+// capacity) without allocating: its strings alias src. The row is valid
+// only while src is unchanged and until the next Borrow; Own copies one
+// that must outlive either.
+func (d *RowDecoder) Borrow(src []byte) (Row, int, error) {
+	n, used, err := rowHeader(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	if need := int(n) + d.Spare; cap(d.scratch) < need {
+		d.scratch = make(Row, 0, need)
+	}
+	return decodeValues(src, used, n, d.scratch[:0], true)
+}
+
+// Own copies a borrowed row into the arena, cloning its strings, so the
+// copy shares no bytes with the source Borrow read.
+func (d *RowDecoder) Own(borrowed Row) Row {
+	row := d.take(len(borrowed))[:len(borrowed)]
+	for i, v := range borrowed {
+		if v.kind == KindString {
+			v.s = strings.Clone(v.s)
+		}
+		row[i] = v
+	}
+	return row
+}
+
+// rowHeader reads a row's value count.
+func rowHeader(src []byte) (n uint64, used int, err error) {
+	n, used = binary.Uvarint(src)
 	if used <= 0 {
-		return nil, 0, fmt.Errorf("types: corrupt row header")
+		return 0, 0, fmt.Errorf("types: corrupt row header")
 	}
-	pos := used
-	var row Row
-	if arena {
-		row = d.take(int(n))
-	} else {
-		row = make(Row, 0, n)
-	}
+	return n, used, nil
+}
+
+// decodeValues appends the n values encoded at src[pos:] to row. With alias
+// set, strings point into src instead of copying it.
+func decodeValues(src []byte, pos int, n uint64, row Row, alias bool) (Row, int, error) {
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(src) {
 			return nil, 0, fmt.Errorf("types: truncated row at value %d", i)
@@ -224,7 +262,12 @@ func (d *RowDecoder) decode(src []byte, arena bool) (Row, int, error) {
 			if pos+int(l) > len(src) {
 				return nil, 0, fmt.Errorf("types: truncated string at value %d", i)
 			}
-			row = append(row, NewString(string(src[pos:pos+int(l)])))
+			b := src[pos : pos+int(l)]
+			if alias && l > 0 {
+				row = append(row, NewString(unsafe.String(&b[0], len(b))))
+			} else {
+				row = append(row, NewString(string(b)))
+			}
 			pos += int(l)
 		case tagTrue:
 			row = append(row, NewBool(true))
