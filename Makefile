@@ -5,15 +5,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The engine, comat, wal and wire packages carry fuzz targets
-# (FuzzStmtKey, FuzzDepKey, FuzzWALReplay, FuzzWireFrame); their seed
+# The engine, wal and wire packages carry fuzz targets
+# (FuzzStmtKey, FuzzWALReplay, FuzzWireFrame); their seed
 # corpora run as plain tests here. `make fuzz` explores beyond the seeds.
 test:
 	$(GO) test ./...
 
 fuzz:
 	$(GO) test -fuzz FuzzStmtKey -fuzztime 30s ./internal/engine/
-	$(GO) test -fuzz FuzzDepKey -fuzztime 15s ./internal/comat/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire/
 
@@ -33,9 +32,11 @@ vet:
 # so a rare interleaving fails here (~15 s per pass). So does the concurrent
 # CO-cache test: sessions on different goroutines share resident COs. So do
 # the scan-pushdown tests: Gather workers test rows on borrowed page bytes.
+# So do comat's flight tests: the waiter/store contract of the CO cache.
 chaos:
 	$(GO) test -race -count=5 -run 'TestChaos' ./internal/engine/
 	$(GO) test -race -count=5 -run 'TestCOCacheConcurrentSessions' ./internal/engine/
+	$(GO) test -race -count=20 -run 'TestSingleFlight|TestWaiterDoesNotSeeFlight|TestRacingFlightStoresNothing|TestCancelledWaiterDetaches' ./internal/comat/
 	$(GO) test -race -count=5 -run 'TestScanPushdownParity|TestPushedScanRowsOwnTheirBytes' ./internal/exec/
 	$(GO) test -race -count=1 ./internal/faultinj/
 

@@ -20,7 +20,7 @@ func TestCancelledWaiterDetaches(t *testing.T) {
 	started := make(chan struct{})
 	runnerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+		_, _, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 			close(started)
 			<-release
 			return testCO(4), []TableDep{{Table: "T", Version: 1}}, nil
@@ -32,7 +32,7 @@ func TestCancelledWaiterDetaches(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.FetchCO(ctx, "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+		_, _, err := c.FetchCO(ctx, "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 			t.Error("waiter ran its own materialization while a flight was live")
 			return testCO(1), nil, nil
 		})
@@ -58,7 +58,7 @@ func TestCancelledWaiterDetaches(t *testing.T) {
 	if err := <-runnerDone; err != nil {
 		t.Fatalf("runner failed after waiter cancel: %v", err)
 	}
-	co, hit, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+	co, hit, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 		t.Error("re-fetch re-materialized; entry should be resident")
 		return testCO(1), nil, nil
 	})
@@ -77,7 +77,7 @@ func TestPreCancelledFetch(t *testing.T) {
 	vm := &versionMap{m: map[string]uint64{"T": 1}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.FetchCO(ctx, "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+	_, _, err := c.FetchCO(ctx, "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 		t.Error("materializer ran under a dead context")
 		return testCO(1), nil, nil
 	})
@@ -93,13 +93,13 @@ func TestFailedMaterializationNeverCached(t *testing.T) {
 	c := New(0)
 	vm := &versionMap{m: map[string]uint64{"T": 1}}
 	boom := errors.New("injected materialization failure")
-	_, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+	_, _, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 		return nil, nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("failed materialization returned %v, want injected error", err)
 	}
-	co, hit, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+	co, hit, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 		return testCO(2), []TableDep{{Table: "T", Version: 1}}, nil
 	})
 	if err != nil {

@@ -25,9 +25,9 @@ package comat
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/xnf"
@@ -48,12 +48,18 @@ type TableDep struct {
 // no longer exists (which invalidates dependents like any version change).
 type VersionFn func(table string) (uint64, bool)
 
+// Sees reports whether a caller would evaluate exactly the CO a dependency
+// snapshot was taken with: the one rule by which the cache serves a
+// resident entry, stores a materialization, and hands a flight's result to
+// a waiter. deps are sorted by table.
+type Sees func(deps []TableDep) bool
+
 // Stats is a snapshot of cache activity.
 type Stats struct {
 	// CO-cache counters.
 	Hits          int64
 	Misses        int64
-	Invalidations int64 // entries dropped because a dependency's version moved (or its table vanished)
+	Invalidations int64 // entries purged because a dependency's version moved (or its table vanished), or replaced by a store
 	Evictions     int64 // entries dropped by the LRU byte budget or an epoch change
 	Waits         int64 // sessions that waited on another session's materialization
 	Entries       int
@@ -74,19 +80,14 @@ type Entry struct {
 }
 
 type entry struct {
-	key    string
-	epoch  uint64
-	depKey string // EncodeDepKey of the dependency snapshot
-	// deps is depKey decoded once at store time (the canonical round trip
-	// the fuzz target pins); validation walks this instead of re-decoding
-	// per hit.
-	deps []TableDep
-	// tables names deps' tables, in order: what a hit hands the caller to
-	// check its snapshot against.
-	tables []string
-	co     *xnf.CO
-	bytes  int64
-	hits   atomic.Int64
+	key   string
+	epoch uint64
+	// deps is the dependency snapshot, sorted by table once at store time;
+	// byTable indexes the entry by these tables.
+	deps  []TableDep
+	co    *xnf.CO
+	bytes int64
+	hits  atomic.Int64
 }
 
 // flight is one in-progress materialization; concurrent fetchers of the
@@ -95,7 +96,9 @@ type flight struct {
 	done chan struct{}
 	co   *xnf.CO
 	deps []TableDep
-	err  error
+	// shared marks a result the runner's sees accepted and stored: waiters
+	// may use it if their own sees accepts deps too. Otherwise they retry.
+	shared bool
 }
 
 // Cache is the composite-object materialization cache. Safe for concurrent
@@ -147,32 +150,27 @@ func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		out = append(out, Entry{Key: e.key, DepKey: e.depKey, Bytes: e.bytes,
+		out = append(out, Entry{Key: e.key, DepKey: EncodeDepKey(e.deps), Bytes: e.bytes,
 			Hits: e.hits.Load(), Tuples: e.co.Size()})
 	}
 	return out
 }
 
-// Get returns the cached CO for key when it is current at epoch and under
-// vf, i.e. equal to latest-committed state, together with the entry's
-// dependency tables. Whether that state is the one the caller's snapshot
-// sees is the caller's check, against exactly those tables. The CO and the
-// table slice are shared: read-only for the caller.
-func (c *Cache) Get(key string, epoch uint64, vf VersionFn) (*xnf.CO, []string, bool) {
+// Get returns the resident CO for key when it was stored at epoch and the
+// caller sees its dependency snapshot. The CO is shared: read-only for the
+// caller. An entry sees refuses stays resident for callers that see it.
+func (c *Cache) Get(key string, epoch uint64, sees Sees) (*xnf.CO, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.validateLocked(key, epoch, vf)
-	if e == nil {
-		return nil, nil, false
+	if e := c.serveLocked(key, epoch, sees); e != nil {
+		return e.co, true
 	}
-	c.hits++
-	e.hits.Add(1)
-	return e.co, e.tables, true
+	return nil, false
 }
 
-// validateLocked returns the entry for key if current, evicting stale ones.
-// Caller holds c.mu.
-func (c *Cache) validateLocked(key string, epoch uint64, vf VersionFn) *entry {
+// serveLocked returns the entry for key if it may serve the caller, counting
+// the hit; an entry from another epoch is evicted. Caller holds c.mu.
+func (c *Cache) serveLocked(key string, epoch uint64, sees Sees) *entry {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
@@ -183,15 +181,12 @@ func (c *Cache) validateLocked(key string, epoch uint64, vf VersionFn) *entry {
 		c.evictions++
 		return nil
 	}
-	for _, d := range e.deps {
-		cur, ok := vf(d.Table)
-		if !ok || cur != d.Version {
-			c.removeLocked(el, e)
-			c.invalidations++
-			return nil
-		}
+	if !sees(e.deps) {
+		return nil
 	}
 	c.lru.MoveToFront(el)
+	c.hits++
+	e.hits.Add(1)
 	return e
 }
 
@@ -199,10 +194,10 @@ func (c *Cache) removeLocked(el *list.Element, e *entry) {
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.resident -= e.bytes
-	for _, tn := range e.tables {
-		delete(c.byTable[tn], el)
-		if len(c.byTable[tn]) == 0 {
-			delete(c.byTable, tn)
+	for _, d := range e.deps {
+		delete(c.byTable[d.Table], el)
+		if len(c.byTable[d.Table]) == 0 {
+			delete(c.byTable, d.Table)
 		}
 	}
 }
@@ -210,10 +205,11 @@ func (c *Cache) removeLocked(el *list.Element, e *entry) {
 // Purge drops every entry that depends on table at a version other than
 // vf's current one: a commit that wrote table calls it once the new version
 // is installed, so a CO that re-evaluation would no longer return stops
-// occupying the heap at once instead of at its next checkout. Entries that
-// depend only on other tables, or that already read the new version, stay.
-// Validation on Get/FetchCO still guards an entry a racing flight stored
-// after the purge.
+// occupying the heap at once. Entries that depend only on other tables, or
+// that already read the new version, stay. A flight racing the commit
+// cannot leave a stale entry behind: it stores under c.mu only if its sees
+// holds, so it either stores before this purge takes c.mu (and is purged)
+// or is refused by the moved version.
 func (c *Cache) Purge(table string, vf VersionFn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,23 +226,21 @@ func (c *Cache) Purge(table string, vf VersionFn) {
 	}
 }
 
-// FetchCO returns the CO for key, serving the cached materialization when
-// current and otherwise materializing through mat with single-flight. mat
-// returns the CO plus the dependency snapshot it was evaluated against. An
-// entry or a peer flight's result tracks latest-committed state; the caller
-// must check that its own snapshot covers the dependency tables before
-// using one it did not materialize itself. hit reports whether the cached
-// copy was served.
+// FetchCO returns the CO for key: the resident entry when the caller sees
+// it, otherwise a materialization through mat with single-flight. mat
+// returns the CO plus the dependency snapshot it was evaluated against. hit
+// reports whether a resident entry was served.
+//
+// The result is stored, and shared with the flight's waiters, only if the
+// runner's sees accepts the snapshot; either way the runner gets its own CO.
+// A waiter uses the flight's CO only if it is shared and the waiter's sees
+// accepts it too; otherwise, as after a failed flight, it retries.
 //
 // ctx bounds the wait on a peer flight: a cancelled waiter detaches and
 // returns ctx.Err() while the runner continues unaffected (its result still
 // lands in the cache for future fetchers). The runner itself is bounded by
 // its own context through mat, not by this one. A nil ctx never cancels.
-//
-// mat may return nil deps with a non-nil CO to mark the result private:
-// it is served to this fetch (and any waiters, who must re-validate it
-// against their own view) but never stored.
-func (c *Cache) FetchCO(ctx context.Context, key string, epoch uint64, vf VersionFn,
+func (c *Cache) FetchCO(ctx context.Context, key string, epoch uint64, sees Sees,
 	mat func() (*xnf.CO, []TableDep, error)) (co *xnf.CO, hit bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -256,12 +250,9 @@ func (c *Cache) FetchCO(ctx context.Context, key string, epoch uint64, vf Versio
 			return nil, false, err
 		}
 		c.mu.Lock()
-		if e := c.validateLocked(key, epoch, vf); e != nil {
-			c.hits++
-			e.hits.Add(1)
-			co := e.co
+		if e := c.serveLocked(key, epoch, sees); e != nil {
 			c.mu.Unlock()
-			return co, true, nil
+			return e.co, true, nil
 		}
 		if f, ok := c.flights[key]; ok {
 			c.waits++
@@ -273,27 +264,19 @@ func (c *Cache) FetchCO(ctx context.Context, key string, epoch uint64, vf Versio
 				// flight for the remaining waiters.
 				return nil, false, ctx.Err()
 			}
-			if f.err != nil {
-				// The runner's failure may be private to its transaction
-				// (e.g. a deadlock abort); retry — the next round either
-				// finds a fresh entry, joins a newer flight, or runs the
-				// materialization itself.
-				continue
+			if f.shared && sees(f.deps) {
+				return f.co, false, nil
 			}
-			// The runner's result tracks latest-committed state as of its
-			// evaluation; the caller decides whether its snapshot covers it.
-			return f.co, false, nil
+			// The flight failed (perhaps privately, e.g. a deadlock abort) or
+			// produced a CO this caller does not see: the next round finds an
+			// entry, joins a newer flight, or materializes itself.
+			continue
 		}
 		f := &flight{done: make(chan struct{})}
 		c.flights[key] = f
 		c.misses++
 		c.mu.Unlock()
-
-		co, hit, err := c.runFlight(key, epoch, f, mat)
-		if err != nil {
-			return nil, false, err
-		}
-		return co, hit, nil
+		return c.runFlight(key, epoch, sees, f, mat)
 	}
 }
 
@@ -301,64 +284,45 @@ func (c *Cache) FetchCO(ctx context.Context, key string, epoch uint64, vf Versio
 // deferred cleanup also runs when mat panics (an application recovering
 // panics around Exec must not leave waiters blocked on a dead flight, or
 // the key permanently wedged).
-func (c *Cache) runFlight(key string, epoch uint64, f *flight,
+func (c *Cache) runFlight(key string, epoch uint64, sees Sees, f *flight,
 	mat func() (*xnf.CO, []TableDep, error)) (co *xnf.CO, hit bool, err error) {
 	done := false
 	defer func() {
 		c.mu.Lock()
 		delete(c.flights, key)
-		if !done {
-			// Unwinding on a panic: fail the flight so waiters retry.
-			f.err = fmt.Errorf("comat: materialization of %q panicked", key)
-		} else if err != nil {
-			f.err = err
-		} else {
-			f.co = co
-			// Nil deps mark a private result (the runner materialized under a
-			// snapshot that no longer matches latest-committed state): serve
-			// it to this flight's fetchers but store nothing — a stored entry
-			// with an empty dependency set would validate forever.
-			if f.deps != nil {
-				c.storeLocked(key, epoch, f.deps, co)
-			}
+		// Asked under c.mu, so a commit that moved a dependency either
+		// refuses the store here or purges the entry once c.mu is free.
+		if done && err == nil && sees(f.deps) {
+			f.co, f.shared = co, true
+			c.storeLocked(key, epoch, f.deps, co)
 		}
 		close(f.done)
 		c.mu.Unlock()
 	}()
 	co, deps, err := mat()
+	sortDeps(deps)
 	f.deps = deps
 	done = true
 	return co, false, err
 }
 
-// storeLocked inserts a fresh materialization and enforces the byte budget.
-// Caller holds c.mu.
+// storeLocked inserts a fresh materialization, replacing (and counting as
+// invalidated) any entry for key, and enforces the byte budget. Caller
+// holds c.mu.
 func (c *Cache) storeLocked(key string, epoch uint64, deps []TableDep, co *xnf.CO) {
 	if el, ok := c.entries[key]; ok {
 		c.removeLocked(el, el.Value.(*entry))
+		c.invalidations++
 	}
-	// Encode and decode the dependency snapshot through the canonical key:
-	// the stored deps are exactly what the key says (and a key that cannot
-	// round-trip must not produce a servable entry).
-	depKey := EncodeDepKey(deps)
-	canonical, err := DecodeDepKey(depKey)
-	if err != nil {
-		return
-	}
-	tables := make([]string, len(canonical))
-	for i, d := range canonical {
-		tables[i] = d.Table
-	}
-	e := &entry{key: key, epoch: epoch, depKey: depKey, deps: canonical, tables: tables,
-		co: co, bytes: coBytes(co)}
+	e := &entry{key: key, epoch: epoch, deps: deps, co: co, bytes: coBytes(co)}
 	el := c.lru.PushFront(e)
 	c.entries[key] = el
 	c.resident += e.bytes
-	for _, tn := range tables {
-		if c.byTable[tn] == nil {
-			c.byTable[tn] = map[*list.Element]struct{}{}
+	for _, d := range deps {
+		if c.byTable[d.Table] == nil {
+			c.byTable[d.Table] = map[*list.Element]struct{}{}
 		}
-		c.byTable[tn][el] = struct{}{}
+		c.byTable[d.Table][el] = struct{}{}
 	}
 	for c.resident > c.budget && c.lru.Len() > 1 {
 		back := c.lru.Back()
@@ -372,7 +336,7 @@ func (c *Cache) storeLocked(key string, epoch uint64, deps []TableDep, co *xnf.C
 func coBytes(co *xnf.CO) int64 {
 	const (
 		rowOverhead  = 24 // slice header
-		valueSize    = 48 // types.Value struct
+		valueSize    = int64(unsafe.Sizeof(types.Value{}))
 		connSize     = 48
 		nodeOverhead = 256
 	)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/xnf"
@@ -39,43 +40,24 @@ func (vm *versionMap) fn(table string) (uint64, bool) {
 	return v, ok
 }
 
+// sees is the Sees of a reader at latest-committed state: every dependency
+// is still at its recorded version.
+func (vm *versionMap) sees(deps []TableDep) bool {
+	for _, d := range deps {
+		if v, ok := vm.fn(d.Table); !ok || v != d.Version {
+			return false
+		}
+	}
+	return true
+}
+
+// refuse is the Sees of a reader that sees no stored snapshot.
+func refuse([]TableDep) bool { return false }
+
 func (vm *versionMap) bump(table string) {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	vm.m[table]++
-}
-
-func TestDepKeyRoundTrip(t *testing.T) {
-	cases := [][]TableDep{
-		nil,
-		{{Table: "EMP", Version: 0}},
-		{{Table: "EMP", Version: 7}, {Table: "DEPT", Version: 12}},
-		{{Table: `WEIRD;NAME`, Version: 1}, {Table: `ESC\@PED`, Version: 2}},
-		{{Table: "", Version: 3}},
-	}
-	for _, deps := range cases {
-		enc := EncodeDepKey(deps)
-		dec, err := DecodeDepKey(enc)
-		if err != nil {
-			t.Fatalf("DecodeDepKey(%q): %v", enc, err)
-		}
-		// Encode sorts; compare canonically.
-		if EncodeDepKey(dec) != enc {
-			t.Fatalf("round trip drifted: %q -> %v -> %q", enc, dec, EncodeDepKey(dec))
-		}
-	}
-	// Order-insensitivity.
-	a := EncodeDepKey([]TableDep{{Table: "A", Version: 1}, {Table: "B", Version: 2}})
-	b := EncodeDepKey([]TableDep{{Table: "B", Version: 2}, {Table: "A", Version: 1}})
-	if a != b {
-		t.Fatalf("encoding is order-sensitive: %q vs %q", a, b)
-	}
-	// Malformed inputs must error, not validate.
-	for _, bad := range []string{"EMP", "EMP@", "EMP@x", "EMP@1;", "@1;EMP@2x", `EMP\q@1`, "EMP@01"} {
-		if _, err := DecodeDepKey(bad); err == nil {
-			t.Errorf("DecodeDepKey(%q) accepted malformed input", bad)
-		}
-	}
 }
 
 func TestFetchHitAndFineGrainedInvalidation(t *testing.T) {
@@ -83,7 +65,7 @@ func TestFetchHitAndFineGrainedInvalidation(t *testing.T) {
 	vm := &versionMap{m: map[string]uint64{"T1": 5, "T2": 9}}
 	var mats atomic.Int64
 	fetch := func(key, table string) *xnf.CO {
-		co, _, err := c.FetchCO(context.Background(), key, 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+		co, _, err := c.FetchCO(context.Background(), key, 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 			mats.Add(1)
 			v, _ := vm.fn(table)
 			return testCO(3), []TableDep{{Table: table, Version: v}}, nil
@@ -123,7 +105,7 @@ func TestFetchHitAndFineGrainedInvalidation(t *testing.T) {
 	delete(vm.m, "T2")
 	vm.m["T2X"] = 1
 	vm.mu.Unlock()
-	if _, _, ok := c.Get("K2", 1, vm.fn); ok {
+	if _, ok := c.Get("K2", 1, vm.sees); ok {
 		t.Fatal("entry over a dropped table validated")
 	}
 }
@@ -134,10 +116,10 @@ func TestEpochEvictsEverything(t *testing.T) {
 	mat := func() (*xnf.CO, []TableDep, error) {
 		return testCO(1), []TableDep{{Table: "T", Version: 1}}, nil
 	}
-	if _, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, mat); err != nil {
+	if _, _, err := c.FetchCO(context.Background(), "K", 1, vm.sees, mat); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get("K", 2, vm.fn); ok {
+	if _, ok := c.Get("K", 2, vm.sees); ok {
 		t.Fatal("entry survived an epoch change")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -151,7 +133,7 @@ func TestLRUBudgetEviction(t *testing.T) {
 	vm := &versionMap{m: map[string]uint64{"T": 1}}
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("K%d", i)
-		_, _, err := c.FetchCO(context.Background(), key, 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+		_, _, err := c.FetchCO(context.Background(), key, 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 			return testCO(100), []TableDep{{Table: "T", Version: 1}}, nil
 		})
 		if err != nil {
@@ -186,7 +168,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			co, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
+			co, _, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
 				mats.Add(1)
 				time.Sleep(20 * time.Millisecond) // widen the window
 				return testCO(10), []TableDep{{Table: "T", Version: 1}}, nil
@@ -213,31 +195,129 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestGetServesResidentEntry: one Get returns the stored CO itself and the
-// tables of its dependency snapshot, so a caller checks its snapshot against
-// the entry it was served and nothing else.
+// TestGetServesResidentEntry: one Get asks sees about the entry's sorted
+// dependency snapshot and returns the stored CO itself; an entry sees
+// refuses is not served, counts no hit, and stays resident.
 func TestGetServesResidentEntry(t *testing.T) {
 	c := New(0)
 	vm := &versionMap{m: map[string]uint64{"A": 3, "B": 4}}
 	stored := testCO(2)
-	deps := []TableDep{{Table: "B", Version: 4}, {Table: "A", Version: 3}}
-	if _, _, err := c.FetchCO(context.Background(), "K", 1, vm.fn, func() (*xnf.CO, []TableDep, error) {
-		return stored, deps, nil
+	if _, _, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
+		return stored, []TableDep{{Table: "B", Version: 4}, {Table: "A", Version: 3}}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	co, tables, ok := c.Get("K", 1, vm.fn)
+	var asked []TableDep
+	co, ok := c.Get("K", 1, func(deps []TableDep) bool {
+		asked = deps
+		return vm.sees(deps)
+	})
 	if !ok || co != stored {
 		t.Fatalf("Get = %p, %v; want the stored CO %p", co, ok, stored)
 	}
-	// The canonical dependency key sorts by table name.
-	if !reflect.DeepEqual(tables, []string{"A", "B"}) {
-		t.Fatalf("tables = %v, want [A B]", tables)
+	if want := []TableDep{{Table: "A", Version: 3}, {Table: "B", Version: 4}}; !reflect.DeepEqual(asked, want) {
+		t.Fatalf("sees was asked about %v, want %v", asked, want)
 	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1", st.Hits)
+	if co, ok := c.Get("K", 1, refuse); ok || co != nil {
+		t.Fatalf("Get under a refusing sees = %p, %v", co, ok)
 	}
-	if co, tables, ok := c.Get("absent", 1, vm.fn); ok || co != nil || tables != nil {
-		t.Fatalf("Get on an absent key = %p, %v, %v", co, tables, ok)
+	st := c.Stats()
+	if st.Hits != 1 || st.Entries != 1 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v, want 1 hit and the refused entry resident", st)
+	}
+	if ents := c.Entries(); len(ents) != 1 || ents[0].Hits != 1 || ents[0].DepKey != "A@3;B@4" {
+		t.Fatalf("entries = %+v", ents)
+	}
+	if co, ok := c.Get("K", 1, vm.sees); !ok || co != stored {
+		t.Fatal("the refused entry stopped serving a reader that sees it")
+	}
+	if co, ok := c.Get("absent", 1, vm.sees); ok || co != nil {
+		t.Fatalf("Get on an absent key = %p, %v", co, ok)
+	}
+}
+
+// TestWaiterDoesNotSeeFlight: a waiter whose sees refuses the runner's
+// snapshot does not take the flight's CO; it materializes its own, which is
+// not stored, and the runner's entry stays resident.
+func TestWaiterDoesNotSeeFlight(t *testing.T) {
+	c := New(0)
+	vm := &versionMap{m: map[string]uint64{"T": 1}}
+	release := make(chan struct{})
+	started := make(chan struct{})
+	runnerCO := testCO(4)
+	runnerDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
+			close(started)
+			<-release
+			return runnerCO, []TableDep{{Table: "T", Version: 1}}, nil
+		})
+		runnerDone <- err
+	}()
+	<-started
+	waiterCO := testCO(1)
+	waiterDone := make(chan *xnf.CO, 1)
+	go func() {
+		co, hit, err := c.FetchCO(context.Background(), "K", 1, refuse, func() (*xnf.CO, []TableDep, error) {
+			return waiterCO, []TableDep{{Table: "T", Version: 1}}, nil
+		})
+		if err != nil || hit {
+			t.Errorf("waiter: hit=%v err=%v, want its own materialization", hit, err)
+		}
+		waiterDone <- co
+	}()
+	for c.Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-runnerDone; err != nil {
+		t.Fatal(err)
+	}
+	if co := <-waiterDone; co != waiterCO {
+		t.Fatal("a waiter that does not see the flight's snapshot got the flight's CO")
+	}
+	if co, ok := c.Get("K", 1, vm.sees); !ok || co != runnerCO {
+		t.Fatal("the runner's entry is not resident after the waiter's private materialization")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v, want 1 entry, 2 misses, no invalidation", st)
+	}
+}
+
+// TestRacingFlightStoresNothing: a commit that moves a dependency after the
+// runner read its versions makes the runner's own sees refuse the store.
+// The runner still gets its CO; nothing is resident, and the next fetch
+// misses.
+func TestRacingFlightStoresNothing(t *testing.T) {
+	c := New(0)
+	vm := &versionMap{m: map[string]uint64{"T": 1}}
+	raced := testCO(3)
+	co, hit, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
+		v, _ := vm.fn("T")
+		vm.bump("T")
+		return raced, []TableDep{{Table: "T", Version: v}}, nil
+	})
+	if err != nil || hit || co != raced {
+		t.Fatalf("runner: co=%p hit=%v err=%v, want its own CO", co, hit, err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 {
+		t.Fatalf("a flight that raced a commit stored its CO: %+v", st)
+	}
+	var mats int
+	if _, hit, err := c.FetchCO(context.Background(), "K", 1, vm.sees, func() (*xnf.CO, []TableDep, error) {
+		mats++
+		v, _ := vm.fn("T")
+		return testCO(3), []TableDep{{Table: "T", Version: v}}, nil
+	}); err != nil || hit || mats != 1 {
+		t.Fatalf("next fetch: hit=%v err=%v materializations=%d, want a miss", hit, err, mats)
+	}
+}
+
+// TestCOBytesChargesValueSize: each one-column tuple adds a row header plus
+// one types.Value to a CO's charge against the byte budget.
+func TestCOBytesChargesValueSize(t *testing.T) {
+	per := coBytes(testCO(2)) - coBytes(testCO(1))
+	if want := 24 + int64(unsafe.Sizeof(types.Value{})); per != want {
+		t.Fatalf("a one-column tuple charges %d B, want %d", per, want)
 	}
 }

@@ -1,37 +1,36 @@
 package comat
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// The dependency key is the canonical encoding of a CO's dependency
-// snapshot: the component tables it read with their DML versions at
-// materialization time. It is stored on every cache entry (validation
-// decodes it and compares against current versions) and surfaced verbatim
-// by \costats, so the encoding must be injective and round-trip exactly —
-// FuzzDepKey in depkey_fuzz_test.go holds it to that.
+// The dependency key renders a CO's dependency snapshot for \costats: the
+// component tables it read with their DML versions at materialization time.
 //
 // Format: entries sorted by table name, joined with ';', each
 // `<table>@<version>`. Table names escape '\', ';' and '@' with a leading
 // backslash, so arbitrary (e.g. quoted) identifiers cannot collide with the
 // structure.
 
-// EncodeDepKey canonically encodes a dependency snapshot. The input is not
-// mutated; entries are sorted by table name (ties broken by version) so
-// equal sets encode equally regardless of order.
-func EncodeDepKey(deps []TableDep) string {
-	sorted := append([]TableDep(nil), deps...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Table != sorted[j].Table {
-			return sorted[i].Table < sorted[j].Table
+// sortDeps puts a dependency snapshot in canonical order: by table name,
+// ties broken by version. The cache sorts every snapshot once, when its
+// flight ends.
+func sortDeps(deps []TableDep) {
+	sort.Slice(deps, func(i, j int) bool {
+		if deps[i].Table != deps[j].Table {
+			return deps[i].Table < deps[j].Table
 		}
-		return sorted[i].Version < sorted[j].Version
+		return deps[i].Version < deps[j].Version
 	})
+}
+
+// EncodeDepKey renders a dependency snapshot that sortDeps has put in
+// canonical order, as every stored entry's is.
+func EncodeDepKey(deps []TableDep) string {
 	var b strings.Builder
-	for i, d := range sorted {
+	for i, d := range deps {
 		if i > 0 {
 			b.WriteByte(';')
 		}
@@ -46,68 +45,4 @@ func EncodeDepKey(deps []TableDep) string {
 		b.WriteString(strconv.FormatUint(d.Version, 10))
 	}
 	return b.String()
-}
-
-// DecodeDepKey inverts EncodeDepKey. It rejects malformed input instead of
-// guessing — a corrupted key must invalidate its entry, never validate it.
-func DecodeDepKey(s string) ([]TableDep, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var deps []TableDep
-	var table strings.Builder
-	i := 0
-	for {
-		table.Reset()
-		// Scan the (escaped) table name up to an unescaped '@'.
-		for {
-			if i >= len(s) {
-				return nil, fmt.Errorf("comat: dep key truncated in table name at byte %d", i)
-			}
-			ch := s[i]
-			if ch == '\\' {
-				if i+1 >= len(s) {
-					return nil, fmt.Errorf("comat: dep key ends in escape at byte %d", i)
-				}
-				next := s[i+1]
-				if next != '\\' && next != ';' && next != '@' {
-					return nil, fmt.Errorf("comat: invalid escape \\%c at byte %d", next, i)
-				}
-				table.WriteByte(next)
-				i += 2
-				continue
-			}
-			if ch == ';' {
-				return nil, fmt.Errorf("comat: dep key missing version at byte %d", i)
-			}
-			if ch == '@' {
-				i++
-				break
-			}
-			table.WriteByte(ch)
-			i++
-		}
-		// Scan the version digits up to ';' or end.
-		start := i
-		for i < len(s) && s[i] != ';' {
-			i++
-		}
-		ver, err := strconv.ParseUint(s[start:i], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("comat: dep key has bad version %q: %v", s[start:i], err)
-		}
-		// Reject non-canonical digits (leading zeros, "+") so decode∘encode
-		// is the identity on valid keys.
-		if canonical := strconv.FormatUint(ver, 10); canonical != s[start:i] {
-			return nil, fmt.Errorf("comat: dep key has non-canonical version %q", s[start:i])
-		}
-		deps = append(deps, TableDep{Table: table.String(), Version: ver})
-		if i == len(s) {
-			return deps, nil
-		}
-		i++ // skip ';'
-		if i == len(s) {
-			return nil, fmt.Errorf("comat: dep key has trailing separator")
-		}
-	}
 }

@@ -1,24 +1,22 @@
 package engine
 
 // Composite-object cache wiring: the session-side fetch protocol over
-// internal/comat. Under MVCC the protocol that keeps cached
-// materializations transactionally sound is a snapshot compare:
-//
-//  1. validate the entry's recorded per-table versions against the
-//     catalog's current counters (the entry equals latest-committed state),
-//  2. then check the session's snapshot covers those tables
-//     (snapshotCovers: every current version predates the snapshot's
-//     capture watermark and the transaction wrote none of them itself).
+// internal/comat. One predicate keeps cached materializations
+// transactionally sound under MVCC: Session.sees (mvcc.go) holds when every
+// dependency table is still at the version the CO recorded and, inside a
+// transaction, that version predates the snapshot's capture watermark and
+// the transaction wrote none of the tables. comat asks it before serving a
+// resident entry, before storing a materialization (under its lock, so a
+// racing commit either refuses the store or purges the entry right after)
+// and before a waiter takes a flight's result.
 //
 // Versions bump only at commit, atomically with retiring the committing
-// transaction from the snapshot-visible active set, so the two comparisons
-// together prove the shared entry is byte-for-byte what this snapshot would
-// materialize. When the snapshot does not cover — someone committed to a
-// component table after this transaction began, or the transaction changed
-// a component itself — the CO is evaluated privately under the snapshot and
-// served without being stored (a shared entry must always equal
-// latest-committed state). Materialization itself stays single-flight:
-// concurrent sessions needing the same stale entry share one evaluation.
+// transaction from the snapshot-visible active set, so a CO the session sees
+// is byte-for-byte what its snapshot would materialize. When it does not —
+// someone committed to a component table after this transaction began, or
+// the transaction changed a component itself — the session materializes
+// under its own snapshot and the result is not stored: a resident entry
+// always equals latest-committed state.
 
 import (
 	"fmt"
@@ -123,8 +121,8 @@ func (s *Session) viewSpec(v *catalog.View) (*qgm.XNFSpec, error) {
 	return box.XNF, nil
 }
 
-// fetchCO is the core checkout: serve the cached CO for key when its
-// dependency versions still hold, otherwise materialize with single-flight.
+// fetchCO is the core checkout: serve the cached CO for key when the
+// session sees it (Session.sees), otherwise materialize with single-flight.
 // The returned CO is shared and read-only, TAKE results included. hit
 // reports a served cache entry.
 func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf.CO, bool, error) {
@@ -134,100 +132,58 @@ func (s *Session) fetchCO(key string, specFn func() (*qgm.XNFSpec, error)) (*xnf
 	}
 	defer s.coFetchDepth.Add(-1)
 
-	evaluate := func(spec *qgm.XNFSpec) (*xnf.CO, error) {
-		// The comat.materialize probe sits before the evaluator: an injected
-		// failure here fails the flight cleanly (waiters retry, nothing is
-		// stored), proving a failed materialization never poisons the cache.
-		if err := s.eng.faults.Hit(faultinj.ComatMat); err != nil {
-			return nil, err
-		}
-		ev := xnf.NewEvaluator(s, s.eng.opts.XNF)
-		co, err := ev.Evaluate(spec)
-		s.eng.met.addEvalStats(&ev.Stats)
-		return co, err
-	}
 	cm := s.eng.comat
 	if cm == nil || key == "" {
 		spec, err := specFn()
 		if err != nil {
 			return nil, false, err
 		}
-		co, err := evaluate(spec)
+		co, err := s.evaluate(spec)
 		return co, false, err
 	}
-
 	// Epoch precedes every read and the materialization below, mirroring
 	// the prepared-plan cache: a concurrent DDL/ANALYZE makes the stored
-	// entry conservatively stale rather than silently current.
-	epoch := s.eng.cat.Epoch()
-	vf := s.eng.cat.TableVersion
-
-	// Fast path: a cached entry names its own dependency tables, so the
-	// hit path never builds the spec — validate the entry, then confirm the
-	// session's snapshot covers its dependency set.
-	if co, tables, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables) {
-		return co, true, nil
-	}
-
-	spec, err := specFn()
-	if err != nil {
-		return nil, false, err
-	}
-	tables, err := s.specTables(spec)
-	if err != nil {
-		return nil, false, err
-	}
-	mine := false
-	co, hit, err := cm.FetchCO(s.sctx, key, epoch, vf, func() (*xnf.CO, []comat.TableDep, error) {
-		mine = true
-		co, err := evaluate(spec)
+	// entry conservatively stale rather than silently current. The spec is
+	// built only on a miss.
+	return cm.FetchCO(s.sctx, key, s.eng.cat.Epoch(), s.sees, func() (*xnf.CO, []comat.TableDep, error) {
+		spec, err := specFn()
 		if err != nil {
 			return nil, nil, err
 		}
-		// Dependency snapshot: versions read after the evaluation, then
-		// checked against the session snapshot's capture watermark. Covered
-		// deps prove no commit touched any dependency between snapshot
-		// capture and this read, so the snapshot evaluation the CO came from
-		// equals latest-committed state and the entry is safe to share. Nil
-		// deps mark the CO private: comat serves it to this fetch only and
-		// stores nothing.
+		tables, err := s.specTables(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		co, err := s.evaluate(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Versions read after the evaluation: s.sees accepts them only if
+		// no commit touched a dependency since this session's snapshot.
 		deps := make([]comat.TableDep, 0, len(tables))
 		for _, tn := range tables {
-			ver, ok := vf(tn)
+			ver, ok := s.eng.cat.TableVersion(tn)
 			if !ok {
 				return nil, nil, fmt.Errorf("engine: table %q vanished during CO materialization", tn)
 			}
 			deps = append(deps, comat.TableDep{Table: tn, Version: ver})
 		}
-		if !s.depsCovered(deps) {
-			return co, nil, nil
-		}
 		return co, deps, nil
 	})
-	if err != nil {
-		return nil, false, err
+}
+
+// evaluate materializes a spec under the session's snapshot. The
+// comat.materialize probe sits before the evaluator: an injected failure
+// fails the flight cleanly (waiters retry, nothing is stored), proving a
+// failed materialization never poisons the cache.
+func (s *Session) evaluate(spec *qgm.XNFSpec) (*xnf.CO, error) {
+	if err := s.eng.faults.Hit(faultinj.ComatMat); err != nil {
+		return nil, err
 	}
-	if mine {
-		// This session ran the evaluation under its own snapshot: the result
-		// is correct for it whether or not it was stored.
-		return co, false, nil
-	}
-	// Served by someone else's flight (or a validate inside the retry loop):
-	// the CO tracks latest-committed state, which serves this session only if
-	// its snapshot covers the dependency set — checked after the entry
-	// validates, so "covered" still proves no commit landed in between.
-	// Otherwise evaluate privately: correctness beats sharing for
-	// transactions straddling commits.
-	if hit && s.snapshotCovers(tables) {
-		return co, true, nil
-	}
-	if !hit {
-		if co2, tables2, ok := cm.Get(key, epoch, vf); ok && s.snapshotCovers(tables2) {
-			return co2, true, nil
-		}
-	}
-	co, err = evaluate(spec)
-	return co, false, err
+	ev := xnf.NewEvaluator(s, s.eng.opts.XNF)
+	co, err := ev.Evaluate(spec)
+	s.eng.met.addEvalStats(&ev.Stats)
+	return co, err
 }
 
 // specTables returns every base table a spec's materialization reads —

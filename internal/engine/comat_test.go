@@ -430,6 +430,46 @@ func TestCOCacheRollbackInvalidates(t *testing.T) {
 	_ = e
 }
 
+// TestUnservedCheckoutCountsNoHit: a transaction whose snapshot predates the
+// resident entry is not served by it. Its checkout evaluates under the
+// snapshot, returns the old state, and counts one miss and no hit, neither
+// in the cache's counters nor on the entry.
+func TestUnservedCheckoutCountsNoHit(t *testing.T) {
+	e, s := coFixture(t)
+	s.MustExec(takeDeps)
+	a := e.Session()
+	a.MustExec("BEGIN")
+	a.MustExec("SELECT COUNT(*) FROM DEPT")
+	s.MustExec("UPDATE EMP SET sal = sal + 1000 WHERE eno = 10")
+	s.MustExec(takeDeps)
+	entryHits := func() int64 {
+		for _, en := range e.COCacheEntries() {
+			if en.Key == "CO:"+takeDeps {
+				return en.Hits
+			}
+		}
+		t.Fatal("no resident entry for the TAKE")
+		return 0
+	}
+	st0, hits0 := e.COCacheStats(), entryHits()
+	co := a.MustExec(takeDeps).CO
+	a.MustExec("COMMIT")
+	var sal float64
+	for _, r := range co.Node("Xe").Rows {
+		if r[0].Int() == 10 {
+			sal = r[2].Float()
+		}
+	}
+	if sal != 1010 {
+		t.Fatalf("the transaction's checkout read sal = %v, want its snapshot's 1010", sal)
+	}
+	st := e.COCacheStats()
+	if st.Hits != st0.Hits || entryHits() != hits0 || st.Misses != st0.Misses+1 {
+		t.Fatalf("unserved checkout: hits %d -> %d, entry hits %d -> %d, misses %d -> %d; want +0, +0, +1",
+			st0.Hits, st.Hits, hits0, entryHits(), st0.Misses, st.Misses)
+	}
+}
+
 // TestCOCacheConcurrentSessions drives TAKE checkouts, node-ref SELECTs and
 // DML from many sessions against one engine (run with -race): results must
 // stay internally consistent and the suite must be data-race free. Sessions

@@ -403,7 +403,7 @@ func TestDifferentialXNFCoCache(t *testing.T) {
 			// The view's resident CO, when there is one, is held before the
 			// selects read it and again after: they must not write into it.
 			holdView := func() bool {
-				co, _, ok := cached.eng.comat.Get("VIEW:"+ns.view, cached.eng.cat.Epoch(), cached.eng.cat.TableVersion)
+				co, ok := cached.eng.comat.Get("VIEW:"+ns.view, cached.eng.cat.Epoch(), cached.eng.Session().sees)
 				if ok {
 					guard.hold(t, co)
 				}

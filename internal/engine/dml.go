@@ -185,8 +185,8 @@ func (s *Session) mvccWrite() bool {
 }
 
 // noteWrite records that the open transaction wrote the table. Commit bumps
-// the versions of exactly these tables (finishTx); snapshotCovers refuses
-// shared CO-cache entries for them (the snapshot's view includes this
+// the versions of exactly these tables (finishTx); Session.sees refuses
+// shared CO-cache entries over them (the snapshot's view includes this
 // transaction's own uncommitted writes, the shared entry's does not).
 func (s *Session) noteWrite(t *catalog.Table) {
 	if !s.inTx {

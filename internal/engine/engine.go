@@ -1012,7 +1012,7 @@ func (s *Session) lockTable(name string) error {
 		ctx, cancel = context.WithTimeout(ctx, lt)
 		defer cancel()
 	}
-	return s.eng.locks.AcquireContext(ctx, s.txID, name, lock.Exclusive)
+	return s.eng.locks.AcquireContext(ctx, s.txID, name)
 }
 
 // builder returns a QGM builder wired to this session's XNF node resolver.
@@ -1193,24 +1193,19 @@ func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value, stmt *parse
 }
 
 // execCachedTake serves a TAKE checkout straight from the CO cache when key
-// has a resident, still-valid entry whose state the session's snapshot
-// sees: one probe, and the resident CO itself is the result — no parser, no
-// builder, no evaluator, no copy. A nil result means "not served": an entry
-// that is absent, stale or newer than this transaction's snapshot leaves
-// the statement to the parse path (re-materialize, or evaluate privately
-// under the snapshot).
+// has a resident entry the session sees: one probe, and the resident CO
+// itself is the result — no parser, no builder, no evaluator, no copy. A
+// nil result means "not served": an absent entry, or one this transaction's
+// snapshot does not see, leaves the statement to the parse path.
 func (s *Session) execCachedTake(key string) (*Result, error) {
 	s.stmtClass = classTake
 	if tr := s.trace; tr != nil {
 		tr.Key = key
 	}
 	return s.autocommit(func() (*Result, error) {
-		// Order matters: the snapshot is captured (begin) before Get
-		// validates the entry's versions, and snapshotCovers runs after
-		// that validation, so "covered" proves no commit to a dependency
-		// landed in between.
-		co, tables, hit := s.eng.comat.Get(key, s.eng.cat.Epoch(), s.eng.cat.TableVersion)
-		if !hit || !s.snapshotCovers(tables) {
+		// The snapshot is captured (begin) before Get asks s.sees.
+		co, ok := s.eng.comat.Get(key, s.eng.cat.Epoch(), s.sees)
+		if !ok {
 			return nil, nil
 		}
 		return &Result{CO: co}, nil

@@ -44,8 +44,7 @@ type snapshot struct {
 	// commits bump table versions in the same engine-mutex section that
 	// retires the committing transaction from the active set, a table whose
 	// current version is <= cutoff provably has no committed change this
-	// snapshot cannot see — the comparison the CO cache's snapshot-compare
-	// protocol rests on.
+	// snapshot cannot see — the comparison Session.sees rests on.
 	cutoff uint64
 }
 
@@ -157,52 +156,25 @@ func (s *Session) curSnap() *snapshot {
 	return s.snap
 }
 
-// snapshotCovers reports whether data that is current at the tables' latest
-// committed versions is also exactly what this session's snapshot sees:
-// every table's last committed change predates the snapshot (version <=
-// cutoff) and the session's own transaction has not written any of them.
-// Sessions outside a snapshot (recovery, host calls between statements)
-// read latest-committed anyway, so everything covers. The CO cache uses
-// this to decide whether a shared entry — always materialized from
-// latest-committed state — may serve a snapshot reader.
-func (s *Session) snapshotCovers(tables []string) bool {
+// sees is the CO cache's one rule (comat.Sees): a CO evaluated against deps
+// equals what this session would evaluate now. Every dependency table must
+// still exist at its recorded version; a session in a transaction also
+// needs each version to predate its snapshot (version <= cutoff) and must
+// not have written the table itself (its view includes its own uncommitted
+// writes, a shared CO's does not). Sessions outside a snapshot (recovery,
+// host calls between statements) read latest-committed state, so current
+// versions suffice.
+func (s *Session) sees(deps []comat.TableDep) bool {
 	sn := s.curSnap()
-	if sn == nil {
-		return true
-	}
-	for _, tn := range tables {
-		t, err := s.eng.cat.Table(tn)
-		if err != nil {
-			return false
-		}
-		if _, wrote := s.written[t]; wrote {
-			return false
-		}
-		if t.Version() > sn.cutoff {
-			return false
-		}
-	}
-	return true
-}
-
-// depsCovered is snapshotCovers over an explicit dependency snapshot: it
-// checks the exact versions about to be stored with a CO-cache entry, which
-// closes the race a separate covers check would leave between reading a
-// table's version for the check and reading it again for the entry.
-func (s *Session) depsCovered(deps []comat.TableDep) bool {
-	sn := s.curSnap()
-	if sn == nil {
-		return true
-	}
 	for _, d := range deps {
-		if d.Version > sn.cutoff {
-			return false
-		}
 		t, err := s.eng.cat.Table(d.Table)
-		if err != nil {
+		if err != nil || t.Version() != d.Version {
 			return false
 		}
-		if _, wrote := s.written[t]; wrote {
+		if sn == nil {
+			continue
+		}
+		if _, wrote := s.written[t]; wrote || d.Version > sn.cutoff {
 			return false
 		}
 	}

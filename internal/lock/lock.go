@@ -1,8 +1,9 @@
-// Package lock implements a table-granularity shared/exclusive lock manager
-// with wait-for-graph deadlock detection. The paper's system inherits
+// Package lock implements a table-granularity exclusive lock manager with
+// wait-for-graph deadlock detection. The paper's system inherits
 // Starburst's concurrency control unchanged; this package plays that role
 // for the engine, so SQL applications and XNF applications sharing the
-// database are isolated the same way.
+// database are isolated the same way. Readers take no locks (they read MVCC
+// snapshots), so writers need only one mode.
 package lock
 
 import (
@@ -11,23 +12,6 @@ import (
 	"fmt"
 	"sync"
 )
-
-// Mode is a lock mode.
-type Mode uint8
-
-// Lock modes.
-const (
-	Shared Mode = iota
-	Exclusive
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == Shared {
-		return "S"
-	}
-	return "X"
-}
 
 // ErrDeadlock is returned to a requester whose wait would close a cycle.
 var ErrDeadlock = errors.New("lock: deadlock detected")
@@ -38,89 +22,51 @@ var ErrDeadlock = errors.New("lock: deadlock detected")
 var ErrLockTimeout = errors.New("lock: wait cancelled or timed out")
 
 type resource struct {
-	holders map[uint64]Mode // tx -> strongest mode held
+	holder  uint64 // the owning transaction when held
+	held    bool
 	waiters int
 }
 
-// Manager grants and releases locks. A transaction may upgrade S to X.
+// Manager grants and releases locks.
 type Manager struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	resources map[string]*resource
-	waitsFor  map[uint64]map[uint64]bool // requester -> blockers
+	waitsFor  map[uint64]uint64 // requester -> blocker
 }
 
 // NewManager returns an empty lock manager.
 func NewManager() *Manager {
 	m := &Manager{
 		resources: make(map[string]*resource),
-		waitsFor:  make(map[uint64]map[uint64]bool),
+		waitsFor:  make(map[uint64]uint64),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-// compatible reports whether tx can be granted mode on r right now.
-func compatible(r *resource, tx uint64, mode Mode) bool {
-	for holder, hm := range r.holders {
-		if holder == tx {
-			continue // upgrades checked against other holders only
-		}
-		if mode == Exclusive || hm == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-// blockers returns the transactions preventing the grant.
-func blockers(r *resource, tx uint64, mode Mode) []uint64 {
-	var out []uint64
-	for holder, hm := range r.holders {
-		if holder == tx {
-			continue
-		}
-		if mode == Exclusive || hm == Exclusive {
-			out = append(out, holder)
-		}
-	}
-	return out
-}
-
-// wouldDeadlock checks whether adding edges tx->blockers closes a cycle in
+// wouldDeadlock checks whether adding the edge tx->blocker closes a cycle in
 // the wait-for graph. Caller holds m.mu.
-func (m *Manager) wouldDeadlock(tx uint64, bs []uint64) bool {
-	// DFS from each blocker looking for tx.
-	seen := map[uint64]bool{}
-	var dfs func(u uint64) bool
-	dfs = func(u uint64) bool {
+func (m *Manager) wouldDeadlock(tx, blocker uint64) bool {
+	// Every waiter waits on exactly one holder: follow the chain.
+	for u, steps := blocker, 0; steps <= len(m.waitsFor); steps++ {
 		if u == tx {
 			return true
 		}
-		if seen[u] {
+		next, waiting := m.waitsFor[u]
+		if !waiting {
 			return false
 		}
-		seen[u] = true
-		for v := range m.waitsFor[u] {
-			if dfs(v) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, b := range bs {
-		if dfs(b) {
-			return true
-		}
+		u = next
 	}
 	return false
 }
 
-// Lock acquires mode on res for tx, blocking until granted. It returns
-// ErrDeadlock when waiting would create a cycle; the caller is expected to
-// abort the transaction.
-func (m *Manager) Lock(tx uint64, res string, mode Mode) error {
-	return m.AcquireContext(context.Background(), tx, res, mode)
+// Lock acquires res for tx, blocking until granted. It returns ErrDeadlock
+// when waiting would create a cycle; the caller is expected to abort the
+// transaction.
+func (m *Manager) Lock(tx uint64, res string) error {
+	return m.AcquireContext(context.Background(), tx, res)
 }
 
 // AcquireContext is Lock with a wait bound: a cancelled or expired context
@@ -129,17 +75,13 @@ func (m *Manager) Lock(tx uint64, res string, mode Mode) error {
 // grantable request never consults the context, so the fast path costs
 // nothing extra; only a request that actually waits starts a watcher
 // goroutine to kick the manager's condition variable when the context fires.
-func (m *Manager) AcquireContext(ctx context.Context, tx uint64, res string, mode Mode) error {
+func (m *Manager) AcquireContext(ctx context.Context, tx uint64, res string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, ok := m.resources[res]
 	if !ok {
-		r = &resource{holders: map[uint64]Mode{}}
+		r = &resource{}
 		m.resources[res] = r
-	}
-	// Already hold a mode at least as strong?
-	if hm, held := r.holders[tx]; held && (hm == Exclusive || mode == Shared) {
-		return nil
 	}
 	var stop chan struct{}
 	defer func() {
@@ -147,15 +89,14 @@ func (m *Manager) AcquireContext(ctx context.Context, tx uint64, res string, mod
 			close(stop)
 		}
 	}()
-	for !compatible(r, tx, mode) {
+	for r.held && r.holder != tx {
 		if err := ctx.Err(); err != nil {
 			m.dropIfIdleLocked(res, r)
-			return fmt.Errorf("%w: tx %d requesting %s on %q: %v", ErrLockTimeout, tx, mode, res, err)
+			return fmt.Errorf("%w: tx %d requesting %q: %v", ErrLockTimeout, tx, res, err)
 		}
-		bs := blockers(r, tx, mode)
-		if m.wouldDeadlock(tx, bs) {
+		if m.wouldDeadlock(tx, r.holder) {
 			m.dropIfIdleLocked(res, r)
-			return fmt.Errorf("%w: tx %d requesting %s on %q", ErrDeadlock, tx, mode, res)
+			return fmt.Errorf("%w: tx %d requesting %q", ErrDeadlock, tx, res)
 		}
 		if stop == nil && ctx.Done() != nil {
 			// cond.Wait cannot select on a channel, so a watcher converts the
@@ -173,38 +114,14 @@ func (m *Manager) AcquireContext(ctx context.Context, tx uint64, res string, mod
 				}
 			}(ctx.Done(), stop)
 		}
-		if m.waitsFor[tx] == nil {
-			m.waitsFor[tx] = map[uint64]bool{}
-		}
-		for _, b := range bs {
-			m.waitsFor[tx][b] = true
-		}
+		m.waitsFor[tx] = r.holder
 		r.waiters++
 		m.cond.Wait()
 		r.waiters--
 		delete(m.waitsFor, tx)
 	}
-	r.holders[tx] = mode
+	r.holder, r.held = tx, true
 	return nil
-}
-
-// TryLock attempts a non-blocking acquisition.
-func (m *Manager) TryLock(tx uint64, res string, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.resources[res]
-	if !ok {
-		r = &resource{holders: map[uint64]Mode{}}
-		m.resources[res] = r
-	}
-	if hm, held := r.holders[tx]; held && (hm == Exclusive || mode == Shared) {
-		return true
-	}
-	if !compatible(r, tx, mode) {
-		return false
-	}
-	r.holders[tx] = mode
-	return true
 }
 
 // ReleaseAll drops every lock held by tx and wakes waiters.
@@ -212,22 +129,20 @@ func (m *Manager) ReleaseAll(tx uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for name, r := range m.resources {
-		if _, held := r.holders[tx]; held {
-			delete(r.holders, tx)
-			if len(r.holders) == 0 && r.waiters == 0 {
-				delete(m.resources, name)
-			}
+		if r.held && r.holder == tx {
+			r.held = false
+			m.dropIfIdleLocked(name, r)
 		}
 	}
 	delete(m.waitsFor, tx)
 	m.cond.Broadcast()
 }
 
-// dropIfIdleLocked removes a resource entry that ended up with no holders
+// dropIfIdleLocked removes a resource entry that ended up with no holder
 // and no waiters (a failed acquisition on a previously unknown resource must
 // not leave an empty entry behind). Caller holds m.mu.
 func (m *Manager) dropIfIdleLocked(name string, r *resource) {
-	if len(r.holders) == 0 && r.waiters == 0 {
+	if !r.held && r.waiters == 0 {
 		delete(m.resources, name)
 	}
 }
@@ -239,7 +154,7 @@ func (m *Manager) HeldCount(tx uint64) int {
 	defer m.mu.Unlock()
 	n := 0
 	for _, r := range m.resources {
-		if _, held := r.holders[tx]; held {
+		if r.held && r.holder == tx {
 			n++
 		}
 	}
@@ -254,22 +169,9 @@ func (m *Manager) TotalHeld() int {
 	defer m.mu.Unlock()
 	n := 0
 	for _, r := range m.resources {
-		n += len(r.holders)
+		if r.held {
+			n++
+		}
 	}
 	return n
-}
-
-// Holds reports whether tx currently holds at least mode on res.
-func (m *Manager) Holds(tx uint64, res string, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.resources[res]
-	if !ok {
-		return false
-	}
-	hm, held := r.holders[tx]
-	if !held {
-		return false
-	}
-	return hm == Exclusive || mode == Shared
 }

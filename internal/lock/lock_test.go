@@ -7,85 +7,37 @@ import (
 	"time"
 )
 
-func TestSharedLocksCompatible(t *testing.T) {
-	m := NewManager()
-	if err := m.Lock(1, "DEPT", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Lock(2, "DEPT", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Holds(1, "DEPT", Shared) || !m.Holds(2, "DEPT", Shared) {
-		t.Error("both readers should hold S")
-	}
-	if m.Holds(1, "DEPT", Exclusive) {
-		t.Error("S holder must not report X")
-	}
-}
-
 func TestExclusiveBlocksAndReleases(t *testing.T) {
 	m := NewManager()
-	if err := m.Lock(1, "DEPT", Exclusive); err != nil {
+	if err := m.Lock(1, "DEPT"); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan struct{})
 	go func() {
-		if err := m.Lock(2, "DEPT", Shared); err != nil {
+		if err := m.Lock(2, "DEPT"); err != nil {
 			t.Errorf("tx2 lock: %v", err)
 		}
 		close(acquired)
 	}()
 	select {
 	case <-acquired:
-		t.Fatal("S granted while X held")
+		t.Fatal("lock granted while another transaction held it")
 	case <-time.After(20 * time.Millisecond):
 	}
 	m.ReleaseAll(1)
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):
-		t.Fatal("S not granted after X release")
-	}
-}
-
-func TestTryLock(t *testing.T) {
-	m := NewManager()
-	if !m.TryLock(1, "T", Exclusive) {
-		t.Fatal("TryLock on free resource failed")
-	}
-	if m.TryLock(2, "T", Shared) {
-		t.Error("TryLock should fail against X")
-	}
-	// Re-entrant.
-	if !m.TryLock(1, "T", Shared) {
-		t.Error("holder's weaker TryLock should succeed")
-	}
-	m.ReleaseAll(1)
-	if !m.TryLock(2, "T", Shared) {
-		t.Error("TryLock after release failed")
-	}
-}
-
-func TestUpgradeSharedToExclusive(t *testing.T) {
-	m := NewManager()
-	if err := m.Lock(1, "T", Shared); err != nil {
-		t.Fatal(err)
-	}
-	// Sole reader upgrades without blocking.
-	if err := m.Lock(1, "T", Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Holds(1, "T", Exclusive) {
-		t.Error("upgrade lost")
+		t.Fatal("lock not granted after release")
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	m := NewManager()
-	if err := m.Lock(1, "A", Exclusive); err != nil {
+	if err := m.Lock(1, "A"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Lock(2, "B", Exclusive); err != nil {
+	if err := m.Lock(2, "B"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -93,12 +45,12 @@ func TestDeadlockDetection(t *testing.T) {
 	errCh := make(chan error, 2)
 	go func() {
 		defer wg.Done()
-		errCh <- m.Lock(1, "B", Exclusive) // blocks on tx2
+		errCh <- m.Lock(1, "B") // blocks on tx2
 	}()
 	time.Sleep(20 * time.Millisecond)
 	// tx2 requesting A would close the cycle: one of the two must get
 	// ErrDeadlock.
-	err2 := m.Lock(2, "A", Exclusive)
+	err2 := m.Lock(2, "A")
 	if err2 != nil {
 		if !errors.Is(err2, ErrDeadlock) {
 			t.Fatalf("unexpected error: %v", err2)
@@ -127,7 +79,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		go func(tx uint64) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := m.Lock(tx, "CTR", Exclusive); err != nil {
+				if err := m.Lock(tx, "CTR"); err != nil {
 					t.Errorf("writer %d: %v", tx, err)
 					return
 				}
@@ -141,7 +93,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		go func(tx uint64) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := m.Lock(tx, "CTR", Shared); err != nil {
+				if err := m.Lock(tx, "CTR"); err != nil {
 					t.Errorf("reader %d: %v", tx, err)
 					return
 				}
@@ -158,16 +110,48 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 
 func TestReleaseAllIsIdempotent(t *testing.T) {
 	m := NewManager()
-	_ = m.Lock(1, "T", Shared)
+	_ = m.Lock(1, "T")
 	m.ReleaseAll(1)
 	m.ReleaseAll(1) // no panic
-	if m.Holds(1, "T", Shared) {
+	if m.HeldCount(1) != 0 {
 		t.Error("lock survived release")
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Shared.String() != "S" || Exclusive.String() != "X" {
-		t.Error("mode names wrong")
+// TestDeadlockChainOfThree: a wait that closes a cycle through two other
+// waiters is refused; the waiters are granted once the victim releases.
+func TestDeadlockChainOfThree(t *testing.T) {
+	m := NewManager()
+	for tx, res := range map[uint64]string{1: "A", 2: "B", 3: "C"} {
+		if err := m.Lock(tx, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errCh := make(chan error, 2)
+	go func() { errCh <- m.Lock(1, "B") }()
+	go func() { errCh <- m.Lock(2, "C") }()
+	for {
+		m.mu.Lock()
+		n := len(m.waitsFor)
+		m.mu.Unlock()
+		if n == 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.Lock(3, "A"); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("tx3 closing the cycle got %v, want ErrDeadlock", err)
+	}
+	m.ReleaseAll(3)
+	if err := <-errCh; err != nil {
+		t.Fatalf("tx2 after the victim released: %v", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-errCh; err != nil {
+		t.Fatalf("tx1 after tx2 released: %v", err)
+	}
+	m.ReleaseAll(1)
+	if m.TotalHeld() != 0 {
+		t.Fatalf("TotalHeld = %d after full release", m.TotalHeld())
 	}
 }

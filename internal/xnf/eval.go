@@ -264,8 +264,14 @@ func (ev *Evaluator) compose(spec *qgm.XNFSpec, isTop bool) (*egraph, error) {
 	// tuples of a parent node, we output them, and also use them again to
 	// find the tuples of the associated children"), so a selective root
 	// touches only its working set instead of full candidate tables.
-	if isTop && !ev.opts.NoSharedSubexpressions && len(spec.Bases) == 0 && specAcyclic(spec) {
-		if err := ev.materializeTopDown(spec, g); err != nil {
+	// topoNodes fails on a cycle (or self-loop); without bases every edge
+	// partner is one of spec.Nodes.
+	var order []*qgm.XNFNode
+	if isTop && !ev.opts.NoSharedSubexpressions && len(spec.Bases) == 0 {
+		order, _ = topoNodes(spec)
+	}
+	if order != nil {
+		if err := ev.materializeTopDown(spec, order, g); err != nil {
 			return nil, err
 		}
 	} else {
@@ -341,54 +347,14 @@ func (ev *Evaluator) materializeFull(node *qgm.XNFNode) (*gnode, error) {
 	return gn, nil
 }
 
-// specAcyclic reports whether the spec's schema graph (this level only) has
-// no cycles, which the topological extraction requires.
-func specAcyclic(spec *qgm.XNFSpec) bool {
-	adj := map[string][]string{}
-	for _, e := range spec.Edges {
-		if strings.EqualFold(e.Parent, e.Child) {
-			return false
-		}
-		adj[strings.ToUpper(e.Parent)] = append(adj[strings.ToUpper(e.Parent)], strings.ToUpper(e.Child))
-	}
-	state := map[string]int{} // 0 unseen, 1 in stack, 2 done
-	var dfs func(n string) bool
-	dfs = func(n string) bool {
-		switch state[n] {
-		case 1:
-			return false
-		case 2:
-			return true
-		}
-		state[n] = 1
-		for _, m := range adj[n] {
-			if !dfs(m) {
-				return false
-			}
-		}
-		state[n] = 2
-		return true
-	}
-	for _, node := range spec.Nodes {
-		if !dfs(strings.ToUpper(node.Name)) {
-			return false
-		}
-	}
-	return true
-}
-
-// materializeTopDown materializes nodes in topological order, deriving each
-// child's candidates from its (already materialized) parents through the
-// edge predicates' equi-join structure. Edges whose structure cannot be
-// exploited force a full derivation of their child.
-func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, g *egraph) error {
+// materializeTopDown materializes nodes in topological order (topoNodes),
+// deriving each child's candidates from its (already materialized) parents
+// through the edge predicates' equi-join structure. Edges whose structure
+// cannot be exploited force a full derivation of their child.
+func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode, g *egraph) error {
 	incoming := map[string][]*qgm.XNFEdge{}
 	for _, e := range spec.Edges {
 		incoming[strings.ToUpper(e.Child)] = append(incoming[strings.ToUpper(e.Child)], e)
-	}
-	order, err := topoNodes(spec)
-	if err != nil {
-		return err
 	}
 	for _, node := range order {
 		if g.node(node.Name) != nil {
