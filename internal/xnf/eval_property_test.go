@@ -5,7 +5,9 @@ package xnf_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"sqlxnf/internal/engine"
@@ -38,8 +40,11 @@ func randomCompany(t *testing.T, rng *rand.Rand) *engine.Session {
 		if rng.Intn(10) > 0 { // some employees are unattached
 			edno = fmt.Sprint(1 + rng.Intn(nDept))
 		}
-		s.MustExec(fmt.Sprintf("INSERT INTO EMP VALUES (%d, %d, %s)",
-			e, 500+rng.Intn(4000), edno))
+		sal := fmt.Sprint(500 + rng.Intn(4000))
+		if e%7 == 0 { // restrictions meet NULL salaries (3VL)
+			sal = "NULL"
+		}
+		s.MustExec(fmt.Sprintf("INSERT INTO EMP VALUES (%d, %s, %s)", e, sal, edno))
 	}
 	for p := 1; p <= nProj; p++ {
 		pdno := "NULL"
@@ -52,14 +57,17 @@ func randomCompany(t *testing.T, rng *rand.Rand) *engine.Session {
 	return s
 }
 
-const propQuery = `OUT OF
+// propDefs are the components of propQuery: NY departments, their
+// employees and projects, and the projects those employees manage.
+const propDefs = `OUT OF
  Xdept AS (SELECT * FROM DEPT WHERE loc = 'NY'),
  Xemp AS EMP,
  Xproj AS PROJ,
  employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno),
  ownership AS (RELATE Xdept, Xproj WHERE Xdept.dno = Xproj.pdno),
- projmanagement AS (RELATE Xemp, Xproj WHERE Xemp.eno = Xproj.pmgrno)
-TAKE *`
+ projmanagement AS (RELATE Xemp, Xproj WHERE Xemp.eno = Xproj.pmgrno)`
+
+const propQuery = propDefs + "\nTAKE *"
 
 // canonical renders a CO in an order-independent form for equality checks.
 func canonical(co *xnf.CO) string {
@@ -145,16 +153,16 @@ func TestPropertyReachabilityInvariant(t *testing.T) {
 
 func mustCO(t *testing.T, s *engine.Session, opts xnf.Options) *xnf.CO {
 	t.Helper()
-	co, err := evalWith(s, opts)
+	co, err := evalWith(s, propQuery, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return co
 }
 
-// evalWith evaluates propQuery with explicit evaluator options.
-func evalWith(s *engine.Session, opts xnf.Options) (*xnf.CO, error) {
-	st, err := parser.ParseOne(propQuery)
+// evalWith evaluates an XNF query with explicit evaluator options.
+func evalWith(s *engine.Session, q string, opts xnf.Options) (*xnf.CO, error) {
+	st, err := parser.ParseOne(q)
 	if err != nil {
 		return nil, err
 	}
@@ -163,4 +171,232 @@ func evalWith(s *engine.Session, opts xnf.Options) (*xnf.CO, error) {
 		return nil, err
 	}
 	return xnf.NewEvaluator(s, opts).Evaluate(box.XNF)
+}
+
+// SQL renderings of propQuery's components over the same tables, in CO
+// column order. nyEmp joins each employee to its NY department d.
+const (
+	sqlDept = `SELECT d.dno, d.loc, d.budget FROM DEPT d WHERE d.loc = 'NY'`
+	sqlEmp  = `SELECT e.eno, e.sal, e.edno FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'NY'`
+	sqlProj = `SELECT pr.pno, pr.pdno, pr.pmgrno FROM PROJ pr
+		WHERE EXISTS (SELECT * FROM DEPT d WHERE d.loc = 'NY' AND d.dno = pr.pdno)
+		OR EXISTS (SELECT * FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'NY' AND e.eno = pr.pmgrno AND (%s))`
+	sqlEmployment = `SELECT d.dno, d.loc, d.budget, e.eno, e.sal, e.edno FROM EMP e, DEPT d
+		WHERE e.edno = d.dno AND d.loc = 'NY'`
+)
+
+// restrictionCase is one restriction of propQuery and, per component it
+// changes, the hand-expanded SELECT that computes the same rows.
+type restrictionCase struct {
+	where string
+	want  map[string]string // component → SQL; an edge's rows are parent ++ child columns
+}
+
+// nodeCase restricts Xemp by p, written over e: Xemp keeps the employees of
+// NY departments that satisfy p, and Xproj the projects that NY departments
+// own or that a kept employee manages.
+func nodeCase(p string) restrictionCase {
+	return restrictionCase{
+		where: "Xemp e SUCH THAT " + p,
+		want: map[string]string{
+			"Xdept": sqlDept,
+			"Xemp":  sqlEmp + " AND (" + p + ")",
+			"Xproj": fmt.Sprintf(sqlProj, p),
+		},
+	}
+}
+
+// restrictionCases covers node restrictions with every scalar operator
+// (3VL over NULL salaries included), an edge restriction, and path
+// expressions under EXISTS and COUNT.
+func restrictionCases() []restrictionCase {
+	cases := []restrictionCase{}
+	for _, p := range []string{
+		"e.sal < 2000",
+		"e.sal < 2000 AND e.eno > 5",
+		"e.sal >= 3000 OR e.eno IN (1, 2, 3)",
+		"NOT (e.sal > 1500)",
+		"NOT (e.sal > 1500 OR e.eno < 4)",
+		"e.eno NOT IN (2, 4, 6)",
+		"e.eno NOT IN (1, NULL)",
+		"e.sal IN (1000, NULL) OR e.eno IN (NULL, 3)",
+		"e.sal IS NULL",
+		"e.sal IS NOT NULL AND e.sal * 2 > 3000",
+		"e.sal + e.eno * 10 > 2500",
+		"e.sal - 100 < e.eno * 100",
+		"-e.sal < -2000",
+		"e.sal / 2 > 1000",
+		"e.sal = NULL",
+		"NOT (e.sal = NULL)",
+		"e.sal <> 1000 OR e.sal IS NULL",
+		"(e.sal > 1000) AND NOT (e.sal IS NULL OR e.sal > 3500)",
+	} {
+		cases = append(cases, nodeCase(p))
+	}
+	for _, k := range []int{2, 3, 5} {
+		keep := fmt.Sprintf("e.sal < d.budget/%d", k)
+		cases = append(cases, restrictionCase{
+			where: "employment (d, e) SUCH THAT " + keep,
+			want: map[string]string{
+				"Xdept":      sqlDept,
+				"Xemp":       sqlEmp + " AND " + keep,
+				"employment": sqlEmployment + " AND " + keep,
+				"Xproj": `SELECT pr.pno, pr.pdno, pr.pmgrno FROM PROJ pr
+					WHERE EXISTS (SELECT * FROM DEPT d WHERE d.loc = 'NY' AND d.dno = pr.pdno)
+					OR EXISTS (SELECT * FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'NY'
+					 AND e.eno = pr.pmgrno AND ` + keep + `)`,
+			},
+		})
+	}
+	for _, k := range []int{1000, 2500} {
+		managed := fmt.Sprintf(`EXISTS (SELECT * FROM EMP e2, PROJ pr
+			WHERE e2.edno = d.dno AND e2.sal > %d AND pr.pmgrno = e2.eno)`, k)
+		path := fmt.Sprintf("EXISTS d->employment->(Xemp e WHERE e.sal > %d)->projmanagement->Xproj", k)
+		cases = append(cases,
+			restrictionCase{
+				where: "Xdept d SUCH THAT " + path,
+				want: map[string]string{
+					"Xdept": sqlDept + " AND " + managed,
+					"Xemp":  sqlEmp + " AND " + managed,
+				},
+			},
+			restrictionCase{
+				where: "Xdept d SUCH THAT NOT " + path,
+				want: map[string]string{
+					"Xdept": sqlDept + " AND NOT " + managed,
+					"Xemp":  sqlEmp + " AND NOT " + managed,
+				},
+			})
+	}
+	// Step predicates that read the outer anchor, qualified and not.
+	for _, outer := range []string{"d.budget", "budget"} {
+		keep := `EXISTS (SELECT * FROM EMP e2 WHERE e2.edno = d.dno AND e2.sal > d.budget/5)`
+		cases = append(cases, restrictionCase{
+			where: "Xdept d SUCH THAT EXISTS d->employment->(Xemp e WHERE e.sal > " + outer + "/5)",
+			want: map[string]string{
+				"Xdept": sqlDept + " AND " + keep,
+				"Xemp":  sqlEmp + " AND " + keep,
+			},
+		})
+	}
+	for _, k := range []int{1, 2, 3} {
+		cases = append(cases, restrictionCase{
+			where: fmt.Sprintf("Xdept d SUCH THAT COUNT(d->employment->projmanagement) >= %d", k),
+			want: map[string]string{"Xdept": fmt.Sprintf(`SELECT d.dno, d.loc, d.budget
+				FROM DEPT d, EMP e, PROJ pr WHERE d.loc = 'NY' AND e.edno = d.dno AND pr.pmgrno = e.eno
+				GROUP BY d.dno, d.loc, d.budget HAVING COUNT(*) >= %d`, k)},
+		})
+	}
+	// A backward step: the manager must be in instance0, an employee of a
+	// NY department.
+	cases = append(cases, restrictionCase{
+		where: "Xproj pr SUCH THAT EXISTS pr->projmanagement",
+		want: map[string]string{"Xproj": `SELECT pr.pno, pr.pdno, pr.pmgrno FROM PROJ pr WHERE EXISTS
+			(SELECT * FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'NY' AND e.eno = pr.pmgrno)`},
+	})
+	cases = append(cases, restrictionCase{
+		where: "Xdept d SUCH THAT COUNT(d->employment->projmanagement) = 0 OR d.budget > 8000",
+		want: map[string]string{"Xdept": sqlDept + ` AND (d.budget > 8000 OR NOT EXISTS
+			(SELECT * FROM EMP e, PROJ pr WHERE e.edno = d.dno AND pr.pmgrno = e.eno))`},
+	})
+	return cases
+}
+
+// TestPropertyRestrictionEqualsSQL: a restricted TAKE keeps exactly the
+// rows the hand-expanded SELECT returns on the same data — node and edge
+// restrictions, three-valued logic over NULLs, and path expressions over
+// instance0. Each TAKE also runs with full candidate materialization, whose
+// candidates include tuples outside instance0.
+func TestPropertyRestrictionEqualsSQL(t *testing.T) {
+	cases := restrictionCases()
+	compared := 0
+	for seed := int64(300); seed < 330; seed++ {
+		s := randomCompany(t, rand.New(rand.NewSource(seed)))
+		for _, c := range cases {
+			q := propDefs + "\nWHERE " + c.where + "\nTAKE *"
+			r, err := s.Exec(q)
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, c.where, err)
+			}
+			full, err := evalWith(s, q, xnf.Options{NoSharedSubexpressions: true})
+			if err != nil {
+				t.Fatalf("seed %d: %s (full materialization): %v", seed, c.where, err)
+			}
+			for comp, sql := range c.want {
+				want := sqlRows(t, s, sql)
+				for _, co := range []*xnf.CO{r.CO, full} {
+					got := componentRows(co, comp)
+					compared += len(got)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d: WHERE %s: %s\n got %v\nwant %v", seed, c.where, comp, got, want)
+					}
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no restricted TAKE kept a row: the oracle compared nothing")
+	}
+}
+
+// componentRows renders a node's rows, or an edge's connections as parent
+// row ++ child row, sorted.
+func componentRows(co *xnf.CO, name string) []string {
+	var out []string
+	if n := co.Node(name); n != nil {
+		for _, r := range n.Rows {
+			out = append(out, r.String())
+		}
+	} else {
+		e := co.Edge(name)
+		p, c := co.Node(e.Parent), co.Node(e.Child)
+		for _, conn := range e.Conns {
+			out = append(out, append(p.Rows[conn.P].Clone(), c.Rows[conn.C]...).String())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sqlRows runs q and renders its rows sorted.
+func sqlRows(t *testing.T, s *engine.Session, q string) []string {
+	t.Helper()
+	r, err := s.Exec(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	var out []string
+	for _, row := range r.Rows {
+		out = append(out, row.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestRestrictionErrors pins each restriction error by a message substring.
+func TestRestrictionErrors(t *testing.T) {
+	s := randomCompany(t, rand.New(rand.NewSource(1)))
+	const co = `OUT OF Xd AS DEPT, Xe AS EMP,
+		employment AS (RELATE Xd, Xe WHERE Xd.dno = Xe.edno) WHERE `
+	for _, c := range []struct{ q, want string }{
+		{co + "Xd d SUCH THAT x.budget > 1 TAKE *", "unknown variable"},
+		{co + "Xd d SUCH THAT d.bogus > 1 TAKE *", "not found"},
+		{co + "Xd d SUCH THAT bogus > 1 TAKE *", "not found"},
+		{`OUT OF Xd AS DEPT, Xd2 AS DEPT, twin AS (RELATE Xd, Xd2 WHERE Xd.dno = Xd2.dno)
+			WHERE twin (a, b) SUCH THAT budget > 1 TAKE *`, "ambiguous"},
+		{co + "Xd d SUCH THAT d.budget TAKE *", "want boolean"},
+		{co + "Xd d SUCH THAT d->employment TAKE *", "bare path"},
+		{co + "Xd d SUCH THAT SUM(d->employment->Xe) > 1 TAKE *", "only COUNT and EXISTS"},
+		{co + "Xd d SUCH THAT COUNT(d.budget) > 1 TAKE *", "non-path arguments"},
+		{co + "Xd d SUCH THAT EXISTS (SELECT * FROM EMP) TAKE *", "EXISTS subqueries are not supported"},
+		{co + "Xd d SUCH THAT EXISTS d->employment->Xd TAKE *", "does not follow"},
+		{co + "Xd d SUCH THAT EXISTS d->nosuch TAKE *", "neither a relationship nor"},
+		{co + "Xd d SUCH THAT EXISTS zz->employment TAKE *", "neither a variable nor a component"},
+		{co + "Nosuch SUCH THAT 1 = 1 TAKE *", "unknown component"},
+	} {
+		_, err := s.Exec(c.q)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s\n err = %v, want %q", c.q, err, c.want)
+		}
+	}
 }
