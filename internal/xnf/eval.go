@@ -2,6 +2,7 @@ package xnf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -42,13 +43,14 @@ type gnode struct {
 	baseTable string
 	colMap    []int
 	alive     []bool
+	in        []bool // reachable at the graph's last reach pass
 }
 
 // gedge is a candidate relationship during evaluation.
 type gedge struct {
 	name       string
-	parent     string
-	child      string
+	parent     *gnode
+	child      *gnode
 	parentRole string
 	childRole  string
 	attrSchema types.Schema
@@ -60,7 +62,7 @@ type gedge struct {
 // newGedge starts the candidate relationship e over parent and child.
 func newGedge(e *qgm.XNFEdge, parent, child *gnode) *gedge {
 	return &gedge{
-		name: e.Name, parent: parent.name, child: child.name,
+		name: e.Name, parent: parent, child: child,
 		parentRole: e.ParentRole, childRole: e.ChildRole,
 		attrSchema: edgeAttrSchema(e, parent, child), EdgeProvenance: e.EdgeProvenance,
 	}
@@ -89,84 +91,42 @@ func edgeAttrSchema(e *qgm.XNFEdge, parent, child *gnode) types.Schema {
 	return out
 }
 
-// egraph is the candidate instance graph of one composition level. Node and
-// edge lookups are by case-folded name through maps built as the graph grows
-// — restriction and path evaluation resolve names per candidate tuple, so
-// the old linear scans were quadratic on wide specs.
+// egraph is the candidate instance graph of one composition level. Edges
+// point at their partner nodes; names are looked up only while the graph is
+// built, by a scan over the level's few components.
 type egraph struct {
-	nodes  []*gnode
-	edges  []*gedge
-	nodeIx map[string]*gnode
-	edgeIx map[string]*gedge
+	nodes []*gnode
+	edges []*gedge
 }
 
-// foldName is the lookup key: SQL identifiers match case-insensitively.
-func foldName(name string) string { return strings.ToLower(name) }
-
-// addNode appends a node and indexes it (first addition wins, matching the
-// scan order of the previous linear lookup).
-func (g *egraph) addNode(n *gnode) {
-	g.nodes = append(g.nodes, n)
-	if g.nodeIx == nil {
-		g.nodeIx = make(map[string]*gnode)
-	}
-	k := foldName(n.name)
-	if _, ok := g.nodeIx[k]; !ok {
-		g.nodeIx[k] = n
-	}
-}
-
-// addEdge appends an edge and indexes it.
-func (g *egraph) addEdge(e *gedge) {
-	g.edges = append(g.edges, e)
-	if g.edgeIx == nil {
-		g.edgeIx = make(map[string]*gedge)
-	}
-	k := foldName(e.name)
-	if _, ok := g.edgeIx[k]; !ok {
-		g.edgeIx[k] = e
-	}
-}
-
-// reindex rebuilds the lookup maps after wholesale replacement of the node
-// or edge lists (structural projection drops components).
-func (g *egraph) reindex() {
-	g.nodeIx = make(map[string]*gnode, len(g.nodes))
-	for _, n := range g.nodes {
-		k := foldName(n.name)
-		if _, ok := g.nodeIx[k]; !ok {
-			g.nodeIx[k] = n
-		}
-	}
-	g.edgeIx = make(map[string]*gedge, len(g.edges))
-	for _, e := range g.edges {
-		k := foldName(e.name)
-		if _, ok := g.edgeIx[k]; !ok {
-			g.edgeIx[k] = e
-		}
-	}
-}
-
+// node finds a component table by name; SQL identifiers match
+// case-insensitively.
 func (g *egraph) node(name string) *gnode {
-	return g.nodeIx[foldName(name)]
+	for _, n := range g.nodes {
+		if strings.EqualFold(n.name, name) {
+			return n
+		}
+	}
+	return nil
 }
 
 func (g *egraph) edge(name string) *gedge {
-	return g.edgeIx[foldName(name)]
-}
-
-// rootNames returns nodes with no incoming edge in the graph's schema graph.
-func (g *egraph) rootNames() map[string]bool {
-	roots := map[string]bool{}
-	for _, n := range g.nodes {
-		roots[n.name] = true
-	}
 	for _, e := range g.edges {
-		if c := g.node(e.child); c != nil {
-			delete(roots, c.name)
+		if strings.EqualFold(e.name, name) {
+			return e
 		}
 	}
-	return roots
+	return nil
+}
+
+// isRoot reports whether no edge of g enters n.
+func (g *egraph) isRoot(n *gnode) bool {
+	for _, e := range g.edges {
+		if e.child == n {
+			return false
+		}
+	}
+	return true
 }
 
 // Evaluate materializes the composite object denoted by spec: composition,
@@ -249,13 +209,13 @@ func (ev *Evaluator) compose(spec *qgm.XNFSpec, isTop bool) (*egraph, error) {
 			if g.node(n.name) != nil {
 				return nil, fmt.Errorf("xnf: duplicate component table %q in composition", n.name)
 			}
-			g.addNode(n)
+			g.nodes = append(g.nodes, n)
 		}
 		for _, e := range bg.edges {
 			if g.edge(e.name) != nil {
 				return nil, fmt.Errorf("xnf: duplicate relationship %q in composition", e.name)
 			}
-			g.addEdge(e)
+			g.edges = append(g.edges, e)
 		}
 	}
 	// Materialize this level's nodes. When the spec is a self-contained
@@ -283,7 +243,7 @@ func (ev *Evaluator) compose(spec *qgm.XNFSpec, isTop bool) (*egraph, error) {
 			if err != nil {
 				return nil, err
 			}
-			g.addNode(gn)
+			g.nodes = append(g.nodes, gn)
 		}
 	}
 	// Derive this level's edges over the candidate node tables. Edges the
@@ -297,14 +257,13 @@ func (ev *Evaluator) compose(spec *qgm.XNFSpec, isTop bool) (*egraph, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.addEdge(ge)
+		g.edges = append(g.edges, ge)
 	}
 	// Restrictions apply against instance0 = reachability of the candidates.
 	if len(spec.Restrictions) > 0 {
-		in0 := ev.reach(g)
-		view := &instView{g: g, in: in0}
+		ev.reach(g)
 		for _, r := range spec.Restrictions {
-			if err := ev.applyRestriction(g, view, r); err != nil {
+			if err := ev.applyRestriction(g, r); err != nil {
 				return nil, err
 			}
 		}
@@ -366,7 +325,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 			if err != nil {
 				return err
 			}
-			g.addNode(gn)
+			g.nodes = append(g.nodes, gn)
 			continue
 		}
 		// Per incoming edge, derive a key filter from the parent's
@@ -411,7 +370,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 			if err != nil {
 				return err
 			}
-			g.addNode(gn)
+			g.nodes = append(g.nodes, gn)
 			continue
 		}
 		gn := &gnode{
@@ -463,7 +422,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 			}
 		}
 		gn.alive = allTrue(len(gn.rows))
-		g.addNode(gn)
+		g.nodes = append(g.nodes, gn)
 
 		// Resolve connections for simple incoming edges directly from the
 		// fetch structure: the child column values point back at parent
@@ -504,7 +463,7 @@ func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph, links *linkRow
 			}
 		}
 		ge.alive = allTrue(len(ge.conns))
-		g.addEdge(ge)
+		g.edges = append(g.edges, ge)
 		atomic.AddInt64(&ev.Stats.InlineEdges, 1)
 	case links != nil && conjN == 2 && e.AttrsOnLink():
 		pKey := parent.schema.Index(e.LinkParentKey)
@@ -535,7 +494,7 @@ func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph, links *linkRow
 			}
 		}
 		ge.alive = allTrue(len(ge.conns))
-		g.addEdge(ge)
+		g.edges = append(g.edges, ge)
 		atomic.AddInt64(&ev.Stats.InlineEdges, 1)
 	}
 }
@@ -787,172 +746,88 @@ func valuesBoxWithTID(name string, n *gnode) *qgm.Box {
 	return &qgm.Box{Kind: qgm.KindValues, Name: name, Out: out, ValueRows: rows}
 }
 
-// reach computes reachability over the candidate graph honoring alive flags.
-// Roots are nodes without incoming edges; their alive tuples are reachable
-// by definition. Semi-naive evaluation propagates a frontier; the naive
-// ablation re-scans every connection each round.
-func (ev *Evaluator) reach(g *egraph) map[string][]bool {
-	in := map[string][]bool{}
-	roots := g.rootNames()
+// reach marks in each node's in flags the tuples reachable over alive
+// connections. Roots are nodes without incoming edges; their alive tuples
+// are reachable by definition. Semi-naive evaluation propagates a
+// frontier; the naive ablation re-scans every connection each round.
+func (ev *Evaluator) reach(g *egraph) {
 	for _, n := range g.nodes {
-		set := make([]bool, len(n.rows))
-		if roots[n.name] {
-			copy(set, n.alive)
+		n.in = make([]bool, len(n.rows))
+		if g.isRoot(n) {
+			copy(n.in, n.alive)
 		}
-		in[n.name] = set
 	}
-	if !ev.opts.NaiveFixpoint {
-		// Semi-naive: one adjacency pass builds per-tuple successor lists,
-		// then a frontier worklist touches every connection exactly once.
-		type target struct {
-			node string
-			idx  int
-		}
-		adjacency := map[string][][]target{}
-		for _, n := range g.nodes {
-			adjacency[n.name] = make([][]target, len(n.rows))
-		}
-		for _, e := range g.edges {
-			p, c := g.node(e.parent), g.node(e.child)
-			arr := adjacency[p.name]
-			for ci, conn := range e.conns {
-				if !e.alive[ci] || !p.alive[conn.P] || !c.alive[conn.C] {
-					continue
-				}
-				arr[conn.P] = append(arr[conn.P], target{node: c.name, idx: conn.C})
-			}
-		}
-		type item struct {
-			node string
-			idx  int
-		}
-		var frontier []item
-		for _, n := range g.nodes {
-			set := in[n.name]
-			for i, r := range set {
-				if r {
-					frontier = append(frontier, item{n.name, i})
-				}
-			}
-		}
-		for len(frontier) > 0 {
+	if ev.opts.NaiveFixpoint {
+		for changed := true; changed; {
 			atomic.AddInt64(&ev.Stats.FixpointRounds, 1)
-			it := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, tgt := range adjacency[it.node][it.idx] {
-				set := in[tgt.node]
-				if !set[tgt.idx] {
-					set[tgt.idx] = true
-					frontier = append(frontier, item{tgt.node, tgt.idx})
+			changed = false
+			for _, e := range g.edges {
+				for ci, conn := range e.conns {
+					if e.alive[ci] && e.child.alive[conn.C] && e.parent.in[conn.P] && !e.child.in[conn.C] {
+						e.child.in[conn.C] = true
+						changed = true
+					}
 				}
 			}
 		}
-		return in
+		return
 	}
-	// Naive fixpoint.
-	for {
-		atomic.AddInt64(&ev.Stats.FixpointRounds, 1)
-		changed := false
-		for _, e := range g.edges {
-			p, c := g.node(e.parent), g.node(e.child)
-			pset, cset := in[e.parent], in[e.child]
-			_ = p
-			for ci, conn := range e.conns {
-				if !e.alive[ci] || !c.alive[conn.C] {
-					continue
-				}
-				if pset[conn.P] && !cset[conn.C] {
-					cset[conn.C] = true
-					changed = true
-				}
+	// Semi-naive: one adjacency pass builds per-tuple successor lists, then
+	// a frontier worklist touches every connection exactly once. Targets
+	// name nodes by their position in g.nodes.
+	type target struct{ node, idx int }
+	succ := make([][][]target, len(g.nodes))
+	var frontier []target
+	for ni, n := range g.nodes {
+		succ[ni] = make([][]target, len(n.rows))
+		for i, r := range n.in {
+			if r {
+				frontier = append(frontier, target{ni, i})
 			}
 		}
-		if !changed {
-			return in
-		}
 	}
-}
-
-// applyRestriction filters node tuples or connections (paper §3.3). The
-// predicate evaluates against instance0 (view), so path expressions range
-// over the unrestricted CO of this composition level.
-func (ev *Evaluator) applyRestriction(g *egraph, view *instView, r qgm.XNFRestrictionSpec) error {
-	if r.IsEdge {
-		e := g.edge(r.Target)
-		if e == nil {
-			return fmt.Errorf("xnf: restriction on unknown relationship %q", r.Target)
-		}
-		p, c := g.node(e.parent), g.node(e.child)
-		pVar, cVar := e.parent, e.child
-		if len(r.Vars) == 2 {
-			pVar, cVar = r.Vars[0], r.Vars[1]
-		}
+	for _, e := range g.edges {
+		p, c := slices.Index(g.nodes, e.parent), slices.Index(g.nodes, e.child)
 		for ci, conn := range e.conns {
-			if !e.alive[ci] {
-				continue
-			}
-			env := &evalEnv{view: view, bindings: []binding{
-				{name: pVar, node: p, idx: conn.P},
-				{name: cVar, node: c, idx: conn.C},
-			}}
-			if len(e.attrSchema) > 0 {
-				env.attrs = append(env.attrs, attrBinding{edge: e, conn: ci})
-			}
-			keep, err := evalPredTri(env, r.RawPred)
-			if err != nil {
-				return fmt.Errorf("xnf: restriction on %s: %v", r.Target, err)
-			}
-			if keep != types.True {
-				e.alive[ci] = false
+			if e.alive[ci] && e.parent.alive[conn.P] && e.child.alive[conn.C] {
+				succ[p][conn.P] = append(succ[p][conn.P], target{c, conn.C})
 			}
 		}
-		return nil
 	}
-	n := g.node(r.Target)
-	if n == nil {
-		return fmt.Errorf("xnf: restriction on unknown component %q", r.Target)
-	}
-	varName := n.name
-	if len(r.Vars) == 1 {
-		varName = r.Vars[0]
-	}
-	for i := range n.rows {
-		if !n.alive[i] {
-			continue
-		}
-		env := &evalEnv{view: view, bindings: []binding{{name: varName, node: n, idx: i}}}
-		keep, err := evalPredTri(env, r.RawPred)
-		if err != nil {
-			return fmt.Errorf("xnf: restriction on %s: %v", r.Target, err)
-		}
-		if keep != types.True {
-			n.alive[i] = false
+	for len(frontier) > 0 {
+		atomic.AddInt64(&ev.Stats.FixpointRounds, 1)
+		it := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		for _, t := range succ[it.node][it.idx] {
+			if in := g.nodes[t.node].in; !in[t.idx] {
+				in[t.idx] = true
+				frontier = append(frontier, t)
+			}
 		}
 	}
-	return nil
 }
 
 // applyTake drops components not kept and applies column projection.
 // Dropping a node implicitly drops relationships that reference it
 // (well-formedness, paper §3.3).
 func (ev *Evaluator) applyTake(g *egraph, take qgm.XNFTakeSpec) error {
-	keepNode := map[string]*qgm.XNFTakeItem{}
-	keepEdge := map[string]bool{}
+	keepNode := map[*gnode]*qgm.XNFTakeItem{}
+	keepEdge := map[*gedge]bool{}
 	for i := range take.Items {
 		item := &take.Items[i]
 		if n := g.node(item.Name); n != nil {
-			keepNode[strings.ToUpper(n.name)] = item
+			keepNode[n] = item
 			continue
 		}
 		if e := g.edge(item.Name); e != nil {
-			keepEdge[strings.ToUpper(e.name)] = true
+			keepEdge[e] = true
 			continue
 		}
 		return fmt.Errorf("xnf: TAKE references unknown component %q", item.Name)
 	}
 	var nodes []*gnode
 	for _, n := range g.nodes {
-		item, ok := keepNode[strings.ToUpper(n.name)]
+		item, ok := keepNode[n]
 		if !ok {
 			continue
 		}
@@ -965,20 +840,12 @@ func (ev *Evaluator) applyTake(g *egraph, take qgm.XNFTakeSpec) error {
 	}
 	var edges []*gedge
 	for _, e := range g.edges {
-		if !keepEdge[strings.ToUpper(e.name)] {
-			continue
-		}
 		// Implicit drop when a partner table is gone.
-		if _, pOK := keepNode[strings.ToUpper(e.parent)]; !pOK {
-			continue
+		if keepEdge[e] && keepNode[e.parent] != nil && keepNode[e.child] != nil {
+			edges = append(edges, e)
 		}
-		if _, cOK := keepNode[strings.ToUpper(e.child)]; !cOK {
-			continue
-		}
-		edges = append(edges, e)
 	}
 	g.nodes, g.edges = nodes, edges
-	g.reindex()
 	return nil
 }
 
@@ -1018,34 +885,30 @@ func projectNode(n *gnode, cols []string) error {
 // finalize applies the reachability constraint to the composed graph and
 // compacts it into the public CO form.
 func (ev *Evaluator) finalize(g *egraph) (*CO, error) {
-	roots := g.rootNames()
-	in := ev.reach(g)
+	ev.reach(g)
 	co := &CO{}
-	remap := map[string][]int{}
+	remap := make(map[*gnode][]int, len(g.nodes))
 	for _, n := range g.nodes {
 		ni := &NodeInstance{
 			Name: n.name, Schema: n.schema, BaseTable: n.baseTable,
-			ColMap: n.colMap, Root: roots[n.name],
+			ColMap: n.colMap, Root: g.isRoot(n),
 		}
 		rm := make([]int, len(n.rows))
-		for i := range rm {
-			rm[i] = -1
-		}
-		set := in[n.name]
 		for i, row := range n.rows {
-			if !n.alive[i] || !set[i] {
+			rm[i] = -1
+			if !n.member(i) {
 				continue
 			}
 			rm[i] = len(ni.Rows)
 			ni.Rows = append(ni.Rows, row)
 			ni.RIDs = append(ni.RIDs, n.rids[i])
 		}
-		remap[n.name] = rm
+		remap[n] = rm
 		co.Nodes = append(co.Nodes, ni)
 	}
 	for _, e := range g.edges {
 		ei := &EdgeInstance{
-			Name: e.name, Parent: g.node(e.parent).name, Child: g.node(e.child).name,
+			Name: e.name, Parent: e.parent.name, Child: e.child.name,
 			AttrSchema: e.attrSchema, EdgeProvenance: e.EdgeProvenance,
 		}
 		pMap, cMap := remap[e.parent], remap[e.child]

@@ -400,3 +400,80 @@ func TestRestrictionErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRestrictionLike: LIKE and NOT LIKE in a node restriction keep the
+// rows the same predicate keeps in a SELECT.
+func TestRestrictionLike(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		s := randomCompany(t, rand.New(rand.NewSource(seed)))
+		for _, p := range []string{
+			"d.loc LIKE 'N%'", "d.loc NOT LIKE 'N%'", "d.loc LIKE '_F'",
+			"d.loc LIKE '%A' OR d.loc LIKE 'NY'", "NOT (d.loc LIKE '%')",
+		} {
+			r, err := s.Exec("OUT OF Xd AS DEPT WHERE Xd d SUCH THAT " + p + " TAKE *")
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, p, err)
+			}
+			got := componentRows(r.CO, "Xd")
+			if want := sqlRows(t, s, "SELECT * FROM DEPT d WHERE "+p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: %s\n got %v\nwant %v", seed, p, got, want)
+			}
+		}
+	}
+}
+
+// TestRestrictionNamesResolveWithoutTuples: a restriction's names resolve
+// when it compiles, so a bad name errors even when no tuple is tested.
+func TestRestrictionNamesResolveWithoutTuples(t *testing.T) {
+	s := randomCompany(t, rand.New(rand.NewSource(1)))
+	const empty = `OUT OF Xd AS (SELECT * FROM DEPT WHERE dno < 0), Xe AS EMP,
+		employment AS (RELATE Xd, Xe WHERE Xd.dno = Xe.edno) WHERE `
+	for _, c := range []struct{ q, want string }{
+		{empty + "Xd d SUCH THAT d.bogus = 1 TAKE *", "not found"},
+		{empty + "Xd d SUCH THAT EXISTS d->employment->(Xe e WHERE e.bogus > 1) TAKE *", "not found"},
+		{empty + "employment (d, e) SUCH THAT x.sal > 1 TAKE *", "unknown variable"},
+		{empty + "Xd d SUCH THAT EXISTS d->nosuch TAKE *", "neither a relationship nor"},
+	} {
+		_, err := s.Exec(c.q)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s\n err = %v, want %q", c.q, err, c.want)
+		}
+	}
+}
+
+// TestRestrictionRoleSteps: path steps named by a cyclic edge's roles
+// traverse it in the role's direction (report: manager to report; manager:
+// back), matching the SELECTs over the same management forest.
+func TestRestrictionRoleSteps(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := engine.NewDefault().Session()
+		s.MustExec("CREATE TABLE EMPM (eno INT NOT NULL PRIMARY KEY, mgrno INT)")
+		for e := 1; e <= 20; e++ {
+			mgr := "NULL"
+			if e > 3 && rng.Intn(4) > 0 {
+				mgr = fmt.Sprint(1 + rng.Intn(e-1))
+			}
+			s.MustExec(fmt.Sprintf("INSERT INTO EMPM VALUES (%d, %s)", e, mgr))
+		}
+		const defs = `OUT OF Xboss AS (SELECT * FROM EMPM WHERE mgrno IS NULL), Xemp AS EMPM,
+			top AS (RELATE Xboss, Xemp WHERE Xboss.eno = Xemp.eno),
+			manages AS (RELATE Xemp AS manager, Xemp AS report WHERE manager.eno = report.mgrno)
+			WHERE Xboss b SUCH THAT `
+		for _, c := range []struct{ path, sql string }{
+			{"COUNT(b->top->report) >= 2", `SELECT b.eno, b.mgrno FROM EMPM b, EMPM r
+				WHERE b.mgrno IS NULL AND r.mgrno = b.eno GROUP BY b.eno, b.mgrno HAVING COUNT(*) >= 2`},
+			{"EXISTS b->top->report->manager", `SELECT b.eno, b.mgrno FROM EMPM b
+				WHERE b.mgrno IS NULL AND EXISTS (SELECT * FROM EMPM r WHERE r.mgrno = b.eno)`},
+			{"NOT EXISTS b->top->manager", `SELECT b.eno, b.mgrno FROM EMPM b WHERE b.mgrno IS NULL`},
+		} {
+			r, err := s.Exec(defs + c.path + " TAKE *")
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, c.path, err)
+			}
+			if got, want := componentRows(r.CO, "Xboss"), sqlRows(t, s, c.sql); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: %s\n got %v\nwant %v", seed, c.path, got, want)
+			}
+		}
+	}
+}
