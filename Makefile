@@ -6,13 +6,15 @@ build:
 	$(GO) build ./...
 
 # The engine, wal and wire packages carry fuzz targets
-# (FuzzStmtKey, FuzzWALReplay, FuzzWireFrame); their seed
-# corpora run as plain tests here. `make fuzz` explores beyond the seeds.
+# (FuzzStmtKey, FuzzRestrictionMatchesWhere, FuzzWALReplay, FuzzWireFrame);
+# their seed corpora run as plain tests here. `make fuzz` explores beyond
+# the seeds.
 test:
 	$(GO) test ./...
 
 fuzz:
 	$(GO) test -fuzz FuzzStmtKey -fuzztime 30s ./internal/engine/
+	$(GO) test -fuzz FuzzRestrictionMatchesWhere -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire/
 

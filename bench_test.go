@@ -1,7 +1,7 @@
-// Benchmarks timing every experiment of DESIGN.md's per-experiment index
-// (E1–E13). Each benchmark corresponds to a figure or a performance claim of
-// the paper; TestPaperFigures (paper_test.go) pins what each experiment
-// computes. Every engine here runs without the CO cache, so the benchmarks
+// Benchmarks timing every paper experiment E1–E13 of TestPaperFigures
+// (paper_test.go). Each benchmark corresponds to a figure or a performance
+// claim of the paper (PAPER.md), named in its comment; TestPaperFigures
+// pins what each experiment computes. Every engine here runs without the CO cache, so the benchmarks
 // time composite-object materialization, not cache hits;
 // BenchmarkCOCheckoutHit (bench_co_test.go) is the cache-hit arm.
 package sqlxnf
@@ -161,7 +161,7 @@ func BenchmarkE5_RecursiveCO(b *testing.B) {
 }
 
 // E5 ablation — semi-naive vs naive reachability fixpoint on the recursive
-// CO (DESIGN.md §5).
+// CO of the paper's §3.4 (Fig. 4/5); TestPaperFigures' E5 pins that CO.
 func BenchmarkE5_FixpointAblation(b *testing.B) {
 	for _, arm := range []struct {
 		name string

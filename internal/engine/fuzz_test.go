@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"sqlxnf/internal/parser"
@@ -148,4 +151,147 @@ func walkAST(v reflect.Value, visit func(reflect.Value)) {
 			visit(v)
 		}
 	}
+}
+
+// FuzzRestrictionMatchesWhere holds XNF restrictions to SQL's WHERE: a
+// scalar predicate p decoded from the input must keep the same rows in
+//
+//	OUT OF Xt AS T WHERE Xt t SUCH THAT p TAKE *
+//	SELECT * FROM T t WHERE p
+//
+// or fail in both. Predicates are well typed and divide only by non-zero
+// literals, so an error on one side alone is a disagreement, not an
+// evaluation-order accident: SQL may test pushed-down conjuncts first.
+//
+// Run with `go test -fuzz FuzzRestrictionMatchesWhere ./internal/engine` to
+// explore; the seed corpus runs as part of every normal `go test`.
+func FuzzRestrictionMatchesWhere(f *testing.F) {
+	for _, seed := range [][]byte{
+		{7, 0, 0, 0},                         // (t.s LIKE 'a%')
+		{7, 0, 1, 1},                         // (t.s NOT LIKE '%b_')
+		{7, 0, 0, 7},                         // (t.s LIKE t.s)
+		{7, 4, 0, 0},                         // (NULL LIKE 'a%')
+		{2, 0, 0, 1, 2, 0, 0, 6, 0, 2, 0},    // ((t.a < t.k) AND (t.b IS NULL))
+		{5, 0, 1, 1, 3, 0, 4, 0, 3, 0, 5},    // (t.a IN (NULL, t.k))
+		{0, 1, 0, 2, 0, 3, 2, 0, 0, 5},       // ((t.b + (-(t.k / 2))) >= t.k)
+		{3, 4, 6, 0, 1, 0, 0, 0, 0, 2, 0, 7}, // ((NOT (t.a IS NULL)) OR (t.b = (-t.k)))
+		{4, 5, 2, 0, 2, 0, 2, 3, 0, 1, 0, 6}, // (NOT ((t.b / 2) IN (NULL, t.k, t.a)))
+		{0, 2, 0, 1, 0, 4, 0},                // ((t.a / 2) > t.k)
+		{8, 2},                               // NULL
+		{1, 0, 2, 0, 1},                      // (t.s < t.s)
+	} {
+		f.Add(seed)
+	}
+	s := NewDefault().Session()
+	s.MustExec("CREATE TABLE T (k INT NOT NULL, a INT, b FLOAT, s VARCHAR)")
+	for k := 1; k <= 24; k++ {
+		a, b, str := fmt.Sprint(k%7-2), fmt.Sprintf("%d.5", k%5), fmt.Sprintf("'%s'", fuzzStrings[k%len(fuzzStrings)])
+		switch k % 6 {
+		case 1:
+			a = "NULL"
+		case 2:
+			b = "NULL"
+		case 3:
+			str = "NULL"
+		}
+		s.MustExec(fmt.Sprintf("INSERT INTO T VALUES (%d, %s, %s, %s)", k, a, b, str))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := (&predDecoder{data: data}).boolean(4)
+		co, errX := s.Exec("OUT OF Xt AS T WHERE Xt t SUCH THAT " + p + " TAKE *")
+		sel, errS := s.Exec("SELECT * FROM T t WHERE " + p)
+		if (errX == nil) != (errS == nil) {
+			t.Fatalf("%s: restriction err %v, WHERE err %v", p, errX, errS)
+		}
+		if errX != nil {
+			return
+		}
+		var got, want []string
+		for _, r := range co.CO.Node("Xt").Rows {
+			got = append(got, r.String())
+		}
+		for _, r := range sel.Rows {
+			want = append(want, r.String())
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s:\nrestriction keeps %v\nWHERE keeps       %v", p, got, want)
+		}
+	})
+}
+
+var fuzzStrings = []string{"", "a", "ab", "abc", "b", "ba", "a_c", "%"}
+
+// predDecoder turns bytes into a well-typed predicate over T t; it reads 0
+// once the input runs out, so every input decodes.
+type predDecoder struct {
+	data []byte
+	at   int
+}
+
+func (d *predDecoder) next(n int) int {
+	if d.at >= len(d.data) {
+		return 0
+	}
+	d.at++
+	return int(d.data[d.at-1]) % n
+}
+
+func (d *predDecoder) boolean(depth int) string {
+	if depth == 0 {
+		return d.numeric(0) + " < " + d.numeric(0)
+	}
+	cmp := []string{"=", "<>", "<", "<=", ">", ">="}
+	switch d.next(9) {
+	case 0:
+		return "(" + d.numeric(depth-1) + " " + cmp[d.next(len(cmp))] + " " + d.numeric(depth-1) + ")"
+	case 1:
+		return "(" + d.str() + " " + cmp[d.next(len(cmp))] + " " + d.str() + ")"
+	case 2:
+		return "(" + d.boolean(depth-1) + " AND " + d.boolean(depth-1) + ")"
+	case 3:
+		return "(" + d.boolean(depth-1) + " OR " + d.boolean(depth-1) + ")"
+	case 4:
+		return "(NOT " + d.boolean(depth-1) + ")"
+	case 5:
+		e := d.numeric(depth - 1)
+		list := make([]string, 1+d.next(4))
+		for i := range list {
+			list[i] = d.numeric(0)
+		}
+		return "(" + e + []string{" IN (", " NOT IN ("}[d.next(2)] + strings.Join(list, ", ") + "))"
+	case 6:
+		e := d.numeric(depth - 1)
+		if d.next(2) == 1 {
+			e = d.str()
+		}
+		return "(" + e + []string{" IS NULL)", " IS NOT NULL)"}[d.next(2)]
+	case 7:
+		return "(" + d.str() + []string{" LIKE ", " NOT LIKE "}[d.next(2)] +
+			[]string{"'a%'", "'%b_'", "'_'", "'%'", "''", "'a_c'", "NULL", "t.s"}[d.next(8)] + ")"
+	default:
+		return []string{"TRUE", "FALSE", "NULL"}[d.next(3)]
+	}
+}
+
+func (d *predDecoder) numeric(depth int) string {
+	leaves := []string{"t.k", "t.a", "t.b", "NULL", "0", "3", "-2", "1.5"}
+	if depth == 0 {
+		return leaves[d.next(len(leaves))]
+	}
+	switch d.next(4) {
+	case 1:
+		return "(" + d.numeric(depth-1) + []string{" + ", " - ", " * "}[d.next(3)] + d.numeric(depth-1) + ")"
+	case 2:
+		return "(" + d.numeric(depth-1) + " / " + []string{"2", "-3", "0.5"}[d.next(3)] + ")"
+	case 3:
+		return "(-" + d.numeric(depth-1) + ")"
+	default:
+		return leaves[d.next(len(leaves))]
+	}
+}
+
+func (d *predDecoder) str() string {
+	return []string{"t.s", "'a'", "'ab'", "''", "NULL"}[d.next(5)]
 }

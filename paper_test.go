@@ -11,8 +11,9 @@ import (
 	"sqlxnf/internal/workload"
 )
 
-// TestPaperFigures pins what each paper experiment (DESIGN.md E1–E13)
-// computes: the composite objects of Figures 1–8 and §3–§4, their counts and
+// TestPaperFigures pins what each paper experiment E1–E13 computes, one
+// subtest per figure or section of the paper (PAPER.md) its name gives:
+// the composite objects of Figures 1–8 and §3–§4, their counts and
 // the cost counters the paper's claims rest on. The Benchmark E* functions
 // (bench_test.go) time the same experiments; this test holds their
 // semantics. Every engine runs without the CO cache, so each TAKE is a real

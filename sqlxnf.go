@@ -29,7 +29,6 @@ import (
 	"sqlxnf/internal/engine"
 	"sqlxnf/internal/faultinj"
 	"sqlxnf/internal/optimizer"
-	"sqlxnf/internal/rewrite"
 	"sqlxnf/internal/types"
 	"sqlxnf/internal/wal"
 	"sqlxnf/internal/xnf"
@@ -115,23 +114,6 @@ func WithoutIndexes() Option {
 	return func(o *engine.Options) { o.Optimizer.NoIndexes = true }
 }
 
-// WithoutRewrite disables the query-rewrite phase (ablation).
-func WithoutRewrite() Option {
-	return func(o *engine.Options) {
-		o.Rewrite = rewrite.Options{NoMergeSelects: true, NoFoldConstants: true}
-	}
-}
-
-// WithoutHashJoins forces nested-loops joins (ablation).
-func WithoutHashJoins() Option {
-	return func(o *engine.Options) { o.Optimizer.NoHashJoins = true }
-}
-
-// WithoutIndexJoins disables index-nested-loop joins (ablation).
-func WithoutIndexJoins() Option {
-	return func(o *engine.Options) { o.Optimizer.NoIndexJoins = true }
-}
-
 // WithoutPlanCache disables the prepared-plan cache, forcing a full parse →
 // build → rewrite → optimize pipeline on every statement (the cold-compile
 // ablation of the e15 experiment).
@@ -209,13 +191,6 @@ const (
 	// commits, but the log stays torn-tail-consistent.
 	SyncNone SyncPolicy = wal.SyncNone
 )
-
-// WithDataDir makes the database durable: the WAL appends to segment files
-// under dir, and OpenDir recovers state from them. Only meaningful with
-// OpenDir (Open ignores it and stays in-memory).
-func WithDataDir(dir string) Option {
-	return func(o *engine.Options) { o.DataDir = dir }
-}
 
 // WithSyncPolicy selects when a durable database forces its WAL to disk.
 func WithSyncPolicy(p SyncPolicy) Option {
