@@ -66,9 +66,9 @@ func (ev *Evaluator) applyRestriction(g *egraph, r qgm.XNFRestrictionSpec) error
 	})
 }
 
-// restrict compiles r's predicate in sc and clears alive[i] for every
-// element whose row (bind binds the scope's variables to element i and
-// returns its row) the predicate does not evaluate to True.
+// restrict compiles r's predicate in sc and keeps each alive[i] only where
+// the predicate evaluates to True; bind binds sc's variables to element i
+// and returns its row.
 func restrict(sc *scope, r qgm.XNFRestrictionSpec, alive []bool, bind func(i int) types.Row) error {
 	pred, err := sc.compile(r.RawPred)
 	if err == nil {
