@@ -174,7 +174,8 @@ func evalWith(s *engine.Session, q string, opts xnf.Options) (*xnf.CO, error) {
 }
 
 // SQL renderings of propQuery's components over the same tables, in CO
-// column order. nyEmp joins each employee to its NY department d.
+// column order. sqlEmp joins each employee to its NY department d; sqlProj
+// takes the predicate an employee must meet to make its projects reachable.
 const (
 	sqlDept = `SELECT d.dno, d.loc, d.budget FROM DEPT d WHERE d.loc = 'NY'`
 	sqlEmp  = `SELECT e.eno, e.sal, e.edno FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'NY'`
@@ -241,10 +242,7 @@ func restrictionCases() []restrictionCase {
 				"Xdept":      sqlDept,
 				"Xemp":       sqlEmp + " AND " + keep,
 				"employment": sqlEmployment + " AND " + keep,
-				"Xproj": `SELECT pr.pno, pr.pdno, pr.pmgrno FROM PROJ pr
-					WHERE EXISTS (SELECT * FROM DEPT d WHERE d.loc = 'NY' AND d.dno = pr.pdno)
-					OR EXISTS (SELECT * FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'NY'
-					 AND e.eno = pr.pmgrno AND ` + keep + `)`,
+				"Xproj":      fmt.Sprintf(sqlProj, keep),
 			},
 		})
 	}
