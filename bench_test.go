@@ -1,9 +1,10 @@
 // Benchmarks timing every paper experiment E1–E13 of TestPaperFigures
 // (paper_test.go). Each benchmark corresponds to a figure or a performance
 // claim of the paper (PAPER.md), named in its comment; TestPaperFigures
-// pins what each experiment computes. Every engine here runs without the CO cache, so the benchmarks
-// time composite-object materialization, not cache hits;
-// BenchmarkCOCheckoutHit (bench_co_test.go) is the cache-hit arm.
+// pins what each experiment computes. Every engine here runs without the
+// CO cache, so the benchmarks time composite-object materialization, not
+// cache hits; BenchmarkCOCheckoutHit (bench_co_test.go) is the cache-hit
+// arm.
 package sqlxnf
 
 import (
