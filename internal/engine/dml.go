@@ -82,7 +82,7 @@ func (s *Session) createIndex(stmt *parser.CreateIndexStmt, text string) (*Resul
 			return true, kerr
 		}
 		if ix.Unique {
-			if _, live, gerr := t.Heap.GetVisible(t.Tag, rid, nil); gerr == nil && live {
+			if liveAt(t, rid) {
 				if prev, dup := seen[string(key)]; dup && prev != rid {
 					return true, fmt.Errorf("engine: cannot create unique index %s: duplicate keys exist", stmt.Name)
 				}
@@ -215,6 +215,13 @@ func (s *Session) conflictHere(t *catalog.Table, ver storage.RowVer) error {
 	return nil
 }
 
+// liveAt reports whether t holds a latest-committed live version at rid. It
+// decodes no column: only the tuple's presence and stamps matter.
+func liveAt(t *catalog.Table, rid storage.RID) bool {
+	_, live, err := t.Heap.GetVisible(t.Tag, rid, nil, &types.RowDecoder{Cols: []int{}})
+	return err == nil && live
+}
+
 // checkUnique enforces unique indexes at the engine level. The btrees are
 // non-unique (several row versions of one key coexist under MVCC), so a key
 // violates iff some other RID with that key holds a live version — live under
@@ -237,7 +244,7 @@ func (s *Session) checkUnique(t *catalog.Table, row types.Row, skip storage.RID,
 			if rid == skip {
 				continue
 			}
-			if _, live, gerr := t.Heap.GetVisible(t.Tag, rid, nil); gerr == nil && live {
+			if liveAt(t, rid) {
 				return fmt.Errorf("engine: %s %s violates unique index %s", op, t.Name, ix.Name)
 			}
 		}
@@ -751,7 +758,7 @@ func (s *Session) GetRow(table string, rid storage.RID) (types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, ok, err := t.Heap.GetVisible(t.Tag, rid, s.visFunc())
+	row, ok, err := t.Heap.GetVisible(t.Tag, rid, s.visFunc(), &types.RowDecoder{})
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,8 @@ import (
 func TestHashJoinBuildsOnSmallerInput(t *testing.T) {
 	const q = "SELECT e.descr, COUNT(*) FROM E e, S s WHERE e.eno = s.esno AND e.sal > 5 GROUP BY e.descr ORDER BY e.descr"
 	wantPlan := map[int]string{
-		-1: "HashJoin #1=#0\nSeqScan S (est rows=40000)\nFilter (#1 > 5)\nSeqScan E (est rows=20000)",
-		4:  "HashJoin #1=#0 (shared build)\nMorselScan S (est rows=40000)\nFilter (#1 > 5)\nMorselScan E (est rows=20000)",
+		-1: "HashJoin #0=#0 [descr]\nSeqScan S [esno] (est rows=40000)\nFilter (#1 > 5)\nSeqScan E (est rows=20000)",
+		4:  "HashJoin #0=#0 [descr] (shared build)\nMorselScan S [esno] (est rows=40000)\nFilter (#1 > 5)\nMorselScan E (est rows=20000)",
 	}
 	var results []string
 	for _, dop := range []int{-1, 4} {
@@ -59,6 +59,62 @@ func TestHashJoinBuildsOnSmallerInput(t *testing.T) {
 	want := fmt.Sprintf("(d0, %d) (d1, %d) (d2, %d)", counts[0], counts[1], counts[2])
 	if results[0] != want || results[1] != want {
 		t.Fatalf("results %q, want %q twice", results, want)
+	}
+}
+
+// TestJoinAggReadsOnlyNeededColumns pins column pruning on the benchmark's
+// hash_join_agg statement: the SKILLS access decodes only its join key, EMP
+// only the three columns the statement names, and the join emits the
+// grouping input itself — no Project sits between GroupAgg and HashJoin.
+// Serial and parallel plans alike, and both compute the right groups.
+func TestJoinAggReadsOnlyNeededColumns(t *testing.T) {
+	const q = "SELECT e.descr, COUNT(*), SUM(e.sal) FROM EMP e, SKILLS s WHERE e.eno = s.esno AND e.sal > 3 GROUP BY e.descr ORDER BY e.descr"
+	for _, dop := range []int{-1, 4} {
+		e := New(Options{Optimizer: optimizer.Options{MaxDOP: dop}})
+		s := e.Session()
+		s.MustExec("CREATE TABLE EMP (eno INT NOT NULL PRIMARY KEY, ename VARCHAR, sal FLOAT, descr VARCHAR, edno INT); " +
+			"CREATE TABLE SKILLS (sno INT NOT NULL PRIMARY KEY, sname VARCHAR, esno INT)")
+		for i := 0; i < 60; i++ {
+			s.MustExec(fmt.Sprintf("INSERT INTO EMP VALUES (%d, 'e%d', %d, 'd%d', %d); INSERT INTO SKILLS VALUES (%d, 's', %d), (%d, 's', %d)",
+				i, i, i%7, i%2, i%5, 2*i, i, 2*i+1, i))
+		}
+		for name, n := range map[string]int64{"EMP": 20_000, "SKILLS": 40_000} {
+			tbl, err := e.Catalog().Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.SetRowCount(n)
+		}
+		plan := s.MustExec("EXPLAIN " + q).Explain
+		plan = plan[strings.Index(plan, "-- plan --"):]
+		var lines []string
+		for _, l := range strings.Split(plan, "\n") {
+			lines = append(lines, strings.TrimSpace(l))
+		}
+		agg := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "GroupAgg") })
+		if agg < 0 || agg+1 == len(lines) || !strings.HasPrefix(lines[agg+1], "HashJoin") {
+			t.Fatalf("MaxDOP %d: want HashJoin right under GroupAgg in\n%s", dop, plan)
+		}
+		for _, want := range []string{"Scan SKILLS [esno] (", "Scan EMP [eno sal descr] ("} {
+			if !strings.Contains(plan, want) {
+				t.Fatalf("MaxDOP %d: want %q in\n%s", dop, want, plan)
+			}
+		}
+		var sums [2][2]float64 // per descr: COUNT(*), SUM(sal) over the join
+		for i := 0; i < 60; i++ {
+			if i%7 > 3 {
+				sums[i%2][0] += 2
+				sums[i%2][1] += 2 * float64(i%7)
+			}
+		}
+		want := fmt.Sprintf("(d0, %v, %v) (d1, %v, %v)", sums[0][0], sums[0][1], sums[1][0], sums[1][1])
+		var got []string
+		for _, r := range s.MustExec(q).Rows {
+			got = append(got, r.String())
+		}
+		if strings.Join(got, " ") != want {
+			t.Fatalf("MaxDOP %d: rows %v, want %s", dop, got, want)
+		}
 	}
 }
 

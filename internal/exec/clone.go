@@ -114,7 +114,7 @@ func cloneExprs(es []Expr) ([]Expr, bool) {
 
 // Clone implements Cloneable.
 func (s *SeqScan) Clone() Plan {
-	return &SeqScan{Table: s.Table, EstRows: s.EstRows, WithRID: s.WithRID}
+	return &SeqScan{Table: s.Table, EstRows: s.EstRows, Cols: s.Cols, WithRID: s.WithRID}
 }
 
 // Clone implements Cloneable.
@@ -133,7 +133,7 @@ func (s *IndexScan) Clone() Plan {
 	}
 	return &IndexScan{Table: s.Table, Index: s.Index, Lo: lo, Hi: hi, In: in,
 		LoInc: s.LoInc, HiInc: s.HiInc, HiPrefix: s.HiPrefix, LoPrefix: s.LoPrefix, LoPastNull: s.LoPastNull,
-		EstRows: s.EstRows, WithRID: s.WithRID}
+		EstRows: s.EstRows, Cols: s.Cols, WithRID: s.WithRID}
 }
 
 // Clone implements Cloneable.
@@ -225,7 +225,7 @@ func (j *HashJoin) Clone() Plan {
 		return nil
 	}
 	return &HashJoin{Left: l, Right: r, LeftKeys: lk, RightKeys: rk,
-		Residual: res, Shared: j.Shared, out: j.out, hash: j.hash}
+		Residual: res, Emit: j.Emit, Shared: j.Shared, out: j.out, hash: j.hash}
 }
 
 // Clone implements Cloneable.
@@ -242,7 +242,7 @@ func (j *IndexJoin) Clone() Plan {
 	if !ok {
 		return nil
 	}
-	return &IndexJoin{Left: l, Table: j.Table, Index: j.Index, KeyExprs: keys,
+	return &IndexJoin{Left: l, Table: j.Table, Index: j.Index, Cols: j.Cols, KeyExprs: keys,
 		Pred: pred, EstRows: j.EstRows, out: j.out}
 }
 

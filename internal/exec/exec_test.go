@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"sqlxnf/internal/types"
@@ -98,6 +99,70 @@ func TestLikeMatchTable(t *testing.T) {
 		if got := likeMatch(tc.s, tc.pat); got != tc.want {
 			t.Errorf("likeMatch(%q, %q) = %v", tc.s, tc.pat, got)
 		}
+	}
+}
+
+// likeMatchDP is the dynamic-programming LIKE matcher likeMatch replaced:
+// one []bool row per pattern byte. It stays as the differential oracle.
+func likeMatchDP(s, pat string) bool {
+	n, m := len(s), len(pat)
+	dp := make([]bool, n+1)
+	dp[0] = true
+	for j := 0; j < m; j++ {
+		p := pat[j]
+		next := make([]bool, n+1)
+		if p == '%' {
+			any := false
+			for i := 0; i <= n; i++ {
+				if dp[i] {
+					any = true
+				}
+				next[i] = any
+			}
+		} else {
+			for i := 1; i <= n; i++ {
+				if dp[i-1] && (p == '_' || s[i-1] == p) {
+					next[i] = true
+				}
+			}
+		}
+		dp = next
+	}
+	return dp[n]
+}
+
+// TestLikeMatchAgainstDP: over random strings and patterns built from %, _
+// and literals of a small alphabet (so literals often match), the greedy
+// matcher agrees with the DP.
+func TestLikeMatchAgainstDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	word := func(alphabet string, n int) string {
+		b := make([]byte, rng.Intn(n+1))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		s, pat := word("ab%_", 10), word("ab%_", 7)
+		if got, want := likeMatch(s, pat), likeMatchDP(s, pat); got != want {
+			t.Fatalf("likeMatch(%q, %q) = %v, DP says %v", s, pat, got, want)
+		}
+	}
+}
+
+// TestLikeMatchAllocatesNothing pins the matcher allocation-free: a LIKE
+// filter tests it on every row.
+func TestLikeMatchAllocatesNothing(t *testing.T) {
+	e := BinOp{Op: "LIKE", L: Col{Idx: 0}, R: Const{V: types.NewString("%ab_c%")}}
+	row := types.Row{types.NewString("xxabzcxxabyyyyabqc")}
+	ctx := NewContext()
+	var v types.Value
+	allocs := testing.AllocsPerRun(100, func() {
+		v, _ = e.Eval(ctx, row)
+	})
+	if allocs != 0 || !v.Bool() {
+		t.Fatalf("LIKE '%%ab_c%%' = %v with %v allocations per evaluation, want true with 0", v, allocs)
 	}
 }
 

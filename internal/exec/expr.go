@@ -220,34 +220,33 @@ func (b BinOp) Eval(ctx *Context, row types.Row) (types.Value, error) {
 	}
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any one byte).
+// likeMatch implements SQL LIKE with % (any run) and _ (any one byte),
+// allocation-free: literals and _ advance both cursors, and on a mismatch
+// the most recent % absorbs one more byte of s and matching resumes after
+// it. Only the last % needs revisiting: whatever an earlier % could absorb,
+// the later one can absorb too.
 func likeMatch(s, pat string) bool {
-	// Dynamic programming over bytes.
-	n, m := len(s), len(pat)
-	dp := make([]bool, n+1)
-	dp[0] = true
-	for j := 0; j < m; j++ {
-		p := pat[j]
-		next := make([]bool, n+1)
-		if p == '%' {
-			// next[i] true if any dp[k] for k<=i.
-			any := false
-			for i := 0; i <= n; i++ {
-				if dp[i] {
-					any = true
-				}
-				next[i] = any
-			}
-		} else {
-			for i := 1; i <= n; i++ {
-				if dp[i-1] && (p == '_' || s[i-1] == p) {
-					next[i] = true
-				}
-			}
+	i, j := 0, 0
+	star, mark := -1, 0 // position of the last % in pat; where its run in s ends
+	for i < len(s) {
+		switch {
+		case j < len(pat) && pat[j] == '%':
+			star, mark = j, i
+			j++
+		case j < len(pat) && (pat[j] == '_' || pat[j] == s[i]):
+			i++
+			j++
+		case star >= 0:
+			mark++
+			i, j = mark, star+1
+		default:
+			return false
 		}
-		dp = next
 	}
-	return dp[n]
+	for j < len(pat) && pat[j] == '%' {
+		j++
+	}
+	return j == len(pat)
 }
 
 // Not negates a boolean expression in 3VL.

@@ -84,7 +84,7 @@ func TestIndexJoinMatchesHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(NewContext(), NewIndexJoin(outerValues(120, 40), inner, ix, []Expr{Col{Idx: 1}}, nil))
+	got, err := Collect(NewContext(), NewIndexJoin(outerValues(120, 40), inner, ix, nil, []Expr{Col{Idx: 1}}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIndexJoinMatchesHashJoin(t *testing.T) {
 func TestIndexJoinResidualPredicate(t *testing.T) {
 	inner, ix := indexedTable(t, 200, 10)
 	pred := BinOp{Op: "<", L: Col{Idx: 2}, R: Const{V: types.NewInt(100)}} // inner id < 100
-	j := NewIndexJoin(outerValues(50, 10), inner, ix, []Expr{Col{Idx: 1}}, pred)
+	j := NewIndexJoin(outerValues(50, 10), inner, ix, nil, []Expr{Col{Idx: 1}}, pred)
 	rows, err := Collect(NewContext(), j)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestIndexJoinResidualPredicate(t *testing.T) {
 func TestClonedPlansRunIndependently(t *testing.T) {
 	inner, ix := indexedTable(t, 400, 30)
 	tmpl := Plan(&Sort{
-		Child: NewIndexJoin(outerValues(80, 30), inner, ix, []Expr{Col{Idx: 1}}, nil),
+		Child: NewIndexJoin(outerValues(80, 30), inner, ix, nil, []Expr{Col{Idx: 1}}, nil),
 		Keys:  []SortKey{{Idx: 0}, {Idx: 2}},
 	})
 	want, err := Collect(NewContext(), func() Plan { p, _ := ClonePlan(tmpl); return p }())

@@ -12,11 +12,12 @@ package exec
 // position in the template gets one dispatcher shared by all worker clones
 // (so the table is scanned exactly once), and each shared-build HashJoin
 // position gets one sharedBuild whose table is built in parallel — workers
-// fill per-worker entry slabs, then a lock-free partitioned merge indexes
-// them into one flat chained table (see hashTable.mergeSlabs).
+// fill per-worker entry slabs, then one pass concatenates them and indexes
+// the entries from the table's bucket array (see sharedBuild.run).
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"sqlxnf/internal/catalog"
@@ -50,21 +51,22 @@ type MorselScan struct {
 	Table *catalog.Table
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
 	EstRows float64
-	// WithRID: see SeqScan.WithRID.
+	// Cols and WithRID: see SeqScan.
+	Cols    []int
 	WithRID bool
 
 	pageScan // disp is wired by cloneWorkers
 }
 
 // Schema implements Plan.
-func (s *MorselScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) }
+func (s *MorselScan) Schema() types.Schema { return scanSchema(s.Table, s.Cols, s.WithRID) }
 
 // Open implements Plan.
 func (s *MorselScan) Open(ctx *Context) error {
 	if s.disp == nil {
 		return fmt.Errorf("exec: MorselScan of %s opened outside a parallel execution (no dispatcher wired)", s.Table.Name)
 	}
-	s.open(ctx, s.Table, s.WithRID)
+	s.open(ctx, s.Table, s.Cols, s.WithRID)
 	return nil
 }
 
@@ -73,7 +75,7 @@ func (s *MorselScan) NextBatch(ctx *Context) ([]types.Row, error) { return s.nex
 
 // Explain implements Plan.
 func (s *MorselScan) Explain() string {
-	return "MorselScan " + s.Table.Name + estSuffix(s.EstRows) + ridSuffix(s.WithRID)
+	return "MorselScan " + s.Table.Name + colsSuffix(s.Table, s.Cols) + estSuffix(s.EstRows) + ridSuffix(s.WithRID)
 }
 
 // Children implements Plan.
@@ -82,7 +84,7 @@ func (s *MorselScan) Children() []Plan { return nil }
 // Clone implements Cloneable. The shared dispatcher is per-execution state
 // and is wired by cloneWorkers, never copied.
 func (s *MorselScan) Clone() Plan {
-	return &MorselScan{Table: s.Table, EstRows: s.EstRows, WithRID: s.WithRID}
+	return &MorselScan{Table: s.Table, EstRows: s.EstRows, Cols: s.Cols, WithRID: s.WithRID}
 }
 
 // ---------------------------------------------------------------------------
@@ -394,9 +396,9 @@ func (g *Gather) Clone() Plan {
 // sharedBuild is the once-per-execution parallel build of a shared hash-join
 // table: all worker clones of a parallel HashJoin point at one sharedBuild,
 // and the first clone to Open runs the build — DOP build workers drain
-// clones of the build-side pipeline into per-worker entry slabs, then a
-// partitioned merge indexes the slabs into one flat chained table without
-// locks. Later clones (and the first) probe the same table.
+// clones of the build-side pipeline into per-worker entry slabs, which are
+// then concatenated and indexed into one flat chained table. Later clones
+// (and the first) probe the same table.
 type sharedBuild struct {
 	template Plan   // build-side pipeline; cloned per build worker
 	keys     []Expr // build key expressions
@@ -438,7 +440,10 @@ func (sb *sharedBuild) table(ctx *Context) (*hashTable, error) {
 	return &sb.ht, nil
 }
 
-// run executes the two build phases: parallel slab fill, partitioned merge.
+// run executes the two build phases: the parallel slab fill, then one
+// serial pass that concatenates the slabs and chains their entries from the
+// bucket array — an array store per entry, and walking the slabs in order
+// keeps every chain in the serial build's order.
 func (sb *sharedBuild) run(ctx *Context) error {
 	workers, err := cloneWorkers(sb.template, sb.dop)
 	if err != nil {
@@ -467,7 +472,8 @@ func (sb *sharedBuild) run(ctx *Context) error {
 			return e
 		}
 	}
-	sb.ht.mergeSlabs(slabs, sb.dop)
+	sb.ht.ents = slices.Concat(slabs...)
+	sb.ht.index()
 	return nil
 }
 
@@ -503,72 +509,4 @@ func fillSlab(ctx *Context, w Plan, keys []Expr, hash func(types.Row) uint64) ([
 			slab = append(slab, buildEnt{h: hash(k), keys: k, row: row})
 		}
 	}
-}
-
-// mergeSlabs concatenates per-worker slabs into the flat entry table and
-// indexes the hash chains with one worker per hash partition. Phase one runs
-// per slab: copy the slab into its flat range and bucket each entry's flat
-// index by partition (h & mask), so phase two's partition workers touch only
-// their own entries — O(total) work overall, not O(partitions·total).
-// Partitions are disjoint, so each worker owns its head map outright and
-// writes only its own entries' link slots — distinct elements of the shared
-// links slice — which makes the whole merge lock-free. Walking slabs in
-// order keeps flat-index order within every chain, exactly like the serial
-// build.
-func (ht *hashTable) mergeSlabs(slabs [][]buildEnt, dop int) {
-	total := 0
-	offs := make([]int, len(slabs))
-	for i, s := range slabs {
-		offs[i] = total
-		total += len(s)
-	}
-	nparts := 1
-	for nparts < dop {
-		nparts *= 2
-	}
-	ht.mask = uint64(nparts - 1)
-	ht.ents = make([]buildEnt, total)
-	ht.links = make([]int32, total)
-	buckets := make([][][]int32, len(slabs)) // [slab][partition] -> flat indexes
-	var wg sync.WaitGroup
-	for si, s := range slabs {
-		wg.Add(1)
-		go func(si int, s []buildEnt) {
-			defer wg.Done()
-			copy(ht.ents[offs[si]:], s)
-			bucket := make([][]int32, nparts)
-			for i := range s {
-				p := s[i].h & ht.mask
-				bucket[p] = append(bucket[p], int32(offs[si]+i))
-			}
-			buckets[si] = bucket
-		}(si, s)
-	}
-	wg.Wait()
-	ht.heads = make([]map[uint64]chainRef, nparts)
-	for p := range ht.heads {
-		ht.heads[p] = make(map[uint64]chainRef)
-	}
-	var iw sync.WaitGroup
-	for p := 0; p < nparts; p++ {
-		iw.Add(1)
-		go func(p int) {
-			defer iw.Done()
-			m := ht.heads[p]
-			for _, bucket := range buckets {
-				for _, idx := range bucket[p] {
-					h := ht.ents[idx].h
-					ht.links[idx] = -1
-					if ref, ok := m[h]; ok {
-						ht.links[ref.tail] = idx
-						ref.tail = idx
-						m[h] = ref
-					} else {
-						m[h] = chainRef{head: idx, tail: idx}
-					}
-				}
-			}
-		}(p)
-	}
-	iw.Wait()
 }

@@ -345,7 +345,7 @@ func TestGatherUnderSerialStatsConsumer(t *testing.T) {
 		}
 	}
 	ctx := NewContext()
-	ij := NewIndexJoin(NewGather(&MorselScan{Table: ot}, 4), it, ix,
+	ij := NewIndexJoin(NewGather(&MorselScan{Table: ot}, 4), it, ix, nil,
 		[]Expr{Col{Idx: 0}}, nil)
 	rows, err := Collect(ctx, ij)
 	if err != nil {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,6 +56,11 @@ func Dump(p Plan) string {
 // reads the pages in directory order.
 type SeqScan struct {
 	Table *catalog.Table
+	// Cols lists the table columns the scan decodes, ascending (nil = all):
+	// its rows, and its schema, are those columns followed by the RID column
+	// when WithRID is set. The optimizer lists the columns its statement
+	// reads (EXECUTOR.md "Column pruning").
+	Cols []int
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown);
 	// Explain prints it so access-path regressions are diffable.
 	EstRows float64
@@ -81,9 +87,10 @@ type pageScan struct {
 	pushed []predKernel
 }
 
-func (s *pageScan) open(ctx *Context, t *catalog.Table, withRID bool) {
+func (s *pageScan) open(ctx *Context, t *catalog.Table, cols []int, withRID bool) {
 	s.reader = *t.Heap.MorselReader(t.Tag)
 	s.reader.Vis = ctx.Vis
+	s.reader.Columns(cols)
 	if withRID {
 		s.reader.EmitRID()
 	}
@@ -128,22 +135,39 @@ func (s *pageScan) Close() error {
 	return nil
 }
 
-// scanSchema is the output schema of a base-table scan: the table's columns,
-// plus the RID column when the scan carries it.
-func scanSchema(t *catalog.Table, withRID bool) types.Schema {
-	if !withRID {
-		return t.Schema
+// scanSchema is the output schema of a base-table access: the listed
+// columns (all when cols is nil), plus the RID column when the scan carries
+// it.
+func scanSchema(t *catalog.Table, cols []int, withRID bool) types.Schema {
+	out := t.Schema
+	if cols != nil {
+		out = make(types.Schema, len(cols))
+		for i, c := range cols {
+			out[i] = t.Schema[c]
+		}
 	}
-	return t.Schema.Concat(types.Schema{types.RIDColumn})
+	if withRID {
+		out = out.Concat(types.Schema{types.RIDColumn})
+	}
+	return out
+}
+
+// colsSuffix prints the column list of an access that reads fewer than all
+// of its table's columns.
+func colsSuffix(t *catalog.Table, cols []int) string {
+	if cols == nil || len(cols) == len(t.Schema) {
+		return ""
+	}
+	return fmt.Sprintf(" %v", scanSchema(t, cols, false).Names())
 }
 
 // Schema implements Plan.
-func (s *SeqScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) }
+func (s *SeqScan) Schema() types.Schema { return scanSchema(s.Table, s.Cols, s.WithRID) }
 
 // Open implements Plan.
 func (s *SeqScan) Open(ctx *Context) error {
 	s.disp = s.Table.Heap.MorselDispatcher(0)
-	s.open(ctx, s.Table, s.WithRID)
+	s.open(ctx, s.Table, s.Cols, s.WithRID)
 	return nil
 }
 
@@ -152,7 +176,7 @@ func (s *SeqScan) NextBatch(ctx *Context) ([]types.Row, error) { return s.next(c
 
 // Explain implements Plan.
 func (s *SeqScan) Explain() string {
-	return "SeqScan " + s.Table.Name + estSuffix(s.EstRows) + ridSuffix(s.WithRID)
+	return "SeqScan " + s.Table.Name + colsSuffix(s.Table, s.Cols) + estSuffix(s.EstRows) + ridSuffix(s.WithRID)
 }
 
 // estSuffix renders an optimizer cardinality estimate for Explain output.
@@ -207,21 +231,29 @@ type IndexScan struct {
 	In []Expr
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
 	EstRows float64
-	// WithRID: see SeqScan.WithRID.
+	// Cols and WithRID: see SeqScan.
+	Cols    []int
 	WithRID bool
 	it      *btree.Iterator
 	ranges  [][2][]byte // encoded lo/hi bounds: one pair, or one per In value
 	next    int         // first range not yet scanned
 	buf     []types.Row
 	done    bool
+	// dec decodes the fetched tuples' Cols into an arena that lives from
+	// Open to Close, with a spare slot for the RID.
+	dec types.RowDecoder
 }
 
 // Schema implements Plan.
-func (s *IndexScan) Schema() types.Schema { return scanSchema(s.Table, s.WithRID) }
+func (s *IndexScan) Schema() types.Schema { return scanSchema(s.Table, s.Cols, s.WithRID) }
 
 // Open implements Plan.
 func (s *IndexScan) Open(ctx *Context) error {
 	s.buf = s.buf[:0]
+	s.dec = types.RowDecoder{Cols: s.Cols}
+	if s.WithRID {
+		s.dec.Spare = 1
+	}
 	s.ranges, s.next = s.ranges[:0], 0
 	s.done = false
 	// Every bound value comes from a comparison conjunct the scan stands in
@@ -325,7 +357,7 @@ func (s *IndexScan) fill(ctx *Context) error {
 		}
 		// Entries may dangle under MVCC: old versions keep their index
 		// entries until vacuum, and invisible versions simply don't count.
-		row, visible, err := s.Table.Heap.GetVisible(s.Table.Tag, rid, ctx.Vis)
+		row, visible, err := s.Table.Heap.GetVisible(s.Table.Tag, rid, ctx.Vis, &s.dec)
 		if err != nil {
 			return fmt.Errorf("exec: index %s probe of tuple %v: %v", s.Index.Name, rid, err)
 		}
@@ -354,10 +386,12 @@ func (s *IndexScan) NextBatch(ctx *Context) ([]types.Row, error) {
 	return s.buf, nil
 }
 
-// Close implements Plan. The row buffer keeps its capacity for reopen.
+// Close implements Plan. The row buffer keeps its capacity for reopen; the
+// decoder arena drops, so an idle pooled plan pins no decoded values.
 func (s *IndexScan) Close() error {
 	s.buf = s.buf[:0]
 	s.it = nil
+	s.dec = types.RowDecoder{}
 	return nil
 }
 
@@ -367,7 +401,8 @@ func (s *IndexScan) Explain() string {
 	if s.In != nil {
 		in = fmt.Sprintf(" in-list(%d)", len(s.In))
 	}
-	return fmt.Sprintf("IndexScan %s using %s%s%s%s", s.Table.Name, s.Index.Name, in, estSuffix(s.EstRows), ridSuffix(s.WithRID))
+	return fmt.Sprintf("IndexScan %s using %s%s%s%s%s", s.Table.Name, s.Index.Name, in,
+		colsSuffix(s.Table, s.Cols), estSuffix(s.EstRows), ridSuffix(s.WithRID))
 }
 
 // Children implements Plan.
@@ -830,67 +865,57 @@ func (j *NLJoin) Explain() string {
 func (j *NLJoin) Children() []Plan { return []Plan{j.Left, j.Right} }
 
 // buildEnt is one hash-table entry: the build row plus its evaluated key and
-// bucket hash. Keys are kept so probes verify true key equality instead of
-// trusting 64-bit hashes (two distinct keys may collide) and never
-// re-evaluate build-side key expressions; the hash is kept so the parallel
-// build's partitioned merge never re-hashes.
+// hash. Keys are kept so probes verify true key equality instead of trusting
+// 64-bit hashes (two distinct keys may collide) and never re-evaluate
+// build-side key expressions; the hash is kept so indexing never re-hashes
+// and a probe skips the other hashes sharing its bucket without comparing
+// keys.
 type buildEnt struct {
 	h    uint64
 	keys types.Row
 	row  types.Row
 }
 
-// chainRef addresses one key chain in the flat entry table.
-type chainRef struct {
-	head, tail int32
-}
-
 // hashTable is the join table shared by the serial and parallel build paths:
-// a flat entry slice with chain links and per-partition hash→head indexes.
+// a flat entry slice whose chains hang off one power-of-two bucket array.
 // One growing allocation holds all entries instead of a bucket slice per
-// distinct key, which keeps build-side GC pressure flat. The serial build
-// uses a single partition (mask 0); the parallel build shards hash space
-// across partitions so the merge can index chains without locks.
+// distinct key, which keeps build-side GC pressure flat; the heads are one
+// []int32 indexed by the top hash bits, so a probe is an array load, not a
+// map lookup.
 type hashTable struct {
-	mask  uint64
-	heads []map[uint64]chainRef
+	shift uint // 64 - log2(len(heads))
+	heads []int32
 	ents  []buildEnt
 	links []int32
 }
 
-// init prepares a single-partition table for a serial build, keeping entry
-// capacity across Open cycles.
-func (ht *hashTable) init() {
-	ht.mask = 0
-	ht.heads = []map[uint64]chainRef{make(map[uint64]chainRef)}
-	ht.ents = ht.ents[:0]
-	ht.links = ht.links[:0]
-}
-
-// insert appends one entry to its hash chain (serial build path).
-func (ht *hashTable) insert(h uint64, keys, row types.Row) {
-	idx := int32(len(ht.ents))
-	ht.ents = append(ht.ents, buildEnt{h: h, keys: keys, row: row})
-	ht.links = append(ht.links, -1)
-	m := ht.heads[h&ht.mask]
-	if ref, ok := m[h]; ok {
-		ht.links[ref.tail] = idx
-		ref.tail = idx
-		m[h] = ref
-	} else {
-		m[h] = chainRef{head: idx, tail: idx}
+// index chains every entry from its bucket, in entry order, over a bucket
+// array at least as long as the entry slice. The top bits index it: Row.Hash
+// ends with a multiply, which mixes every input byte into the high bits.
+func (ht *hashTable) index() {
+	bits := uint(0)
+	for 1<<bits < len(ht.ents) {
+		bits++
+	}
+	ht.shift = 64 - bits
+	ht.heads = make([]int32, 1<<bits)
+	for i := range ht.heads {
+		ht.heads[i] = -1
+	}
+	ht.links = make([]int32, len(ht.ents))
+	for i := len(ht.ents) - 1; i >= 0; i-- {
+		b := ht.ents[i].h >> ht.shift
+		ht.links[i] = ht.heads[b]
+		ht.heads[b] = int32(i)
 	}
 }
 
-// head returns the first entry index of the chain for hash h, or -1.
+// head returns the first entry index of the bucket for hash h, or -1.
 func (ht *hashTable) head(h uint64) int32 {
 	if len(ht.heads) == 0 {
 		return -1
 	}
-	if ref, ok := ht.heads[h&ht.mask][h]; ok {
-		return ref.head
-	}
-	return -1
+	return ht.heads[h>>ht.shift]
 }
 
 // drop releases the table's row memory (it scales with the build input and
@@ -905,10 +930,15 @@ func (ht *hashTable) drop() {
 // RightKeys, probe with LeftKeys. Residual (optional) filters concatenated
 // rows for non-equi conjuncts. Build and probe are batch-at-a-time with
 // reusable key scratch buffers, so key evaluation allocates nothing per row.
+// A join with Emit set outputs only those columns of each match (see
+// Project), so a projection above it never copies the concatenated row.
 type HashJoin struct {
 	Left, Right         Plan
 	LeftKeys, RightKeys []Expr
 	Residual            Expr
+	// Emit, when non-nil, lists the positions in the concatenated left ++
+	// right row that each output row holds, in order.
+	Emit []int
 	// Shared marks the join for parallel execution: worker clones of the
 	// join share one build (see sharedBuild in parallel.go) — the table is
 	// built once, in parallel, and probed by every worker. Set by the
@@ -922,6 +952,7 @@ type HashJoin struct {
 	cur     types.Row
 	chain   int32     // cursor into the current probe chain (-1 = none)
 	curKeys types.Row // probe-side scratch, len(LeftKeys)
+	curHash uint64    // hash of curKeys
 	lbatch  []types.Row
 	lpos    int
 	obuf    []types.Row
@@ -938,14 +969,26 @@ func NewHashJoin(l, r Plan, lk, rk []Expr, residual Expr) *HashJoin {
 		Residual: residual, out: l.Schema().Concat(r.Schema())}
 }
 
+// Project folds a projection of plain columns into the join: from now on it
+// outputs, under schema out, only the columns at positions cols of the
+// concatenated row. A residual reads the concatenated row, so a join that
+// has one cannot fold.
+func (j *HashJoin) Project(cols []int, out types.Schema) {
+	if j.Residual != nil {
+		panic("exec: HashJoin.Project over a residual predicate")
+	}
+	j.Emit, j.out = cols, out
+}
+
 // Schema implements Plan.
 func (j *HashJoin) Schema() types.Schema { return j.out }
 
 // Open implements Plan: builds the hash table from the right input batch by
 // batch. Evaluated keys land in a chunked arena (copied once from the shared
-// scratch row) alongside their rows. A shared join instead fetches the table
-// from its sharedBuild — the first worker clone to arrive runs the parallel
-// build, the rest probe the same flat table.
+// scratch row) alongside their rows, and the bucket array indexes them once
+// the input is drained. A shared join instead fetches the table from its
+// sharedBuild — the first worker clone to arrive runs the parallel build,
+// the rest probe the same flat table.
 func (j *HashJoin) Open(ctx *Context) error {
 	if err := j.Left.Open(ctx); err != nil {
 		return err
@@ -963,7 +1006,7 @@ func (j *HashJoin) Open(ctx *Context) error {
 		if err := j.Right.Open(ctx); err != nil {
 			return err
 		}
-		j.own.init()
+		j.own.ents = j.own.ents[:0]
 		scratch := make(types.Row, len(j.RightKeys))
 		keyArena := rowArena{arity: len(j.RightKeys)}
 		for {
@@ -987,9 +1030,10 @@ func (j *HashJoin) Open(ctx *Context) error {
 				}
 				keys := keyArena.next()
 				copy(keys, scratch)
-				j.own.insert(j.hash(keys), keys, row)
+				j.own.ents = append(j.own.ents, buildEnt{h: j.hash(keys), keys: keys, row: row})
 			}
 		}
+		j.own.index()
 		j.tab = &j.own
 	}
 	j.cur = nil
@@ -1009,21 +1053,40 @@ func (j *HashJoin) probe(ctx *Context, row types.Row) error {
 		return err
 	}
 	j.cur = row
-	j.chain = j.tab.head(j.hash(j.curKeys))
+	j.curHash = j.hash(j.curKeys)
+	j.chain = j.tab.head(j.curHash)
 	return nil
 }
 
 // nextMatch advances the probe chain to the next entry whose key truly
-// equals the current probe key (the hash collision guard), or nil.
+// equals the current probe key (the hash collision guard), or nil. Entries
+// of other hashes share the bucket; their hash alone rules them out.
 func (j *HashJoin) nextMatch() *buildEnt {
 	for j.chain >= 0 {
 		ent := &j.tab.ents[j.chain]
 		j.chain = j.tab.links[j.chain]
-		if ent.keys.Equal(j.curKeys) {
+		if ent.h == j.curHash && ent.keys.Equal(j.curKeys) {
 			return ent
 		}
 	}
 	return nil
+}
+
+// joined builds the output row for one match: the concatenated row, or just
+// its Emit positions.
+func (j *HashJoin) joined(l, r types.Row) types.Row {
+	if j.Emit == nil {
+		return j.arena.concat(l, r)
+	}
+	row := j.arena.next()
+	for i, c := range j.Emit {
+		if c < len(l) {
+			row[i] = l[c]
+		} else {
+			row[i] = r[c-len(l)]
+		}
+	}
+	return row
 }
 
 // NextBatch implements Plan.
@@ -1035,7 +1098,7 @@ func (j *HashJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 			if ent == nil {
 				break
 			}
-			joined := j.arena.concat(j.cur, ent.row)
+			joined := j.joined(j.cur, ent.row)
 			pass, err := EvalPred(ctx, j.Residual, joined)
 			if err != nil {
 				return nil, err
@@ -1100,6 +1163,9 @@ func (j *HashJoin) Explain() string {
 		parts = append(parts, DumpExpr(j.LeftKeys[i])+"="+DumpExpr(j.RightKeys[i]))
 	}
 	out := "HashJoin " + strings.Join(parts, " AND ")
+	if j.Emit != nil {
+		out += fmt.Sprintf(" %v", j.out.Names())
+	}
 	if j.Shared {
 		out += " (shared build)"
 	}
@@ -1114,19 +1180,22 @@ func (j *HashJoin) Children() []Plan { return []Plan{j.Left, j.Right} }
 // table with an index on the join column. Each left row evaluates KeyExprs,
 // probes the inner index for equal keys, fetches the matching heap tuples,
 // and emits concatenated rows. Nothing on the inner side materializes: the
-// operator reads exactly the tuples the outer rows reach. Pred (optional)
-// filters concatenated rows (residual join conjuncts plus any inner-side
-// pushed predicates).
+// operator reads exactly the tuples the outer rows reach, and of each only
+// the columns Cols lists (see SeqScan.Cols). Pred (optional) filters
+// concatenated rows (residual join conjuncts plus any inner-side pushed
+// predicates).
 type IndexJoin struct {
 	Left     Plan
 	Table    *catalog.Table
 	Index    *catalog.Index
+	Cols     []int
 	KeyExprs []Expr // evaluated against left rows; an index-column prefix
 	Pred     Expr
 	// EstRows is the optimizer's output-cardinality estimate (0 = unknown).
 	EstRows float64
 
 	out        types.Schema
+	dec        types.RowDecoder
 	keyScratch types.Row
 	rids       []storage.RID
 	rpos       int
@@ -1137,10 +1206,11 @@ type IndexJoin struct {
 	arena      rowArena
 }
 
-// NewIndexJoin builds the join with a concatenated schema.
-func NewIndexJoin(l Plan, t *catalog.Table, ix *catalog.Index, keys []Expr, pred Expr) *IndexJoin {
-	return &IndexJoin{Left: l, Table: t, Index: ix, KeyExprs: keys, Pred: pred,
-		out: l.Schema().Concat(t.Schema)}
+// NewIndexJoin builds the join with a concatenated schema: the left
+// columns, then the inner table's cols (nil = all).
+func NewIndexJoin(l Plan, t *catalog.Table, ix *catalog.Index, cols []int, keys []Expr, pred Expr) *IndexJoin {
+	return &IndexJoin{Left: l, Table: t, Index: ix, Cols: cols, KeyExprs: keys, Pred: pred,
+		out: l.Schema().Concat(scanSchema(t, cols, false))}
 }
 
 // Schema implements Plan.
@@ -1161,6 +1231,7 @@ func (j *IndexJoin) Open(ctx *Context) error {
 	j.lpos = 0
 	j.obuf = j.obuf[:0]
 	j.arena = rowArena{arity: len(j.out)}
+	j.dec = types.RowDecoder{Cols: j.Cols}
 	return nil
 }
 
@@ -1200,7 +1271,7 @@ func (j *IndexJoin) emitMatches(ctx *Context) error {
 		rid := j.rids[j.rpos]
 		j.rpos++
 		// Entries may dangle under MVCC (old versions, invisible versions).
-		inner, visible, err := j.Table.Heap.GetVisible(j.Table.Tag, rid, ctx.Vis)
+		inner, visible, err := j.Table.Heap.GetVisible(j.Table.Tag, rid, ctx.Vis, &j.dec)
 		if err != nil {
 			return fmt.Errorf("exec: index %s probe of tuple %v: %v", j.Index.Name, rid, err)
 		}
@@ -1256,11 +1327,13 @@ func (j *IndexJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 	}
 }
 
-// Close implements Plan. Bounded buffers keep their capacity for reopen.
+// Close implements Plan. Bounded buffers keep their capacity for reopen;
+// the decoder arena drops.
 func (j *IndexJoin) Close() error {
 	j.rids = j.rids[:0]
 	j.obuf = j.obuf[:0]
 	j.lbatch = nil
+	j.dec = types.RowDecoder{}
 	return j.Left.Close()
 }
 
@@ -1270,8 +1343,8 @@ func (j *IndexJoin) Explain() string {
 	for i, k := range j.KeyExprs {
 		parts = append(parts, j.Index.Columns[i]+"="+DumpExpr(k))
 	}
-	return fmt.Sprintf("IndexJoin %s using %s on %s%s",
-		j.Table.Name, j.Index.Name, strings.Join(parts, " AND "), estSuffix(j.EstRows))
+	return fmt.Sprintf("IndexJoin %s using %s on %s%s%s", j.Table.Name, j.Index.Name,
+		strings.Join(parts, " AND "), colsSuffix(j.Table, j.Cols), estSuffix(j.EstRows))
 }
 
 // Children implements Plan.
@@ -1373,8 +1446,8 @@ func (s *Sort) Open(ctx *Context) error {
 		s.cmp = compileComparator(s.Keys)
 	}
 	var sortErr error
-	sort.SliceStable(s.rows, func(i, k int) bool {
-		return s.cmp(s.rows[i], s.rows[k], &sortErr) < 0
+	slices.SortStableFunc(s.rows, func(a, b types.Row) int {
+		return s.cmp(a, b, &sortErr)
 	})
 	return sortErr
 }

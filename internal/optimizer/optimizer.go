@@ -82,6 +82,11 @@ func CompileConstExpr(e qgm.Expr) (exec.Expr, error) {
 type compiler struct {
 	opt  Options
 	info *CompileInfo
+	// pos maps each base quantifier of the select box being compiled to
+	// where its scan puts every column of the base box: pos[q][col] is an
+	// index into the scan's row, -1 for a column the box never reads. A
+	// quantifier without an entry emits its input's columns in place.
+	pos map[int][]int
 }
 
 func (c *compiler) compileBox(box *qgm.Box) (exec.Plan, error) {
@@ -161,7 +166,65 @@ type quantState struct {
 	joined bool
 	isBase bool
 	box    *qgm.Box
+	cols   []int      // base quantifier: the table columns its access reads
 	pushed []qgm.Expr // single-quant conjuncts (in box numbering)
+}
+
+// readColumns lists, for every base quantifier of a select box, the table
+// columns the box reads through it, ascending: those its head and its
+// conjuncts reference — join keys and EXISTS correlations included. The
+// RID column is not listed; a scan carries it whenever the base box
+// exposes it.
+func readColumns(box *qgm.Box) map[int][]int {
+	read := map[int][]bool{}
+	for qi, q := range box.Quants {
+		if q.Input.Kind == qgm.KindBase {
+			read[qi] = make([]bool, len(q.Input.Table.Schema))
+		}
+	}
+	mark := func(e qgm.Expr) {
+		qgm.WalkExpr(e, func(x qgm.Expr) bool {
+			if cr, ok := x.(*qgm.ColRef); ok && cr.Col < len(read[cr.Quant]) {
+				read[cr.Quant][cr.Col] = true
+			}
+			return true
+		})
+	}
+	for _, h := range box.Head {
+		mark(h.Expr)
+	}
+	mark(box.Pred)
+	cols := make(map[int][]int, len(read))
+	for qi, r := range read {
+		list := make([]int, 0, len(r))
+		for col, ok := range r {
+			if ok {
+				list = append(list, col)
+			}
+		}
+		cols[qi] = list
+	}
+	return cols
+}
+
+// columnPositions inverts readColumns into the compiler's column maps: a
+// scan emits its listed columns in order, then the RID column.
+func columnPositions(box *qgm.Box, cols map[int][]int) map[int][]int {
+	pos := make(map[int][]int, len(cols))
+	for qi, list := range cols {
+		p := make([]int, len(box.Quants[qi].Input.Out))
+		for i := range p {
+			p[i] = -1
+		}
+		for i, col := range list {
+			p[col] = i
+		}
+		if box.Quants[qi].Input.RID {
+			p[len(p)-1] = len(list)
+		}
+		pos[qi] = p
+	}
+	return pos
 }
 
 func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
@@ -190,18 +253,26 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 		}
 	}
 
+	// Every column reference of this box compiles through its base
+	// quantifiers' column maps; an EXISTS subquery compiles its own box
+	// under its own maps and hands these back.
+	cols := readColumns(box)
+	defer func(outer map[int][]int) { c.pos = outer }(c.pos)
+	c.pos = columnPositions(box, cols)
+
 	// Build per-quant access paths.
 	states := make([]*quantState, nQ)
 	for qi, q := range box.Quants {
 		st := &quantState{idx: qi, box: q.Input, pushed: perQuant[qi]}
 		if q.Input.Kind == qgm.KindBase {
 			st.isBase = true
-			plan, card, err := c.baseAccessPath(q.Input, perQuant[qi])
+			st.cols = cols[qi]
+			plan, card, err := c.baseAccessPath(q.Input, st.cols, perQuant[qi])
 			if err != nil {
 				return nil, err
 			}
 			st.plan, st.card = plan, card
-			st.schema = q.Input.Out
+			st.schema = plan.Schema()
 		} else {
 			sub, err := c.compileBox(q.Input)
 			if err != nil {
@@ -423,7 +494,8 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 		plan = &exec.Filter{Child: plan, Pred: pred}
 	}
 
-	// Projection.
+	// Projection. A projection of plain columns folds into a hash join
+	// right below it, which then builds only the rows the head keeps.
 	exprs := make([]exec.Expr, len(box.Head))
 	for i, h := range box.Head {
 		e, err := c.compileExpr(h.Expr, offsets)
@@ -432,7 +504,12 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 		}
 		exprs[i] = e
 	}
-	plan = &exec.Project{Child: plan, Exprs: exprs, Out: box.Out}
+	hj, isHJ := plan.(*exec.HashJoin)
+	if emit, plain := plainCols(exprs); isHJ && hj.Residual == nil && plain {
+		hj.Project(emit, box.Out)
+	} else {
+		plan = &exec.Project{Child: plan, Exprs: exprs, Out: box.Out}
+	}
 
 	if box.Distinct {
 		plan = &exec.Distinct{Child: plan}
@@ -457,6 +534,20 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 		plan = &exec.Limit{Child: plan, N: *box.Limit}
 	}
 	return plan, nil
+}
+
+// plainCols returns the input position each expression copies, when every
+// one is a plain column reference.
+func plainCols(exprs []exec.Expr) ([]int, bool) {
+	cols := make([]int, len(exprs))
+	for i, e := range exprs {
+		c, ok := e.(exec.Col)
+		if !ok {
+			return nil, false
+		}
+		cols[i] = c.Idx
+	}
+	return cols, true
 }
 
 // accessCandidate is one index access path: an equality-conjunct prefix of
@@ -491,6 +582,7 @@ func (cand *accessCandidate) usesConj(ci int) bool {
 
 // baseAccessPath picks an index or sequential scan for a base table given
 // its pushed conjuncts, returning the plan and estimated cardinality. The
+// scan reads the table columns cols lists. The
 // choice is cost-based: for every index, the longest run of equality
 // conjuncts over its leading columns forms one composite probe key
 // (optionally extended by a range conjunct on the next column), each
@@ -498,7 +590,7 @@ func (cand *accessCandidate) usesConj(ci int) bool {
 // is compared against the full sequential scan — a low-selectivity range no
 // longer drags the table through random heap fetches just because an index
 // exists.
-func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, float64, error) {
+func (c *compiler) baseAccessPath(base *qgm.Box, cols []int, pushed []qgm.Expr) (exec.Plan, float64, error) {
 	t := base.Table
 	rows := tableCard(t)
 
@@ -621,10 +713,10 @@ func (c *compiler) baseAccessPath(base *qgm.Box, pushed []qgm.Expr) (exec.Plan, 
 			card = 1
 		}
 		is.EstRows = card
-		is.WithRID = base.RID
+		is.Cols, is.WithRID = cols, base.RID
 		scan = is
 	} else {
-		scan = &exec.SeqScan{Table: t, EstRows: rows, WithRID: base.RID}
+		scan = &exec.SeqScan{Table: t, EstRows: rows, Cols: cols, WithRID: base.RID}
 	}
 
 	// Remaining conjuncts become a filter; estimate their selectivity.
@@ -830,7 +922,7 @@ func (c *compiler) tryIndexJoin(box *qgm.Box, inner *quantState, now []qgm.Expr,
 			return nil, 0, false, err
 		}
 	}
-	ij := exec.NewIndexJoin(outer, t, bestIx, keyExprs, resPred)
+	ij := exec.NewIndexJoin(outer, t, bestIx, inner.cols, keyExprs, resPred)
 	ij.EstRows = outCard
 	return ij, bestCost, true, nil
 }
@@ -1053,7 +1145,8 @@ func (c *compiler) compileExprs(es []qgm.Expr, offsets map[int]int) ([]exec.Expr
 }
 
 // compileExpr lowers a QGM expression to an exec expression; offsets maps
-// quantifier index to flat row offset (nil for expressions with no columns).
+// quantifier index to flat row offset (nil for expressions with no columns),
+// and c.pos places a base quantifier's columns after its offset.
 func (c *compiler) compileExpr(e qgm.Expr, offsets map[int]int) (exec.Expr, error) {
 	switch x := e.(type) {
 	case *qgm.ColRef:
@@ -1061,7 +1154,13 @@ func (c *compiler) compileExpr(e qgm.Expr, offsets map[int]int) (exec.Expr, erro
 		if !ok {
 			return nil, fmt.Errorf("optimizer: column %s references unjoined quantifier %d", x, x.Quant)
 		}
-		return exec.Col{Idx: off + x.Col}, nil
+		col := x.Col
+		if pos := c.pos[x.Quant]; pos != nil {
+			if col = pos[x.Col]; col < 0 {
+				return nil, fmt.Errorf("optimizer: column %s is not read by its scan", x)
+			}
+		}
+		return exec.Col{Idx: off + col}, nil
 	case *qgm.Const:
 		if x.Param > 0 {
 			// Parameter-slot constant: read the per-execution binding array

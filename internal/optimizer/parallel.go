@@ -180,7 +180,7 @@ func morselize(p exec.Plan, dop int) exec.Plan {
 
 // morselScan is the parallel leaf standing in for a serial scan.
 func morselScan(n *exec.SeqScan) *exec.MorselScan {
-	return &exec.MorselScan{Table: n.Table, EstRows: n.EstRows, WithRID: n.WithRID}
+	return &exec.MorselScan{Table: n.Table, EstRows: n.EstRows, Cols: n.Cols, WithRID: n.WithRID}
 }
 
 // buildPipelineEst is pipelineEst restricted to plain chains over a SeqScan

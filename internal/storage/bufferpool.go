@@ -80,10 +80,11 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The freshly allocated frame holds zeroes until the read lands. If the
-	// read fails — or panics, which statement containment will recover above
-	// us — the frame must not stay cached: a later Fetch would pin it and see
-	// an empty page where real data lives on disk.
+	// The freshly allocated frame holds an evicted page's bytes (or zeroes)
+	// until the read lands. If the read fails — or panics, which statement
+	// containment will recover above us — the frame must not stay cached: a
+	// later Fetch would pin it and see another page where real data lives on
+	// disk.
 	ok := false
 	defer func() {
 		if !ok {
@@ -114,8 +115,11 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 }
 
 // allocFrameLocked finds room for a new pinned frame, evicting the least
-// recently unpinned frame if needed.
+// recently unpinned frame if needed. The new frame takes over the evicted
+// frame's page buffer, so a miss allocates no page: its bytes are stale
+// until Fetch's read or NewPage's Init overwrites every one of them.
 func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
+	var data []byte
 	for len(bp.frames) >= bp.cap {
 		back := bp.lru.Back()
 		for back != nil && bp.frames[back.Value.(PageID)].pins > 0 {
@@ -138,8 +142,12 @@ func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 		bp.lru.Remove(back)
 		delete(bp.frames, victim)
 		bp.stats.Evictions++
+		data = vf.page.Data
 	}
-	f := &frame{id: id, page: &Page{ID: id, Data: make([]byte, PageSize)}, pins: 1}
+	if data == nil {
+		data = make([]byte, PageSize)
+	}
+	f := &frame{id: id, page: &Page{ID: id, Data: data}, pins: 1}
 	f.elem = bp.lru.PushFront(id)
 	bp.frames[id] = f
 	return f, nil

@@ -276,10 +276,11 @@ func (h *Heap) getLocked(tag uint32, rid RID) (types.Row, error) {
 }
 
 // GetVisible fetches the row at rid if it exists, is owned by tag, and is
-// visible under vis. ok=false covers vacuumed slots, slots reclaimed by
+// visible under vis, decoding it through dec: only dec's columns are built,
+// into dec's arena. ok=false covers vacuumed slots, slots reclaimed by
 // another table of the family, and versions invisible to the snapshot — all
 // the states a dangling index entry can legitimately point at.
-func (h *Heap) GetVisible(tag uint32, rid RID, vis VisFunc) (types.Row, bool, error) {
+func (h *Heap) GetVisible(tag uint32, rid RID, vis VisFunc, dec *types.RowDecoder) (types.Row, bool, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if !h.visibleLocked(rid, vis) {
@@ -294,12 +295,16 @@ func (h *Heap) GetVisible(tag uint32, rid RID, vis VisFunc) (types.Row, bool, er
 	if err != nil {
 		return nil, false, nil // slot vacuumed or never filled: treat as gone
 	}
-	ctag, row, err := decodeCell(cell)
+	ctag, n := binary.Uvarint(cell)
+	if n <= 0 {
+		return nil, false, fmt.Errorf("storage: corrupt cell tag")
+	}
+	if uint32(ctag) != tag {
+		return nil, false, nil
+	}
+	row, _, err := dec.Decode(cell[n:])
 	if err != nil {
 		return nil, false, err
-	}
-	if ctag != tag {
-		return nil, false, nil
 	}
 	return row, true, nil
 }

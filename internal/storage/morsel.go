@@ -62,6 +62,7 @@ func (d *MorselDispatcher) Claim() []PageID {
 // MorselReader decodes the visible rows one table owns, one heap page at a
 // time. Each scan holds its own reader, so decoded values come from a private
 // types.RowDecoder arena — concurrent workers never share allocation state.
+// A reader decodes every column unless Columns lists the ones to build.
 type MorselReader struct {
 	h   *Heap
 	tag uint32
@@ -85,6 +86,11 @@ type MorselReader struct {
 // trailing INT column. The decoder reserves the slot, so the append never
 // re-allocates a row.
 func (r *MorselReader) EmitRID() { r.ridCol, r.dec.Spare = true, 1 }
+
+// Columns makes the reader build only the listed table columns (ascending;
+// nil means every column), in that order and followed by the RID column
+// when EmitRID is set. Keep sees the same row.
+func (r *MorselReader) Columns(cols []int) { r.dec.Cols = cols }
 
 // MorselReader returns a reader over this heap for rows owned by tag.
 func (h *Heap) MorselReader(tag uint32) *MorselReader {

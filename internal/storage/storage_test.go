@@ -233,6 +233,71 @@ func TestBufferPoolHitMissEvict(t *testing.T) {
 	}
 }
 
+// TestBufferPoolReusesEvictedFrames: a miss takes over the evicted frame's
+// page buffer, and that reuse never leaks one page's bytes into another. A
+// two-frame pool cycles through five pages, each filled with its own byte
+// and rewritten every round: every fetch must read back exactly the last
+// write — written back when the dirty page was evicted — and a fresh page
+// must come up empty even in a buffer a dirty page just left.
+func TestBufferPoolReusesEvictedFrames(t *testing.T) {
+	bp := NewBufferPool(NewDisk(), 2)
+	var ids []PageID
+	for i := 0; i < 5; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.numSlots() != 0 || p.Data[PageSize-1] != 0 {
+			t.Fatalf("fresh page %d is not empty in a reused buffer", i)
+		}
+		ids = append(ids, p.ID)
+		for j := range p.Data {
+			p.Data[j] = byte(i)
+		}
+		bp.Unpin(p.ID, true)
+	}
+	for round := 1; round <= 3; round++ {
+		for i, id := range ids {
+			p, err := bp.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := byte(i + 10*(round-1))
+			for j, b := range p.Data {
+				if b != want {
+					t.Fatalf("round %d page %d byte %d = %d, want %d", round, i, j, b, want)
+				}
+			}
+			for j := range p.Data {
+				p.Data[j] = byte(i + 10*round)
+			}
+			bp.Unpin(id, true)
+		}
+	}
+	// The evicted page's buffer serves the next miss: pages 3 and 4 hold
+	// the two frames now, and page 0's miss must take over one of them.
+	held := map[*byte]bool{}
+	for _, id := range ids[3:] {
+		p, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[&p.Data[0]] = true
+		bp.Unpin(id, false)
+	}
+	p, err := bp.Fetch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Unpin(ids[0], false)
+	if !held[&p.Data[0]] {
+		t.Fatal("a miss allocated a page buffer instead of reusing the evicted frame's")
+	}
+	if p.Data[0] != 30 {
+		t.Fatalf("refetched page 0 reads %d, want 30", p.Data[0])
+	}
+}
+
 func TestBufferPoolAllPinnedExhaustion(t *testing.T) {
 	d := NewDisk()
 	bp := NewBufferPool(d, 2)

@@ -135,15 +135,20 @@ func DecodeRow(src []byte) (Row, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return decodeValues(src, used, n, make(Row, 0, n), false)
+	return decodeValues(src, used, n, nil, make(Row, 0, n), false)
 }
 
 // RowDecoder decodes consecutive rows, carving their value storage from
 // chunked arena allocations (one per ~chunk of values) instead of one
 // allocation per row — the page-scan hot path uses it. Decoded rows escape
 // to consumers, so chunks are handed out once and never reused; the zero
-// value is ready to use.
+// value is ready to use and decodes every column.
 type RowDecoder struct {
+	// Cols lists the columns to decode, in ascending order; nil decodes
+	// every column. A decoded row holds the listed columns only: the other
+	// values are skipped over in place, never built, but still checked, so
+	// a cell the full decode rejects fails whichever columns are listed.
+	Cols []int
 	// Spare is extra capacity reserved past each decoded row's values, so a
 	// scan can append that many values (the RID column) without re-allocating
 	// the row.
@@ -153,20 +158,31 @@ type RowDecoder struct {
 	scratch Row
 }
 
-// Arena granularity in values (40 B each): chunks start small so scanning a
-// handful of rows stays cheap, and double per refill up to the max so large
-// scans amortize to one allocation per ~thousand values.
+// Arena granularity in values (40 B each): a decoder's first row gets an
+// exact allocation, so an index probe that fetches one row pays no chunk;
+// chunks then start small so scanning a handful of rows stays cheap, and
+// double per refill up to the max so large scans amortize to one allocation
+// per ~thousand values.
 const (
 	decoderChunkMin = 64
 	decoderChunkMax = 4096
 )
+
+// width is the number of values a decoded row holds, for a cell of n.
+func (d *RowDecoder) width(n uint64) int {
+	if d.Cols == nil {
+		return int(n)
+	}
+	return len(d.Cols)
+}
 
 // take carves an n-value row from the current chunk.
 func (d *RowDecoder) take(n int) Row {
 	if len(d.free) < n {
 		switch {
 		case d.chunk == 0:
-			d.chunk = decoderChunkMin
+			d.chunk = decoderChunkMin / 2
+			return make(Row, 0, n)
 		case d.chunk < decoderChunkMax:
 			d.chunk *= 2
 		}
@@ -180,29 +196,29 @@ func (d *RowDecoder) take(n int) Row {
 	return row
 }
 
-// Decode parses one row into the arena (with Spare capacity), returning it
-// and the number of bytes consumed.
+// Decode parses one row's listed columns into the arena (with Spare
+// capacity), returning it and the number of bytes consumed.
 func (d *RowDecoder) Decode(src []byte) (Row, int, error) {
 	n, used, err := rowHeader(src)
 	if err != nil {
 		return nil, 0, err
 	}
-	return decodeValues(src, used, n, d.take(int(n)+d.Spare), false)
+	return decodeValues(src, used, n, d.Cols, d.take(d.width(n)+d.Spare), false)
 }
 
-// Borrow parses one row into the decoder's scratch row (with Spare
-// capacity) without allocating: its strings alias src. The row is valid
-// only while src is unchanged and until the next Borrow; Own copies one
-// that must outlive either.
+// Borrow parses one row's listed columns into the decoder's scratch row
+// (with Spare capacity) without allocating: its strings alias src. The row
+// is valid only while src is unchanged and until the next Borrow; Own
+// copies one that must outlive either.
 func (d *RowDecoder) Borrow(src []byte) (Row, int, error) {
 	n, used, err := rowHeader(src)
 	if err != nil {
 		return nil, 0, err
 	}
-	if need := int(n) + d.Spare; cap(d.scratch) < need {
+	if need := d.width(n) + d.Spare; cap(d.scratch) < need {
 		d.scratch = make(Row, 0, need)
 	}
-	return decodeValues(src, used, n, d.scratch[:0], true)
+	return decodeValues(src, used, n, d.Cols, d.scratch[:0], true)
 }
 
 // Own copies a borrowed row into the arena, cloning its strings, so the
@@ -218,64 +234,85 @@ func (d *RowDecoder) Own(borrowed Row) Row {
 	return row
 }
 
-// rowHeader reads a row's value count.
+// rowHeader reads a row's value count. Every value takes at least its tag
+// byte, so a count beyond the remaining bytes is a truncated row, rejected
+// before anything is sized by it.
 func rowHeader(src []byte) (n uint64, used int, err error) {
 	n, used = binary.Uvarint(src)
 	if used <= 0 {
 		return 0, 0, fmt.Errorf("types: corrupt row header")
 	}
+	if n > uint64(len(src)-used) {
+		return 0, 0, fmt.Errorf("types: truncated row: %d values in %d bytes", n, len(src)-used)
+	}
 	return n, used, nil
 }
 
-// decodeValues appends the n values encoded at src[pos:] to row. With alias
-// set, strings point into src instead of copying it.
-func decodeValues(src []byte, pos int, n uint64, row Row, alias bool) (Row, int, error) {
+// decodeValues walks the n values encoded at src[pos:] and appends those
+// that cols lists (every one when cols is nil) to row. Unlisted values are
+// bounds-checked exactly like listed ones, but no string of theirs is
+// built. With alias set, strings point into src instead of copying it.
+func decodeValues(src []byte, pos int, n uint64, cols []int, row Row, alias bool) (Row, int, error) {
+	next := 0 // index in cols of the next listed column
 	for i := uint64(0); i < n; i++ {
+		keep := cols == nil
+		if !keep && next < len(cols) && uint64(cols[next]) == i {
+			keep = true
+			next++
+		}
 		if pos >= len(src) {
 			return nil, 0, fmt.Errorf("types: truncated row at value %d", i)
 		}
 		tag := src[pos]
 		pos++
+		var v Value
 		switch tag {
 		case tagNull:
-			row = append(row, Null())
+			v = Null()
 		case tagInt:
-			v, u := binary.Varint(src[pos:])
+			x, u := binary.Varint(src[pos:])
 			if u <= 0 {
 				return nil, 0, fmt.Errorf("types: corrupt int at value %d", i)
 			}
 			pos += u
-			row = append(row, NewInt(v))
+			v = NewInt(x)
 		case tagFloat:
 			if pos+8 > len(src) {
 				return nil, 0, fmt.Errorf("types: truncated float at value %d", i)
 			}
-			bits := binary.LittleEndian.Uint64(src[pos:])
+			v = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(src[pos:])))
 			pos += 8
-			row = append(row, NewFloat(math.Float64frombits(bits)))
 		case tagString:
 			l, u := binary.Uvarint(src[pos:])
 			if u <= 0 {
 				return nil, 0, fmt.Errorf("types: corrupt string length at value %d", i)
 			}
 			pos += u
-			if pos+int(l) > len(src) {
+			if l > uint64(len(src)-pos) {
 				return nil, 0, fmt.Errorf("types: truncated string at value %d", i)
 			}
-			b := src[pos : pos+int(l)]
-			if alias && l > 0 {
-				row = append(row, NewString(unsafe.String(&b[0], len(b))))
-			} else {
-				row = append(row, NewString(string(b)))
+			if keep {
+				b := src[pos : pos+int(l)]
+				if alias && l > 0 {
+					v = NewString(unsafe.String(&b[0], len(b)))
+				} else {
+					v = NewString(string(b))
+				}
 			}
 			pos += int(l)
 		case tagTrue:
-			row = append(row, NewBool(true))
+			v = NewBool(true)
 		case tagFalse:
-			row = append(row, NewBool(false))
+			v = NewBool(false)
 		default:
 			return nil, 0, fmt.Errorf("types: unknown value tag %d", tag)
 		}
+		if keep {
+			row = append(row, v)
+		}
+	}
+	if next < len(cols) {
+		return nil, 0, fmt.Errorf("types: row of %d values has no column %d", n, cols[next])
 	}
 	return row, pos, nil
 }

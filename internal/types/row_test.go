@@ -206,3 +206,93 @@ func randWord(rng *rand.Rand) string {
 	}
 	return string(b)
 }
+
+// FuzzDecodeColumns: for any bytes and any ascending column list (the set
+// bits of mask), the selective decode through a RowDecoder — arena and
+// borrowed alike — equals the full DecodeRow projected onto those columns,
+// consuming the same bytes; and every cell the full decode rejects, the
+// selective one rejects too, whichever columns it lists.
+func FuzzDecodeColumns(f *testing.F) {
+	rows := []Row{
+		{NewInt(5), NewString("hello"), NewFloat(1.25)},
+		{Null(), NewBool(true), NewBool(false), NewInt(-1 << 40), NewString("")},
+		{NewFloat(math.Inf(-1)), NewString("x\x00y"), Null()},
+		{},
+	}
+	for _, r := range rows {
+		enc := r.Encode(nil)
+		for _, mask := range []uint64{0, 1, 1 << uint(len(r)-1), 0b101, ^uint64(0)} {
+			f.Add(enc, mask)
+		}
+		// Every truncation, with only the first or only the last column
+		// listed: the values after or before it are skipped, and each skip
+		// must still see the cut.
+		for i := range enc {
+			f.Add(enc[:i], uint64(1))
+			f.Add(enc[:i], uint64(1)<<uint(max(len(r)-1, 0)))
+		}
+	}
+	f.Add([]byte{2, tagFloat, 1, 2, 3}, uint64(2))                 // float cut short
+	f.Add([]byte{2, tagString, 0xFF, 0xFF, 0xFF, 0x0F}, uint64(2)) // string past the end
+	f.Add([]byte{1, 0x7F}, uint64(0))                              // unknown tag
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0}, uint64(0))      // count past the end
+	f.Fuzz(func(t *testing.T, src []byte, mask uint64) {
+		full, used, ferr := DecodeRow(src)
+		cols := []int{}
+		for c := 0; c < 64; c++ {
+			if mask>>c&1 == 1 && (ferr != nil || c < len(full)) {
+				cols = append(cols, c)
+			}
+		}
+		for _, borrow := range []bool{false, true} {
+			d := RowDecoder{Cols: cols, Spare: 1}
+			decode := d.Decode
+			if borrow {
+				decode = d.Borrow
+			}
+			got, gused, err := decode(src)
+			if ferr != nil {
+				if err == nil {
+					t.Fatalf("borrow=%v cols %v: decoded %v from a cell DecodeRow rejects (%v)", borrow, cols, got, ferr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("borrow=%v cols %v: %v on a cell DecodeRow reads as %v", borrow, cols, err, full)
+			}
+			want := make(Row, len(cols))
+			for i, c := range cols {
+				want[i] = full[c]
+			}
+			if gused != used || !bytes.Equal(got.Encode(nil), want.Encode(nil)) {
+				t.Fatalf("borrow=%v cols %v: got %v (%d bytes), want %v (%d bytes)", borrow, cols, got, gused, want, used)
+			}
+			if cap(got) < len(cols)+1 {
+				t.Fatalf("borrow=%v: capacity %d leaves no spare slot past %d columns", borrow, cap(got), len(cols))
+			}
+		}
+	})
+}
+
+// TestRowDecoderNilColsDecodesAll: a decoder listing no columns (nil)
+// decodes every column; an empty list decodes none but still checks the
+// cell.
+func TestRowDecoderNilColsDecodesAll(t *testing.T) {
+	r := Row{NewInt(1), NewString("a"), NewFloat(2)}
+	enc := r.Encode(nil)
+	var all RowDecoder
+	if got, _, err := all.Decode(enc); err != nil || !got.Equal(r) {
+		t.Fatalf("nil Cols: %v, %v", got, err)
+	}
+	none := RowDecoder{Cols: []int{}}
+	if got, used, err := none.Decode(enc); err != nil || len(got) != 0 || used != len(enc) {
+		t.Fatalf("empty Cols: %v (%d bytes), %v", got, used, err)
+	}
+	if _, _, err := none.Decode(enc[:len(enc)-1]); err == nil {
+		t.Fatal("empty Cols accepted a truncated cell")
+	}
+	past := RowDecoder{Cols: []int{3}}
+	if _, _, err := past.Decode(enc); err == nil {
+		t.Fatal("a column past the row's values decoded")
+	}
+}

@@ -151,11 +151,10 @@ func TestPaperFigures(t *testing.T) {
 			}
 		}
 		plan := ex[strings.Index(ex, "-- plan --")+len("-- plan --\n"):]
-		want := `Project [dname ename]
-  HashJoin #4=#0
-    Filter (#2 > 2000)
-      SeqScan EMP (est rows=300)
-    SeqScan DEPT (est rows=30)
+		want := `HashJoin #2=#0 [dname ename]
+  Filter (#1 > 2000)
+    SeqScan EMP [ename sal edno] (est rows=300)
+  SeqScan DEPT [dno dname] (est rows=30)
 `
 		if plan != want {
 			t.Fatalf("plan:\n%s\nwant:\n%s", plan, want)
