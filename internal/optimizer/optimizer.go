@@ -170,22 +170,23 @@ type quantState struct {
 	pushed []qgm.Expr // single-quant conjuncts (in box numbering)
 }
 
-// readColumns lists, for every base quantifier of a select box, the table
+// columnMaps lists, for every base quantifier of a select box, the table
 // columns the box reads through it, ascending: those its head and its
-// conjuncts reference — join keys and EXISTS correlations included. The
-// RID column is not listed; a scan carries it whenever the base box
-// exposes it.
-func readColumns(box *qgm.Box) map[int][]int {
-	read := map[int][]bool{}
+// conjuncts reference — join keys and EXISTS correlations included. pos is
+// the compiler's map of the scan's row: the listed columns in order, then
+// the RID column when the base box exposes it (a scan carries it whenever
+// it does); pos[q][col] is -1 for a column the box never reads.
+func columnMaps(box *qgm.Box) (cols, pos map[int][]int) {
+	pos = map[int][]int{}
 	for qi, q := range box.Quants {
 		if q.Input.Kind == qgm.KindBase {
-			read[qi] = make([]bool, len(q.Input.Table.Schema))
+			pos[qi] = make([]int, len(q.Input.Out))
 		}
 	}
 	mark := func(e qgm.Expr) {
 		qgm.WalkExpr(e, func(x qgm.Expr) bool {
-			if cr, ok := x.(*qgm.ColRef); ok && cr.Col < len(read[cr.Quant]) {
-				read[cr.Quant][cr.Col] = true
+			if cr, ok := x.(*qgm.ColRef); ok && pos[cr.Quant] != nil {
+				pos[cr.Quant][cr.Col] = 1
 			}
 			return true
 		})
@@ -194,37 +195,23 @@ func readColumns(box *qgm.Box) map[int][]int {
 		mark(h.Expr)
 	}
 	mark(box.Pred)
-	cols := make(map[int][]int, len(read))
-	for qi, r := range read {
-		list := make([]int, 0, len(r))
-		for col, ok := range r {
-			if ok {
+	cols = make(map[int][]int, len(pos))
+	for qi, p := range pos {
+		base := box.Quants[qi].Input
+		list := make([]int, 0, len(p))
+		for col, read := range p {
+			p[col] = -1
+			if read == 1 && col < len(base.Table.Schema) {
+				p[col] = len(list)
 				list = append(list, col)
 			}
 		}
-		cols[qi] = list
-	}
-	return cols
-}
-
-// columnPositions inverts readColumns into the compiler's column maps: a
-// scan emits its listed columns in order, then the RID column.
-func columnPositions(box *qgm.Box, cols map[int][]int) map[int][]int {
-	pos := make(map[int][]int, len(cols))
-	for qi, list := range cols {
-		p := make([]int, len(box.Quants[qi].Input.Out))
-		for i := range p {
-			p[i] = -1
-		}
-		for i, col := range list {
-			p[col] = i
-		}
-		if box.Quants[qi].Input.RID {
+		if base.RID {
 			p[len(p)-1] = len(list)
 		}
-		pos[qi] = p
+		cols[qi] = list
 	}
-	return pos
+	return cols, pos
 }
 
 func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
@@ -256,9 +243,9 @@ func (c *compiler) compileSelect(box *qgm.Box) (exec.Plan, error) {
 	// Every column reference of this box compiles through its base
 	// quantifiers' column maps; an EXISTS subquery compiles its own box
 	// under its own maps and hands these back.
-	cols := readColumns(box)
+	cols, pos := columnMaps(box)
 	defer func(outer map[int][]int) { c.pos = outer }(c.pos)
-	c.pos = columnPositions(box, cols)
+	c.pos = pos
 
 	// Build per-quant access paths.
 	states := make([]*quantState, nQ)
