@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -101,6 +102,16 @@ func TestDecodeRowCorruption(t *testing.T) {
 	// Empty input.
 	if _, _, err := DecodeRow(nil); err == nil {
 		t.Error("nil input should fail")
+	}
+	// A value count past the remaining bytes must fail before anything is
+	// sized by it, and a string length past them must fail, not wrap.
+	huge := binary.AppendUvarint(nil, 1<<62)
+	if _, _, err := DecodeRow(append(huge, tagNull)); err == nil {
+		t.Error("a value count beyond the input should fail")
+	}
+	str := append([]byte{1, tagString}, binary.AppendUvarint(nil, 1<<63)...)
+	if _, _, err := DecodeRow(append(str, 'x')); err == nil {
+		t.Error("a string length beyond the input should fail")
 	}
 }
 
