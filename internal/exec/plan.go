@@ -152,10 +152,9 @@ func scanSchema(t *catalog.Table, cols []int, withRID bool) types.Schema {
 	return out
 }
 
-// colsSuffix prints the column list of an access that reads fewer than all
-// of its table's columns.
+// colsSuffix prints the column list of an access that has one.
 func colsSuffix(t *catalog.Table, cols []int) string {
-	if cols == nil || len(cols) == len(t.Schema) {
+	if cols == nil {
 		return ""
 	}
 	return fmt.Sprintf(" %v", scanSchema(t, cols, false).Names())

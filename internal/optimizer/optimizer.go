@@ -172,7 +172,9 @@ type quantState struct {
 
 // columnMaps lists, for every base quantifier of a select box, the table
 // columns the box reads through it, ascending: those its head and its
-// conjuncts reference — join keys and EXISTS correlations included. pos is
+// conjuncts reference — join keys and EXISTS correlations included. A
+// quantifier that reads every column gets nil, the access paths' "every
+// column", whose decode skips the per-value list check. pos is
 // the compiler's map of the scan's row: the listed columns in order, then
 // the RID column when the base box exposes it (a scan carries it whenever
 // it does); pos[q][col] is -1 for a column the box never reads.
@@ -208,6 +210,9 @@ func columnMaps(box *qgm.Box) (cols, pos map[int][]int) {
 		}
 		if base.RID {
 			p[len(p)-1] = len(list)
+		}
+		if len(list) == len(base.Table.Schema) {
+			list = nil
 		}
 		cols[qi] = list
 	}
