@@ -174,10 +174,10 @@ type quantState struct {
 // columns the box reads through it, ascending: those its head and its
 // conjuncts reference — join keys and EXISTS correlations included. A
 // quantifier that reads every column gets nil, the access paths' "every
-// column", whose decode skips the per-value list check. pos is
-// the compiler's map of the scan's row: the listed columns in order, then
-// the RID column when the base box exposes it (a scan carries it whenever
-// it does); pos[q][col] is -1 for a column the box never reads.
+// column", whose decode skips the per-value list check. pos is the
+// compiler's map of the scan's row: the listed columns in order, then the
+// RID column when the base box exposes it (a scan carries it whenever it
+// does); pos[q][col] is -1 for a column the box never reads.
 func columnMaps(box *qgm.Box) (cols, pos map[int][]int) {
 	pos = map[int][]int{}
 	for qi, q := range box.Quants {
