@@ -36,11 +36,15 @@ vet:
 # CO-cache test: sessions on different goroutines share resident COs. So do
 # the scan-pushdown tests: Gather workers test rows on borrowed page bytes.
 # So do comat's flight tests: the waiter/store contract of the CO cache.
+# So do the Gather and parallel-operator tests with the batch-reuse test:
+# Gather hands a worker's batch to the consumer goroutine, and the worker
+# may reuse its memory only after the consumer's next pull.
 chaos:
 	$(GO) test -race -count=5 -run 'TestChaos' ./internal/engine/
 	$(GO) test -race -count=5 -run 'TestCOCacheConcurrentSessions' ./internal/engine/
 	$(GO) test -race -count=20 -run 'TestSingleFlight|TestWaiterDoesNotSeeFlight|TestRacingFlightStoresNothing|TestCancelledWaiterDetaches' ./internal/comat/
 	$(GO) test -race -count=5 -run 'TestScanPushdownParity|TestPushedScanRowsOwnTheirBytes' ./internal/exec/
+	$(GO) test -race -count=5 -run 'TestGatherScanFilterParity|TestParallelHashJoinParity|TestParallelGroupAggParity|TestGatherSortDeterministic|TestGatherLimitEarlyClose|TestBatchReuseContract' ./internal/exec/
 	$(GO) test -race -count=1 ./internal/faultinj/
 
 # Crash-injection harness: every durable commit point of a mixed workload is

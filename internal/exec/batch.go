@@ -16,10 +16,13 @@ const BatchSize = 256
 // to about a batch of rows; an empty batch with a nil error means exhausted.
 // Stats count work actually performed, so counters can exceed the rows a
 // consumer finally keeps when a Limit truncates a speculatively produced
-// batch. A returned batch is owned by the producing operator and only valid
-// until its next NextBatch call: consumers may read it, and may retain the
-// row values (rows are immutable once produced), but must copy the
-// []types.Row header slice itself if they keep it.
+// batch. A returned batch — its []types.Row slice and the rows' values — is
+// owned by the producing operator and valid only until the producer's next
+// NextBatch or Close: producers reuse their row memory from one batch to the
+// next. A value copied out of a row stays valid (strings are heap strings
+// that never alias a page). An operator that keeps a row past its next pull
+// copies it: the HashJoin build, Sort, Distinct, NLJoin's inner side and
+// Collect do; GroupAgg clones its group keys.
 
 // sliceBatch cuts the next up-to-BatchSize window out of a materialized row
 // slice, advancing *pos. Emitting operators (Sort, GroupAgg, Values) use it
@@ -37,37 +40,9 @@ func sliceBatch(rows []types.Row, pos *int) []types.Row {
 	return out
 }
 
-// rowArena hands out fixed-arity rows carved from chunked allocations: one
-// allocation per ~BatchSize rows instead of one per row. Rows escape to
-// consumers, so chunks are never reused — Reset only drops the current
-// partial chunk reference.
-type rowArena struct {
-	arity int
-	free  []types.Value
-	chunk int // rows per chunk; starts small, doubles up to BatchSize
-}
-
-func (a *rowArena) next() types.Row {
-	if len(a.free) < a.arity {
-		switch {
-		case a.chunk == 0:
-			a.chunk = 8
-		case a.chunk < BatchSize:
-			a.chunk *= 2
-		}
-		a.free = make([]types.Value, a.arity*a.chunk)
-	}
-	row := a.free[:a.arity:a.arity]
-	a.free = a.free[a.arity:]
-	return row
-}
-
-// concatInto writes l followed by r into a fresh arena row.
-func (a *rowArena) concat(l, r types.Row) types.Row {
-	row := a.next()
-	copy(row, l)
-	copy(row[len(l):], r)
-	return row
+// concat writes l followed by r into a row carved from a.
+func concat(a *types.Arena, l, r types.Row) types.Row {
+	return append(append(a.Take(len(l)+len(r)), l...), r...)
 }
 
 // evalKeysInto evaluates join key expressions for one row into dst (len must

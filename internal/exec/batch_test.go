@@ -66,17 +66,16 @@ func TestSeqScanStreams(t *testing.T) {
 	if got := len(scan.buf); got >= total/2 {
 		t.Fatalf("scan buffers %d rows internally after one batch; streaming should hold about a batch", got)
 	}
-	// Drain the rest and verify nothing was lost or duplicated.
-	got := append([]types.Row(nil), batch...)
-	for {
-		b, err := scan.NextBatch(ctx)
-		if err != nil {
+	// Drain the rest and verify nothing was lost or duplicated. A batch is
+	// valid only until the next pull, so its ids are read out first.
+	var got []int64
+	for b := batch; len(b) > 0; {
+		for _, r := range b {
+			got = append(got, r[0].Int())
+		}
+		if b, err = scan.NextBatch(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if len(b) == 0 {
-			break
-		}
-		got = append(got, b...)
 	}
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
@@ -85,8 +84,8 @@ func TestSeqScanStreams(t *testing.T) {
 		t.Fatalf("streamed %d rows, want %d", len(got), total)
 	}
 	seen := map[int64]bool{}
-	for _, r := range got {
-		seen[r[0].Int()] = true
+	for _, id := range got {
+		seen[id] = true
 	}
 	if len(seen) != total {
 		t.Fatalf("streamed %d distinct ids, want %d", len(seen), total)

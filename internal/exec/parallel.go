@@ -12,12 +12,11 @@ package exec
 // position in the template gets one dispatcher shared by all worker clones
 // (so the table is scanned exactly once), and each shared-build HashJoin
 // position gets one sharedBuild whose table is built in parallel — workers
-// fill per-worker entry slabs, then one pass concatenates them and indexes
-// the entries from the table's bucket array (see sharedBuild.run).
+// fill per-worker build sinks, then one pass writes their entries into the
+// table and indexes them from its bucket array (see sharedBuild.run).
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"sqlxnf/internal/catalog"
@@ -181,19 +180,25 @@ func workerContext(parent *Context) *Context {
 // Gather
 // ---------------------------------------------------------------------------
 
-// gatherMsg is one worker-to-consumer hand-off: a batch the worker copied out
-// of its pipeline's reused buffer, or a terminal error.
+// gatherMsg is one worker-to-consumer hand-off: a batch of the worker's
+// pipeline, or a terminal error. The worker pulls its pipeline again — which
+// reuses the batch's memory — only after the consumer signals release.
 type gatherMsg struct {
-	rows []types.Row
-	err  error
+	rows    []types.Row
+	err     error
+	release chan struct{}
 }
 
 // Gather is the pipeline breaker between parallel workers and the serial
 // plan above them: Open clones the worker template DOP times (sharing morsel
 // dispatchers and hash-join builds across the clones), runs each clone in
 // its own goroutine, and NextBatch hands the workers' batches to the
-// consumer in arrival order. Row order across workers is nondeterministic —
-// order-sensitive consumers (Sort with a total key order) restore it.
+// consumer in arrival order. Each worker keeps one batch in flight: it pulls
+// its pipeline again only once the consumer asks for the batch after the
+// worker's, so a batch crosses goroutines without a copy and stays valid
+// until the Gather's next NextBatch, as the batch contract says. Row order
+// across workers is nondeterministic — order-sensitive consumers (Sort with
+// a total key order) restore it.
 type Gather struct {
 	// Child is the worker pipeline template; it is cloned per worker and
 	// never opened directly.
@@ -219,6 +224,9 @@ type Gather struct {
 	statsMerged bool
 	err         error
 	done        bool
+	// held is the release channel of the worker whose batch the consumer
+	// holds, signalled at the next NextBatch.
+	held chan struct{}
 }
 
 // NewGather wraps a worker template at the given degree of parallelism.
@@ -245,6 +253,8 @@ func (g *Gather) Open(ctx *Context) error {
 		return err
 	}
 	g.workers = workers
+	// One slot per worker: each has at most one message outstanding, so
+	// every worker can park its batch while the consumer reads another.
 	g.ch = make(chan gatherMsg, dop)
 	g.cancel = make(chan struct{})
 	g.stopOnce = new(sync.Once)
@@ -254,6 +264,7 @@ func (g *Gather) Open(ctx *Context) error {
 	g.statsMerged = false
 	g.err = nil
 	g.done = false
+	g.held = nil
 	g.wg.Add(len(workers))
 	for i, w := range workers {
 		wctx := workerContext(ctx)
@@ -269,8 +280,8 @@ func (g *Gather) Open(ctx *Context) error {
 	return nil
 }
 
-// runWorker drives one worker pipeline to completion, copying each batch out
-// of the pipeline's reused buffer before handing it to the consumer. A panic
+// runWorker drives one worker pipeline to completion, handing each batch to
+// the consumer and waiting for its release before the next pull. A panic
 // in the worker pipeline becomes a plan error on the channel instead of
 // crashing the process (the pipeline's Close still runs via drive's defer
 // while the panic unwinds).
@@ -293,6 +304,7 @@ func (g *Gather) drive(w Plan, wctx *Context) error {
 		return err
 	}
 	defer w.Close()
+	release := make(chan struct{}, 1)
 	for {
 		select {
 		case <-g.cancel:
@@ -306,10 +318,13 @@ func (g *Gather) drive(w Plan, wctx *Context) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		out := make([]types.Row, len(batch))
-		copy(out, batch)
 		select {
-		case g.ch <- gatherMsg{rows: out}:
+		case g.ch <- gatherMsg{rows: batch, release: release}:
+		case <-g.cancel:
+			return nil
+		}
+		select {
+		case <-release:
 		case <-g.cancel:
 			return nil
 		}
@@ -348,6 +363,10 @@ func (g *Gather) NextBatch(ctx *Context) ([]types.Row, error) {
 	if g.done {
 		return nil, nil
 	}
+	if g.held != nil {
+		g.held <- struct{}{}
+		g.held = nil
+	}
 	msg, ok := <-g.ch
 	if !ok {
 		g.done = true
@@ -360,6 +379,7 @@ func (g *Gather) NextBatch(ctx *Context) ([]types.Row, error) {
 		g.mergeWorkerStats()
 		return nil, g.err
 	}
+	g.held = msg.release
 	return msg.rows, nil
 }
 
@@ -396,9 +416,9 @@ func (g *Gather) Clone() Plan {
 // sharedBuild is the once-per-execution parallel build of a shared hash-join
 // table: all worker clones of a parallel HashJoin point at one sharedBuild,
 // and the first clone to Open runs the build — DOP build workers drain
-// clones of the build-side pipeline into per-worker entry slabs, which are
-// then concatenated and indexed into one flat chained table. Later clones
-// (and the first) probe the same table.
+// clones of the build-side pipeline into per-worker build sinks, whose
+// entries are then written into one flat chained table. Later clones (and
+// the first) probe the same table.
 type sharedBuild struct {
 	template Plan   // build-side pipeline; cloned per build worker
 	keys     []Expr // build key expressions
@@ -440,16 +460,16 @@ func (sb *sharedBuild) table(ctx *Context) (*hashTable, error) {
 	return &sb.ht, nil
 }
 
-// run executes the two build phases: the parallel slab fill, then one
-// serial pass that concatenates the slabs and chains their entries from the
-// bucket array — an array store per entry, and walking the slabs in order
-// keeps every chain in the serial build's order.
+// run executes the two build phases: the parallel sink fill, then one
+// serial pass that writes the sinks' entries into the table and chains them
+// from the bucket array — an array store per entry, and walking the sinks in
+// order keeps every chain in the serial build's order.
 func (sb *sharedBuild) run(ctx *Context) error {
 	workers, err := cloneWorkers(sb.template, sb.dop)
 	if err != nil {
 		return err
 	}
-	slabs := make([][]buildEnt, len(workers))
+	sinks := make([]*buildSink, len(workers))
 	errs := make([]error, len(workers))
 	stats := make([]*Stats, len(workers))
 	var wg sync.WaitGroup
@@ -460,7 +480,14 @@ func (sb *sharedBuild) run(ctx *Context) error {
 			defer RecoverTo(&errs[i])
 			wctx := workerContext(ctx)
 			stats[i] = wctx.Stats
-			slabs[i], errs[i] = fillSlab(wctx, w, sb.keys, sb.hash)
+			sinks[i] = newBuildSink(sb.keys, sb.hash)
+			errs[i] = func() error {
+				if err := w.Open(wctx); err != nil {
+					return err
+				}
+				defer w.Close()
+				return sinks[i].drain(wctx, w)
+			}()
 		}(i, w)
 	}
 	wg.Wait()
@@ -472,41 +499,6 @@ func (sb *sharedBuild) run(ctx *Context) error {
 			return e
 		}
 	}
-	sb.ht.ents = slices.Concat(slabs...)
-	sb.ht.index()
+	sb.ht.fill(sinks...)
 	return nil
-}
-
-// fillSlab drains one build worker into a private entry slab: key evaluation
-// uses the same scratch-row path as the serial build, and entries carry their
-// bucket hash so the merge never re-hashes.
-func fillSlab(ctx *Context, w Plan, keys []Expr, hash func(types.Row) uint64) ([]buildEnt, error) {
-	if err := w.Open(ctx); err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	var slab []buildEnt
-	scratch := make(types.Row, len(keys))
-	keyArena := rowArena{arity: len(keys)}
-	for {
-		batch, err := w.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if len(batch) == 0 {
-			return slab, nil
-		}
-		for _, row := range batch {
-			null, err := evalKeysInto(ctx, keys, row, scratch)
-			if err != nil {
-				return nil, err
-			}
-			if null {
-				continue // NULL keys never join
-			}
-			k := keyArena.next()
-			copy(k, scratch)
-			slab = append(slab, buildEnt{h: hash(k), keys: k, row: row})
-		}
-	}
 }

@@ -116,7 +116,7 @@ func TestParallelHashJoinParity(t *testing.T) {
 
 // TestParallelHashJoinCollision extends the collision regression to the
 // partitioned parallel build: distinct keys in one forced hash chain must
-// still never join, no matter which worker slab they came from.
+// still never join, no matter which worker sink they came from.
 func TestParallelHashJoinCollision(t *testing.T) {
 	cat := testCatalog(t)
 	var lrows, rrows []types.Row

@@ -102,10 +102,12 @@ func (s *pageScan) open(ctx *Context, t *catalog.Table, cols []int, withRID bool
 
 // next replaces the buffer with the rows of the next claimed pages, at least
 // BatchSize of them unless the dispatcher runs dry (a batch overshoots to a
-// page boundary). The interrupt poll before every page read bounds
-// cancellation latency to one page of work per scan.
+// page boundary); the new rows reuse the memory of the last batch's. The
+// interrupt poll before every page read bounds cancellation latency to one
+// page of work per scan.
 func (s *pageScan) next(ctx *Context) ([]types.Row, error) {
 	s.buf = s.buf[:0]
+	s.reader.Reset()
 	examined := s.reader.Examined
 	for len(s.buf) < BatchSize {
 		if err := ctx.Interrupted(); err != nil {
@@ -238,8 +240,8 @@ type IndexScan struct {
 	next    int         // first range not yet scanned
 	buf     []types.Row
 	done    bool
-	// dec decodes the fetched tuples' Cols into an arena that lives from
-	// Open to Close, with a spare slot for the RID.
+	// dec decodes the fetched tuples' Cols, with a spare slot for the RID,
+	// into an arena each batch reuses.
 	dec types.RowDecoder
 }
 
@@ -348,6 +350,7 @@ func (s *IndexScan) fill(ctx *Context) error {
 		return err
 	}
 	s.buf = s.buf[:0]
+	s.dec.Reset()
 	for !s.done && len(s.buf) < BatchSize {
 		_, rid, ok := s.it.Next()
 		if !ok {
@@ -574,13 +577,14 @@ func (f *Filter) Explain() string { return "Filter " + DumpExpr(f.Pred) }
 func (f *Filter) Children() []Plan { return []Plan{f.Child} }
 
 // Project computes output expressions per row. It carves output
-// rows from a per-batch value arena (one allocation per batch, not per row)
-// and short-circuits plain column references.
+// rows from a value arena that every batch reuses and short-circuits plain
+// column references.
 type Project struct {
 	Child Plan
 	Exprs []Expr
 	Out   types.Schema
 	obuf  []types.Row
+	arena types.Arena
 }
 
 // Schema implements Plan.
@@ -610,11 +614,10 @@ func (p *Project) NextBatch(ctx *Context) ([]types.Row, error) {
 	if err != nil || len(batch) == 0 {
 		return nil, err
 	}
-	arena := make([]types.Value, len(batch)*len(p.Exprs))
 	p.obuf = p.obuf[:0]
+	p.arena.Reset()
 	for _, row := range batch {
-		out := types.Row(arena[:len(p.Exprs):len(p.Exprs)])
-		arena = arena[len(p.Exprs):]
+		out := p.arena.Take(len(p.Exprs))[:len(p.Exprs)]
 		if err := p.projectInto(ctx, row, out); err != nil {
 			return nil, err
 		}
@@ -626,10 +629,11 @@ func (p *Project) NextBatch(ctx *Context) ([]types.Row, error) {
 	return p.obuf, nil
 }
 
-// Close implements Plan. The output buffer keeps its capacity for reopen
-// (the per-batch value arenas escape to consumers and are never reused).
+// Close implements Plan. The output buffer keeps its capacity for reopen;
+// the value arena drops, so an idle pooled plan pins no row values.
 func (p *Project) Close() error {
 	p.obuf = p.obuf[:0]
+	p.arena = types.Arena{}
 	return p.Child.Close()
 }
 
@@ -677,10 +681,12 @@ func (l *Limit) Explain() string { return fmt.Sprintf("Limit %d", l.N) }
 // Children implements Plan.
 func (l *Limit) Children() []Plan { return []Plan{l.Child} }
 
-// Distinct removes duplicate rows (NULL = NULL for this purpose).
+// Distinct removes duplicate rows (NULL = NULL for this purpose). It keeps
+// a copy of every row it emits, to test later rows against.
 type Distinct struct {
 	Child Plan
 	seen  map[uint64][]types.Row
+	kept  types.Arena
 	obuf  []types.Row
 }
 
@@ -690,19 +696,22 @@ func (d *Distinct) Schema() types.Schema { return d.Child.Schema() }
 // Open implements Plan.
 func (d *Distinct) Open(ctx *Context) error {
 	d.seen = make(map[uint64][]types.Row)
+	d.kept = types.Arena{}
 	return d.Child.Open(ctx)
 }
 
-// fresh reports whether the row was not seen before, recording it.
-func (d *Distinct) fresh(row types.Row) bool {
+// fresh reports whether the row was not seen before, recording a copy of
+// it, which it returns.
+func (d *Distinct) fresh(row types.Row) (types.Row, bool) {
 	h := row.Hash()
 	for _, prev := range d.seen[h] {
 		if prev.Equal(row) {
-			return false
+			return nil, false
 		}
 	}
+	row = d.kept.Copy(row)
 	d.seen[h] = append(d.seen[h], row)
-	return true
+	return row, true
 }
 
 // NextBatch implements Plan.
@@ -717,8 +726,8 @@ func (d *Distinct) NextBatch(ctx *Context) ([]types.Row, error) {
 			return nil, nil
 		}
 		for _, row := range batch {
-			if d.fresh(row) {
-				d.obuf = append(d.obuf, row)
+			if kept, ok := d.fresh(row); ok {
+				d.obuf = append(d.obuf, kept)
 			}
 		}
 		if len(d.obuf) > 0 {
@@ -730,6 +739,7 @@ func (d *Distinct) NextBatch(ctx *Context) ([]types.Row, error) {
 // Close implements Plan.
 func (d *Distinct) Close() error {
 	d.seen = nil
+	d.kept = types.Arena{}
 	d.obuf = nil
 	return d.Child.Close()
 }
@@ -745,18 +755,20 @@ func (d *Distinct) Children() []Plan { return []Plan{d.Child} }
 // ---------------------------------------------------------------------------
 
 // NLJoin is a block nested-loops join: the right input materializes once,
-// then every left row scans it. Pred (optional) filters concatenated rows.
+// copied into rarena, then every left row scans it. Pred (optional) filters
+// concatenated rows, which each batch carves from an arena it reuses.
 type NLJoin struct {
 	Left, Right Plan
 	Pred        Expr
 	out         types.Schema
 	right       []types.Row
+	rarena      types.Arena
 	cur         types.Row
 	rpos        int
 	lbatch      []types.Row
 	lpos        int
 	obuf        []types.Row
-	arena       rowArena
+	arena       types.Arena
 }
 
 // NewNLJoin builds the join with a concatenated schema.
@@ -776,6 +788,7 @@ func (j *NLJoin) Open(ctx *Context) error {
 		return err
 	}
 	j.right = j.right[:0]
+	j.rarena = types.Arena{}
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
@@ -787,24 +800,27 @@ func (j *NLJoin) Open(ctx *Context) error {
 		if len(batch) == 0 {
 			break
 		}
-		j.right = append(j.right, batch...)
+		for _, row := range batch {
+			j.right = append(j.right, j.rarena.Copy(row))
+		}
 	}
 	j.cur = nil
 	j.rpos = 0
 	j.lbatch = nil
 	j.lpos = 0
-	j.arena = rowArena{arity: len(j.out)}
+	j.arena = types.Arena{}
 	return nil
 }
 
 // NextBatch implements Plan.
 func (j *NLJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 	j.obuf = j.obuf[:0]
+	j.arena.Reset()
 	for {
 		for j.cur != nil && j.rpos < len(j.right) {
 			r := j.right[j.rpos]
 			j.rpos++
-			joined := j.arena.concat(j.cur, r)
+			joined := concat(&j.arena, j.cur, r)
 			pass, err := EvalPred(ctx, j.Pred, joined)
 			if err != nil {
 				return nil, err
@@ -843,6 +859,7 @@ func (j *NLJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 // and would pin arbitrary row memory in pooled prepared plans.
 func (j *NLJoin) Close() error {
 	j.right = nil
+	j.rarena, j.arena = types.Arena{}, types.Arena{}
 	j.obuf = j.obuf[:0]
 	j.lbatch = nil
 	if err := j.Left.Close(); err != nil {
@@ -877,15 +894,105 @@ type buildEnt struct {
 
 // hashTable is the join table shared by the serial and parallel build paths:
 // a flat entry slice whose chains hang off one power-of-two bucket array.
-// One growing allocation holds all entries instead of a bucket slice per
-// distinct key, which keeps build-side GC pressure flat; the heads are one
-// []int32 indexed by the top hash bits, so a probe is an array load, not a
-// map lookup.
+// One allocation holds all entries instead of a bucket slice per distinct
+// key, which keeps build-side GC pressure flat; the heads are one []int32
+// indexed by the top hash bits, so a probe is an array load, not a map
+// lookup.
 type hashTable struct {
 	shift uint // 64 - log2(len(heads))
 	heads []int32
 	ents  []buildEnt
 	links []int32
+}
+
+// buildChunk is the most entries one chunk of a buildSink holds.
+const buildChunk = 1024
+
+// buildSink collects the entries of one build pipeline. Each row it keeps
+// is copied into its arena, since the pipeline reuses its batches; a key of
+// one plain column is read from that copy, any other key is evaluated into
+// the key arena. Entries fill chunks that grow to buildChunk, so collecting
+// them never copies one, and hashTable.fill writes each entry once.
+type buildSink struct {
+	keys    []Expr
+	keyCol  int // the key's column when it is one plain column, else -1
+	hash    func(types.Row) uint64
+	scratch types.Row
+	rows    types.Arena
+	keyVals types.Arena
+	chunks  [][]buildEnt
+	n       int
+}
+
+func newBuildSink(keys []Expr, hash func(types.Row) uint64) *buildSink {
+	s := &buildSink{keys: keys, keyCol: -1, hash: hash, scratch: make(types.Row, len(keys))}
+	if len(keys) == 1 {
+		if c, ok := keys[0].(Col); ok && c.Idx >= 0 {
+			s.keyCol = c.Idx
+		}
+	}
+	return s
+}
+
+// add enters one build row; NULL keys never join, so their rows are dropped.
+func (s *buildSink) add(ctx *Context, row types.Row) error {
+	var keys types.Row
+	if c := s.keyCol; c >= 0 && c < len(row) {
+		if row[c].IsNull() {
+			return nil
+		}
+		row = s.rows.Copy(row)
+		keys = row[c : c+1 : c+1]
+	} else {
+		null, err := evalKeysInto(ctx, s.keys, row, s.scratch)
+		if err != nil || null {
+			return err
+		}
+		keys = s.keyVals.Copy(s.scratch)
+		row = s.rows.Copy(row)
+	}
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		s.chunks = append(s.chunks, make([]buildEnt, 0, min(max(s.n, 16), buildChunk)))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], buildEnt{h: s.hash(keys), keys: keys, row: row})
+	s.n++
+	return nil
+}
+
+// drain adds every row of an opened build pipeline.
+func (s *buildSink) drain(ctx *Context, p Plan) error {
+	for {
+		if err := ctx.Interrupted(); err != nil {
+			return err
+		}
+		batch, err := p.NextBatch(ctx)
+		if err != nil || len(batch) == 0 {
+			return err
+		}
+		for _, row := range batch {
+			if err := s.add(ctx, row); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// fill writes the sinks' entries into the table, sink by sink in order, and
+// indexes them.
+func (ht *hashTable) fill(sinks ...*buildSink) {
+	n := 0
+	for _, s := range sinks {
+		n += s.n
+	}
+	ht.ents = make([]buildEnt, 0, n)
+	for _, s := range sinks {
+		for _, c := range s.chunks {
+			ht.ents = append(ht.ents, c...)
+		}
+	}
+	ht.index()
 }
 
 // index chains every entry from its bucket, in entry order, over a bucket
@@ -955,7 +1062,7 @@ type HashJoin struct {
 	lbatch  []types.Row
 	lpos    int
 	obuf    []types.Row
-	arena   rowArena
+	arena   types.Arena // output rows, reused by every batch
 	// hash is the bucket hash for keys; the collision regression test
 	// overrides it to force every key into one chain and prove probe-side
 	// key comparison, not the hash, decides matches. Nil means Row.Hash.
@@ -983,11 +1090,10 @@ func (j *HashJoin) Project(cols []int, out types.Schema) {
 func (j *HashJoin) Schema() types.Schema { return j.out }
 
 // Open implements Plan: builds the hash table from the right input batch by
-// batch. Evaluated keys land in a chunked arena (copied once from the shared
-// scratch row) alongside their rows, and the bucket array indexes them once
-// the input is drained. A shared join instead fetches the table from its
-// sharedBuild — the first worker clone to arrive runs the parallel build,
-// the rest probe the same flat table.
+// batch through a buildSink, which copies the rows and keys it keeps, and
+// the bucket array indexes them once the input is drained. A shared join
+// instead fetches the table from its sharedBuild — the first worker clone to
+// arrive runs the parallel build, the rest probe the same flat table.
 func (j *HashJoin) Open(ctx *Context) error {
 	if err := j.Left.Open(ctx); err != nil {
 		return err
@@ -1005,34 +1111,11 @@ func (j *HashJoin) Open(ctx *Context) error {
 		if err := j.Right.Open(ctx); err != nil {
 			return err
 		}
-		j.own.ents = j.own.ents[:0]
-		scratch := make(types.Row, len(j.RightKeys))
-		keyArena := rowArena{arity: len(j.RightKeys)}
-		for {
-			if err := ctx.Interrupted(); err != nil {
-				return err
-			}
-			batch, err := j.Right.NextBatch(ctx)
-			if err != nil {
-				return err
-			}
-			if len(batch) == 0 {
-				break
-			}
-			for _, row := range batch {
-				null, err := evalKeysInto(ctx, j.RightKeys, row, scratch)
-				if err != nil {
-					return err
-				}
-				if null {
-					continue // NULL keys never join
-				}
-				keys := keyArena.next()
-				copy(keys, scratch)
-				j.own.ents = append(j.own.ents, buildEnt{h: j.hash(keys), keys: keys, row: row})
-			}
+		sink := newBuildSink(j.RightKeys, j.hash)
+		if err := sink.drain(ctx, j.Right); err != nil {
+			return err
 		}
-		j.own.index()
+		j.own.fill(sink)
 		j.tab = &j.own
 	}
 	j.cur = nil
@@ -1040,7 +1123,7 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.curKeys = make(types.Row, len(j.LeftKeys))
 	j.lbatch = nil
 	j.lpos = 0
-	j.arena = rowArena{arity: len(j.out)}
+	j.arena = types.Arena{}
 	return nil
 }
 
@@ -1075,9 +1158,9 @@ func (j *HashJoin) nextMatch() *buildEnt {
 // its Emit positions.
 func (j *HashJoin) joined(l, r types.Row) types.Row {
 	if j.Emit == nil {
-		return j.arena.concat(l, r)
+		return concat(&j.arena, l, r)
 	}
-	row := j.arena.next()
+	row := j.arena.Take(len(j.Emit))[:len(j.Emit)]
 	for i, c := range j.Emit {
 		if c < len(l) {
 			row[i] = l[c]
@@ -1091,6 +1174,7 @@ func (j *HashJoin) joined(l, r types.Row) types.Row {
 // NextBatch implements Plan.
 func (j *HashJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 	j.obuf = j.obuf[:0]
+	j.arena.Reset()
 	for {
 		for {
 			ent := j.nextMatch()
@@ -1141,6 +1225,7 @@ func (j *HashJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 func (j *HashJoin) Close() error {
 	j.own.drop()
 	j.tab = nil
+	j.arena = types.Arena{}
 	j.obuf = j.obuf[:0]
 	j.lbatch = nil
 	if err := j.Left.Close(); err != nil {
@@ -1202,7 +1287,7 @@ type IndexJoin struct {
 	lbatch     []types.Row
 	lpos       int
 	obuf       []types.Row
-	arena      rowArena
+	arena      types.Arena
 }
 
 // NewIndexJoin builds the join with a concatenated schema: the left
@@ -1229,7 +1314,7 @@ func (j *IndexJoin) Open(ctx *Context) error {
 	j.lbatch = nil
 	j.lpos = 0
 	j.obuf = j.obuf[:0]
-	j.arena = rowArena{arity: len(j.out)}
+	j.arena = types.Arena{}
 	j.dec = types.RowDecoder{Cols: j.Cols}
 	return nil
 }
@@ -1280,7 +1365,7 @@ func (j *IndexJoin) emitMatches(ctx *Context) error {
 		if ctx.Stats != nil {
 			ctx.Stats.RowsScanned++
 		}
-		joined := j.arena.concat(j.cur, inner)
+		joined := concat(&j.arena, j.cur, inner)
 		pass, err := EvalPred(ctx, j.Pred, joined)
 		if err != nil {
 			return err
@@ -1295,6 +1380,8 @@ func (j *IndexJoin) emitMatches(ctx *Context) error {
 // NextBatch implements Plan.
 func (j *IndexJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 	j.obuf = j.obuf[:0]
+	j.arena.Reset()
+	j.dec.Reset()
 	for {
 		if len(j.obuf) >= BatchSize {
 			return j.obuf, nil
@@ -1327,12 +1414,12 @@ func (j *IndexJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 }
 
 // Close implements Plan. Bounded buffers keep their capacity for reopen;
-// the decoder arena drops.
+// the arenas drop.
 func (j *IndexJoin) Close() error {
 	j.rids = j.rids[:0]
 	j.obuf = j.obuf[:0]
 	j.lbatch = nil
-	j.dec = types.RowDecoder{}
+	j.arena, j.dec = types.Arena{}, types.RowDecoder{}
 	return j.Left.Close()
 }
 
@@ -1359,15 +1446,17 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and orders child output. NULLs sort first ascending.
-// The key comparison precompiles once per operator (Keys are immutable):
-// the single-key case runs without the per-comparison key loop and integer
-// keys compare inline without the generic types.Compare dispatch.
+// Sort materializes and orders child output, copying each row into its
+// arena. NULLs sort first ascending. The key comparison precompiles once per
+// operator (Keys are immutable): the single-key case runs without the
+// per-comparison key loop and integer keys compare inline without the
+// generic types.Compare dispatch.
 type Sort struct {
 	Child Plan
 	Keys  []SortKey
 	cmp   rowCompare
 	rows  []types.Row
+	arena types.Arena
 	pos   int
 }
 
@@ -1427,6 +1516,7 @@ func (s *Sort) Open(ctx *Context) error {
 		return err
 	}
 	s.rows = s.rows[:0]
+	s.arena = types.Arena{}
 	s.pos = 0
 	for {
 		if err := ctx.Interrupted(); err != nil {
@@ -1439,7 +1529,9 @@ func (s *Sort) Open(ctx *Context) error {
 		if len(batch) == 0 {
 			break
 		}
-		s.rows = append(s.rows, batch...)
+		for _, row := range batch {
+			s.rows = append(s.rows, s.arena.Copy(row))
+		}
 	}
 	if s.cmp == nil {
 		s.cmp = compileComparator(s.Keys)
@@ -1473,7 +1565,10 @@ func (s *Sort) NextBatch(*Context) ([]types.Row, error) {
 }
 
 // Close implements Plan.
-func (s *Sort) Close() error { s.rows = nil; return s.Child.Close() }
+func (s *Sort) Close() error {
+	s.rows, s.arena = nil, types.Arena{}
+	return s.Child.Close()
+}
 
 // Explain implements Plan.
 func (s *Sort) Explain() string { return fmt.Sprintf("Sort %v", s.Keys) }
@@ -1528,19 +1623,20 @@ type GroupAgg struct {
 // Schema implements Plan.
 func (g *GroupAgg) Schema() types.Schema { return g.Out }
 
+// aggState is one aggregate's running state. Each kind folds only what it
+// reads: COUNT counts; SUM adds into val, and AVG also counts; MIN and MAX
+// keep their extreme in val. val stays NULL until a value arrives.
 type aggState struct {
 	count int64
-	sum   types.Value
-	min   types.Value
-	max   types.Value
+	val   types.Value
 	seen  map[uint64][]types.Value // DISTINCT tracking
 }
 
 // observe folds one non-NULL value into the state. For DISTINCT aggregates
 // it is also the merge primitive: replaying one worker's seen set into
 // another state deduplicates across workers exactly like within one.
-func (st *aggState) observe(v types.Value, distinct bool) error {
-	if distinct {
+func (st *aggState) observe(v types.Value, def AggDef) error {
+	if def.Distinct {
 		vh := v.Hash()
 		for _, prev := range st.seen[vh] {
 			if types.Equal(prev, v) {
@@ -1550,24 +1646,34 @@ func (st *aggState) observe(v types.Value, distinct bool) error {
 		st.seen[vh] = append(st.seen[vh], v)
 	}
 	st.count++
-	if st.sum.IsNull() {
-		st.sum = v
-	} else {
-		sum, err := types.Arith("+", st.sum, v)
+	return st.fold(v, def.Kind)
+}
+
+// fold combines v — one input value, or another state's val — into val as
+// the kind reads it.
+func (st *aggState) fold(v types.Value, kind AggKind) error {
+	switch kind {
+	case AggSum, AggAvg:
+		if !v.IsNumeric() {
+			return fmt.Errorf("exec: SUM and AVG need numeric values, got %s", v.Kind())
+		}
+		if st.val.IsNull() {
+			st.val = v
+			return nil
+		}
+		sum, err := types.Arith("+", st.val, v)
 		if err != nil {
 			return err
 		}
-		st.sum = sum
-	}
-	if st.min.IsNull() {
-		st.min = v
-	} else if c, err := types.Compare(v, st.min); err == nil && c < 0 {
-		st.min = v
-	}
-	if st.max.IsNull() {
-		st.max = v
-	} else if c, err := types.Compare(v, st.max); err == nil && c > 0 {
-		st.max = v
+		st.val = sum
+	case AggMin, AggMax:
+		if st.val.IsNull() {
+			st.val = v
+			return nil
+		}
+		if c, err := types.Compare(v, st.val); err == nil && (kind == AggMin && c < 0 || kind == AggMax && c > 0) {
+			st.val = v
+		}
 	}
 	return nil
 }
@@ -1579,7 +1685,7 @@ func mergeAggState(dst, src *aggState, def AggDef) error {
 	if def.Distinct {
 		for _, vals := range src.seen {
 			for _, v := range vals {
-				if err := dst.observe(v, true); err != nil {
+				if err := dst.observe(v, def); err != nil {
 					return err
 				}
 			}
@@ -1587,65 +1693,61 @@ func mergeAggState(dst, src *aggState, def AggDef) error {
 		return nil
 	}
 	dst.count += src.count
-	if !src.sum.IsNull() {
-		if dst.sum.IsNull() {
-			dst.sum = src.sum
-		} else {
-			sum, err := types.Arith("+", dst.sum, src.sum)
-			if err != nil {
-				return err
-			}
-			dst.sum = sum
-		}
+	if src.val.IsNull() {
+		return nil
 	}
-	if !src.min.IsNull() {
-		if dst.min.IsNull() {
-			dst.min = src.min
-		} else if c, err := types.Compare(src.min, dst.min); err == nil && c < 0 {
-			dst.min = src.min
-		}
-	}
-	if !src.max.IsNull() {
-		if dst.max.IsNull() {
-			dst.max = src.max
-		} else if c, err := types.Compare(src.max, dst.max); err == nil && c > 0 {
-			dst.max = src.max
-		}
-	}
-	return nil
+	return dst.fold(src.val, def.Kind)
 }
 
-// aggGroup is one group's key and aggregate states.
+// aggGroup is one group's key, its hash and its aggregate states.
 type aggGroup struct {
+	h      uint64
 	key    types.Row
-	states []*aggState
+	states []aggState
 }
 
 // groupTable is the aggregation hash table one drain writes into. The serial
 // path uses one; the parallel path gives each worker its own and merges them
-// at drain, so workers never synchronize per row.
+// at drain, so workers never synchronize per row. Groups live in first-seen
+// order; slots index them by open addressing from the top hash bits, like
+// hashTable's buckets, probing linearly (-1 is an empty slot), and double
+// once half full.
 type groupTable struct {
 	keyIdxs []int
 	aggs    []AggDef
-	index   map[uint64][]*aggGroup
+	slots   []int32
+	shift   uint // 64 - log2(len(slots))
 	order   []*aggGroup
 	scratch types.Row
 }
 
 func newGroupTable(keyIdxs []int, aggs []AggDef) *groupTable {
-	return &groupTable{
-		keyIdxs: keyIdxs,
-		aggs:    aggs,
-		index:   map[uint64][]*aggGroup{},
-		scratch: make(types.Row, len(keyIdxs)),
+	gt := &groupTable{keyIdxs: keyIdxs, aggs: aggs, scratch: make(types.Row, len(keyIdxs))}
+	gt.resize(4)
+	return gt
+}
+
+// resize rebuilds the slots at 1<<bits and re-enters every group.
+func (gt *groupTable) resize(bits uint) {
+	gt.shift = 64 - bits
+	gt.slots = make([]int32, 1<<bits)
+	for i := range gt.slots {
+		gt.slots[i] = -1
+	}
+	mask := len(gt.slots) - 1
+	for gi, gr := range gt.order {
+		i := int(gr.h >> gt.shift)
+		for gt.slots[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		gt.slots[i] = int32(gi)
 	}
 }
 
-// newGroup registers an empty group under key (which must be safe to retain).
-func (gt *groupTable) newGroup(key types.Row) *aggGroup {
-	gr := &aggGroup{key: key, states: make([]*aggState, len(gt.aggs))}
+// newGroup appends an empty group under key (which must be safe to retain).
+func (gt *groupTable) newGroup(h uint64, key types.Row) *aggGroup {
+	gr := &aggGroup{h: h, key: key, states: make([]aggState, len(gt.aggs))}
 	for i := range gr.states {
-		gr.states[i] = &aggState{sum: types.Null(), min: types.Null(), max: types.Null()}
 		if gt.aggs[i].Distinct {
 			gr.states[i].seen = map[uint64][]types.Value{}
 		}
@@ -1654,14 +1756,26 @@ func (gt *groupTable) newGroup(key types.Row) *aggGroup {
 	return gr
 }
 
-// lookup finds the group for key (hash h), or nil.
-func (gt *groupTable) lookup(h uint64, key types.Row) *aggGroup {
-	for _, cand := range gt.index[h] {
-		if cand.key.Equal(key) {
-			return cand
+// group returns the group for key (hash h), entering a new one when none
+// matches; the new group keeps key itself, or a clone of it when clone is
+// set.
+func (gt *groupTable) group(h uint64, key types.Row, clone bool) *aggGroup {
+	mask := len(gt.slots) - 1
+	i := int(h >> gt.shift)
+	for ; gt.slots[i] >= 0; i = (i + 1) & mask {
+		if gr := gt.order[gt.slots[i]]; gr.h == h && gr.key.Equal(key) {
+			return gr
 		}
 	}
-	return nil
+	if clone {
+		key = key.Clone()
+	}
+	gr := gt.newGroup(h, key)
+	gt.slots[i] = int32(len(gt.order) - 1)
+	if 2*len(gt.order) > len(gt.slots) {
+		gt.resize(64 - gt.shift + 1)
+	}
+	return gr
 }
 
 // add folds one input row into its group.
@@ -1669,14 +1783,9 @@ func (gt *groupTable) add(row types.Row) error {
 	for i, k := range gt.keyIdxs {
 		gt.scratch[i] = row[k]
 	}
-	h := gt.scratch.Hash()
-	gr := gt.lookup(h, gt.scratch)
-	if gr == nil {
-		gr = gt.newGroup(gt.scratch.Clone())
-		gt.index[h] = append(gt.index[h], gr)
-	}
+	gr := gt.group(gt.scratch.Hash(), gt.scratch, true)
 	for i, def := range gt.aggs {
-		st := gr.states[i]
+		st := &gr.states[i]
 		if def.Kind == AggCountStar {
 			st.count++
 			continue
@@ -1685,7 +1794,7 @@ func (gt *groupTable) add(row types.Row) error {
 		if v.IsNull() {
 			continue
 		}
-		if err := st.observe(v, def.Distinct); err != nil {
+		if err := st.observe(v, def); err != nil {
 			return err
 		}
 	}
@@ -1695,14 +1804,9 @@ func (gt *groupTable) add(row types.Row) error {
 // merge folds another worker's table into this one.
 func (gt *groupTable) merge(o *groupTable) error {
 	for _, og := range o.order {
-		h := og.key.Hash()
-		gr := gt.lookup(h, og.key)
-		if gr == nil {
-			gr = gt.newGroup(og.key)
-			gt.index[h] = append(gt.index[h], gr)
-		}
+		gr := gt.group(og.h, og.key, false)
 		for i, def := range gt.aggs {
-			if err := mergeAggState(gr.states[i], og.states[i], def); err != nil {
+			if err := mergeAggState(&gr.states[i], &og.states[i], def); err != nil {
 				return err
 			}
 		}
@@ -1715,7 +1819,7 @@ func (gt *groupTable) merge(o *groupTable) error {
 // drains emit deterministically regardless of worker interleaving.
 func (g *GroupAgg) finish(gt *groupTable, canonical bool) error {
 	if len(g.KeyIdxs) == 0 && len(gt.order) == 0 {
-		gt.newGroup(types.Row{})
+		gt.newGroup(0, types.Row{})
 	}
 	if canonical {
 		enc := make([]string, len(gt.order))
@@ -1728,26 +1832,22 @@ func (g *GroupAgg) finish(gt *groupTable, canonical bool) error {
 		out := make(types.Row, 0, len(gr.key)+len(g.Aggs))
 		out = append(out, gr.key...)
 		for i, def := range g.Aggs {
-			st := gr.states[i]
+			st := &gr.states[i]
 			switch def.Kind {
 			case AggCount, AggCountStar:
 				out = append(out, types.NewInt(st.count))
-			case AggSum:
-				out = append(out, st.sum)
+			case AggSum, AggMin, AggMax:
+				out = append(out, st.val)
 			case AggAvg:
 				if st.count == 0 {
 					out = append(out, types.Null())
 				} else {
-					avg, err := types.Arith("/", types.NewFloat(st.sum.Float()), types.NewFloat(float64(st.count)))
+					avg, err := types.Arith("/", types.NewFloat(st.val.Float()), types.NewFloat(float64(st.count)))
 					if err != nil {
 						return err
 					}
 					out = append(out, avg)
 				}
-			case AggMin:
-				out = append(out, st.min)
-			case AggMax:
-				out = append(out, st.max)
 			}
 		}
 		g.groups = append(g.groups, out)
@@ -1888,13 +1988,15 @@ func (g *GroupAgg) Explain() string {
 // Children implements Plan.
 func (g *GroupAgg) Children() []Plan { return []Plan{g.Child} }
 
-// Collect drains a plan into a row slice (convenience for engine and tests).
+// Collect drains a plan into a row slice (convenience for engine and tests),
+// copying every row out of the batch that carried it.
 func Collect(ctx *Context, p Plan) ([]types.Row, error) {
 	if err := p.Open(ctx); err != nil {
 		return nil, err
 	}
 	defer p.Close()
 	var out []types.Row
+	var kept types.Arena
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
@@ -1906,6 +2008,8 @@ func Collect(ctx *Context, p Plan) ([]types.Row, error) {
 		if len(batch) == 0 {
 			return out, nil
 		}
-		out = append(out, batch...)
+		for _, row := range batch {
+			out = append(out, kept.Copy(row))
+		}
 	}
 }

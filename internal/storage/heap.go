@@ -99,21 +99,32 @@ func (h *Heap) directory() []PageID {
 // encodeCell prefixes the row encoding with the owner tag and rejects a row
 // no page can hold.
 func encodeCell(tag uint32, row types.Row) ([]byte, error) {
-	cell := row.Encode(binary.AppendUvarint(nil, uint64(tag)))
+	cell := make([]byte, 0, binary.MaxVarintLen32+row.EncodedSize())
+	cell = row.Encode(binary.AppendUvarint(cell, uint64(tag)))
 	if len(cell) > PageSize-pageHeaderSize-slotSize {
 		return nil, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(cell))
 	}
 	return cell, nil
 }
 
-// decodeCell splits a cell into tag and row.
-func decodeCell(cell []byte) (uint32, types.Row, error) {
+// cellTag reads a cell's owner tag, the uvarint before its row, and
+// returns it with the tag's length in bytes.
+func cellTag(cell []byte) (uint32, int, error) {
 	tag, n := binary.Uvarint(cell)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("storage: corrupt cell tag")
+		return 0, 0, fmt.Errorf("storage: corrupt cell tag")
+	}
+	return uint32(tag), n, nil
+}
+
+// decodeCell splits a cell into tag and row.
+func decodeCell(cell []byte) (uint32, types.Row, error) {
+	tag, n, err := cellTag(cell)
+	if err != nil {
+		return 0, nil, err
 	}
 	row, _, err := types.DecodeRow(cell[n:])
-	return uint32(tag), row, err
+	return tag, row, err
 }
 
 // visibleLocked applies vis (or the latest-committed default) to the stamps
@@ -295,11 +306,11 @@ func (h *Heap) GetVisible(tag uint32, rid RID, vis VisFunc, dec *types.RowDecode
 	if err != nil {
 		return nil, false, nil // slot vacuumed or never filled: treat as gone
 	}
-	ctag, n := binary.Uvarint(cell)
-	if n <= 0 {
-		return nil, false, fmt.Errorf("storage: corrupt cell tag")
+	ctag, n, err := cellTag(cell)
+	if err != nil {
+		return nil, false, err
 	}
-	if uint32(ctag) != tag {
+	if ctag != tag {
 		return nil, false, nil
 	}
 	row, _, err := dec.Decode(cell[n:])
@@ -427,7 +438,7 @@ func (h *Heap) Update(tag uint32, rid RID, row types.Row) (RID, error) {
 		h.bp.Unpin(rid.Page, false)
 		return NilRID, err
 	}
-	if ctag, _, derr := decodeCell(old); derr != nil || ctag != tag {
+	if ctag, _, derr := cellTag(old); derr != nil || ctag != tag {
 		h.bp.Unpin(rid.Page, false)
 		if derr != nil {
 			return NilRID, derr
@@ -472,7 +483,7 @@ func (h *Heap) Delete(tag uint32, rid RID) error {
 		h.bp.Unpin(rid.Page, false)
 		return err
 	}
-	ctag, _, err := decodeCell(cell)
+	ctag, _, err := cellTag(cell)
 	if err != nil {
 		h.bp.Unpin(rid.Page, false)
 		return err

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sync/atomic"
 
 	"sqlxnf/internal/types"
@@ -61,7 +59,8 @@ func (d *MorselDispatcher) Claim() []PageID {
 
 // MorselReader decodes the visible rows one table owns, one heap page at a
 // time. Each scan holds its own reader, so decoded values come from a private
-// types.RowDecoder arena — concurrent workers never share allocation state.
+// types.RowDecoder arena — concurrent workers never share allocation state —
+// which Reset lets the next pages reuse.
 // A reader decodes every column unless Columns lists the ones to build.
 type MorselReader struct {
 	h   *Heap
@@ -92,6 +91,11 @@ func (r *MorselReader) EmitRID() { r.ridCol, r.dec.Spare = true, 1 }
 // when EmitRID is set. Keep sees the same row.
 func (r *MorselReader) Columns(cols []int) { r.dec.Cols = cols }
 
+// Reset lets the reader reuse the memory of every row ReadPage returned
+// before: those rows become invalid (types.RowDecoder.Reset). A reader that
+// is never Reset keeps every row valid.
+func (r *MorselReader) Reset() { r.dec.Reset() }
+
 // MorselReader returns a reader over this heap for rows owned by tag.
 func (h *Heap) MorselReader(tag uint32) *MorselReader {
 	return &MorselReader{h: h, tag: tag}
@@ -115,11 +119,11 @@ func (r *MorselReader) ReadPage(id PageID, rows []types.Row) ([]types.Row, error
 	}
 	defer h.bp.Unpin(id, false)
 	err = p.LiveCells(func(slot int, cell []byte) error {
-		tag, n := binary.Uvarint(cell)
-		if n <= 0 {
-			return fmt.Errorf("storage: corrupt cell tag")
+		tag, n, err := cellTag(cell)
+		if err != nil {
+			return err
 		}
-		if uint32(tag) != r.tag {
+		if tag != r.tag {
 			return nil
 		}
 		rid := RID{Page: id, Slot: uint16(slot)}

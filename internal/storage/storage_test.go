@@ -857,3 +857,34 @@ func TestHeapDirectoryGrowsUnderScans(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHeapUpdateReadsOnlyTheOwnerTag: an in-place Update and a Delete check
+// the old cell's owner tag without decoding its row, so an update of a row
+// with string columns allocates only the new cell's encoding; a foreign tag
+// is still refused.
+func TestHeapUpdateReadsOnlyTheOwnerTag(t *testing.T) {
+	bp := NewBufferPool(NewDisk(), 32)
+	h, _ := CreateHeap(bp)
+	wide := types.Row{types.NewInt(1), types.NewString("alpha"), types.NewString("beta"), types.NewString("gamma")}
+	rid, err := h.Insert(1, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if nrid, err := h.Update(1, rid, wide); err != nil || nrid != rid {
+			t.Fatalf("in-place update: %v %v", nrid, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("an in-place Update allocates %.0f times, want at most 1 (the new cell)", allocs)
+	}
+	if _, err := h.Update(2, rid, wide); err == nil {
+		t.Error("update under a foreign tag succeeded")
+	}
+	if err := h.Delete(2, rid); err == nil {
+		t.Error("delete under a foreign tag succeeded")
+	}
+	if err := h.Delete(1, rid); err != nil {
+		t.Fatal(err)
+	}
+}

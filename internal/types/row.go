@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"testing"
 	"unsafe"
 )
 
@@ -138,11 +139,96 @@ func DecodeRow(src []byte) (Row, int, error) {
 	return decodeValues(src, used, n, nil, make(Row, 0, n), false)
 }
 
-// RowDecoder decodes consecutive rows, carving their value storage from
-// chunked arena allocations (one per ~chunk of values) instead of one
-// allocation per row — the page-scan hot path uses it. Decoded rows escape
-// to consumers, so chunks are handed out once and never reused; the zero
-// value is ready to use and decodes every column.
+// Arena hands out rows carved from chunked value allocations: one
+// allocation per chunk instead of one per row. Its first row gets an exact
+// allocation, so a one-row fetch pays no chunk; chunks then start small and
+// double per refill up to the max, so large batches amortize to one
+// allocation per ~thousand values. Reset rewinds the arena: the rows carved
+// after it reuse the chunks, so every row carved before becomes invalid. An
+// arena that is never Reset hands out each value once, and its rows live as
+// long as anything references them. The zero value is ready to use.
+type Arena struct {
+	chunks [][]Value // every chunk allocated so far, smallest first
+	next   int       // chunks[:next] are in use since the last Reset
+	free   []Value   // the unused tail of chunks[next-1]
+	size   int       // the size of the newest chunk
+}
+
+// Arena granularity in values (40 B each).
+const (
+	arenaChunkMin = 64
+	arenaChunkMax = 4096
+)
+
+// poisonReuse makes Reset overwrite the values it hands back, in test
+// binaries only: a consumer that reads a row past its producer's next batch
+// then reads poisonValue instead of a plausible stale row, and fails.
+var poisonReuse = testing.Testing()
+
+var poisonValue = NewString("<poison: row read after its batch was reused>")
+
+// Take returns an empty row with capacity n carved from the arena.
+func (a *Arena) Take(n int) Row {
+	if len(a.free) < n && !a.refill(n) {
+		return make(Row, 0, n)
+	}
+	row := a.free[:0:n]
+	a.free = a.free[n:]
+	return row
+}
+
+// Copy returns a copy of r carved from the arena.
+func (a *Arena) Copy(r Row) Row {
+	return append(a.Take(len(r)), r...)
+}
+
+// refill makes the next chunk current: a chunk kept from before the last
+// Reset when it fits n values, else a new one. It reports false when n gets
+// an exact allocation instead (the first row, or one wider than a chunk).
+func (a *Arena) refill(n int) bool {
+	if a.next < len(a.chunks) && len(a.chunks[a.next]) >= n {
+		a.free = a.chunks[a.next]
+		a.next++
+		return true
+	}
+	switch {
+	case a.size == 0:
+		a.size = arenaChunkMin / 2
+		return false
+	case a.size < arenaChunkMax:
+		a.size *= 2
+	}
+	if n > a.size {
+		return false
+	}
+	c := make([]Value, a.size)
+	if a.next < len(a.chunks) {
+		a.chunks[a.next] = c
+	} else {
+		a.chunks = append(a.chunks, c)
+	}
+	a.next++
+	a.free = c
+	return true
+}
+
+// Reset rewinds the arena so the rows it carves next reuse its chunks.
+func (a *Arena) Reset() {
+	if poisonReuse {
+		for _, c := range a.chunks[:a.next] {
+			for i := range c {
+				c[i] = poisonValue
+			}
+		}
+	}
+	a.next, a.free = 0, nil
+}
+
+// RowDecoder decodes consecutive rows into an Arena, so their value storage
+// comes from chunked allocations instead of one allocation per row — the
+// page-scan hot path uses it. Decoded rows stay valid until the decoder's
+// next Reset; a caller that never calls Reset keeps every row it decoded.
+// The zero value is ready to use and decodes every column.
 type RowDecoder struct {
 	// Cols lists the columns to decode, in ascending order; nil decodes
 	// every column. A decoded row holds the listed columns only: the other
@@ -153,20 +239,14 @@ type RowDecoder struct {
 	// scan can append that many values (the RID column) without re-allocating
 	// the row.
 	Spare   int
-	free    []Value
-	chunk   int
+	arena   Arena
 	scratch Row
 }
 
-// Arena granularity in values (40 B each): a decoder's first row gets an
-// exact allocation, so an index probe that fetches one row pays no chunk;
-// chunks then start small so scanning a handful of rows stays cheap, and
-// double per refill up to the max so large scans amortize to one allocation
-// per ~thousand values.
-const (
-	decoderChunkMin = 64
-	decoderChunkMax = 4096
-)
+// Reset lets the decoder reuse the memory of every row it decoded before:
+// those rows become invalid. Values copied out of them stay valid, since a
+// decoded string never aliases its source.
+func (d *RowDecoder) Reset() { d.arena.Reset() }
 
 // width is the number of values a decoded row holds, for a cell of n.
 func (d *RowDecoder) width(n uint64) int {
@@ -176,26 +256,6 @@ func (d *RowDecoder) width(n uint64) int {
 	return len(d.Cols)
 }
 
-// take carves an n-value row from the current chunk.
-func (d *RowDecoder) take(n int) Row {
-	if len(d.free) < n {
-		switch {
-		case d.chunk == 0:
-			d.chunk = decoderChunkMin / 2
-			return make(Row, 0, n)
-		case d.chunk < decoderChunkMax:
-			d.chunk *= 2
-		}
-		if n > d.chunk {
-			return make(Row, 0, n)
-		}
-		d.free = make([]Value, d.chunk)
-	}
-	row := d.free[:0:n]
-	d.free = d.free[n:]
-	return row
-}
-
 // Decode parses one row's listed columns into the arena (with Spare
 // capacity), returning it and the number of bytes consumed.
 func (d *RowDecoder) Decode(src []byte) (Row, int, error) {
@@ -203,7 +263,7 @@ func (d *RowDecoder) Decode(src []byte) (Row, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return decodeValues(src, used, n, d.Cols, d.take(d.width(n)+d.Spare), false)
+	return decodeValues(src, used, n, d.Cols, d.arena.Take(d.width(n)+d.Spare), false)
 }
 
 // Borrow parses one row's listed columns into the decoder's scratch row
@@ -224,7 +284,7 @@ func (d *RowDecoder) Borrow(src []byte) (Row, int, error) {
 // Own copies a borrowed row into the arena, cloning its strings, so the
 // copy shares no bytes with the source Borrow read.
 func (d *RowDecoder) Own(borrowed Row) Row {
-	row := d.take(len(borrowed))[:len(borrowed)]
+	row := d.arena.Take(len(borrowed))[:len(borrowed)]
 	for i, v := range borrowed {
 		if v.kind == KindString {
 			v.s = strings.Clone(v.s)

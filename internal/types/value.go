@@ -316,11 +316,20 @@ func CompareTri(op string, a, b Value) (Tri, error) {
 
 // Equal reports deep equality treating NULL = NULL as true. It is the
 // grouping/duplicate-elimination notion of equality, not the predicate one.
+// Same-kind INT and VARCHAR values, the common join and grouping keys,
+// compare directly.
 func Equal(a, b Value) bool {
-	if a.IsNull() && b.IsNull() {
-		return true
+	if a.kind == b.kind {
+		switch a.kind {
+		case KindNull:
+			return true
+		case KindInt:
+			return a.i == b.i
+		case KindString:
+			return a.s == b.s
+		}
 	}
-	if a.IsNull() != b.IsNull() {
+	if a.IsNull() || b.IsNull() {
 		return false
 	}
 	c, err := Compare(a, b)
@@ -413,46 +422,51 @@ func Coerce(v Value, k Kind) (Value, error) {
 	}
 }
 
+// FNV-1a parameters of Value.Hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvByte folds one byte into an FNV-1a hash.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvTagged hashes a kind tag followed by the eight little-endian bytes of u.
+func fnvTagged(tag byte, u uint64) uint64 {
+	h := fnvByte(fnvOffset64, tag)
+	for s := 0; s < 64; s += 8 {
+		h = fnvByte(h, byte(u>>s))
+	}
+	return h
+}
+
 // Hash returns a 64-bit hash of the value, suitable for hash joins and
 // grouping. Values that are Equal hash identically (INT 2 and FLOAT 2.0
 // hash the same because they compare equal).
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
 	switch v.kind {
 	case KindNull:
-		mix(0)
+		return fnvByte(fnvOffset64, 0)
 	case KindInt, KindFloat:
+		// An INT within ±2^53 converts to float and back exactly, so it
+		// hashes as itself without the round trip.
+		if v.kind == KindInt && v.i >= -1<<53 && v.i <= 1<<53 {
+			return fnvTagged(1, uint64(v.i))
+		}
 		// Normalize numerics: integral floats hash as ints.
 		f := v.Float()
 		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			u := uint64(int64(f))
-			mix(1)
-			for s := 0; s < 64; s += 8 {
-				mix(byte(u >> s))
-			}
-		} else {
-			u := math.Float64bits(f)
-			mix(2)
-			for s := 0; s < 64; s += 8 {
-				mix(byte(u >> s))
-			}
+			return fnvTagged(1, uint64(int64(f)))
 		}
+		return fnvTagged(2, math.Float64bits(f))
 	case KindString:
-		mix(3)
+		h := fnvByte(fnvOffset64, 3)
 		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+			h = fnvByte(h, v.s[i])
 		}
+		return h
 	case KindBool:
-		mix(4)
-		mix(byte(v.i))
+		return fnvByte(fnvByte(fnvOffset64, 4), byte(v.i))
 	}
-	return h
+	return fnvOffset64
 }

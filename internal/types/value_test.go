@@ -307,3 +307,72 @@ func TestHashEqualConsistency(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// refHash is Value.Hash as it was written before INTs within ±2^53 skipped
+// the float round trip: the hashes key nothing persistent, but the fast
+// paths must not move one.
+func refHash(v Value) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(b byte) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	switch v.kind {
+	case KindNull:
+		mix(0)
+	case KindInt, KindFloat:
+		f := v.Float()
+		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			u := uint64(int64(f))
+			mix(1)
+			for s := 0; s < 64; s += 8 {
+				mix(byte(u >> s))
+			}
+		} else {
+			u := math.Float64bits(f)
+			mix(2)
+			for s := 0; s < 64; s += 8 {
+				mix(byte(u >> s))
+			}
+		}
+	case KindString:
+		mix(3)
+		for i := 0; i < len(v.s); i++ {
+			mix(v.s[i])
+		}
+	case KindBool:
+		mix(4)
+		mix(byte(v.i))
+	}
+	return h
+}
+
+// TestHashAndEqualFastPaths: INT hashing without the float round trip gives
+// the reference hash on both sides of ±2^53 and at the int64 limits, and the
+// same-kind Equal shortcuts agree with Compare across kinds.
+func TestHashAndEqualFastPaths(t *testing.T) {
+	vals := []Value{Null(), NewBool(true), NewBool(false), NewString(""), NewString("abc"),
+		NewFloat(2), NewFloat(-0.0), NewFloat(2.5), NewFloat(math.Inf(1)), NewFloat(math.NaN()), NewFloat(1 << 60)}
+	for _, i := range []int64{0, 1, -1, 2, 255, 1 << 53, -1 << 53, 1<<53 + 1, -1<<53 - 1, 1 << 60,
+		math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1} {
+		vals = append(vals, NewInt(i))
+	}
+	for _, v := range vals {
+		if got, want := v.Hash(), refHash(v); got != want {
+			t.Errorf("%v (%s): hash %x, reference %x", v, v.kind, got, want)
+		}
+		for _, o := range vals {
+			want := v.IsNull() && o.IsNull()
+			if !v.IsNull() && !o.IsNull() {
+				c, err := Compare(v, o)
+				want = err == nil && c == 0
+			}
+			if got := Equal(v, o); got != want {
+				t.Errorf("Equal(%v %s, %v %s) = %v, want %v", v, v.kind, o, o.kind, got, want)
+			}
+		}
+	}
+	if NewInt(2).Hash() != NewFloat(2).Hash() {
+		t.Error("INT 2 and FLOAT 2.0 hash apart")
+	}
+}
