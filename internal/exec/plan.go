@@ -787,22 +787,10 @@ func (j *NLJoin) Open(ctx *Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	j.right = j.right[:0]
 	j.rarena = types.Arena{}
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		batch, err := j.Right.NextBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, row := range batch {
-			j.right = append(j.right, j.rarena.Copy(row))
-		}
+	var err error
+	if j.right, err = drainCopies(ctx, j.Right, &j.rarena, j.right[:0]); err != nil {
+		return err
 	}
 	j.cur = nil
 	j.rpos = 0
@@ -961,22 +949,9 @@ func (s *buildSink) add(ctx *Context, row types.Row) error {
 	return nil
 }
 
-// drain adds every row of an opened build pipeline.
+// drain adds every remaining row of an opened build pipeline.
 func (s *buildSink) drain(ctx *Context, p Plan) error {
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		batch, err := p.NextBatch(ctx)
-		if err != nil || len(batch) == 0 {
-			return err
-		}
-		for _, row := range batch {
-			if err := s.add(ctx, row); err != nil {
-				return err
-			}
-		}
-	}
+	return forEachRow(ctx, p, func(row types.Row) error { return s.add(ctx, row) })
 }
 
 // fill writes the sinks' entries into the table, sink by sink in order, and
@@ -1515,23 +1490,11 @@ func (s *Sort) Open(ctx *Context) error {
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
 	s.arena = types.Arena{}
 	s.pos = 0
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		batch, err := s.Child.NextBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, row := range batch {
-			s.rows = append(s.rows, s.arena.Copy(row))
-		}
+	var err error
+	if s.rows, err = drainCopies(ctx, s.Child, &s.arena, s.rows[:0]); err != nil {
+		return err
 	}
 	if s.cmp == nil {
 		s.cmp = compileComparator(s.Keys)
@@ -1883,22 +1846,8 @@ func (g *GroupAgg) Open(ctx *Context) error {
 		return err
 	}
 	gt := newGroupTable(g.KeyIdxs, g.Aggs)
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		batch, err := g.Child.NextBatch(ctx)
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, row := range batch {
-			if err := gt.add(row); err != nil {
-				return err
-			}
-		}
+	if err := forEachRow(ctx, g.Child, gt.add); err != nil {
+		return err
 	}
 	return g.finish(gt, false)
 }
@@ -1933,20 +1882,7 @@ func (g *GroupAgg) openParallel(ctx *Context) error {
 					return err
 				}
 				defer w.Close()
-				for {
-					batch, err := w.NextBatch(wctx)
-					if err != nil {
-						return err
-					}
-					if len(batch) == 0 {
-						return nil
-					}
-					for _, row := range batch {
-						if err := gt.add(row); err != nil {
-							return err
-						}
-					}
-				}
+				return forEachRow(wctx, w, gt.add)
 			}()
 		}(i, w)
 	}
@@ -1995,21 +1931,39 @@ func Collect(ctx *Context, p Plan) ([]types.Row, error) {
 		return nil, err
 	}
 	defer p.Close()
-	var out []types.Row
 	var kept types.Arena
+	rows, err := drainCopies(ctx, p, &kept, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// forEachRow calls fn on every remaining row of an opened plan, polling for
+// cancellation once per batch.
+func forEachRow(ctx *Context, p Plan, fn func(types.Row) error) error {
 	for {
 		if err := ctx.Interrupted(); err != nil {
-			return nil, err
+			return err
 		}
 		batch, err := p.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if len(batch) == 0 {
-			return out, nil
+		if err != nil || len(batch) == 0 {
+			return err
 		}
 		for _, row := range batch {
-			out = append(out, kept.Copy(row))
+			if err := fn(row); err != nil {
+				return err
+			}
 		}
 	}
+}
+
+// drainCopies appends a copy of every remaining row of an opened plan to
+// rows, carved from arena: the way an operator keeps its input.
+func drainCopies(ctx *Context, p Plan, arena *types.Arena, rows []types.Row) ([]types.Row, error) {
+	err := forEachRow(ctx, p, func(row types.Row) error {
+		rows = append(rows, arena.Copy(row))
+		return nil
+	})
+	return rows, err
 }
