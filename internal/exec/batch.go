@@ -40,6 +40,23 @@ func sliceBatch(rows []types.Row, pos *int) []types.Row {
 	return out
 }
 
+// keepBatch appends to rows a copy of every row of batch, their values
+// carved from one allocation sized to the batch: how an operator keeps rows
+// past its producer's next pull.
+func keepBatch(rows, batch []types.Row) []types.Row {
+	n := 0
+	for _, r := range batch {
+		n += len(r)
+	}
+	vals := make([]types.Value, n)
+	for _, r := range batch {
+		k := copy(vals, r)
+		rows = append(rows, vals[:k:k])
+		vals = vals[k:]
+	}
+	return rows
+}
+
 // concat writes l followed by r into a row carved from a.
 func concat(a *types.Arena, l, r types.Row) types.Row {
 	return append(append(a.Take(len(l)+len(r)), l...), r...)

@@ -616,8 +616,10 @@ func (p *Project) NextBatch(ctx *Context) ([]types.Row, error) {
 	}
 	p.obuf = p.obuf[:0]
 	p.arena.Reset()
-	for _, row := range batch {
-		out := p.arena.Take(len(p.Exprs))[:len(p.Exprs)]
+	n := len(p.Exprs)
+	block := p.arena.Take(len(batch) * n)[:len(batch)*n]
+	for i, row := range batch {
+		out := block[i*n : (i+1)*n : (i+1)*n]
 		if err := p.projectInto(ctx, row, out); err != nil {
 			return nil, err
 		}
@@ -755,14 +757,13 @@ func (d *Distinct) Children() []Plan { return []Plan{d.Child} }
 // ---------------------------------------------------------------------------
 
 // NLJoin is a block nested-loops join: the right input materializes once,
-// copied into rarena, then every left row scans it. Pred (optional) filters
+// copied, then every left row scans it. Pred (optional) filters
 // concatenated rows, which each batch carves from an arena it reuses.
 type NLJoin struct {
 	Left, Right Plan
 	Pred        Expr
 	out         types.Schema
 	right       []types.Row
-	rarena      types.Arena
 	cur         types.Row
 	rpos        int
 	lbatch      []types.Row
@@ -787,9 +788,8 @@ func (j *NLJoin) Open(ctx *Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	j.rarena = types.Arena{}
 	var err error
-	if j.right, err = drainCopies(ctx, j.Right, &j.rarena, j.right[:0]); err != nil {
+	if j.right, err = drainCopies(ctx, j.Right, j.right[:0]); err != nil {
 		return err
 	}
 	j.cur = nil
@@ -847,7 +847,7 @@ func (j *NLJoin) NextBatch(ctx *Context) ([]types.Row, error) {
 // and would pin arbitrary row memory in pooled prepared plans.
 func (j *NLJoin) Close() error {
 	j.right = nil
-	j.rarena, j.arena = types.Arena{}, types.Arena{}
+	j.arena = types.Arena{}
 	j.obuf = j.obuf[:0]
 	j.lbatch = nil
 	if err := j.Left.Close(); err != nil {
@@ -896,9 +896,9 @@ type hashTable struct {
 // buildChunk is the most entries one chunk of a buildSink holds.
 const buildChunk = 1024
 
-// buildSink collects the entries of one build pipeline. Each row it keeps
-// is copied into its arena, since the pipeline reuses its batches; a key of
-// one plain column is read from that copy, any other key is evaluated into
+// buildSink collects the entries of one build pipeline. It copies each
+// batch (keepBatch), since the pipeline reuses its batches; a key of one
+// plain column is read from the copied row, any other key is evaluated into
 // the key arena. Entries fill chunks that grow to buildChunk, so collecting
 // them never copies one, and hashTable.fill writes each entry once.
 type buildSink struct {
@@ -906,7 +906,7 @@ type buildSink struct {
 	keyCol  int // the key's column when it is one plain column, else -1
 	hash    func(types.Row) uint64
 	scratch types.Row
-	rows    types.Arena
+	kept    []types.Row // the current batch's copies
 	keyVals types.Arena
 	chunks  [][]buildEnt
 	n       int
@@ -929,7 +929,6 @@ func (s *buildSink) add(ctx *Context, row types.Row) error {
 		if row[c].IsNull() {
 			return nil
 		}
-		row = s.rows.Copy(row)
 		keys = row[c : c+1 : c+1]
 	} else {
 		null, err := evalKeysInto(ctx, s.keys, row, s.scratch)
@@ -937,7 +936,6 @@ func (s *buildSink) add(ctx *Context, row types.Row) error {
 			return err
 		}
 		keys = s.keyVals.Copy(s.scratch)
-		row = s.rows.Copy(row)
 	}
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
@@ -949,9 +947,17 @@ func (s *buildSink) add(ctx *Context, row types.Row) error {
 	return nil
 }
 
-// drain adds every remaining row of an opened build pipeline.
+// drain adds a copy of every remaining row of an opened build pipeline.
 func (s *buildSink) drain(ctx *Context, p Plan) error {
-	return forEachRow(ctx, p, func(row types.Row) error { return s.add(ctx, row) })
+	return forEachBatch(ctx, p, func(batch []types.Row) error {
+		s.kept = keepBatch(s.kept[:0], batch)
+		for _, row := range s.kept {
+			if err := s.add(ctx, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // fill writes the sinks' entries into the table, sink by sink in order, and
@@ -1421,8 +1427,8 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and orders child output, copying each row into its
-// arena. NULLs sort first ascending. The key comparison precompiles once per
+// Sort materializes and orders child output, copying each row it keeps.
+// NULLs sort first ascending. The key comparison precompiles once per
 // operator (Keys are immutable): the single-key case runs without the
 // per-comparison key loop and integer keys compare inline without the
 // generic types.Compare dispatch.
@@ -1431,7 +1437,6 @@ type Sort struct {
 	Keys  []SortKey
 	cmp   rowCompare
 	rows  []types.Row
-	arena types.Arena
 	pos   int
 }
 
@@ -1490,10 +1495,9 @@ func (s *Sort) Open(ctx *Context) error {
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	s.arena = types.Arena{}
 	s.pos = 0
 	var err error
-	if s.rows, err = drainCopies(ctx, s.Child, &s.arena, s.rows[:0]); err != nil {
+	if s.rows, err = drainCopies(ctx, s.Child, s.rows[:0]); err != nil {
 		return err
 	}
 	if s.cmp == nil {
@@ -1528,10 +1532,7 @@ func (s *Sort) NextBatch(*Context) ([]types.Row, error) {
 }
 
 // Close implements Plan.
-func (s *Sort) Close() error {
-	s.rows, s.arena = nil, types.Arena{}
-	return s.Child.Close()
-}
+func (s *Sort) Close() error { s.rows = nil; return s.Child.Close() }
 
 // Explain implements Plan.
 func (s *Sort) Explain() string { return fmt.Sprintf("Sort %v", s.Keys) }
@@ -1741,24 +1742,26 @@ func (gt *groupTable) group(h uint64, key types.Row, clone bool) *aggGroup {
 	return gr
 }
 
-// add folds one input row into its group.
-func (gt *groupTable) add(row types.Row) error {
-	for i, k := range gt.keyIdxs {
-		gt.scratch[i] = row[k]
-	}
-	gr := gt.group(gt.scratch.Hash(), gt.scratch, true)
-	for i, def := range gt.aggs {
-		st := &gr.states[i]
-		if def.Kind == AggCountStar {
-			st.count++
-			continue
+// add folds a batch of input rows into their groups.
+func (gt *groupTable) add(batch []types.Row) error {
+	for _, row := range batch {
+		for i, k := range gt.keyIdxs {
+			gt.scratch[i] = row[k]
 		}
-		v := row[def.ArgIdx]
-		if v.IsNull() {
-			continue
-		}
-		if err := st.observe(v, def); err != nil {
-			return err
+		gr := gt.group(gt.scratch.Hash(), gt.scratch, true)
+		for i, def := range gt.aggs {
+			st := &gr.states[i]
+			if def.Kind == AggCountStar {
+				st.count++
+				continue
+			}
+			v := row[def.ArgIdx]
+			if v.IsNull() {
+				continue
+			}
+			if err := st.observe(v, def); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -1846,7 +1849,7 @@ func (g *GroupAgg) Open(ctx *Context) error {
 		return err
 	}
 	gt := newGroupTable(g.KeyIdxs, g.Aggs)
-	if err := forEachRow(ctx, g.Child, gt.add); err != nil {
+	if err := forEachBatch(ctx, g.Child, gt.add); err != nil {
 		return err
 	}
 	return g.finish(gt, false)
@@ -1882,7 +1885,7 @@ func (g *GroupAgg) openParallel(ctx *Context) error {
 					return err
 				}
 				defer w.Close()
-				return forEachRow(wctx, w, gt.add)
+				return forEachBatch(wctx, w, gt.add)
 			}()
 		}(i, w)
 	}
@@ -1931,17 +1934,16 @@ func Collect(ctx *Context, p Plan) ([]types.Row, error) {
 		return nil, err
 	}
 	defer p.Close()
-	var kept types.Arena
-	rows, err := drainCopies(ctx, p, &kept, nil)
+	rows, err := drainCopies(ctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
-// forEachRow calls fn on every remaining row of an opened plan, polling for
-// cancellation once per batch.
-func forEachRow(ctx *Context, p Plan, fn func(types.Row) error) error {
+// forEachBatch calls fn on every remaining batch of an opened plan, polling
+// for cancellation before each pull.
+func forEachBatch(ctx *Context, p Plan, fn func([]types.Row) error) error {
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
@@ -1950,19 +1952,17 @@ func forEachRow(ctx *Context, p Plan, fn func(types.Row) error) error {
 		if err != nil || len(batch) == 0 {
 			return err
 		}
-		for _, row := range batch {
-			if err := fn(row); err != nil {
-				return err
-			}
+		if err := fn(batch); err != nil {
+			return err
 		}
 	}
 }
 
 // drainCopies appends a copy of every remaining row of an opened plan to
-// rows, carved from arena: the way an operator keeps its input.
-func drainCopies(ctx *Context, p Plan, arena *types.Arena, rows []types.Row) ([]types.Row, error) {
-	err := forEachRow(ctx, p, func(row types.Row) error {
-		rows = append(rows, arena.Copy(row))
+// rows (keepBatch).
+func drainCopies(ctx *Context, p Plan, rows []types.Row) ([]types.Row, error) {
+	err := forEachBatch(ctx, p, func(batch []types.Row) error {
+		rows = keepBatch(rows, batch)
 		return nil
 	})
 	return rows, err

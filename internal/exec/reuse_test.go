@@ -79,19 +79,23 @@ func TestBatchReuseContract(t *testing.T) {
 			if err := p.Open(ctx); err != nil {
 				t.Fatal(err)
 			}
-			first, err := p.NextBatch(ctx)
-			if err != nil || len(first) == 0 {
-				t.Fatalf("%s: first batch: %d rows, %v", name, len(first), err)
+			// An arena's first allocation is exact and never reused; from
+			// the second batch on, every batch lies in reused chunks.
+			var second []types.Row
+			for range 2 {
+				batch, err := p.NextBatch(ctx)
+				if err != nil || len(batch) == 0 {
+					t.Fatalf("%s: batch of %d rows, %v", name, len(batch), err)
+				}
+				second = batch
 			}
-			// An arena's first row is an exact allocation; the last row of
-			// a batch lies in a chunk.
-			kept := first[len(first)-1]
+			kept := second[len(second)-1]
 			before := kept.Clone()
 			if _, err := p.NextBatch(ctx); err != nil {
 				t.Fatal(err)
 			}
 			if kept.Equal(before) {
-				t.Errorf("%s: a row of the first batch still reads %v after the next pull: its memory was not reused", name, before)
+				t.Errorf("%s: a row of the second batch still reads %v after the next pull: its memory was not reused", name, before)
 			}
 			p.Close()
 		}

@@ -183,8 +183,8 @@ func (a *Arena) Copy(r Row) Row {
 }
 
 // refill makes the next chunk current: a chunk kept from before the last
-// Reset when it fits n values, else a new one. It reports false when n gets
-// an exact allocation instead (the first row, or one wider than a chunk).
+// Reset when it fits n values, else a new one, at least n long. It reports
+// false when the arena's first row gets an exact allocation instead.
 func (a *Arena) refill(n int) bool {
 	if a.next < len(a.chunks) && len(a.chunks[a.next]) >= n {
 		a.free = a.chunks[a.next]
@@ -198,10 +198,7 @@ func (a *Arena) refill(n int) bool {
 	case a.size < arenaChunkMax:
 		a.size *= 2
 	}
-	if n > a.size {
-		return false
-	}
-	c := make([]Value, a.size)
+	c := make([]Value, max(a.size, n))
 	if a.next < len(a.chunks) {
 		a.chunks[a.next] = c
 	} else {
