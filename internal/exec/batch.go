@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"sqlxnf/internal/types"
 )
 
@@ -49,6 +51,7 @@ func keepBatch(rows, batch []types.Row) []types.Row {
 		n += len(r)
 	}
 	vals := make([]types.Value, n)
+	rows = slices.Grow(rows, len(batch))
 	for _, r := range batch {
 		k := copy(vals, r)
 		rows = append(rows, vals[:k:k])

@@ -141,9 +141,10 @@ func DecodeRow(src []byte) (Row, int, error) {
 
 // Arena hands out rows carved from chunked value allocations: one
 // allocation per chunk instead of one per row. Its first row gets an exact
-// allocation, so a one-row fetch pays no chunk; chunks then start small and
-// double per refill up to the max, so large batches amortize to one
-// allocation per ~thousand values. Reset rewinds the arena: the rows carved
+// allocation, so a one-row fetch pays no chunk; the first chunk then holds
+// eight rows of that width and each next one doubles up to the max, so a
+// few-row result stays small and large batches amortize to one allocation
+// per ~thousand values. Reset rewinds the arena: the rows carved
 // after it reuse the chunks, so every row carved before becomes invalid. An
 // arena that is never Reset hands out each value once, and its rows live as
 // long as anything references them. The zero value is ready to use.
@@ -154,11 +155,9 @@ type Arena struct {
 	size   int       // the size of the newest chunk
 }
 
-// Arena granularity in values (40 B each).
-const (
-	arenaChunkMin = 64
-	arenaChunkMax = 4096
-)
+// arenaChunkMax is the size, in values (40 B each), that chunks stop
+// doubling at.
+const arenaChunkMax = 4096
 
 // poisonReuse makes Reset overwrite the values it hands back, in test
 // binaries only: a consumer that reads a row past its producer's next batch
@@ -193,10 +192,10 @@ func (a *Arena) refill(n int) bool {
 	}
 	switch {
 	case a.size == 0:
-		a.size = arenaChunkMin / 2
+		a.size = 4 * n
 		return false
 	case a.size < arenaChunkMax:
-		a.size *= 2
+		a.size = min(2*a.size, arenaChunkMax)
 	}
 	c := make([]Value, max(a.size, n))
 	if a.next < len(a.chunks) {
