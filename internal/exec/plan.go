@@ -20,8 +20,8 @@ type Plan interface {
 	Open(ctx *Context) error
 	// NextBatch returns the next batch of rows, typically about BatchSize
 	// (scans may overshoot to a page boundary). An empty batch with a nil
-	// error means the input is exhausted. The returned slice is reused by
-	// the operator across calls.
+	// error means the input is exhausted. The returned slice and its rows
+	// are reused by the operator across calls (see batch.go).
 	NextBatch(ctx *Context) ([]types.Row, error)
 	Close() error
 	// Explain renders one line describing the operator.

@@ -108,15 +108,15 @@ func TestBatchReuseContract(t *testing.T) {
 				t.Fatalf("Sort row %d = %v", i, r)
 			}
 		}
-		// Every batch repeats the values of the batches before it.
+		// Values first seen in one batch repeat in later ones.
 		distinct := mustCollect(t, &Distinct{Child: &Project{Child: &SeqScan{Table: tab},
-			Exprs: []Expr{BinOp{Op: "%", L: Col{Idx: 0}, R: Const{V: iv(100)}}}, Out: intSchema("m")}})
+			Exprs: []Expr{BinOp{Op: "%", L: Col{Idx: 0}, R: Const{V: iv(1000)}}}, Out: intSchema("m")}})
 		mods := map[int64]bool{}
 		for _, r := range distinct {
 			mods[r[0].Int()] = true
 		}
-		if len(distinct) != 100 || len(mods) != 100 {
-			t.Fatalf("Distinct: %d rows, %d values, want 100", len(distinct), len(mods))
+		if len(distinct) != 1000 || len(mods) != 1000 {
+			t.Fatalf("Distinct: %d rows, %d values, want 1000", len(distinct), len(mods))
 		}
 		joined := mustCollect(t, NewHashJoin(probe(5, 1500, 2999), &SeqScan{Table: tab},
 			[]Expr{Col{Idx: 0}}, []Expr{Col{Idx: 0}}, nil))
