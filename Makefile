@@ -5,15 +5,16 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The types, engine, wal and wire packages carry fuzz targets
-# (FuzzDecodeColumns, FuzzStmtKey, FuzzRestrictionMatchesWhere,
-# FuzzWALReplay, FuzzWireFrame); their seed corpora run as plain tests
-# here. `make fuzz` explores beyond the seeds.
+# The types, exec, engine, wal and wire packages carry fuzz targets
+# (FuzzDecodeColumns, FuzzSortMatchesStableComparator, FuzzStmtKey,
+# FuzzRestrictionMatchesWhere, FuzzWALReplay, FuzzWireFrame); their seed
+# corpora run as plain tests here. `make fuzz` explores beyond the seeds.
 test:
 	$(GO) test ./...
 
 fuzz:
 	$(GO) test -fuzz FuzzDecodeColumns -fuzztime 30s ./internal/types/
+	$(GO) test -fuzz FuzzSortMatchesStableComparator -fuzztime 30s ./internal/exec/
 	$(GO) test -fuzz FuzzStmtKey -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzRestrictionMatchesWhere -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/

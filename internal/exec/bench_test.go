@@ -11,6 +11,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sqlxnf/internal/catalog"
@@ -120,10 +121,13 @@ func benchGroupAgg(b *testing.B, n int) {
 func BenchmarkExecGroupAgg10k(b *testing.B)  { benchGroupAgg(b, 10_000) }
 func BenchmarkExecGroupAgg100k(b *testing.B) { benchGroupAgg(b, 100_000) }
 
-// benchSort exercises the precompiled key comparator: single-key integer
-// (the fast path) and a two-key mixed ordering.
+// benchSort sorts a benchTable: a single INT key with 1000 distinct
+// values, and a two-key mixed ordering.
 func benchSort(b *testing.B, n int, keys []SortKey) {
-	t := benchTable(b, n)
+	benchSortOver(b, benchTable(b, n), n, keys)
+}
+
+func benchSortOver(b *testing.B, t *catalog.Table, n int, keys []SortKey) {
 	b.ResetTimer()
 	benchArms(b, func() Plan {
 		return &Sort{Child: &SeqScan{Table: t}, Keys: keys}
@@ -134,6 +138,53 @@ func BenchmarkExecSort10k(b *testing.B)  { benchSort(b, 10_000, []SortKey{{Idx: 
 func BenchmarkExecSort100k(b *testing.B) { benchSort(b, 100_000, []SortKey{{Idx: 1}}) }
 func BenchmarkExecSortTwoKey100k(b *testing.B) {
 	benchSort(b, 100_000, []SortKey{{Idx: 2, Desc: true}, {Idx: 1}})
+}
+
+// benchSortTable loads n rows whose sort keys arrive in random order: a
+// distinct FLOAT, a distinct VARCHAR whose first 8 bytes every row shares,
+// and an INT with 1000 values that is NULL on every tenth row.
+func benchSortTable(tb testing.TB, n int) *catalog.Table {
+	tb.Helper()
+	bp := storage.NewBufferPool(storage.NewDisk(), 1<<16)
+	cat := catalog.New(bp)
+	schema := types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "f", Kind: types.KindFloat},
+		{Name: "s", Kind: types.KindString},
+		{Name: "v", Kind: types.KindInt},
+	}
+	t, err := cat.CreateTable("S", schema, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, p := range rand.New(rand.NewSource(1)).Perm(n) {
+		v := types.NewInt(int64(p % 1000))
+		if i%10 == 0 {
+			v = types.Null()
+		}
+		row := types.Row{
+			types.NewInt(int64(i)),
+			types.NewFloat(float64(p) / 7),
+			types.NewString(fmt.Sprintf("customer%08d", p)),
+			v,
+		}
+		if _, err := t.Heap.Insert(t.Tag, row); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
+}
+
+func BenchmarkExecSortFloat100k(b *testing.B) {
+	benchSortOver(b, benchSortTable(b, 100_000), 100_000, []SortKey{{Idx: 1}})
+}
+
+func BenchmarkExecSortString100k(b *testing.B) {
+	benchSortOver(b, benchSortTable(b, 100_000), 100_000, []SortKey{{Idx: 2}})
+}
+
+func BenchmarkExecSortDescNulls100k(b *testing.B) {
+	benchSortOver(b, benchSortTable(b, 100_000), 100_000, []SortKey{{Idx: 3, Desc: true}})
 }
 
 // BenchmarkExecExistsCorrelated: 400 outer rows each evaluate a correlated

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -1428,26 +1429,38 @@ type SortKey struct {
 }
 
 // Sort materializes and orders child output, copying each row it keeps.
-// NULLs sort first ascending. The key comparison precompiles once per
-// operator (Keys are immutable): the single-key case runs without the
-// per-comparison key loop and integer keys compare inline without the
-// generic types.Compare dispatch.
+// It sorts one 16-byte entry per row, not the rows: an entry holds the
+// types.OrderKey of the row's first sort key (inverted for DESC) and the
+// row's input position. Entries order by key, then — when equal keys cannot
+// prove equal rows — by the precompiled row comparator, then by position,
+// so the sort is stable. The sorted entries then permute the rows in place.
+// NULLs sort first ascending and last descending, a NaN above every other
+// number (types.CompareOrder).
 type Sort struct {
 	Child Plan
 	Keys  []SortKey
 	cmp   rowCompare
 	rows  []types.Row
+	ents  []sortEntry
 	pos   int
+}
+
+// sortEntry stands for one kept row while Sort orders them: k is the
+// row's first-key types.OrderKey, i its input position.
+type sortEntry struct {
+	k uint64
+	i int32
 }
 
 // rowCompare orders two rows; comparison errors (mixed incomparable kinds)
 // land in *errOut, first one wins.
 type rowCompare func(a, b types.Row, errOut *error) int
 
-// compareKeyVals orders two key values with the NULLs-first rule and an
-// inline integer fast path.
+// compareKeyVals orders two key values with the NULLs-first rule and
+// inline integer and string fast paths: a tie of string keys lands here.
 func compareKeyVals(a, b types.Value, errOut *error) int {
-	if a.Kind() == types.KindInt && b.Kind() == types.KindInt {
+	switch ak, bk := a.Kind(), b.Kind(); {
+	case ak == types.KindInt && bk == types.KindInt:
 		ai, bi := a.Int(), b.Int()
 		switch {
 		case ai < bi:
@@ -1456,6 +1469,8 @@ func compareKeyVals(a, b types.Value, errOut *error) int {
 			return 1
 		}
 		return 0
+	case ak == types.KindString && bk == types.KindString:
+		return strings.Compare(a.Str(), b.Str())
 	}
 	return compareNullsFirst(a, b, errOut)
 }
@@ -1503,11 +1518,109 @@ func (s *Sort) Open(ctx *Context) error {
 	if s.cmp == nil {
 		s.cmp = compileComparator(s.Keys)
 	}
-	var sortErr error
-	slices.SortStableFunc(s.rows, func(a, b types.Row) int {
-		return s.cmp(a, b, &sortErr)
+	return s.sortRows()
+}
+
+// sortRows orders s.rows through the entries. The NULLs of the first key
+// take one end of the entries and every other row the rest, so only
+// non-NULL keys need an order among themselves.
+func (s *Sort) sortRows() error {
+	rows := s.rows
+	if len(rows) > math.MaxInt32 {
+		return fmt.Errorf("exec: cannot sort %d rows", len(rows))
+	}
+	idx, desc := s.Keys[0].Idx, s.Keys[0].Desc
+	nulls := 0
+	for _, r := range rows {
+		if r[idx].IsNull() {
+			nulls++
+		}
+	}
+	nextVal, nextNull := 0, len(rows)-nulls // where the next non-NULL and NULL entry go
+	if !desc {
+		nextVal, nextNull = nulls, 0
+	}
+	ents := slices.Grow(s.ents[:0], len(rows))[:len(rows)]
+	s.ents = ents[:0]
+	valEnts := ents[nextVal : nextVal+len(rows)-nulls]
+	nullEnts := ents[nextNull : nextNull+nulls]
+	// A tie runs the row comparator unless equal keys prove equal rows: a
+	// single key whose values all key exactly.
+	multi := len(s.Keys) > 1
+	tieCmp := multi
+	var first types.Value
+	for i, r := range rows {
+		v := r[idx]
+		if v.IsNull() {
+			ents[nextNull] = sortEntry{i: int32(i)}
+			nextNull++
+			continue
+		}
+		if first.IsNull() {
+			first = v
+		} else if !types.Comparable(v, first) {
+			_, err := types.Compare(v, first)
+			return err
+		}
+		k, exact := types.OrderKey(v)
+		tieCmp = tieCmp || !exact
+		if desc {
+			k = ^k
+		}
+		ents[nextVal] = sortEntry{k: k, i: int32(i)}
+		nextVal++
+	}
+	var err error
+	sortEntries(valEnts, rows, tieCmp, s.cmp, &err)
+	if multi {
+		sortEntries(nullEnts, rows, true, s.cmp, &err)
+	}
+	if err != nil {
+		return err
+	}
+	permute(rows, ents)
+	return nil
+}
+
+// sortEntries orders entries by key, then (when tieCmp) by the row
+// comparator, then by input position.
+func sortEntries(ents []sortEntry, rows []types.Row, tieCmp bool, cmp rowCompare, errOut *error) {
+	slices.SortFunc(ents, func(a, b sortEntry) int {
+		if a.k != b.k {
+			if a.k < b.k {
+				return -1
+			}
+			return 1
+		}
+		if tieCmp {
+			if c := cmp(rows[a.i], rows[b.i], errOut); c != 0 {
+				return c
+			}
+		}
+		return int(a.i - b.i)
 	})
-	return sortErr
+}
+
+// permute moves rows[ents[p].i] to position p for every p, in place: it
+// follows each cycle of the permutation once, marking an entry done by
+// pointing it at its own position.
+func permute(rows []types.Row, ents []sortEntry) {
+	for p := range ents {
+		if int(ents[p].i) == p {
+			continue
+		}
+		held, q := rows[p], p
+		for {
+			src := int(ents[q].i)
+			ents[q].i = int32(q)
+			if src == p {
+				rows[q] = held
+				break
+			}
+			rows[q] = rows[src]
+			q = src
+		}
+	}
 }
 
 func compareNullsFirst(a, b types.Value, errOut *error) int {
@@ -1519,7 +1632,7 @@ func compareNullsFirst(a, b types.Value, errOut *error) int {
 	case b.IsNull():
 		return 1
 	}
-	c, err := types.Compare(a, b)
+	c, err := types.CompareOrder(a, b)
 	if err != nil && *errOut == nil {
 		*errOut = err
 	}
@@ -1531,8 +1644,21 @@ func (s *Sort) NextBatch(*Context) ([]types.Row, error) {
 	return sliceBatch(s.rows, &s.pos), nil
 }
 
-// Close implements Plan.
-func (s *Sort) Close() error { s.rows = nil; return s.Child.Close() }
+// takeRows hands the rows not yet served to the caller, who then owns
+// them and their headers: the Sort forgets them.
+func (s *Sort) takeRows() []types.Row {
+	rows := s.rows[s.pos:]
+	s.rows = nil
+	return rows
+}
+
+// Close implements Plan. The row headers keep their capacity for reopen,
+// cleared so that an idle pooled plan pins no row values.
+func (s *Sort) Close() error {
+	clear(s.rows)
+	s.rows = s.rows[:0]
+	return s.Child.Close()
+}
 
 // Explain implements Plan.
 func (s *Sort) Explain() string { return fmt.Sprintf("Sort %v", s.Keys) }
@@ -1928,12 +2054,16 @@ func (g *GroupAgg) Explain() string {
 func (g *GroupAgg) Children() []Plan { return []Plan{g.Child} }
 
 // Collect drains a plan into a row slice (convenience for engine and tests),
-// copying every row out of the batch that carried it.
+// copying every row out of the batch that carried it. A Sort root already
+// holds copies, so Collect takes its rows instead (takeRows).
 func Collect(ctx *Context, p Plan) ([]types.Row, error) {
 	if err := p.Open(ctx); err != nil {
 		return nil, err
 	}
 	defer p.Close()
+	if s, ok := p.(*Sort); ok {
+		return s.takeRows(), nil
+	}
 	rows, err := drainCopies(ctx, p, nil)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -284,6 +285,105 @@ func Compare(a, b Value) (int, error) {
 	default:
 		return 0, fmt.Errorf("types: cannot compare %s with %s", a.kind, b.kind)
 	}
+}
+
+// Comparable reports whether Compare orders two non-NULL values without an
+// error: both are numbers (INT or FLOAT), both strings or both booleans.
+func Comparable(a, b Value) bool {
+	return a.kind == b.kind && a.kind != KindNull || a.IsNumeric() && b.IsNumeric()
+}
+
+// CompareOrder is the order ORDER BY sorts by. It is Compare made a total
+// order over the numbers: a NaN sorts above every other number and equal to
+// another NaN, and an INT compares with a FLOAT exactly. Compare finds a NaN
+// equal to every number, and it rounds an INT beyond ±2^53 to the FLOAT
+// it compares with, so INT 2^53+1 ties FLOAT 2^53, which ties INT 2^53.
+func CompareOrder(a, b Value) (int, error) {
+	switch {
+	case a.kind == KindInt && b.kind == KindFloat:
+		return compareIntFloat(a.i, b.f), nil
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -compareIntFloat(b.i, a.f), nil
+	case a.kind == KindFloat && b.kind == KindFloat && (a.f != a.f || b.f != b.f):
+		switch {
+		case a.f == a.f:
+			return -1, nil
+		case b.f == b.f:
+			return 1, nil
+		}
+		return 0, nil
+	}
+	return Compare(a, b)
+}
+
+// compareIntFloat orders an INT and a FLOAT without rounding the INT.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := int64(f) // f truncated: exact, since |f| < 2^63
+	switch {
+	case i < t:
+		return -1
+	case i > t:
+		return 1
+	}
+	switch frac := f - float64(t); {
+	case frac > 0:
+		return -1
+	case frac < 0:
+		return 1
+	}
+	return 0
+}
+
+// OrderKey maps a non-NULL value to a 64-bit key that orders like
+// CompareOrder within one comparison class (see Comparable): for a and b of
+// one class, OrderKey(a) < OrderKey(b) implies CompareOrder(a, b) < 0, and
+// CompareOrder(a, b) < 0 implies OrderKey(a) <= OrderKey(b).
+//
+//   - Numbers key by the order-preserving bits of their float64, with -0
+//     folded into +0 and every NaN one key above +Inf. An INT keys through
+//     float64(i), which is monotone, so INTs beyond ±2^53 may only tie.
+//   - Strings key by their first 8 bytes, big-endian and zero-padded.
+//   - Booleans key as 0 and 1.
+//
+// exact is false for strings and for INTs beyond ±2^53: their keys can tie
+// with unequal values. Two values with equal keys that are both exact
+// compare equal under CompareOrder.
+func OrderKey(v Value) (key uint64, exact bool) {
+	switch v.kind {
+	case KindInt:
+		return floatKey(float64(v.i)), v.i > -1<<53 && v.i < 1<<53
+	case KindFloat:
+		return floatKey(v.f), true
+	case KindString:
+		var b [8]byte
+		copy(b[:], v.s)
+		return binary.BigEndian.Uint64(b[:]), false
+	case KindBool:
+		return uint64(v.i), true
+	}
+	panic(fmt.Sprintf("types: OrderKey on %s value", v.kind))
+}
+
+// floatKey maps a float64 to bits that order as unsigned integers like the
+// floats do: the sign bit flips for positives, every bit for negatives.
+func floatKey(f float64) uint64 {
+	if f != f {
+		return math.MaxUint64
+	}
+	if f == 0 {
+		f = 0 // -0 keys as +0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // CompareTri applies Compare under 3VL: any NULL operand yields Unknown.

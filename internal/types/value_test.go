@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -374,5 +375,103 @@ func TestHashAndEqualFastPaths(t *testing.T) {
 	}
 	if NewInt(2).Hash() != NewFloat(2).Hash() {
 		t.Error("INT 2 and FLOAT 2.0 hash apart")
+	}
+}
+
+// TestOrderKeyAgreesWithCompareOrder pins OrderKey's contract over random
+// pairs of one comparison class: a smaller key means a smaller value, a
+// smaller value never has a larger key, and equal exact keys mean equal
+// values. The values crowd the edges: INTs around ±2^53 and the int64
+// limits, FLOATs that are -0, ±Inf, NaN or integral, strings that share
+// 8-byte prefixes or end in NUL bytes.
+func TestOrderKeyAgreesWithCompareOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edgeInts := []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, -1<<53 + 1, -1 << 53, -1<<53 - 1, math.MaxInt64, math.MinInt64}
+	edgeFloats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), 1 << 53, 1<<53 + 2, -1 << 53, 1 << 63, -1 << 63, 0.5, -0.5}
+	randInt := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return edgeInts[rng.Intn(len(edgeInts))] + int64(rng.Intn(5)-2)
+		case 1:
+			return int64(rng.Intn(21) - 10)
+		}
+		return int64(rng.Uint64())
+	}
+	randValue := func(class int) Value {
+		switch class {
+		case 0: // numbers
+			switch rng.Intn(4) {
+			case 0:
+				return NewInt(randInt())
+			case 1:
+				return NewFloat(edgeFloats[rng.Intn(len(edgeFloats))])
+			case 2:
+				return NewFloat(float64(randInt()) + float64(rng.Intn(3)-1)*0.5)
+			}
+			return NewFloat(math.Float64frombits(rng.Uint64()))
+		case 1: // strings
+			b := make([]byte, rng.Intn(12))
+			for i := range b {
+				b[i] = "ab\x00\xff"[rng.Intn(4)]
+			}
+			return NewString(string(b))
+		}
+		return NewBool(rng.Intn(2) == 1)
+	}
+	for n := 0; n < 200_000; n++ {
+		class := rng.Intn(3)
+		a, b := randValue(class), randValue(class)
+		c, err := CompareOrder(a, b)
+		if err != nil {
+			t.Fatalf("CompareOrder(%v, %v): %v", a, b, err)
+		}
+		ka, xa := OrderKey(a)
+		kb, xb := OrderKey(b)
+		switch {
+		case ka < kb && c >= 0, ka > kb && c <= 0:
+			t.Fatalf("keys %#x, %#x order %v, %v the other way (CompareOrder %d)", ka, kb, a, b, c)
+		case ka == kb && xa && xb && c != 0:
+			t.Fatalf("%v and %v have equal exact keys %#x but CompareOrder %d", a, b, ka, c)
+		}
+	}
+	nan, _ := OrderKey(NewFloat(math.NaN()))
+	negNaN, _ := OrderKey(NewFloat(-math.NaN()))
+	inf, _ := OrderKey(NewFloat(math.Inf(1)))
+	zero, _ := OrderKey(NewFloat(0))
+	negZero, _ := OrderKey(NewFloat(math.Copysign(0, -1)))
+	intZero, _ := OrderKey(NewInt(0))
+	if nan != negNaN || nan <= inf || zero != negZero || zero != intZero {
+		t.Errorf("NaN %#x, -NaN %#x, +Inf %#x, 0 %#x, -0 %#x, INT 0 %#x", nan, negNaN, inf, zero, negZero, intZero)
+	}
+	for _, v := range []Value{NewInt(1 << 53), NewInt(-1 << 53), NewString("")} {
+		if _, exact := OrderKey(v); exact {
+			t.Errorf("OrderKey(%v) is exact", v)
+		}
+	}
+}
+
+// TestCompareOrderIsTransitive: INT 2^53+1, FLOAT 2^53 and INT 2^53 form
+// a chain that Compare ties link by link but orders at its ends; CompareOrder
+// orders the chain below, which ends in +Inf and then NaN.
+func TestCompareOrderIsTransitive(t *testing.T) {
+	chain := []Value{NewFloat(math.Inf(-1)), NewInt(math.MinInt64), NewInt(-1 << 53), NewFloat(-0.5), NewFloat(math.Copysign(0, -1)),
+		NewFloat(0.5), NewInt(1 << 53), NewFloat(1 << 53), NewInt(1<<53 + 1), NewInt(math.MaxInt64), NewFloat(1 << 63), NewFloat(math.Inf(1)), NewFloat(math.NaN())}
+	for i, a := range chain {
+		for j, b := range chain {
+			c, err := CompareOrder(a, b)
+			want := 0
+			switch {
+			case i < j:
+				want = -1
+			case i > j:
+				want = 1
+			}
+			if i+j == 13 && (i == 6 || i == 7) {
+				want = 0 // INT 2^53 is FLOAT 2^53
+			}
+			if err != nil || c != want {
+				t.Errorf("CompareOrder(%v, %v) = %d, %v; want %d", a, b, c, err, want)
+			}
+		}
 	}
 }
