@@ -354,3 +354,210 @@ func TestTakeEdgesEqualEdgeSelects(t *testing.T) {
 		}
 	}
 }
+
+// edgeShape is one RELATE edge from Xp (over P) to Xc (over C) and the
+// SELECT that lists its connections: pid, cid, the edge's attributes, then,
+// for a link-table edge, PC.lid, which names the link row. Column names are
+// unique across P, C, PC and Q, so the SELECT needs no qualifiers.
+type edgeShape struct {
+	name   string
+	relate string // the RELATE clause after "RELATE Xp, Xc"
+	attrs  string // the SELECT's attribute columns, each after ", "
+	from   string // the SELECT's USING tables, each after ", "
+	where  string // the SELECT's rendering of the RELATE predicate
+	nAttrs int
+	link   bool
+}
+
+// edgeShapes draws the edge oracle's shapes: an FK edge with a computed
+// attribute, a link edge with attributes, a link edge with a conjunct on the
+// link table alone, a two-table USING, a non-equi cross conjunct, and a
+// correlated EXISTS.
+func edgeShapes(rng *rand.Rand) []edgeShape {
+	k := fmt.Sprintf("%d.%d", rng.Intn(2), rng.Intn(10))
+	return []edgeShape{
+		{name: "fk_attr", relate: "WITH ATTRIBUTES Xp.pv * 10 + Xc.cv AS s WHERE Xp.pk = Xc.cfk",
+			attrs: ", pv * 10 + cv", where: "pk = cfk", nAttrs: 1},
+		{name: "link_attrs", relate: "WITH ATTRIBUTES PC.w, PC.lid - Xc.cv AS d USING PC WHERE Xp.pk = PC.lp AND Xc.ck = PC.lc",
+			attrs: ", w, lid - cv", from: ", PC", where: "pk = lp AND ck = lc", nAttrs: 2, link: true},
+		{name: "link_u_only", relate: "WITH ATTRIBUTES PC.w USING PC WHERE Xp.pk = PC.lp AND Xc.ck = PC.lc AND PC.w > " + k,
+			attrs: ", w", from: ", PC", where: "pk = lp AND ck = lc AND w > " + k, nAttrs: 1, link: true},
+		{name: "two_using", relate: "WITH ATTRIBUTES l.w USING Q q, PC l WHERE Xp.pk = q.qp AND q.qr = l.lid AND Xc.ck = l.lc AND l.w >= " + k,
+			attrs: ", w", from: ", Q, PC", where: "pk = qp AND qr = lid AND ck = lc AND w >= " + k, nAttrs: 1},
+		{name: "non_equi", relate: "WHERE Xp.pk < Xc.ck", where: "pk < ck"},
+		{name: "exists", relate: "WHERE Xp.pk = Xc.ck AND EXISTS (SELECT 1 FROM PC WHERE PC.lp = Xp.pk AND PC.lc <> Xc.cv AND PC.w > " + k + ")",
+			where: "pk = ck AND EXISTS (SELECT 1 FROM PC WHERE lp = P.pk AND lc <> C.cv AND w > " + k + ")"},
+	}
+}
+
+// newEdgeWorld loads the edge oracle's random database: join keys are
+// NULL now and then, repeat across rows, and meet across INT and FLOAT
+// columns (a FLOAT key is sometimes not integral and then matches no INT).
+// It returns the session and the heap RID of every PC row by its lid.
+func newEdgeWorld(t testing.TB, opts Options, rng *rand.Rand) (*Session, map[int64]storage.RID) {
+	t.Helper()
+	opts.COCacheBytes = -1 // every TAKE evaluates
+	s := New(opts).Session()
+	s.MustExec(`CREATE TABLE P (pid INT NOT NULL PRIMARY KEY, pk INT, pv INT);
+		CREATE TABLE C (cid INT NOT NULL PRIMARY KEY, cfk FLOAT, ck INT, cv INT);
+		CREATE TABLE PC (lid INT, lp FLOAT, lc INT, w FLOAT);
+		CREATE TABLE Q (qid INT, qp INT, qr INT)`)
+	if rng.Intn(2) == 0 {
+		s.MustExec(`CREATE INDEX pc_lp ON PC (lp); CREATE INDEX c_ck ON C (ck)`)
+	}
+	key := func(float bool) string {
+		switch {
+		case rng.Intn(10) == 0:
+			return "NULL"
+		case float && rng.Intn(6) == 0:
+			return fmt.Sprintf("%d.5", 1+rng.Intn(8))
+		case float:
+			return fmt.Sprintf("%d.0", 1+rng.Intn(8))
+		}
+		return fmt.Sprint(1 + rng.Intn(8))
+	}
+	var sb strings.Builder
+	for p := 1; p <= 10; p++ {
+		fmt.Fprintf(&sb, "INSERT INTO P VALUES (%d, %s, %s);", p, key(false), key(false))
+	}
+	for c := 1; c <= 30; c++ {
+		fmt.Fprintf(&sb, "INSERT INTO C VALUES (%d, %s, %s, %s);", c, key(true), key(false), key(false))
+	}
+	for l := 1; l <= 120; l++ {
+		fmt.Fprintf(&sb, "INSERT INTO PC VALUES (%d, %s, %s, %d.%d);", l, key(true), key(false), rng.Intn(2), rng.Intn(10))
+	}
+	for q := 1; q <= 40; q++ {
+		fmt.Fprintf(&sb, "INSERT INTO Q VALUES (%d, %s, %d);", q, key(false), 1+rng.Intn(120))
+	}
+	s.MustExec(sb.String())
+	if rng.Intn(2) == 0 {
+		s.MustExec(`ANALYZE`)
+	}
+	ridOf := map[int64]storage.RID{}
+	if err := scanTable(s, "PC", func(rid storage.RID, row types.Row) (bool, error) {
+		ridOf[row[0].Int()] = rid
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return s, ridOf
+}
+
+// checkEdgeShapes composes every edge shape three ways and holds the edge's
+// connections, as a multiset, equal to the rows of its hand-expanded
+// SELECT. The three compositions: one acyclic level (top-down
+// extraction); the same level plus a self-loop on Xc (full
+// materialization); and the edge added over a view whose restriction keeps
+// the view from merging into the query. iter numbers the view.
+func checkEdgeShapes(t testing.TB, s *Session, ridOf map[int64]storage.RID, rng *rand.Rand, iter int) {
+	t.Helper()
+	render := func(p, c types.Value, attrs types.Row, rid storage.RID) string {
+		return fmt.Sprintf("%v %v %v %v", p, c, attrs, rid)
+	}
+	pPreds := []string{"pid = %d", "pid < %d", "pk = %d", "pid IN (%d, 4, NULL)", "pid <> %d", "pk IS NULL OR pid > %d"}
+	pPred := fmt.Sprintf(pPreds[rng.Intn(len(pPreds))], 1+rng.Intn(10))
+	nodes := fmt.Sprintf("Xp AS (SELECT * FROM P WHERE %s), Xc AS C", pPred)
+	view := fmt.Sprintf("EDGE_VIEW_%d", iter)
+	s.MustExec(fmt.Sprintf("CREATE VIEW %s AS OUT OF %s WHERE Xc SUCH THAT cv <> 2 TAKE *", view, nodes))
+	for _, sh := range edgeShapes(rng) {
+		edge := "e AS (RELATE Xp, Xc " + sh.relate + ")"
+		link := ""
+		if sh.link {
+			link = ", lid"
+		}
+		sel := "SELECT pid, cid" + sh.attrs + link + " FROM P, C" + sh.from + " WHERE (" + pPred + ") AND " + sh.where
+		for _, comp := range []struct{ name, take, sql string }{
+			{"top-down", "OUT OF " + nodes + ", " + edge + " TAKE *", sel},
+			{"self-loop", "OUT OF " + nodes + ", " + edge + ", loop AS (RELATE Xc AS a, Xc AS b WHERE a.cid = b.cv) TAKE *", sel},
+			{"view", "OUT OF " + view + ", " + edge + " TAKE *", sel + " AND cv <> 2"},
+		} {
+			var want []string
+			for _, row := range s.MustExec(comp.sql).Rows {
+				var attrs types.Row
+				if sh.nAttrs > 0 {
+					attrs = row[2 : 2+sh.nAttrs]
+				}
+				rid := storage.NilRID
+				if sh.link {
+					rid = ridOf[row[2+sh.nAttrs].Int()]
+				}
+				want = append(want, render(row[0], row[1], attrs, rid))
+			}
+			co := s.MustExec(comp.take).CO
+			e := co.Edge("e")
+			if e == nil {
+				t.Fatalf("%s/%s: composite object has no edge e\n%s", sh.name, comp.name, comp.take)
+			}
+			p, c := co.Node(e.Parent), co.Node(e.Child)
+			var got []string
+			for _, conn := range e.Conns {
+				var attrs types.Row
+				if sh.nAttrs > 0 {
+					attrs = conn.Attrs
+				}
+				got = append(got, render(p.Rows[conn.P][0], c.Rows[conn.C][0], attrs, conn.LinkRID))
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s/%s: TAKE has %d connections, the SELECT %d\n take: %v\n want: %v\n%s\n%s",
+					sh.name, comp.name, len(got), len(want), got, want, comp.take, comp.sql)
+			}
+		}
+	}
+}
+
+// TestEdgeShapesEqualRelateSelects: every connection of an edge — parent
+// key, child key, attributes and LinkRID — equals, as a multiset, the rows
+// of its RELATE predicate written as a SELECT over the partner tables and
+// its USING tables, for the shapes of edgeShapes composed three ways
+// (checkEdgeShapes), under the default engine, without indexes and without
+// shared subexpressions. The SELECT shares no code with the evaluator's
+// edge resolution.
+func TestEdgeShapesEqualRelateSelects(t *testing.T) {
+	noIndexes := DefaultOptions()
+	noIndexes.Optimizer.NoIndexes = true
+	noShare := DefaultOptions()
+	noShare.XNF.NoSharedSubexpressions = true
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"default", DefaultOptions()}, {"NoIndexes", noIndexes}, {"NoSharedSubexpressions", noShare}} {
+		t.Run(c.name, func(t *testing.T) {
+			for world := int64(0); world < 3; world++ {
+				rng := rand.New(rand.NewSource(43 + world))
+				s, ridOf := newEdgeWorld(t, c.opts, rng)
+				for iter := 0; iter < 4; iter++ {
+					checkEdgeShapes(t, s, ridOf, rng, iter)
+				}
+			}
+		})
+	}
+}
+
+// FuzzEdgeMatchesRelateSelect runs checkEdgeShapes over a database and
+// predicates drawn from the input's seed bytes; the first byte also picks
+// the engine options.
+func FuzzEdgeMatchesRelateSelect(f *testing.F) {
+	for _, seed := range [][]byte{{0}, {1, 7}, {2, 3, 9}, {0, 42, 42}, {1, 255, 0, 13}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed []byte) {
+		var n int64
+		for _, b := range seed {
+			n = n*131 + int64(b)
+		}
+		opts := DefaultOptions()
+		if len(seed) > 0 {
+			switch seed[0] % 3 {
+			case 1:
+				opts.Optimizer.NoIndexes = true
+			case 2:
+				opts.XNF.NoSharedSubexpressions = true
+			}
+		}
+		rng := rand.New(rand.NewSource(n))
+		s, ridOf := newEdgeWorld(t, opts, rng)
+		checkEdgeShapes(t, s, ridOf, rng, 0)
+	})
+}
