@@ -7,8 +7,9 @@ build:
 
 # The types, exec, engine, wal and wire packages carry fuzz targets
 # (FuzzDecodeColumns, FuzzSortMatchesStableComparator, FuzzStmtKey,
-# FuzzRestrictionMatchesWhere, FuzzWALReplay, FuzzWireFrame); their seed
-# corpora run as plain tests here. `make fuzz` explores beyond the seeds.
+# FuzzRestrictionMatchesWhere, FuzzEdgeMatchesRelateSelect, FuzzWALReplay,
+# FuzzWireFrame); their seed corpora run as plain tests here. `make fuzz`
+# explores beyond the seeds.
 test:
 	$(GO) test ./...
 
@@ -17,6 +18,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSortMatchesStableComparator -fuzztime 30s ./internal/exec/
 	$(GO) test -fuzz FuzzStmtKey -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzRestrictionMatchesWhere -fuzztime 30s ./internal/engine/
+	$(GO) test -fuzz FuzzEdgeMatchesRelateSelect -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire/
 

@@ -40,12 +40,12 @@ import (
 // resolving a node reference on a hash-join build side share the session.
 const maxCOFetchDepth = 32
 
-// newExecContext returns an execution context with the session's
-// composite-object handle bound, so plans containing NodeScan leaves can
-// resolve FROM "VIEW.NODE" rows at Open, and the current statement's
-// lifecycle context attached, so operators observe cancellation at batch
-// boundaries.
-func (s *Session) newExecContext() *exec.Context {
+// NewExecContext implements xnf.Host: an execution context with the
+// session's snapshot, its composite-object handle bound, so plans containing
+// NodeScan leaves can resolve FROM "VIEW.NODE" rows at Open, and the current
+// statement's lifecycle context attached, so operators observe cancellation
+// at batch boundaries.
+func (s *Session) NewExecContext() *exec.Context {
 	ctx := exec.NewContext()
 	ctx.NodeRows = s.nodeRows
 	ctx.Vis = s.visFunc()

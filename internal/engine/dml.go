@@ -527,7 +527,7 @@ func (s *Session) insert(stmt *parser.InsertStmt) (*Result, error) {
 		sourceRows = sub.Rows
 	default:
 		b := s.builder()
-		ctx := s.newExecContext()
+		ctx := s.NewExecContext()
 		for _, exprRow := range stmt.Rows {
 			if len(exprRow) != len(positions) {
 				return nil, fmt.Errorf("engine: INSERT expects %d values, got %d", len(positions), len(exprRow))
@@ -538,7 +538,7 @@ func (s *Session) insert(stmt *parser.InsertStmt) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				ce, err := optimizer.CompileConstExpr(qe)
+				ce, err := optimizer.CompileExpr(qe, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -648,13 +648,13 @@ func (s *Session) update(stmt *parser.UpdateStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ce, err := optimizer.CompileRowExpr(qe)
+		ce, err := optimizer.CompileExpr(qe, map[int]int{0: 0})
 		if err != nil {
 			return nil, err
 		}
 		sets = append(sets, setOp{col: p, expr: ce})
 	}
-	ctx := s.newExecContext()
+	ctx := s.NewExecContext()
 	rows, rids, err := s.targetRows(ctx, t, stmt.Alias, stmt.Where)
 	if err != nil {
 		return nil, err
@@ -683,7 +683,7 @@ func (s *Session) deleteStmt(stmt *parser.DeleteStmt) (*Result, error) {
 	if err := s.lockTable(t.Name); err != nil {
 		return nil, err
 	}
-	ctx := s.newExecContext()
+	ctx := s.NewExecContext()
 	_, rids, err := s.targetRows(ctx, t, stmt.Alias, stmt.Where)
 	if err != nil {
 		return nil, err
@@ -725,7 +725,7 @@ func (s *Session) RunBox(box *qgm.Box) ([]types.Row, []storage.RID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := exec.Collect(s.newExecContext(), plan)
+	rows, err := exec.Collect(s.NewExecContext(), plan)
 	if err != nil || !withRID {
 		return rows, nil, err
 	}

@@ -1110,7 +1110,7 @@ func (s *Session) selectStmt(stmt *parser.SelectStmt, text string) (*Result, err
 			})
 		}
 	}
-	ctx := s.newExecContext()
+	ctx := s.NewExecContext()
 	ctx.Binds = binds
 	var execSpan int
 	if tr := s.trace; tr != nil {
@@ -1172,7 +1172,7 @@ func (s *Session) runCachedPlan(ent *planEntry, binds []types.Value, stmt *parse
 	if !ok {
 		return nil, fmt.Errorf("engine: cached plan for %q is not executable (clone failed)", ent.key)
 	}
-	ctx := s.newExecContext()
+	ctx := s.NewExecContext()
 	ctx.Binds = binds
 	var execSpan int
 	if tr != nil {
@@ -1411,7 +1411,7 @@ func (s *Session) targetBox(table, alias string, where parser.Expr) (*qgm.Box, e
 // annotated plan, not the data.
 func (s *Session) explainAnalyze(plan exec.Plan) (*Result, error) {
 	wrapped := exec.Instrument(plan)
-	ctx := s.newExecContext()
+	ctx := s.NewExecContext()
 	t0 := time.Now()
 	rows, err := exec.Collect(ctx, wrapped)
 	elapsed := time.Since(t0)

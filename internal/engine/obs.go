@@ -85,11 +85,10 @@ type engineMetrics struct {
 	vacPurged      *obs.Counter
 	vacFrozen      *obs.Counter
 
-	evalNodeQueries *obs.Counter
-	evalEdgeQueries *obs.Counter
-	evalInlineEdges *obs.Counter
-	evalRecomputed  *obs.Counter
-	evalFixpoint    *obs.Counter
+	xnfNodeQueries *obs.Counter
+	xnfEdgeQueries *obs.Counter
+	xnfRecomputed  *obs.Counter
+	xnfFixpoint    *obs.Counter
 
 	walAppend *obs.Histogram
 	walFsync  *obs.Histogram
@@ -114,15 +113,13 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m.vacSweeps = reg.Counter("mvcc_vacuum_sweeps_total", "vacuum sweeps run")
 	m.vacPurged = reg.Counter("mvcc_vacuum_purged_total", "row versions purged by vacuum")
 	m.vacFrozen = reg.Counter("mvcc_vacuum_frozen_total", "row versions frozen by vacuum")
-	m.evalNodeQueries = reg.Counter("xnf_eval_node_queries_total",
+	m.xnfNodeQueries = reg.Counter("xnf_eval_node_queries_total",
 		"component-table derivations run by the XNF evaluator")
-	m.evalEdgeQueries = reg.Counter("xnf_eval_edge_queries_total",
-		"relationship derivations run by the XNF evaluator")
-	m.evalInlineEdges = reg.Counter("xnf_eval_inline_edges_total",
-		"edges resolved inline during topological extraction")
-	m.evalRecomputed = reg.Counter("xnf_eval_recomputed_nodes_total",
+	m.xnfEdgeQueries = reg.Counter("xnf_eval_edge_queries_total",
+		"USING queries run by the XNF evaluator, one per relationship with USING")
+	m.xnfRecomputed = reg.Counter("xnf_eval_recomputed_nodes_total",
 		"extra node derivations when common-subexpression sharing is off")
-	m.evalFixpoint = reg.Counter("xnf_eval_fixpoint_rounds_total",
+	m.xnfFixpoint = reg.Counter("xnf_eval_fixpoint_rounds_total",
 		"recursive-edge fixpoint rounds")
 	m.walAppend = reg.Histogram("wal_append_latency_seconds",
 		"durable WAL record append latency")
@@ -181,21 +178,19 @@ func (m *engineMetrics) observeStmt(c stmtClass, d time.Duration, failed bool) {
 // aggregate. Evaluators are created per materialization and discarded;
 // without this their work was invisible.
 func (m *engineMetrics) addEvalStats(st *xnf.EvalStats) {
-	m.evalNodeQueries.Add(st.NodeQueries)
-	m.evalEdgeQueries.Add(st.EdgeQueries)
-	m.evalInlineEdges.Add(st.InlineEdges)
-	m.evalRecomputed.Add(st.RecomputedNodes)
-	m.evalFixpoint.Add(st.FixpointRounds)
+	m.xnfNodeQueries.Add(st.NodeQueries)
+	m.xnfEdgeQueries.Add(st.EdgeQueries)
+	m.xnfRecomputed.Add(st.RecomputedNodes)
+	m.xnfFixpoint.Add(st.FixpointRounds)
 }
 
 // evalStats reads the aggregate back as the xnf stats shape.
 func (m *engineMetrics) evalStats() xnf.EvalStats {
 	return xnf.EvalStats{
-		NodeQueries:     m.evalNodeQueries.Value(),
-		EdgeQueries:     m.evalEdgeQueries.Value(),
-		InlineEdges:     m.evalInlineEdges.Value(),
-		RecomputedNodes: m.evalRecomputed.Value(),
-		FixpointRounds:  m.evalFixpoint.Value(),
+		NodeQueries:     m.xnfNodeQueries.Value(),
+		EdgeQueries:     m.xnfEdgeQueries.Value(),
+		RecomputedNodes: m.xnfRecomputed.Value(),
+		FixpointRounds:  m.xnfFixpoint.Value(),
 	}
 }
 

@@ -33,3 +33,31 @@ func TestOrderByNaN(t *testing.T) {
 		}
 	}
 }
+
+// TestMinMaxNaN: MIN and MAX fold by the order ORDER BY sorts by, so a NaN
+// is the largest number and the answer does not depend on row order: MIN is
+// 0.5 and MAX is NaN whether the NaN row comes first or second. Folded by
+// types.Compare, which finds a NaN equal to every number, the first order
+// returned NaN, NaN and the second 0.5, 3.
+func TestMinMaxNaN(t *testing.T) {
+	for _, rows := range []string{
+		"(1, 1e300), (2, 2.0), (3, 1.0), (4, 3.0), (5, 0.5)",
+		"(1, 2.0), (2, 1e300), (3, 1.0), (4, 3.0), (5, 0.5)",
+	} {
+		s := New(Options{}).Session()
+		s.MustExec("CREATE TABLE T (k INT NOT NULL PRIMARY KEY, x FLOAT)")
+		s.MustExec("INSERT INTO T VALUES " + rows)
+		for q, want := range map[string]string{
+			"SELECT MIN(y), MAX(y) FROM (SELECT x * 1e300 - x * 1e300 + x AS y FROM T) d":                           "(0.5, NaN)",
+			"SELECT g, MIN(y), MAX(y) FROM (SELECT k - k AS g, x * 1e300 - x * 1e300 + x AS y FROM T) d GROUP BY g": "(0, 0.5, NaN)",
+		} {
+			var got []string
+			for _, r := range s.MustExec(q).Rows {
+				got = append(got, r.String())
+			}
+			if g := strings.Join(got, " "); g != want {
+				t.Errorf("rows %s: %s\n got %s\nwant %s", rows, q, g, want)
+			}
+		}
+	}
+}

@@ -227,10 +227,11 @@ func TestTakeEqualsNodeSelects(t *testing.T) {
 // edge of a TAKE * equal, as a multiset, the rows of its RELATE predicate
 // joined over the CO's partner nodes: parent key, child key, attributes and,
 // for the link-table edge, the heap RID of the link row (NilRID for the FK
-// edge). The link edge is resolved inline from the link-table fetch (two
-// conjuncts) or by the edge query (an extra conjunct on the link table),
+// edge). The link edge has two conjuncts or an extra one on the link table,
 // with and without an index on the link table, under the default engine,
-// without indexes and without shared subexpressions.
+// without indexes and without shared subexpressions. Every TAKE runs one
+// edge query, the link edge's USING query, whose rows also narrow Xc on the
+// top-down path.
 func TestTakeEdgesEqualEdgeSelects(t *testing.T) {
 	noIndexes := DefaultOptions()
 	noIndexes.Optimizer.NoIndexes = true
@@ -323,18 +324,10 @@ func TestTakeEdgesEqualEdgeSelects(t *testing.T) {
 						link AS (RELATE Xp, Xc WITH ATTRIBUTES PC.w USING PC
 							WHERE Xp.pid = PC.lp AND Xc.cid = PC.lc%s)
 						TAKE *`, pPred, extra)
-					inline := s.Engine().Stats().Eval.InlineEdges
+					edgeQueries := s.Engine().Stats().Eval.EdgeQueries
 					co := s.MustExec(take).CO
-					inline = s.Engine().Stats().Eval.InlineEdges - inline
-					wantInline := int64(2) // fk, and link with two conjuncts
-					switch {
-					case c.opts.XNF.NoSharedSubexpressions:
-						wantInline = 0
-					case extra != "":
-						wantInline = 1
-					}
-					if inline != wantInline {
-						t.Fatalf("iteration %d: %d edges resolved inline, want %d\n%s", iter, inline, wantInline, take)
+					if n := s.Engine().Stats().Eval.EdgeQueries - edgeQueries; n != 1 {
+						t.Fatalf("iteration %d: %d edge queries, want 1 (the link edge's USING query)\n%s", iter, n, take)
 					}
 					for _, e := range []struct {
 						name, sql string
@@ -560,4 +553,31 @@ func FuzzEdgeMatchesRelateSelect(f *testing.F) {
 		s, ridOf := newEdgeWorld(t, opts, rng)
 		checkEdgeShapes(t, s, ridOf, rng, 0)
 	})
+}
+
+// TestDuplicateRelationshipRejected: a relationship name is declared once
+// per composition, as a component table is. A second works is an error
+// whichever way the composition evaluates: on one acyclic level, with a
+// self-loop that forces full materialization, and re-declared over a view
+// that already has it.
+func TestDuplicateRelationshipRejected(t *testing.T) {
+	s := newCompany(t)
+	const works = `works AS (RELATE Xd, Xe WHERE Xd.dno = Xe.edno)`
+	const works2 = `works AS (RELATE Xd, Xe WHERE Xd.dno = Xe.eno)`
+	s.MustExec(`CREATE VIEW WORKS_VIEW AS OUT OF Xd AS DEPT, Xe AS EMP, ` + works + ` TAKE *`)
+	for _, q := range []string{
+		`OUT OF Xd AS DEPT, Xe AS EMP, ` + works + `, ` + works2 + ` TAKE *`,
+		`OUT OF Xd AS DEPT, Xe AS EMP, ` + works + `, ` + works2 + `,
+			boss AS (RELATE Xe AS a, Xe AS b WHERE a.eno = b.edno) TAKE *`,
+		`OUT OF WORKS_VIEW, ` + works2 + ` TAKE *`,
+	} {
+		r, err := s.Exec(q)
+		if err == nil || !strings.Contains(err.Error(), "xnf: duplicate relationship") {
+			var co string
+			if r != nil && r.CO != nil {
+				co = r.CO.String()
+			}
+			t.Errorf("%s\n got %v %s, want a duplicate relationship error", q, err, co)
+		}
+	}
 }

@@ -1761,7 +1761,7 @@ func (st *aggState) fold(v types.Value, kind AggKind) error {
 			st.val = v
 			return nil
 		}
-		if c, err := types.Compare(v, st.val); err == nil && (kind == AggMin && c < 0 || kind == AggMax && c > 0) {
+		if c, err := types.CompareOrder(v, st.val); err == nil && (kind == AggMin && c < 0 || kind == AggMax && c > 0) {
 			st.val = v
 		}
 	}

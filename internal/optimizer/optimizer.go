@@ -66,17 +66,13 @@ func CompileWithInfo(box *qgm.Box, opt Options) (exec.Plan, *CompileInfo, error)
 	return plan, c.info, nil
 }
 
-// CompileRowExpr compiles a scalar expression whose column references all
-// target one row (quantifier 0), e.g. UPDATE SET expressions.
-func CompileRowExpr(e qgm.Expr) (exec.Expr, error) {
+// CompileExpr compiles a scalar expression over one flat row, outside any
+// plan (UPDATE SET and INSERT values, XNF relationship predicates and
+// attributes): offsets maps each quantifier it reads to where its columns
+// start in the row, nil when it reads none.
+func CompileExpr(e qgm.Expr, offsets map[int]int) (exec.Expr, error) {
 	c := &compiler{opt: DefaultOptions()}
-	return c.compileExpr(e, map[int]int{0: 0})
-}
-
-// CompileConstExpr compiles an expression with no column references.
-func CompileConstExpr(e qgm.Expr) (exec.Expr, error) {
-	c := &compiler{opt: DefaultOptions()}
-	return c.compileExpr(e, map[int]int{})
+	return c.compileExpr(e, offsets)
 }
 
 type compiler struct {

@@ -196,9 +196,9 @@ func TestCompileXNFBoxRejected(t *testing.T) {
 }
 
 func TestCompileRowExpr(t *testing.T) {
-	e, err := CompileRowExpr(&qgm.Binary{Op: ">",
+	e, err := CompileExpr(&qgm.Binary{Op: ">",
 		L: &qgm.ColRef{Quant: 0, Col: 2, Name: "sal"},
-		R: &qgm.Const{Val: types.NewFloat(2000)}})
+		R: &qgm.Const{Val: types.NewFloat(2000)}}, map[int]int{0: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

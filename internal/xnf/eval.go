@@ -23,8 +23,7 @@ type Evaluator struct {
 // concurrent workloads can read them race-free.
 type EvalStats struct {
 	NodeQueries     int64
-	EdgeQueries     int64
-	InlineEdges     int64 // edges resolved during topological extraction
+	EdgeQueries     int64 // USING queries, one per relationship with USING
 	RecomputedNodes int64 // extra node derivations when CSE is off
 	FixpointRounds  int64
 }
@@ -57,38 +56,6 @@ type gedge struct {
 	conns      []Conn
 	alive      []bool
 	qgm.EdgeProvenance
-}
-
-// newGedge starts the candidate relationship e over parent and child.
-func newGedge(e *qgm.XNFEdge, parent, child *gnode) *gedge {
-	return &gedge{
-		name: e.Name, parent: parent, child: child,
-		parentRole: e.ParentRole, childRole: e.ChildRole,
-		attrSchema: edgeAttrSchema(e, parent, child), EdgeProvenance: e.EdgeProvenance,
-	}
-}
-
-// edgeAttrSchema types e's attributes: a plain column reference takes its
-// column's kind, any other expression stays untyped.
-func edgeAttrSchema(e *qgm.XNFEdge, parent, child *gnode) types.Schema {
-	var out types.Schema
-	for _, a := range e.Attrs {
-		col := types.Column{Name: a.Name, Kind: types.KindNull}
-		if cr, ok := a.Expr.(*qgm.ColRef); ok {
-			switch cr.Quant {
-			case 0:
-				col.Kind = parent.schema[cr.Col].Kind
-			case 1:
-				col.Kind = child.schema[cr.Col].Kind
-			default:
-				if uq := cr.Quant - 2; uq < len(e.Using) {
-					col.Kind = e.Using[uq].Input.Out[cr.Col].Kind
-				}
-			}
-		}
-		out = append(out, col)
-	}
-	return out
 }
 
 // egraph is the candidate instance graph of one composition level. Edges
@@ -230,8 +197,11 @@ func (ev *Evaluator) compose(spec *qgm.XNFSpec, isTop bool) (*egraph, error) {
 	if isTop && !ev.opts.NoSharedSubexpressions && len(spec.Bases) == 0 {
 		order, _ = topoNodes(spec)
 	}
+	edges := spec.Edges
+	var fetched map[*qgm.XNFEdge]*edgePlan
 	if order != nil {
-		if err := ev.materializeTopDown(spec, order, g); err != nil {
+		var err error
+		if edges, fetched, err = ev.materializeTopDown(spec, order, g); err != nil {
 			return nil, err
 		}
 	} else {
@@ -246,14 +216,38 @@ func (ev *Evaluator) compose(spec *qgm.XNFSpec, isTop bool) (*egraph, error) {
 			g.nodes = append(g.nodes, gn)
 		}
 	}
-	// Derive this level's edges over the candidate node tables. Edges the
-	// topological extraction already resolved (their connections fall out
-	// of the semijoin fetch) are skipped.
-	for _, edge := range spec.Edges {
+	// Resolve this level's edges over the candidate node tables, reusing
+	// the USING rows the topological extraction fetched.
+	for _, edge := range edges {
 		if g.edge(edge.Name) != nil {
-			continue
+			return nil, fmt.Errorf("xnf: duplicate relationship %q", edge.Name)
 		}
-		ge, err := ev.evalEdge(edge, g, spec)
+		parent, child := g.node(edge.Parent), g.node(edge.Child)
+		if parent == nil || child == nil {
+			return nil, fmt.Errorf("xnf: relationship %s references missing partner tables (%s, %s)", edge.Name, edge.Parent, edge.Child)
+		}
+		if ev.opts.NoSharedSubexpressions {
+			// Ablation: recompute the partner node derivations, modeling an
+			// implementation without cross-query common subexpressions.
+			for _, n := range []string{edge.Parent, edge.Child} {
+				if node := spec.FindNode(n); node != nil {
+					if _, _, err := ev.host.RunBox(node.Def); err != nil {
+						return nil, err
+					}
+					atomic.AddInt64(&ev.Stats.RecomputedNodes, 1)
+				}
+			}
+		}
+		pl := fetched[edge]
+		if pl == nil {
+			p := planEdge(edge)
+			if pl = &p; len(edge.Using) > 0 {
+				if err := ev.fetchUsing(pl, parent); err != nil {
+					return nil, err
+				}
+			}
+		}
+		ge, err := ev.resolveEdge(pl, parent, child)
 		if err != nil {
 			return nil, err
 		}
@@ -309,55 +303,49 @@ func (ev *Evaluator) materializeFull(node *qgm.XNFNode) (*gnode, error) {
 // materializeTopDown materializes nodes in topological order (topoNodes),
 // deriving each child's candidates from its (already materialized) parents
 // through the edge predicates' equi-join structure. Edges whose structure
-// cannot be exploited force a full derivation of their child.
-func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode, g *egraph) error {
+// cannot be exploited force a full derivation of their child. It returns
+// the edges in the order it derives their children and, by edge, the plan
+// of each link edge with the rows of its one USING query, which supplied
+// the child's keys.
+func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode, g *egraph) (
+	edges []*qgm.XNFEdge, fetched map[*qgm.XNFEdge]*edgePlan, err error) {
 	incoming := map[string][]*qgm.XNFEdge{}
 	for _, e := range spec.Edges {
 		incoming[strings.ToUpper(e.Child)] = append(incoming[strings.ToUpper(e.Child)], e)
 	}
 	for _, node := range order {
 		if g.node(node.Name) != nil {
-			return fmt.Errorf("xnf: duplicate component table %q", node.Name)
+			return nil, nil, fmt.Errorf("xnf: duplicate component table %q", node.Name)
 		}
 		inc := incoming[strings.ToUpper(node.Name)]
-		if len(inc) == 0 {
-			gn, err := ev.materializeFull(node)
-			if err != nil {
-				return err
-			}
-			g.nodes = append(g.nodes, gn)
-			continue
-		}
+		edges = append(edges, inc...)
 		// Per incoming edge, derive a key filter from the parent's
-		// materialization; any edge without usable structure forces the
-		// full derivation.
+		// materialization; a root, or any edge without usable structure,
+		// takes the full derivation.
 		type fetch struct {
-			col  string
+			col  int
 			keys []types.Value
 		}
 		var fetches []fetch
-		var links map[*qgm.XNFEdge]*linkRows // nil without link edges
-		full := false
+		full := len(inc) == 0
 		for _, e := range inc {
 			parent := g.node(e.Parent)
-			if parent == nil {
-				full = true // parent from a base level; be conservative
-				break
-			}
 			switch {
+			case parent == nil: // parent from a base level; be conservative
+				full = true
 			case e.FKChildCol != "" && len(e.Using) == 0:
 				keys := distinctColumn(parent.rows, parent.schema.Index(e.FKParentCol))
-				fetches = append(fetches, fetch{col: e.FKChildCol, keys: keys})
+				fetches = append(fetches, fetch{col: node.Def.Out.Index(e.FKChildCol), keys: keys})
 			case e.LinkTable != "":
-				lr, lerr := ev.fetchLinks(e, parent)
-				if lerr != nil {
-					return lerr
+				pl := planEdge(e)
+				if err := ev.fetchUsing(&pl, parent); err != nil {
+					return nil, nil, err
 				}
-				if links == nil {
-					links = map[*qgm.XNFEdge]*linkRows{}
+				if fetched == nil {
+					fetched = map[*qgm.XNFEdge]*edgePlan{}
 				}
-				links[e] = lr
-				fetches = append(fetches, fetch{col: e.LinkChildKey, keys: distinctColumn(lr.rows, lr.cCol)})
+				fetched[e] = &pl
+				fetches = append(fetches, fetch{col: pl.cCols[0], keys: distinctColumn(pl.uRows, pl.cProbe[0])})
 			default:
 				full = true
 			}
@@ -368,7 +356,7 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 		if full {
 			gn, err := ev.materializeFull(node)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			g.nodes = append(g.nodes, gn)
 			continue
@@ -380,17 +368,13 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 		seenRID := map[storage.RID]bool{}
 		var seenRows map[uint64][]int
 		for _, f := range fetches {
-			box, berr := wrapWithInFilter(node.Def, f.col, f.keys)
-			if berr != nil {
-				return berr
-			}
-			rows, rids, rerr := ev.host.RunBox(box)
+			rows, rids, rerr := ev.host.RunBox(wrapWithInFilter(node.Def, f.col, f.keys))
 			if rerr != nil {
-				return fmt.Errorf("xnf: node %s: %w", node.Name, rerr)
+				return nil, nil, fmt.Errorf("xnf: node %s: %w", node.Name, rerr)
 			}
 			atomic.AddInt64(&ev.Stats.NodeQueries, 1)
 			for i, row := range rows {
-				var rid storage.RID = storage.NilRID
+				rid := storage.NilRID
 				if rids != nil {
 					rid = rids[i]
 				}
@@ -399,21 +383,11 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 						continue
 					}
 					seenRID[rid] = true
+				} else if h := row.Hash(); slices.ContainsFunc(seenRows[h], func(p int) bool { return gn.rows[p].Equal(row) }) {
+					continue // a row without a RID dedups by equality
 				} else {
-					// Fall back to row-equality dedup.
 					if seenRows == nil {
 						seenRows = map[uint64][]int{}
-					}
-					h := row.Hash()
-					dup := false
-					for _, pi := range seenRows[h] {
-						if gn.rows[pi].Equal(row) {
-							dup = true
-							break
-						}
-					}
-					if dup {
-						continue
 					}
 					seenRows[h] = append(seenRows[h], len(gn.rows))
 				}
@@ -423,132 +397,8 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 		}
 		gn.alive = allTrue(len(gn.rows))
 		g.nodes = append(g.nodes, gn)
-
-		// Resolve connections for simple incoming edges directly from the
-		// fetch structure: the child column values point back at parent
-		// keys, so a hash match replaces the general edge join.
-		for _, e := range inc {
-			ev.resolveEdgeInline(e, g, links[e])
-		}
 	}
-	return nil
-}
-
-// resolveEdgeInline derives an edge's connections without a join when its
-// predicate is exactly the provenance equi-structure and its attributes (if
-// any) live on the link table, whose rows links holds for a link-table edge.
-// Unresolvable edges stay for evalEdge.
-func (ev *Evaluator) resolveEdgeInline(e *qgm.XNFEdge, g *egraph, links *linkRows) {
-	parent, child := g.node(e.Parent), g.node(e.Child)
-	if parent == nil || child == nil {
-		return
-	}
-	conjN := len(qgm.Conjuncts(e.Pred))
-	switch {
-	case e.FKChildCol != "" && len(e.Using) == 0 && conjN == 1 && len(e.Attrs) == 0:
-		pIdx := parent.schema.Index(e.FKParentCol)
-		cIdx := child.schema.Index(e.FKChildCol)
-		if pIdx < 0 || cIdx < 0 {
-			return
-		}
-		byKey := indexByValue(parent, pIdx)
-		ge := newGedge(e, parent, child)
-		for ci, row := range child.rows {
-			v := row[cIdx]
-			if v.IsNull() {
-				continue
-			}
-			for _, pi := range lookupByValue(byKey, parent, pIdx, v) {
-				ge.conns = append(ge.conns, Conn{P: pi, C: ci, LinkRID: storage.NilRID})
-			}
-		}
-		ge.alive = allTrue(len(ge.conns))
-		g.edges = append(g.edges, ge)
-		atomic.AddInt64(&ev.Stats.InlineEdges, 1)
-	case links != nil && conjN == 2 && e.AttrsOnLink():
-		pKey := parent.schema.Index(e.LinkParentKey)
-		cKey := child.schema.Index(e.LinkChildKey)
-		if pKey < 0 || cKey < 0 {
-			return
-		}
-		linkOut := e.Using[0].Input.Out
-		attrCols := make([]int, len(e.LinkAttrCols))
-		for i, col := range e.LinkAttrCols {
-			attrCols[i] = linkOut.Index(col)
-		}
-		pByKey := indexByValue(parent, pKey)
-		cByKey := indexByValue(child, cKey)
-		ge := newGedge(e, parent, child)
-		for i, row := range links.rows {
-			var attrs types.Row
-			if len(attrCols) > 0 {
-				attrs = make(types.Row, len(attrCols))
-				for j, col := range attrCols {
-					attrs[j] = row[col]
-				}
-			}
-			for _, pi := range lookupByValue(pByKey, parent, pKey, row[links.pCol]) {
-				for _, ci := range lookupByValue(cByKey, child, cKey, row[links.cCol]) {
-					ge.conns = append(ge.conns, Conn{P: pi, C: ci, Attrs: attrs, LinkRID: links.rids[i]})
-				}
-			}
-		}
-		ge.alive = allTrue(len(ge.conns))
-		g.edges = append(g.edges, ge)
-		atomic.AddInt64(&ev.Stats.InlineEdges, 1)
-	}
-}
-
-// linkRows is a link-table edge's one fetch from its link table: the whole
-// link rows whose parent column holds a key of the materialized parent, with
-// their RIDs. It supplies both the child keys of the top-down extraction and
-// the inline connections.
-type linkRows struct {
-	rows       []types.Row
-	rids       []storage.RID
-	pCol, cCol int // positions of the parent and child link columns
-}
-
-// fetchLinks reads the link rows of e that join parent's materialized keys.
-func (ev *Evaluator) fetchLinks(e *qgm.XNFEdge, parent *gnode) (*linkRows, error) {
-	link := e.Using[0].Input
-	lr := &linkRows{pCol: link.Out.Index(e.LinkParentCol), cCol: link.Out.Index(e.LinkChildCol)}
-	if lr.pCol < 0 || lr.cCol < 0 {
-		return nil, fmt.Errorf("xnf: link provenance of %s is incomplete", e.Name)
-	}
-	box, err := wrapWithInFilter(link, e.LinkParentCol,
-		distinctColumn(parent.rows, parent.schema.Index(e.LinkParentKey)))
-	if err != nil {
-		return nil, err
-	}
-	if lr.rows, lr.rids, err = ev.host.RunBox(box); err != nil {
-		return nil, fmt.Errorf("xnf: relationship %s: %w", e.Name, err)
-	}
-	return lr, nil
-}
-
-// indexByValue hashes a node column for repeated lookups.
-func indexByValue(n *gnode, col int) map[uint64][]int {
-	out := make(map[uint64][]int, len(n.rows))
-	for i, row := range n.rows {
-		v := row[col]
-		if v.IsNull() {
-			continue
-		}
-		out[v.Hash()] = append(out[v.Hash()], i)
-	}
-	return out
-}
-
-// lookupByValue resolves a hash bucket with equality verification.
-func lookupByValue(idx map[uint64][]int, n *gnode, col int, v types.Value) []int {
-	var out []int
-	for _, i := range idx[v.Hash()] {
-		if types.Equal(n.rows[i][col], v) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return edges, fetched, nil
 }
 
 // topoNodes orders the spec's nodes parents-first.
@@ -619,15 +469,11 @@ func distinctColumn(rows []types.Row, i int) []types.Value {
 	return out
 }
 
-// wrapWithInFilter narrows a node derivation to rows whose output column
-// col falls in keys. An empty key set yields an empty derivation.
-func wrapWithInFilter(def *qgm.Box, col string, keys []types.Value) (*qgm.Box, error) {
-	ci := def.Out.Index(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("xnf: node output lacks join column %q", col)
-	}
+// wrapWithInFilter narrows a derivation to rows whose output column ci
+// falls in keys. An empty key set yields an empty derivation.
+func wrapWithInFilter(def *qgm.Box, ci int, keys []types.Value) *qgm.Box {
 	if len(keys) == 0 {
-		return &qgm.Box{Kind: qgm.KindValues, Name: def.Name + ":empty", Out: def.Out}, nil
+		return &qgm.Box{Kind: qgm.KindValues, Name: def.Name + ":empty", Out: def.Out}
 	}
 	list := make([]qgm.Expr, len(keys))
 	for i, v := range keys {
@@ -637,113 +483,14 @@ func wrapWithInFilter(def *qgm.Box, col string, keys []types.Value) (*qgm.Box, e
 		Kind:   qgm.KindSelect,
 		Name:   def.Name + ":semijoin",
 		Quants: []*qgm.Quantifier{{Name: "__n", Input: def}},
-		Pred:   &qgm.InList{E: &qgm.ColRef{Quant: 0, Col: ci, Name: col}, List: list},
+		Pred:   &qgm.InList{E: &qgm.ColRef{Quant: 0, Col: ci, Name: def.Out[ci].Name}, List: list},
 		Out:    def.Out.Clone(),
 	}
 	for i, c := range def.Out {
 		outer.Head = append(outer.Head, qgm.HeadExpr{Name: c.Name,
 			Expr: &qgm.ColRef{Quant: 0, Col: i, Name: c.Name}})
 	}
-	return outer, nil
-}
-
-// evalEdge derives connection instances by running a generated SQL query —
-// the XNF semantic rewrite output for one relationship. With common
-// subexpression sharing the partner node materializations feed the query
-// directly; the ablation re-derives them from base tables first.
-func (ev *Evaluator) evalEdge(edge *qgm.XNFEdge, g *egraph, spec *qgm.XNFSpec) (*gedge, error) {
-	parent := g.node(edge.Parent)
-	child := g.node(edge.Child)
-	if parent == nil || child == nil {
-		return nil, fmt.Errorf("xnf: relationship %s references missing partner tables (%s, %s)", edge.Name, edge.Parent, edge.Child)
-	}
-	if ev.opts.NoSharedSubexpressions {
-		// Ablation: recompute the partner node derivations, modeling an
-		// implementation without cross-query common subexpressions.
-		for _, n := range []string{edge.Parent, edge.Child} {
-			if def := findNodeDef(spec, n); def != nil {
-				if _, _, err := ev.host.RunBox(def); err != nil {
-					return nil, err
-				}
-				atomic.AddInt64(&ev.Stats.RecomputedNodes, 1)
-			}
-		}
-	}
-	// Build the edge query: SELECT p.__tid, c.__tid, [link.__rid,] attrs...
-	// FROM <parent materialization> p, <child materialization> c, using...
-	// WHERE <relate predicate>. A link table's quantifier ranges over the
-	// base table with its hidden RID column: the link row's identity.
-	pBox := valuesBoxWithTID(edge.Parent+"_m", parent)
-	cBox := valuesBoxWithTID(edge.Child+"_m", child)
-	quants := []*qgm.Quantifier{
-		{Name: "__p", Input: pBox},
-		{Name: "__c", Input: cBox},
-	}
-	quants = append(quants, edge.Using...)
-	sel := &qgm.Box{Kind: qgm.KindSelect, Name: "edge:" + edge.Name, Quants: quants, Pred: edge.Pred}
-	pTID := len(parent.schema)
-	cTID := len(child.schema)
-	sel.Head = append(sel.Head,
-		qgm.HeadExpr{Name: "__ptid", Expr: &qgm.ColRef{Quant: 0, Col: pTID, Name: "__tid"}},
-		qgm.HeadExpr{Name: "__ctid", Expr: &qgm.ColRef{Quant: 1, Col: cTID, Name: "__tid"}},
-	)
-	sel.Out = types.Schema{
-		{Name: "__ptid", Kind: types.KindInt},
-		{Name: "__ctid", Kind: types.KindInt},
-	}
-	if edge.LinkTable != "" {
-		link := *edge.Using[0]
-		link.Input = qgm.NewBase(link.Input.Table, true)
-		quants[2] = &link
-		rid := len(link.Input.Out) - 1
-		sel.Head = append(sel.Head, qgm.HeadExpr{Name: types.RIDColumn.Name,
-			Expr: &qgm.ColRef{Quant: 2, Col: rid, Name: types.RIDColumn.Name}})
-		sel.Out = append(sel.Out, link.Input.Out[rid])
-	}
-	attrsAt := len(sel.Head)
-	ge := newGedge(edge, parent, child)
-	sel.Head = append(sel.Head, edge.Attrs...)
-	sel.Out = append(sel.Out, ge.attrSchema...)
-	rows, _, err := ev.host.RunBox(sel)
-	if err != nil {
-		return nil, fmt.Errorf("xnf: relationship %s: %v", edge.Name, err)
-	}
-	atomic.AddInt64(&ev.Stats.EdgeQueries, 1)
-	for _, r := range rows {
-		conn := Conn{P: int(r[0].Int()), C: int(r[1].Int()), LinkRID: storage.NilRID}
-		if edge.LinkTable != "" {
-			conn.LinkRID = storage.UnpackRID(r[2].Int())
-		}
-		if len(r) > attrsAt {
-			conn.Attrs = r[attrsAt:].Clone()
-		}
-		ge.conns = append(ge.conns, conn)
-	}
-	ge.alive = allTrue(len(ge.conns))
-	return ge, nil
-}
-
-// findNodeDef locates a node's defining box anywhere in the composition.
-func findNodeDef(spec *qgm.XNFSpec, name string) *qgm.Box {
-	if n := spec.FindNode(name); n != nil {
-		return n.Def
-	}
-	return nil
-}
-
-// valuesBoxWithTID wraps a node materialization as a Values box whose rows
-// carry a trailing tuple id, giving edge queries stable tuple identity.
-func valuesBoxWithTID(name string, n *gnode) *qgm.Box {
-	out := n.schema.Clone()
-	out = append(out, types.Column{Name: "__tid", Kind: types.KindInt})
-	rows := make([][]types.Value, len(n.rows))
-	for i, r := range n.rows {
-		row := make([]types.Value, 0, len(r)+1)
-		row = append(row, r...)
-		row = append(row, types.NewInt(int64(i)))
-		rows[i] = row
-	}
-	return &qgm.Box{Kind: qgm.KindValues, Name: name, Out: out, ValueRows: rows}
+	return outer
 }
 
 // reach marks in each node's in flags the tuples reachable over alive

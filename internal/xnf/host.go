@@ -1,9 +1,9 @@
 // Package xnf implements the paper's core contribution: evaluation of
 // SQL/XNF composite-object queries as abstractions over relational data.
 //
-// The XNF semantic rewrite (paper §4.3) translates the XNF operator into
-// plain SQL boxes — one query per node and per relationship — sharing
-// common subexpressions (node materializations feed the edge queries), then
+// The XNF semantic rewrite (paper §4.3) runs one SQL query per node and per
+// USING clause, finds each relationship's connections from the node tuples
+// already derived (the subexpression the paper's edge queries share), then
 // applies XNF semantics that SQL cannot express directly: the reachability
 // constraint (§2), node/edge restrictions (§3.3), structural projection,
 // recursive composite objects (§3.4), and path expressions (§3.5).
@@ -15,6 +15,7 @@
 package xnf
 
 import (
+	"sqlxnf/internal/exec"
 	"sqlxnf/internal/qgm"
 	"sqlxnf/internal/storage"
 	"sqlxnf/internal/types"
@@ -27,9 +28,11 @@ import (
 type Host interface {
 	// RunBox compiles (rewrite + optimize) and executes a box. When the box
 	// is a selection over one base table, rids[i] is the base RID of row i;
-	// otherwise rids is nil. A box that reads a base table's hidden RID
-	// column (qgm.NewBase(t, true)) gets RIDs as data either way.
+	// otherwise rids is nil.
 	RunBox(box *qgm.Box) (rows []types.Row, rids []storage.RID, err error)
+	// NewExecContext returns the context relationship predicates evaluate
+	// in, under the snapshot the node queries read.
+	NewExecContext() *exec.Context
 	// GetRow fetches a base tuple.
 	GetRow(table string, rid storage.RID) (types.Row, error)
 	// InsertRow appends a base tuple (maintaining indexes) and returns its RID.
@@ -46,10 +49,10 @@ type Host interface {
 // value enables the optimized strategies.
 type Options struct {
 	// NoSharedSubexpressions disables reuse of node materializations: each
-	// edge query re-derives its partner nodes from base tables, and the
-	// topological extraction is off — the ablation arm against the paper's
-	// §4.3 ("The optimizer is able to take advantage of common
-	// subexpression across these queries").
+	// relationship re-derives its partner nodes from base tables before its
+	// connections are resolved, and the topological extraction is off — the
+	// ablation arm against the paper's §4.3 ("The optimizer is able to take
+	// advantage of common subexpression across these queries").
 	NoSharedSubexpressions bool
 	// NaiveFixpoint re-scans all connections every reachability round
 	// instead of propagating a frontier (semi-naive ablation).

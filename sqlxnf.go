@@ -98,8 +98,9 @@ func WithBufferPool(pages int) Option {
 	return func(o *engine.Options) { o.BufferPoolPages = pages }
 }
 
-// WithoutCommonSubexpressions disables node-materialization sharing across
-// XNF edge queries (the E13 ablation).
+// WithoutCommonSubexpressions disables node-materialization sharing: every
+// XNF relationship re-derives its partner nodes before its connections are
+// resolved (the E13 ablation).
 func WithoutCommonSubexpressions() Option {
 	return func(o *engine.Options) { o.XNF.NoSharedSubexpressions = true }
 }
