@@ -581,3 +581,32 @@ func TestDuplicateRelationshipRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeOverProjectedViewNode: a relationship added over a view reads the
+// view's node through the view's column projection. With the columns
+// reordered, `Xd.dno` names the third column of the rows the view hands up
+// (it once named the first, dname, and matched nothing); a column the view
+// projects away is unknown.
+func TestEdgeOverProjectedViewNode(t *testing.T) {
+	s := newCompany(t)
+	s.MustExec(`CREATE VIEW DEPT_NAMES AS OUT OF Xd AS DEPT, Xe AS EMP TAKE Xd(dname, loc, dno), Xe(*)`)
+	co := s.MustExec(`OUT OF DEPT_NAMES, works AS (RELATE Xd, Xe WITH ATTRIBUTES Xd.loc WHERE Xd.dno = Xe.edno) TAKE *`).CO
+	e := co.Edge("works")
+	var got []string
+	for _, c := range e.Conns {
+		got = append(got, fmt.Sprintf("%v %v %v", co.Node("Xd").Rows[c.P][2], co.Node("Xe").Rows[c.C][0], c.Attrs))
+	}
+	var want []string
+	for _, r := range s.MustExec(`SELECT dno, eno, loc FROM DEPT, EMP WHERE dno = edno`).Rows {
+		want = append(want, fmt.Sprintf("%v %v %v", r[0], r[1], r[2:]))
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("works over the projected view: %v, want %v", got, want)
+	}
+	if _, err := s.Exec(`OUT OF DEPT_NAMES, works AS (RELATE Xd, Xe WHERE Xd.budget = Xe.sal) TAKE *`); err == nil ||
+		!strings.Contains(err.Error(), `column "budget" not found`) {
+		t.Errorf("a column the view projects away: got %v", err)
+	}
+}

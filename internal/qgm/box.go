@@ -297,6 +297,40 @@ func (s *XNFSpec) FindNode(name string) *XNFNode {
 	return nil
 }
 
+// NodeSchema returns the columns of the named node as this spec sees them:
+// its definition's output, narrowed by the column projection of each base
+// level it comes through. A relationship added over a view resolves its
+// columns here, against the rows the view's composition hands up.
+func (s *XNFSpec) NodeSchema(name string) types.Schema {
+	for _, n := range s.Nodes {
+		if strings.EqualFold(n.Name, name) {
+			if n.Def != nil {
+				return n.Def.Out
+			}
+			return n.Schema
+		}
+	}
+	for _, base := range s.Bases {
+		if base.FindNode(name) == nil || !base.takeKeeps(name) {
+			continue
+		}
+		out := base.NodeSchema(name)
+		for _, it := range base.Take.Items {
+			if strings.EqualFold(it.Name, name) && !it.AllCols {
+				proj := make(types.Schema, 0, len(it.Cols))
+				for _, c := range it.Cols {
+					if i := out.Index(c); i >= 0 {
+						proj = append(proj, out[i])
+					}
+				}
+				out = proj
+			}
+		}
+		return out
+	}
+	return nil
+}
+
 // FindEdge returns the named edge visible through this spec.
 func (s *XNFSpec) FindEdge(name string) *XNFEdge {
 	for _, e := range s.Edges {

@@ -1016,8 +1016,8 @@ func (b *Builder) buildXNFEdge(name string, rc *parser.RelateClause, spec *XNFSp
 	if strings.EqualFold(pName, cName) {
 		return nil, fmt.Errorf("qgm: relationship %q: cyclic relationship needs distinct role names", name)
 	}
-	sc.add(pName, b.nodeSchema(parent))
-	sc.add(cName, b.nodeSchema(child))
+	sc.add(pName, spec.NodeSchema(parent.Name))
+	sc.add(cName, spec.NodeSchema(child.Name))
 	for _, u := range rc.Using {
 		q, err := b.buildTableRef(u)
 		if err != nil {
@@ -1042,14 +1042,6 @@ func (b *Builder) buildXNFEdge(name string, rc *parser.RelateClause, spec *XNFSp
 	}
 	b.analyzeEdgeProvenance(edge, parent, child)
 	return edge, nil
-}
-
-// nodeSchema returns the output schema of a node definition.
-func (b *Builder) nodeSchema(n *XNFNode) types.Schema {
-	if n.Def != nil {
-		return n.Def.Out
-	}
-	return n.Schema
 }
 
 // analyzeEdgeProvenance detects foreign-key and link-table shapes so the
