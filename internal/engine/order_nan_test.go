@@ -36,9 +36,9 @@ func TestOrderByNaN(t *testing.T) {
 
 // TestMinMaxNaN: MIN and MAX fold by the order ORDER BY sorts by, so a NaN
 // is the largest number and the answer does not depend on row order: MIN is
-// 0.5 and MAX is NaN whether the NaN row comes first or second. Folded by
-// types.Compare, which finds a NaN equal to every number, the first order
-// returned NaN, NaN and the second 0.5, 3.
+// 0.5 and MAX is NaN whether the NaN row comes first or second.
+// types.Compare finds a NaN equal to every number, so a fold by it depends
+// on which row comes first.
 func TestMinMaxNaN(t *testing.T) {
 	for _, rows := range []string{
 		"(1, 1e300), (2, 2.0), (3, 1.0), (4, 3.0), (5, 0.5)",

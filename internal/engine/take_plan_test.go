@@ -584,9 +584,9 @@ func TestDuplicateRelationshipRejected(t *testing.T) {
 
 // TestEdgeOverProjectedViewNode: a relationship added over a view reads the
 // view's node through the view's column projection. With the columns
-// reordered, `Xd.dno` names the third column of the rows the view hands up
-// (it once named the first, dname, and matched nothing); a column the view
-// projects away is unknown.
+// reordered, `Xd.dno` names the third column of the rows the view hands up,
+// where the node's definition has it first; a column the view projects
+// away is unknown.
 func TestEdgeOverProjectedViewNode(t *testing.T) {
 	s := newCompany(t)
 	s.MustExec(`CREATE VIEW DEPT_NAMES AS OUT OF Xd AS DEPT, Xe AS EMP TAKE Xd(dname, loc, dno), Xe(*)`)
