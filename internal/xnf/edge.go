@@ -3,7 +3,6 @@ package xnf
 import (
 	"fmt"
 	"iter"
-	"slices"
 	"sync/atomic"
 
 	"sqlxnf/internal/exec"
@@ -91,7 +90,7 @@ func keyPair(cj qgm.Expr, using bool) (l, r *qgm.ColRef, ok bool) {
 // keys through the first parent = U equality.
 func (ev *Evaluator) fetchUsing(pl *edgePlan, parent *gnode) error {
 	box := &qgm.Box{Kind: qgm.KindSelect, Name: "using:" + pl.e.Name,
-		Quants: slices.Clone(pl.e.Using), Pred: qgm.Conjoin(pl.uOnly), Out: pl.uOut.Clone()}
+		Quants: pl.e.Using, Pred: qgm.Conjoin(pl.uOnly), Out: pl.uOut}
 	for qi, u := range pl.e.Using {
 		for ci, c := range u.Input.Out {
 			box.Head = append(box.Head, qgm.HeadExpr{Name: c.Name, Expr: &qgm.ColRef{Quant: qi, Col: ci, Name: c.Name}})
@@ -125,7 +124,7 @@ func (ev *Evaluator) resolveEdge(pl *edgePlan, parent, child *gnode) (*gedge, er
 	var exprs []exec.Expr
 	if len(pl.residual) > 0 || len(e.Attrs) > 0 {
 		ctx = ev.host.NewExecContext()
-		flat := parent.schema.Concat(child.schema).Concat(pl.uOut)
+		cols := parent.schema.Concat(child.schema).Concat(pl.uOut)
 		offsets := map[int]int{0: 0, 1: len(parent.schema)}
 		for i, at := range pl.uAt {
 			offsets[2+i] = len(parent.schema) + len(child.schema) + at
@@ -135,7 +134,7 @@ func (ev *Evaluator) resolveEdge(pl *edgePlan, parent, child *gnode) (*gedge, er
 			src = append(src, a.Expr)
 			col := types.Column{Name: a.Name, Kind: types.KindNull}
 			if cr, ok := a.Expr.(*qgm.ColRef); ok {
-				col.Kind = flat[offsets[cr.Quant]+cr.Col].Kind
+				col.Kind = cols[offsets[cr.Quant]+cr.Col].Kind
 			}
 			ge.attrSchema = append(ge.attrSchema, col)
 		}
