@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"sqlxnf/internal/storage"
@@ -71,6 +72,9 @@ type Tree struct {
 	root   *node
 	unique bool
 	size   int
+	// path and idx are findLeaf's reused descent record (write latch).
+	path []*node
+	idx  []int
 }
 
 // New creates an empty tree. unique enforces at most one RID per key.
@@ -101,20 +105,19 @@ func (t *Tree) Height() int {
 }
 
 // findLeaf descends to the leaf that would contain composite e, recording
-// the path for structural maintenance.
+// the path for structural maintenance. The path lives in the tree's scratch
+// slices, valid until the next findLeaf: callers hold the write latch.
 func (t *Tree) findLeaf(e entry) (*node, []*node, []int) {
-	var path []*node
-	var idx []int
+	path, idx := t.path[:0], t.idx[:0]
 	n := t.root
 	for !n.leaf {
-		i := 0
-		for i < len(n.seps) && compareEntry(e, n.seps[i]) >= 0 {
-			i++
-		}
+		// The child left of the first separator above e.
+		i := sort.Search(len(n.seps), func(j int) bool { return compareEntry(n.seps[j], e) > 0 })
 		path = append(path, n)
 		idx = append(idx, i)
 		n = n.children[i]
 	}
+	t.path, t.idx = path, idx
 	return n, path, idx
 }
 
@@ -338,15 +341,18 @@ func (t *Tree) merge(parent *node, i int) {
 }
 
 // SeekEQ returns the RIDs stored under exactly key.
-func (t *Tree) SeekEQ(key []byte) []storage.RID {
+func (t *Tree) SeekEQ(key []byte) []storage.RID { return t.AppendEQ(nil, key) }
+
+// AppendEQ appends the RIDs stored under exactly key to dst and returns the
+// extended slice: a caller probing once per row reuses one buffer.
+func (t *Tree) AppendEQ(dst []storage.RID, key []byte) []storage.RID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []storage.RID
 	t.scanLocked(key, key, true, true, func(_ []byte, rid storage.RID) bool {
-		out = append(out, rid)
+		dst = append(dst, rid)
 		return true
 	})
-	return out
+	return dst
 }
 
 // Scan visits entries with lo <= key <= hi in order. nil bounds are
@@ -360,25 +366,29 @@ func (t *Tree) Scan(lo, hi []byte, loInc, hiInc bool, fn func(key []byte, rid st
 }
 
 func (t *Tree) scanLocked(lo, hi []byte, loInc, hiInc bool, fn func(key []byte, rid storage.RID) bool) {
-	// Descend left on key equality so leading duplicates are not skipped.
+	// Descend left on key equality so leading duplicates are not skipped:
+	// into the child left of the first separator whose key is not below lo.
 	n := t.root
 	for !n.leaf {
 		i := 0
 		if lo != nil {
-			for i < len(n.seps) && bytes.Compare(lo, n.seps[i].key) > 0 {
-				i++
-			}
+			i = sort.Search(len(n.seps), func(j int) bool { return bytes.Compare(n.seps[j].key, lo) >= 0 })
 		}
 		n = n.children[i]
 	}
-	for n != nil {
-		for _, e := range n.entries {
-			if lo != nil {
-				c := bytes.Compare(e.key, lo)
-				if c < 0 || (c == 0 && !loInc) {
-					continue
-				}
-			}
+	// Entries are sorted, so once one passes the lower bound all that
+	// follow do: the bound is searched for, leaf by leaf, only until then.
+	passed := lo == nil
+	for ; n != nil; n = n.next {
+		entries := n.entries
+		if !passed {
+			entries = entries[sort.Search(len(entries), func(j int) bool {
+				c := bytes.Compare(entries[j].key, lo)
+				return c > 0 || c == 0 && loInc
+			}):]
+			passed = len(entries) > 0
+		}
+		for _, e := range entries {
 			if hi != nil {
 				c := bytes.Compare(e.key, hi)
 				if c > 0 || (c == 0 && !hiInc) {
@@ -389,7 +399,6 @@ func (t *Tree) scanLocked(lo, hi []byte, loInc, hiInc bool, fn func(key []byte, 
 				return
 			}
 		}
-		n = n.next
 	}
 }
 

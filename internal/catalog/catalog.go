@@ -28,15 +28,20 @@ type Index struct {
 
 // KeyFor extracts the index key values from a row of the owning table.
 func (ix *Index) KeyFor(schema types.Schema, row types.Row) ([]byte, error) {
-	vals := make([]types.Value, len(ix.Columns))
-	for i, col := range ix.Columns {
+	return ix.AppendKey(nil, schema, row)
+}
+
+// AppendKey appends the key KeyFor returns to dst, so that a writer can
+// encode every key of a row into one reused buffer.
+func (ix *Index) AppendKey(dst []byte, schema types.Schema, row types.Row) ([]byte, error) {
+	for _, col := range ix.Columns {
 		p := schema.Index(col)
 		if p < 0 {
 			return nil, fmt.Errorf("catalog: index %s references missing column %q", ix.Name, col)
 		}
-		vals[i] = row[p]
+		dst = types.AppendKey(dst, row[p])
 	}
-	return types.EncodeKey(vals), nil
+	return dst, nil
 }
 
 // Table is a base table bound to storage.

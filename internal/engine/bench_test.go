@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -248,4 +249,94 @@ func BenchmarkTakeMiss(b *testing.B) {
 			b.ReportMetric(float64(after.Hits+after.Misses-before.Hits-before.Misses)/float64(b.N), "pages/op")
 		})
 	}
+}
+
+// bulkLoadStatements is the benchmark module's load, reshaped: the company
+// schema (1 000 DEPT, 20 000 EMP, 5 000 PROJ and 40 000 SKILLS rows) as 132
+// multi-row INSERTs of at most 500 literal rows each.
+func bulkLoadStatements() (ddl string, inserts []string) {
+	ddl = `CREATE TABLE DEPT (dno INT NOT NULL PRIMARY KEY, dname VARCHAR, loc VARCHAR, budget FLOAT, dmgrno INT);
+		CREATE TABLE EMP (eno INT NOT NULL PRIMARY KEY, ename VARCHAR, sal FLOAT, descr VARCHAR, edno INT);
+		CREATE TABLE PROJ (pno INT NOT NULL PRIMARY KEY, pname VARCHAR, budget FLOAT, pdno INT, pmgrno INT);
+		CREATE TABLE SKILLS (sno INT NOT NULL PRIMARY KEY, sname VARCHAR, esno INT);
+		CREATE INDEX emp_edno ON EMP (edno);
+		CREATE INDEX proj_pdno ON PROJ (pdno)`
+	add := func(table string, n int, row func(i int) string) {
+		for lo := 0; lo < n; lo += 500 {
+			var b strings.Builder
+			b.WriteString("INSERT INTO " + table + " VALUES ")
+			for i := lo; i < lo+500 && i < n; i++ {
+				if i > lo {
+					b.WriteByte(',')
+				}
+				b.WriteString(row(i))
+			}
+			inserts = append(inserts, b.String())
+		}
+	}
+	locs, descrs := []string{"NY", "SF", "LA", "CHI", "BOS"}, []string{"staff", "manager", "contractor"}
+	add("DEPT", 1000, func(i int) string {
+		return fmt.Sprintf("(%d,'dept-%d','%s',%d,%d)", i+1, i+1, locs[i%5], 100000+i*7919%900000, 1001+i*20)
+	})
+	add("EMP", 20000, func(i int) string {
+		return fmt.Sprintf("(%d,'emp-%d',%d,'%s',%d)", 1001+i, 1001+i, 1000+100*(i*31%40), descrs[i%3], i/20+1)
+	})
+	add("PROJ", 5000, func(i int) string {
+		return fmt.Sprintf("(%d,'proj-%d',%d,%d,%d)", 5001+i, 5001+i, 10000+i*7919%90000, i/5+1, 1001+i/5*20+i%20)
+	})
+	add("SKILLS", 40000, func(i int) string {
+		return fmt.Sprintf("(%d,'skill-%d',%d)", 90001+i, i*7919%37, 1001+i/2)
+	})
+	return ddl, inserts
+}
+
+// BenchmarkBulkInsert loads the benchmark module's 66 000 rows into a
+// durable group-commit engine (the configuration `xnfserver -data DIR`
+// ships) inside one transaction, as that module's setup does. Only the
+// INSERT statements are timed and counted: ns/row, B/row and allocs/row
+// are process-wide per loaded row, and live-MB is the heap left live after
+// a forced GC once the last INSERT returns, before COMMIT — the write
+// transaction's footprint plus the heap, indexes and pool it filled.
+func BenchmarkBulkInsert(b *testing.B) {
+	ddl, inserts := bulkLoadStatements()
+	const rows = 66_000
+	var elapsed time.Duration
+	var allocs, bytes, live uint64
+	for i := 0; i < b.N; i++ {
+		opts := DefaultOptions()
+		opts.DataDir = b.TempDir()
+		opts.Sync = wal.SyncGroupCommit
+		opts.CheckpointBytes = 4 << 20
+		e, err := Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := e.Session()
+		s.MustExec(ddl)
+		s.MustExec("BEGIN")
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for _, q := range inserts {
+			s.MustExec(q)
+		}
+		elapsed += time.Since(start)
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live += after.HeapAlloc
+		s.MustExec("COMMIT")
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(elapsed.Nanoseconds())/n/rows, "ns/row")
+	b.ReportMetric(float64(bytes)/n/rows, "B/row")
+	b.ReportMetric(float64(allocs)/n/rows, "allocs/row")
+	b.ReportMetric(float64(live)/n/(1<<20), "live-MB")
+	b.ReportMetric(0, "ns/op")
 }

@@ -24,7 +24,7 @@ import (
 // logDDL logs a schema change the catalog has already made; text is the
 // statement, replayed verbatim at recovery.
 func (s *Session) logDDL(text string) (*Result, error) {
-	if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text}); err != nil {
+	if err := s.logChange(undoEntry{typ: wal.RecDDL}, wal.Record{Tx: s.txID, Type: wal.RecDDL, Table: text}); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil
@@ -230,17 +230,20 @@ func liveAt(t *catalog.Table, rid storage.RID) bool {
 // itself delete-marked is dead under that view, so delete-then-reinsert of a
 // key inside one transaction works. skip excludes the updated tuple's own
 // old version; op words the error like the statement ("insert into",
-// "update of").
+// "update of"). The key and the probe's RIDs go into the session's scratch
+// buffers, so a probe allocates nothing.
 func (s *Session) checkUnique(t *catalog.Table, row types.Row, skip storage.RID, op string) error {
 	for _, ix := range t.Indexes {
 		if !ix.Unique {
 			continue
 		}
-		key, err := ix.KeyFor(t.Schema, row)
+		key, err := ix.AppendKey(s.keyBuf[:0], t.Schema, row)
 		if err != nil {
 			return err
 		}
-		for _, rid := range ix.Tree.SeekEQ(key) {
+		s.keyBuf = key
+		s.ridBuf = ix.Tree.AppendEQ(s.ridBuf[:0], key)
+		for _, rid := range s.ridBuf {
 			if rid == skip {
 				continue
 			}
@@ -264,16 +267,24 @@ func (s *Session) insertRowNearTx(t *catalog.Table, near storage.RID, row types.
 }
 
 // insertRowPlacedTx is the one insert primitive: near is the clustering hint,
-// fresh starts a new page instead. Like every DML primitive it changes the
-// heap first and logs second; should the append fail, the record is already
-// on the session's undo list (see appendLog), so the rollback that follows
-// still reverses the change.
+// fresh starts a new page instead. It coerces a copy of row, so the caller
+// keeps row; insertCoerced is the primitive for a row already coerced.
 func (s *Session) insertRowPlacedTx(t *catalog.Table, near storage.RID, fresh bool, row types.Row) (storage.RID, error) {
 	coerced, err := t.Schema.CoerceRow(row)
 	if err != nil {
 		return storage.NilRID, fmt.Errorf("engine: insert into %s: %v", t.Name, err)
 	}
-	if err := s.checkUnique(t, coerced, storage.NilRID, "insert into"); err != nil {
+	return s.insertCoerced(t, near, fresh, coerced)
+}
+
+// insertCoerced stores, indexes and logs a row that already has the table's
+// column kinds. Like every DML primitive it changes the heap first and logs
+// second; should the append fail, the undo entry is already pushed (see
+// logChange), so the rollback that follows still reverses the change. No
+// structure keeps row: the heap and the log encode it, and the undo entry
+// holds only the table and the RID, so a caller may reuse row at once.
+func (s *Session) insertCoerced(t *catalog.Table, near storage.RID, fresh bool, row types.Row) (storage.RID, error) {
+	if err := s.checkUnique(t, row, storage.NilRID, "insert into"); err != nil {
 		return storage.NilRID, err
 	}
 	var stamp uint64 // 0 = frozen, what recovery replay loads
@@ -281,16 +292,17 @@ func (s *Session) insertRowPlacedTx(t *catalog.Table, near storage.RID, fresh bo
 		stamp = s.txID
 	}
 	var rid storage.RID
+	var err error
 	if fresh {
-		rid, err = t.Heap.InsertOnFreshPageTx(t.Tag, coerced, stamp)
+		rid, err = t.Heap.InsertOnFreshPageTx(t.Tag, row, stamp)
 	} else {
-		rid, err = t.Heap.InsertNearTx(t.Tag, near, coerced, stamp)
+		rid, err = t.Heap.InsertNearTx(t.Tag, near, row, stamp)
 	}
 	if err != nil {
 		return storage.NilRID, err
 	}
-	if err := s.addIndexEntries(t, coerced, rid); err != nil {
-		_ = t.Heap.Delete(t.Tag, rid)
+	if err := s.addIndexEntries(t, row, rid); err != nil {
+		_, _ = t.Heap.Delete(t.Tag, rid)
 		return storage.NilRID, err
 	}
 	t.AddRows(1)
@@ -298,8 +310,9 @@ func (s *Session) insertRowPlacedTx(t *catalog.Table, near storage.RID, fresh bo
 	if s.mvccWrite() {
 		s.versWork++ // create stamp to freeze once settled
 	}
-	t.ObserveInsert(coerced)
-	if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: rid, After: coerced.Clone()}); err != nil {
+	t.ObserveInsert(row)
+	if err := s.logChange(undoEntry{typ: wal.RecInsert, t: t, rid: rid},
+		wal.Record{Tx: s.txID, Type: wal.RecInsert, Table: t.Name, RID: rid, After: row}); err != nil {
 		return storage.NilRID, err
 	}
 	return rid, nil
@@ -325,20 +338,20 @@ func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
 		s.noteWrite(t)
 		s.versWork++
 		t.ObserveDelete(row)
-		_, err = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
-		return err
+		return s.logChange(undoEntry{typ: wal.RecDelete, t: t, rid: rid, before: row},
+			wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row})
 	}
 	row, err := t.Heap.Get(t.Tag, rid)
 	if err != nil {
 		return err
 	}
-	if err := t.Heap.Delete(t.Tag, rid); err != nil {
+	if _, err := t.Heap.Delete(t.Tag, rid); err != nil {
 		return err
 	}
 	removeIndexEntriesFor(t, row, rid)
 	t.AddRows(-1)
 	t.ObserveDelete(row)
-	_, err = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row.Clone()})
+	_, err = s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row})
 	return err
 }
 
@@ -366,20 +379,21 @@ func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Ro
 			return storage.NilRID, err
 		}
 		if err := s.addIndexEntries(t, coerced, newRID); err != nil {
-			_ = t.Heap.Delete(t.Tag, newRID)
+			_, _ = t.Heap.Delete(t.Tag, newRID)
 			return storage.NilRID, err
 		}
 		if err := t.Heap.MarkDeleted(t.Tag, rid, s.txID); err != nil {
 			removeIndexEntriesFor(t, coerced, newRID)
-			_ = t.Heap.Delete(t.Tag, newRID)
+			_, _ = t.Heap.Delete(t.Tag, newRID)
 			return storage.NilRID, err
 		}
 		s.noteWrite(t)
 		s.versWork += 2 // old version to purge, new stamp to freeze
 		t.ObserveDelete(old)
 		t.ObserveInsert(coerced)
-		if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
-			RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()}); err != nil {
+		if err := s.logChange(undoEntry{typ: wal.RecUpdate, t: t, rid: rid, newRID: newRID, before: old},
+			wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
+				RID: rid, NewRID: newRID, Before: old, After: coerced}); err != nil {
 			return storage.NilRID, err
 		}
 		return newRID, nil
@@ -402,23 +416,26 @@ func (s *Session) updateRowTx(t *catalog.Table, rid storage.RID, newRow types.Ro
 	t.ObserveDelete(old)
 	t.ObserveInsert(coerced)
 	if _, err := s.appendLog(wal.Record{Tx: s.txID, Type: wal.RecUpdate, Table: t.Name,
-		RID: rid, NewRID: newRID, Before: old.Clone(), After: coerced.Clone()}); err != nil {
+		RID: rid, NewRID: newRID, Before: old, After: coerced}); err != nil {
 		return storage.NilRID, err
 	}
 	return newRID, nil
 }
 
+// addIndexEntries enters the row into every index of the table, encoding
+// each key into the session's scratch buffer (the tree copies what it keeps).
 func (s *Session) addIndexEntries(t *catalog.Table, row types.Row, rid storage.RID) error {
 	for i, ix := range t.Indexes {
-		key, err := ix.KeyFor(t.Schema, row)
+		key, err := ix.AppendKey(s.keyBuf[:0], t.Schema, row)
 		if err == nil {
+			s.keyBuf = key
 			err = ix.Tree.Insert(key, rid)
 		}
 		if err != nil {
 			// Undo entries added so far.
-			for j := 0; j < i; j++ {
-				if key2, kerr := t.Indexes[j].KeyFor(t.Schema, row); kerr == nil {
-					t.Indexes[j].Tree.Delete(key2, rid)
+			for _, added := range t.Indexes[:i] {
+				if key2, kerr := added.KeyFor(t.Schema, row); kerr == nil {
+					added.Tree.Delete(key2, rid)
 				}
 			}
 			return err
@@ -430,63 +447,103 @@ func (s *Session) addIndexEntries(t *catalog.Table, row types.Row, rid storage.R
 // removeIndexEntriesFor drops the row's entry from every index of the table.
 // Free function (not a Session method) because the vacuum sweep calls it too.
 func removeIndexEntriesFor(t *catalog.Table, row types.Row, rid storage.RID) {
+	var key []byte
 	for _, ix := range t.Indexes {
-		if key, err := ix.KeyFor(t.Schema, row); err == nil {
+		var err error
+		if key, err = ix.AppendKey(key[:0], t.Schema, row); err == nil {
 			ix.Tree.Delete(key, rid)
 		}
 	}
 }
 
-// Undo helpers for rollback. Rollback only runs for live (MVCC) transactions
-// — recovery replays committed work forward and never undoes — so these
-// reverse the MVCC write shapes: created versions are physically removed
-// (nothing committed referenced them), delete stamps are cleared. Version
-// counters are NOT bumped and versWork is discarded: a rolled-back
-// transaction leaves no committed change and no settled garbage.
+// ---------------------------------------------------------------------------
+// Undo
+// ---------------------------------------------------------------------------
 
-func (s *Session) undoInsert(r wal.Record) error {
-	t, err := s.eng.cat.Table(r.Table)
-	if err != nil {
-		return err
-	}
-	if err := t.Heap.Delete(t.Tag, r.RID); err != nil {
-		return err
-	}
-	removeIndexEntriesFor(t, r.After, r.RID)
-	t.AddRows(-1)
-	// Compensate the incremental sketch. NULL counts reverse exactly;
-	// min/max extensions from the undone row cannot shrink without a rescan
-	// and stay until the next ANALYZE (a conservative over-wide range).
-	t.ObserveDelete(r.After)
-	return nil
+// undoEntry is what rollback needs to reverse one change of the open
+// transaction. An insert holds its table and RID: rollback takes the row's
+// image from the cell it deletes. A delete holds the delete-marked RID and
+// the old image, an update both RIDs and the old image: the old version's
+// cell stays in place, and its image only re-enters the statistics. A DDL
+// entry holds nothing, since DDL cannot roll back.
+type undoEntry struct {
+	typ    wal.RecType // RecInsert, RecDelete, RecUpdate or RecDDL
+	t      *catalog.Table
+	rid    storage.RID // the inserted or delete-marked row; an update's old version
+	newRID storage.RID // an update's new version
+	before types.Row
 }
 
-func (s *Session) undoDelete(r wal.Record) error {
-	t, err := s.eng.cat.Table(r.Table)
-	if err != nil {
-		return err
+// undoChunk is the number of entries in one chunk of an undoLog.
+const undoChunk = 1024
+
+// undoLog lists the open transaction's undo entries, oldest first, in chunks
+// of undoChunk: a bulk load appends without copying the entries it already
+// holds, and the log is empty exactly when it holds no chunk.
+type undoLog [][]undoEntry
+
+func (u *undoLog) push(e undoEntry) {
+	n := len(*u)
+	if n == 0 || len((*u)[n-1]) == undoChunk {
+		*u = append(*u, make([]undoEntry, 0, undoChunk))
+		n++
 	}
-	// The MVCC delete only stamped the tuple (cell and index entries intact):
-	// clearing the stamp resurrects it in place.
-	t.Heap.ClearDeleted(r.RID)
-	t.AddRows(1)
-	t.ObserveInsert(r.Before)
-	return nil
+	(*u)[n-1] = append((*u)[n-1], e)
 }
 
-func (s *Session) undoUpdate(r wal.Record) error {
-	t, err := s.eng.cat.Table(r.Table)
-	if err != nil {
-		return err
+// logChange records a change the heap already holds: its undo entry first,
+// so the rollback that follows a failed append still reverses the change,
+// then its log record. The record's rows are encoded before logChange
+// returns; nothing keeps them. Recovery replay keeps no undo and logs
+// nothing.
+func (s *Session) logChange(u undoEntry, rec wal.Record) error {
+	if s.eng.recovering {
+		return nil
 	}
-	// Remove the uncommitted new version, resurrect the old one in place.
-	if err := t.Heap.Delete(t.Tag, r.NewRID); err != nil {
-		return err
+	s.undo.push(u)
+	_, err := s.appendLog(rec)
+	return err
+}
+
+// reverse undoes one entry. Rollback only runs for live (MVCC) transactions —
+// recovery replays committed work forward and never undoes — so it reverses
+// the MVCC write shapes: created versions are physically removed (nothing
+// committed referenced them), delete stamps are cleared. Version counters
+// are NOT bumped and versWork is discarded: a rolled-back transaction leaves
+// no committed change and no settled garbage. The statistics sketch is
+// compensated: NULL counts reverse exactly; min/max extensions from an
+// undone row cannot shrink without a rescan and stay until the next ANALYZE
+// (a conservative over-wide range).
+func (s *Session) reverse(u undoEntry) error {
+	t := u.t
+	switch u.typ {
+	case wal.RecInsert:
+		row, err := t.Heap.Delete(t.Tag, u.rid)
+		if err != nil {
+			return err
+		}
+		removeIndexEntriesFor(t, row, u.rid)
+		t.AddRows(-1)
+		t.ObserveDelete(row)
+	case wal.RecDelete:
+		// The MVCC delete only stamped the tuple (cell and index entries
+		// intact): clearing the stamp resurrects it in place.
+		t.Heap.ClearDeleted(u.rid)
+		t.AddRows(1)
+		t.ObserveInsert(u.before)
+	case wal.RecUpdate:
+		// Remove the uncommitted new version, resurrect the old one in place.
+		after, err := t.Heap.Delete(t.Tag, u.newRID)
+		if err != nil {
+			return err
+		}
+		removeIndexEntriesFor(t, after, u.newRID)
+		t.ObserveDelete(after)
+		t.Heap.ClearDeleted(u.rid)
+		t.ObserveInsert(u.before)
+	case wal.RecDDL:
+		return fmt.Errorf("engine: cannot roll back DDL; DDL autocommits")
 	}
-	removeIndexEntriesFor(t, r.After, r.NewRID)
-	t.ObserveDelete(r.After)
-	t.Heap.ClearDeleted(r.RID)
-	t.ObserveInsert(r.Before)
 	return nil
 }
 
@@ -517,58 +574,72 @@ func (s *Session) insert(stmt *parser.InsertStmt) (*Result, error) {
 			positions = append(positions, i)
 		}
 	}
-	var sourceRows []types.Row
-	switch {
-	case stmt.Select != nil:
+	// Every row reaches insertCoerced in one buffer, which it does not keep.
+	// Columns the statement does not list stay NULL.
+	full := make(types.Row, len(t.Schema))
+	for i := range full {
+		full[i] = types.Null()
+	}
+	store := func() error {
+		if err := t.Schema.CoerceInPlace(full); err != nil {
+			return fmt.Errorf("engine: insert into %s: %v", t.Name, err)
+		}
+		_, err := s.insertCoerced(t, storage.NilRID, false, full)
+		return err
+	}
+	if stmt.Select != nil {
 		sub, err := s.selectStmt(stmt.Select, "")
 		if err != nil {
 			return nil, err
 		}
-		sourceRows = sub.Rows
-	default:
-		b := s.builder()
-		ctx := s.NewExecContext()
-		for _, exprRow := range stmt.Rows {
-			if len(exprRow) != len(positions) {
-				return nil, fmt.Errorf("engine: INSERT expects %d values, got %d", len(positions), len(exprRow))
+		for _, src := range sub.Rows {
+			if len(src) != len(positions) {
+				return nil, fmt.Errorf("engine: INSERT expects %d values, got %d", len(positions), len(src))
 			}
-			row := make(types.Row, len(exprRow))
-			for i, pe := range exprRow {
-				qe, err := b.ResolveConstExpr(pe)
-				if err != nil {
-					return nil, err
-				}
-				ce, err := optimizer.CompileExpr(qe, nil)
-				if err != nil {
-					return nil, err
-				}
-				v, err := ce.Eval(ctx, nil)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
+			for i, p := range positions {
+				full[p] = src[i]
 			}
-			sourceRows = append(sourceRows, row)
+			if err := store(); err != nil {
+				return nil, err
+			}
 		}
+		return &Result{RowsAffected: int64(len(sub.Rows))}, nil
 	}
-	n := int64(0)
-	for _, src := range sourceRows {
-		if len(src) != len(positions) {
-			return nil, fmt.Errorf("engine: INSERT expects %d values, got %d", len(positions), len(src))
-		}
-		full := make(types.Row, len(t.Schema))
-		for i := range full {
-			full[i] = types.Null()
+	b := s.builder()
+	ctx := s.NewExecContext()
+	for _, exprRow := range stmt.Rows {
+		if len(exprRow) != len(positions) {
+			return nil, fmt.Errorf("engine: INSERT expects %d values, got %d", len(positions), len(exprRow))
 		}
 		for i, p := range positions {
-			full[p] = src[i]
+			v, err := constValue(b, ctx, exprRow[i])
+			if err != nil {
+				return nil, err
+			}
+			full[p] = v
 		}
-		if _, err := s.insertRowTx(t, full); err != nil {
+		if err := store(); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &Result{RowsAffected: n}, nil
+	return &Result{RowsAffected: int64(len(stmt.Rows))}, nil
+}
+
+// constValue evaluates one VALUES item. A literal is its value; any other
+// item resolves, compiles and evaluates as a constant expression.
+func constValue(b *qgm.Builder, ctx *exec.Context, e parser.Expr) (types.Value, error) {
+	if lit, ok := e.(*parser.Literal); ok {
+		return lit.Val, nil
+	}
+	qe, err := b.ResolveConstExpr(e)
+	if err != nil {
+		return types.Value{}, err
+	}
+	ce, err := optimizer.CompileExpr(qe, nil)
+	if err != nil {
+		return types.Value{}, err
+	}
+	return ce.Eval(ctx, nil)
 }
 
 // targetRows computes the target set of a searched UPDATE or DELETE: the rows

@@ -474,9 +474,14 @@ type Session struct {
 	// goroutine; parallel workers spawned mid-statement read it through
 	// values captured before they start, so the writes never race.
 	sctx context.Context
-	// undo lists the records the open transaction has logged, oldest first:
-	// rollback walks it in reverse, commit and rollback drop it.
-	undo []wal.Record
+	// undo lists what reverses each change the open transaction made,
+	// oldest first: rollback walks it in reverse, commit and rollback drop
+	// it (engine/dml.go).
+	undo undoLog
+	// keyBuf and ridBuf are the row writers' reused index-key and probe
+	// buffers (checkUnique, addIndexEntries).
+	keyBuf []byte
+	ridBuf []storage.RID
 	// beganLogged marks that this transaction's RecBegin reached the log, so
 	// it owes the log a commit or abort record. Begin logging is lazy —
 	// appendLog writes it before the first real record — so read-only
@@ -899,24 +904,11 @@ func (s *Session) commit() error {
 // transaction whose RecBegin never reached the log owes it no abort.
 func (s *Session) rollback() error {
 	var undoErr error
-	for i := len(s.undo) - 1; i >= 0; i-- {
-		r := s.undo[i]
-		switch r.Type {
-		case wal.RecInsert:
-			if err := s.undoInsert(r); err != nil && undoErr == nil {
+	for c := len(s.undo) - 1; c >= 0; c-- {
+		chunk := s.undo[c]
+		for i := len(chunk) - 1; i >= 0; i-- {
+			if err := s.reverse(chunk[i]); err != nil && undoErr == nil {
 				undoErr = err
-			}
-		case wal.RecDelete:
-			if err := s.undoDelete(r); err != nil && undoErr == nil {
-				undoErr = err
-			}
-		case wal.RecUpdate:
-			if err := s.undoUpdate(r); err != nil && undoErr == nil {
-				undoErr = err
-			}
-		case wal.RecDDL:
-			if undoErr == nil {
-				undoErr = fmt.Errorf("engine: cannot roll back DDL %q; DDL autocommits", r.Table)
 			}
 		}
 	}
@@ -936,8 +928,8 @@ func (s *Session) rollback() error {
 }
 
 // appendLog logs rec for the open transaction and returns its LSN (0 on an
-// in-memory engine, which has no log). The record goes onto the session's
-// undo list before anything can fail, so a heap change already made is always
+// in-memory engine, which has no log). A change's undo entry is pushed
+// before this is called (logChange), so a heap change already made is always
 // described there; an append error is returned, the statement fails, and its
 // transaction rolls back through the normal error path. Recovery replay logs
 // nothing.
@@ -958,7 +950,6 @@ func (s *Session) appendLogLocked(rec wal.Record) (wal.LSN, error) {
 	if s.trace != nil {
 		appendStart = time.Now()
 	}
-	s.undo = append(s.undo, rec)
 	var lsn wal.LSN
 	var err error
 	if !s.beganLogged {

@@ -143,6 +143,38 @@ func TestStatementTimeout(t *testing.T) {
 	}
 }
 
+// TestEdgeResolverHonorsStatementTimeout: a RELATE whose only conjunct is
+// non-equi has no hash key, so the resolver tests every (parent, child)
+// pair of two 3 000-row nodes, 9 million in all, which takes far longer
+// than the 50 ms deadline. The resolver polls the statement between pairs,
+// so the TAKE returns the timeout promptly, not once every pair is tested.
+func TestEdgeResolverHonorsStatementTimeout(t *testing.T) {
+	s := NewDefault().Session()
+	s.MustExec("CREATE TABLE EA (a INT PRIMARY KEY, v INT); CREATE TABLE EB (b INT PRIMARY KEY, w INT)")
+	for _, table := range []string{"EA", "EB"} {
+		var rows []string
+		for i := 0; i < 3000; i++ {
+			rows = append(rows, fmt.Sprintf("(%d, %d)", i, i))
+		}
+		for _, q := range valuesStmts(table, rows) {
+			s.MustExec(q)
+		}
+	}
+	s.SetStatementTimeout(50 * time.Millisecond)
+	start := time.Now()
+	_, err := s.Exec("OUT OF Xa AS EA, Xb AS EB, r AS (RELATE Xa, Xb WHERE Xa.v > Xb.w + 2990) TAKE *")
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("TAKE over a non-equi edge returned %v, want DeadlineExceeded", err)
+	}
+	if elapsed > 400*time.Millisecond {
+		t.Fatalf("TAKE returned its timeout after %v, want soon after the 50 ms deadline", elapsed)
+	}
+	if held := s.Engine().Locks().TotalHeld(); held != 0 {
+		t.Fatalf("%d locks leaked by the timed-out TAKE", held)
+	}
+}
+
 // TestPanicContainment: an injected panic at a probe point deep inside DML
 // becomes an *exec.PanicError at the statement boundary; the transaction is
 // rolled back, no locks leak, and the session keeps working.

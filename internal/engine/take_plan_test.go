@@ -610,3 +610,59 @@ func TestEdgeOverProjectedViewNode(t *testing.T) {
 		t.Errorf("a column the view projects away: got %v", err)
 	}
 }
+
+// TestTopDownKeepsEqualRowsOfARIDlessChild: a child whose definition is a
+// join carries no RIDs, so the top-down extraction merges what its fetches
+// return by value. Equal rows of one fetch are distinct tuples of the
+// derivation and all stay; a second fetch, through a second parent, adds
+// only the copies beyond what one fetch already gave, since equal rows pass
+// or fail a key filter together. So Xj holds what its SELECT returns, two
+// 'a' rows and a 'b' row, and every relationship has one connection per row
+// of its RELATE predicate written as a SELECT: on one acyclic level, with
+// a second parent, and with a self-loop that never connects but forces full
+// materialization.
+func TestTopDownKeepsEqualRowsOfARIDlessChild(t *testing.T) {
+	s := NewDefault().Session()
+	s.MustExec(`CREATE TABLE DEPT (dno INT PRIMARY KEY, dname VARCHAR);
+		CREATE TABLE EMP (eno INT PRIMARY KEY, edno INT, job VARCHAR);
+		CREATE TABLE L (lid INT PRIMARY KEY, ldno INT, ljob VARCHAR);
+		INSERT INTO DEPT VALUES (1, 'x'), (2, 'y');
+		INSERT INTO EMP VALUES (10, 1, 'a'), (11, 1, 'a'), (12, 2, 'b');
+		INSERT INTO L VALUES (100, 1, 'a'), (101, 2, 'b')`)
+	rendered := func(rows []types.Row) []string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, r.String())
+		}
+		sort.Strings(out)
+		return out
+	}
+	const xj = `SELECT e.job FROM EMP e, DEPT d WHERE e.edno = d.dno`
+	wantXj := rendered(s.MustExec(xj).Rows)
+	wantR := rendered(s.MustExec(`SELECT p.dno, e.job FROM DEPT p, EMP e, DEPT d, L
+		WHERE e.edno = d.dno AND p.dno = L.ldno AND e.job = L.ljob`).Rows)
+	base := `OUT OF Xd AS DEPT, Xj AS (` + xj + `), r AS (RELATE Xd, Xj USING L WHERE Xd.dno = L.ldno AND Xj.job = L.ljob)`
+	for _, c := range []struct {
+		name, take string
+		edges      []string
+	}{
+		{"one level", base + ` TAKE *`, []string{"r"}},
+		{"two parents", base + `, Xd2 AS DEPT, r2 AS (RELATE Xd2, Xj USING L WHERE Xd2.dno = L.ldno AND Xj.job = L.ljob) TAKE *`, []string{"r", "r2"}},
+		{"self-loop", base + `, sl AS (RELATE Xj AS a, Xj AS b WHERE a.job = 'zz' AND b.job = 'zz') TAKE *`, []string{"r"}},
+	} {
+		co := s.MustExec(c.take).CO
+		if got := rendered(co.Node("Xj").Rows); !slices.Equal(got, wantXj) {
+			t.Errorf("%s: Xj = %v, want %v", c.name, got, wantXj)
+		}
+		for _, name := range c.edges {
+			e := co.Edge(name)
+			var conns []types.Row
+			for _, cn := range e.Conns {
+				conns = append(conns, types.Row{co.Node(e.Parent).Rows[cn.P][0], co.Node(e.Child).Rows[cn.C][0]})
+			}
+			if got := rendered(conns); !slices.Equal(got, wantR) {
+				t.Errorf("%s: %s connects %v, want %v", c.name, name, got, wantR)
+			}
+		}
+	}
+}

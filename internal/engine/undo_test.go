@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sqlxnf/internal/exec"
@@ -10,7 +11,7 @@ import (
 
 // TestUndoListsArePerSession: two sessions interleave writes to different
 // tables; one rolls back, the other commits. Each transaction's undo list
-// holds only its own records, so the rollback reverses exactly its own
+// holds only its own entries, so the rollback reverses exactly its own
 // writes, and either outcome leaves the list empty. An in-memory engine has
 // no log at all.
 func TestUndoListsArePerSession(t *testing.T) {
@@ -31,12 +32,13 @@ func TestUndoListsArePerSession(t *testing.T) {
 	b.MustExec("DELETE FROM TB WHERE id = 2")
 	a.MustExec("DELETE FROM TA WHERE id = 2")
 	b.MustExec("UPDATE TB SET v = 31 WHERE id = 3")
-	if len(a.undo) != 3 || len(b.undo) != 3 {
-		t.Fatalf("undo lists hold %d and %d records, want 3 each", len(a.undo), len(b.undo))
+	entries := func(s *Session) []undoEntry { return slices.Concat(s.undo...) }
+	if len(entries(a)) != 3 || len(entries(b)) != 3 {
+		t.Fatalf("undo lists hold %d and %d entries, want 3 each", len(entries(a)), len(entries(b)))
 	}
-	for _, r := range a.undo {
-		if r.Table != "TA" || r.Tx != a.txID {
-			t.Fatalf("session a's undo list holds a foreign record: %+v", r)
+	for _, u := range entries(a) {
+		if u.t.Name != "TA" {
+			t.Fatalf("session a's undo list holds a foreign entry: %+v", u)
 		}
 	}
 	a.MustExec("ROLLBACK")

@@ -1440,6 +1440,8 @@ type Sort struct {
 	Child Plan
 	Keys  []SortKey
 	cmp   rowCompare
+	rest  rowCompare // the keys after the first, when the first is a string
+	strs  []string   // a string first key's values, by input position
 	rows  []types.Row
 	ents  []sortEntry
 	pos   int
@@ -1571,7 +1573,23 @@ func (s *Sort) sortRows() error {
 		nextVal++
 	}
 	var err error
-	sortEntries(valEnts, rows, tieCmp, s.cmp, &err)
+	if first.Kind() == types.KindString {
+		// Every non-NULL first key is a string: a key tie compares the
+		// strings themselves, read from one slice in input order, and only
+		// a string tie goes on to the rest.
+		if s.rest == nil && multi {
+			s.rest = compileComparator(s.Keys[1:])
+		}
+		strs := slices.Grow(s.strs[:0], len(rows))[:len(rows)]
+		for _, e := range valEnts {
+			strs[e.i] = rows[e.i][idx].Str()
+		}
+		sortStringEntries(valEnts, strs, rows, desc, s.rest, &err)
+		clear(strs)
+		s.strs = strs[:0]
+	} else {
+		sortEntries(valEnts, rows, tieCmp, s.cmp, &err)
+	}
 	if multi {
 		sortEntries(nullEnts, rows, true, s.cmp, &err)
 	}
@@ -1594,6 +1612,32 @@ func sortEntries(ents []sortEntry, rows []types.Row, tieCmp bool, cmp rowCompare
 		}
 		if tieCmp {
 			if c := cmp(rows[a.i], rows[b.i], errOut); c != 0 {
+				return c
+			}
+		}
+		return int(a.i - b.i)
+	})
+}
+
+// sortStringEntries is sortEntries for a string first key, strs[i] being
+// row i's: a key tie compares the two strings, and only equal strings reach
+// rest, the comparator of the later keys (nil when there are none).
+func sortStringEntries(ents []sortEntry, strs []string, rows []types.Row, desc bool, rest rowCompare, errOut *error) {
+	slices.SortFunc(ents, func(a, b sortEntry) int {
+		if a.k != b.k {
+			if a.k < b.k {
+				return -1
+			}
+			return 1
+		}
+		if c := strings.Compare(strs[a.i], strs[b.i]); c != 0 {
+			if desc {
+				return -c
+			}
+			return c
+		}
+		if rest != nil {
+			if c := rest(rows[a.i], rows[b.i], errOut); c != 0 {
 				return c
 			}
 		}

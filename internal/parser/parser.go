@@ -8,11 +8,20 @@ import (
 	"sqlxnf/internal/types"
 )
 
-// Parser consumes a token stream and produces statements.
+// Parser consumes tokens as it needs them and produces statements: the
+// script is never held as a token slice, so a long multi-row INSERT costs
+// its AST, not a token per byte or two on top.
 type Parser struct {
-	src  string
-	toks []Token
-	pos  int
+	src string
+	lex Lexer
+	// la holds the current token and the lookahead read so far, n of them:
+	// the grammar peeks at most two tokens ahead.
+	la [3]Token
+	n  int
+	// err is the lexer's error. The token stream ends where it occurred,
+	// and the entry points report it ahead of whatever the grammar made of
+	// that end.
+	err error
 	// litSeq numbers the number/string literal tokens of the statement being
 	// parsed, in source order (see Literal.Param). It resets per statement.
 	litSeq int
@@ -24,36 +33,39 @@ func (p *Parser) nextLit() int {
 	return p.litSeq
 }
 
-// NewParser tokenizes src and prepares a parser.
-func NewParser(src string) (*Parser, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+func newParser(src string) *Parser {
+	return &Parser{src: src, lex: Lexer{src: src}}
+}
+
+// fail returns the lexer's error if the token stream ended on one, else err.
+func (p *Parser) fail(err error) error {
+	if p.err != nil {
+		return p.err
 	}
-	return &Parser{src: src, toks: toks}, nil
+	return err
 }
 
 // Parse parses a semicolon-separated script.
 func Parse(src string) ([]Statement, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	var out []Statement
 	for {
 		for p.matchOp(";") {
 		}
 		if p.cur().Kind == TokEOF {
+			if p.err != nil {
+				return nil, p.err
+			}
 			return out, nil
 		}
 		p.litSeq = 0
 		st, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, p.fail(err)
 		}
 		out = append(out, st)
 		if !p.matchOp(";") && p.cur().Kind != TokEOF {
-			return nil, p.errorf("expected ';' or end of input, found %s", p.cur())
+			return nil, p.fail(p.errorf("expected ';' or end of input, found %s", p.cur()))
 		}
 	}
 }
@@ -67,22 +79,22 @@ type ScriptStmt struct {
 // ParseScript parses a semicolon-separated script keeping per-statement
 // source text (the engine logs DDL text and stores view bodies verbatim).
 func ParseScript(src string) ([]ScriptStmt, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	var out []ScriptStmt
 	for {
 		for p.matchOp(";") {
 		}
 		if p.cur().Kind == TokEOF {
+			if p.err != nil {
+				return nil, p.err
+			}
 			return out, nil
 		}
 		start := p.cur().Off
 		p.litSeq = 0
 		st, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, p.fail(err)
 		}
 		end := p.cur().Off
 		if p.cur().Kind == TokEOF {
@@ -94,7 +106,7 @@ func ParseScript(src string) ([]ScriptStmt, error) {
 		}
 		out = append(out, ScriptStmt{Stmt: st, Text: text})
 		if !p.matchOp(";") && p.cur().Kind != TokEOF {
-			return nil, p.errorf("expected ';' or end of input, found %s", p.cur())
+			return nil, p.fail(p.errorf("expected ';' or end of input, found %s", p.cur()))
 		}
 	}
 }
@@ -113,33 +125,51 @@ func ParseOne(src string) (Statement, error) {
 
 // ParseExprString parses a standalone expression (used by tests).
 func ParseExprString(src string) (Expr, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	e, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, p.fail(err)
 	}
 	if p.cur().Kind != TokEOF {
-		return nil, p.errorf("trailing input after expression: %s", p.cur())
+		return nil, p.fail(p.errorf("trailing input after expression: %s", p.cur()))
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return e, nil
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+// fill lexes until k tokens are buffered. The stream ends in an EOF token
+// that every later read repeats; a lexer error ends it the same way.
+func (p *Parser) fill(k int) {
+	for ; p.n < k; p.n++ {
+		if p.n > 0 && p.la[p.n-1].Kind == TokEOF {
+			p.la[p.n] = p.la[p.n-1]
+			continue
+		}
+		t, err := p.lex.Next()
+		if err != nil {
+			p.err = err
+			t = Token{Kind: TokEOF, Off: len(p.src)}
+		}
+		p.la[p.n] = t
+	}
+}
+
+func (p *Parser) cur() Token {
+	p.fill(1)
+	return p.la[0]
+}
 
 func (p *Parser) peek(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+n]
+	p.fill(n + 1)
+	return p.la[n]
 }
 
 func (p *Parser) advance() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.cur()
+	if t.Kind != TokEOF {
+		p.n = copy(p.la[:], p.la[1:p.n])
 	}
 	return t
 }

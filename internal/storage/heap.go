@@ -469,35 +469,43 @@ func (h *Heap) Update(tag uint32, rid RID, row types.Row) (RID, error) {
 	return nrid, err
 }
 
-// Delete physically removes the tuple at rid (undo and recovery; MVCC
-// deletes go through MarkDeleted instead).
-func (h *Heap) Delete(tag uint32, rid RID) error {
+// Delete physically removes the tuple at rid and returns the row it held
+// (undo and recovery; MVCC deletes go through MarkDeleted instead). The row
+// is decoded from the cell on the page Delete fetches anyway, so a caller
+// that must know what it removed pays no second fetch.
+func (h *Heap) Delete(tag uint32, rid RID) (types.Row, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	p, err := h.bp.Fetch(rid.Page)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cell, err := p.Cell(int(rid.Slot))
 	if err != nil {
 		h.bp.Unpin(rid.Page, false)
-		return err
+		return nil, err
 	}
-	ctag, _, err := cellTag(cell)
+	ctag, n, err := cellTag(cell)
 	if err != nil {
 		h.bp.Unpin(rid.Page, false)
-		return err
+		return nil, err
 	}
 	if ctag != tag {
 		h.bp.Unpin(rid.Page, false)
-		return fmt.Errorf("storage: delete of rid %v owned by tag %d, not %d", rid, ctag, tag)
+		return nil, fmt.Errorf("storage: delete of rid %v owned by tag %d, not %d", rid, ctag, tag)
+	}
+	row, _, err := types.DecodeRow(cell[n:])
+	if err != nil {
+		h.bp.Unpin(rid.Page, false)
+		return nil, err
 	}
 	err = p.DeleteCell(int(rid.Slot))
 	h.bp.Unpin(rid.Page, err == nil)
-	if err == nil {
-		delete(h.vers, rid)
+	if err != nil {
+		return nil, err
 	}
-	return err
+	delete(h.vers, rid)
+	return row, nil
 }
 
 // Scan visits every visible row owned by tag in physical order under the

@@ -424,7 +424,7 @@ func TestHeapTagIsolation(t *testing.T) {
 	if _, err := h.Get(2, ridA); err == nil {
 		t.Error("cross-tag Get should fail")
 	}
-	if err := h.Delete(1, ridB); err == nil {
+	if _, err := h.Delete(1, ridB); err == nil {
 		t.Error("cross-tag Delete should fail")
 	}
 	if _, err := h.Update(2, ridA, row(9, "x")); err == nil {
@@ -476,7 +476,7 @@ func TestHeapUpdateDeleteAndMove(t *testing.T) {
 		t.Fatalf("moved tuple unreadable: %v", err)
 	}
 	// Delete then Get fails.
-	if err := h.Delete(1, nrid); err != nil {
+	if _, err := h.Delete(1, nrid); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Get(1, nrid); err == nil {
@@ -679,7 +679,7 @@ func TestScannersEmitRID(t *testing.T) {
 	// Free slots on the first page, then refill them near a row there: the
 	// newest rows land physically first.
 	for _, rid := range first[:5] {
-		if err := h.Delete(1, rid); err != nil {
+		if _, err := h.Delete(1, rid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -881,10 +881,10 @@ func TestHeapUpdateReadsOnlyTheOwnerTag(t *testing.T) {
 	if _, err := h.Update(2, rid, wide); err == nil {
 		t.Error("update under a foreign tag succeeded")
 	}
-	if err := h.Delete(2, rid); err == nil {
+	if _, err := h.Delete(2, rid); err == nil {
 		t.Error("delete under a foreign tag succeeded")
 	}
-	if err := h.Delete(1, rid); err != nil {
+	if _, err := h.Delete(1, rid); err != nil {
 		t.Fatal(err)
 	}
 }

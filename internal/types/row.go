@@ -379,36 +379,43 @@ func decodeValues(src []byte, pos int, n uint64, cols []int, row Row, alias bool
 func EncodeKey(vals []Value) []byte {
 	var dst []byte
 	for _, v := range vals {
-		switch v.kind {
-		case KindNull:
-			dst = append(dst, 0x00)
-		case KindInt, KindFloat:
-			dst = append(dst, 0x01)
-			bits := math.Float64bits(v.Float())
-			// Flip for order preservation: positive floats get the sign bit
-			// set; negative floats are fully complemented.
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			dst = binary.BigEndian.AppendUint64(dst, bits)
-		case KindString:
-			dst = append(dst, 0x02)
-			// Escape 0x00 as 0x00 0xFF so the 0x00 0x01 terminator sorts
-			// before any continuation.
-			for i := 0; i < len(v.s); i++ {
-				b := v.s[i]
-				if b == 0x00 {
-					dst = append(dst, 0x00, 0xFF)
-				} else {
-					dst = append(dst, b)
-				}
-			}
-			dst = append(dst, 0x00, 0x01)
-		case KindBool:
-			dst = append(dst, 0x03, byte(v.i))
+		dst = AppendKey(dst, v)
+	}
+	return dst
+}
+
+// AppendKey appends v's EncodeKey encoding to dst: a key built column by
+// column into a reused buffer equals EncodeKey of the columns.
+func AppendKey(dst []byte, v Value) []byte {
+	switch v.kind {
+	case KindNull:
+		dst = append(dst, 0x00)
+	case KindInt, KindFloat:
+		dst = append(dst, 0x01)
+		bits := math.Float64bits(v.Float())
+		// Flip for order preservation: positive floats get the sign bit
+		// set; negative floats are fully complemented.
+		if bits&(1<<63) != 0 {
+			bits = ^bits
+		} else {
+			bits |= 1 << 63
 		}
+		dst = binary.BigEndian.AppendUint64(dst, bits)
+	case KindString:
+		dst = append(dst, 0x02)
+		// Escape 0x00 as 0x00 0xFF so the 0x00 0x01 terminator sorts
+		// before any continuation.
+		for i := 0; i < len(v.s); i++ {
+			b := v.s[i]
+			if b == 0x00 {
+				dst = append(dst, 0x00, 0xFF)
+			} else {
+				dst = append(dst, b)
+			}
+		}
+		dst = append(dst, 0x00, 0x01)
+	case KindBool:
+		dst = append(dst, 0x03, byte(v.i))
 	}
 	return dst
 }

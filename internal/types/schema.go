@@ -93,16 +93,25 @@ func (s Schema) Validate(r Row) error {
 // CoerceRow returns a copy of r with numeric widening applied so values match
 // the schema's declared kinds. Validation errors pass through.
 func (s Schema) CoerceRow(r Row) (Row, error) {
-	if err := s.Validate(r); err != nil {
+	out := r.Clone()
+	if err := s.CoerceInPlace(out); err != nil {
 		return nil, err
 	}
-	out := r.Clone()
-	for i := range out {
-		if out[i].Kind() == KindInt && s[i].Kind == KindFloat {
-			out[i] = NewFloat(float64(out[i].Int()))
+	return out, nil
+}
+
+// CoerceInPlace is CoerceRow writing into r itself, for a caller that owns
+// r and needs no copy.
+func (s Schema) CoerceInPlace(r Row) error {
+	if err := s.Validate(r); err != nil {
+		return err
+	}
+	for i := range r {
+		if r[i].Kind() == KindInt && s[i].Kind == KindFloat {
+			r[i] = NewFloat(float64(r[i].Int()))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // String renders the schema as "(name kind, ...)".

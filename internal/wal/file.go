@@ -353,12 +353,14 @@ func (l *FileLog) Append(rec Record) error {
 			return err
 		}
 	}
-	payload := AppendRecord(nil, rec)
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	l.pending = append(l.pending, hdr[:]...)
-	l.pending = append(l.pending, payload...)
+	// The record encodes straight into pending behind a header reserved for
+	// it, which is filled in once the payload's length and checksum are known.
+	start := len(l.pending)
+	l.pending = AppendRecord(append(l.pending, make([]byte, frameHeader)...), rec)
+	frame := l.pending[start:]
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 	l.lastLSN = rec.LSN
 	l.appends++
 	l.sinceCkpt += int64(frameHeader + len(payload))

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"sqlxnf/internal/faultinj"
+	"sqlxnf/internal/storage"
+	"sqlxnf/internal/types"
 )
 
 func openT(t *testing.T, dir string, opts Options) (*FileLog, []Record) {
@@ -446,4 +449,46 @@ func FuzzWALReplay(f *testing.F) {
 		defer l2.Close()
 		sameRecords(t, "second Open", recs2, recs)
 	})
+}
+
+// TestAppendBuffersFrameOfAppendRecord pins the bytes Append buffers: for
+// every record type, the frame is the 8-byte header (payload length, then
+// its CRC32C, little-endian) followed by AppendRecord(nil, rec). Append
+// encodes the record in place into its pending buffer; the bytes must stay
+// what a separately encoded payload gives.
+func TestAppendBuffersFrameOfAppendRecord(t *testing.T) {
+	l, _ := openT(t, t.TempDir(), Options{Policy: SyncGroupCommit})
+	defer l.Close()
+	row := types.Row{types.NewInt(-7), types.NewString("a\x00b"), types.NewFloat(2.5), types.Null(), types.NewBool(true)}
+	old := types.Row{types.NewInt(3), types.NewString(""), types.NewFloat(-0.5), types.NewString("x"), types.NewBool(false)}
+	recs := []Record{
+		{Tx: 9, Type: RecBegin},
+		{Tx: 9, Type: RecInsert, Table: "EMP", RID: storage.RID{Page: 3, Slot: 17}, After: row},
+		{Tx: 9, Type: RecDelete, Table: "EMP", RID: storage.RID{Page: 70000, Slot: 2}, Before: old},
+		{Tx: 9, Type: RecUpdate, Table: "EMP", RID: storage.RID{Page: 3, Slot: 1}, NewRID: storage.RID{Page: 4, Slot: 0}, Before: old, After: row},
+		{Tx: 9, Type: RecDDL, Table: "CREATE TABLE T (a INT)"},
+		{Tx: 9, Type: RecAnalyze, Table: "EMP"},
+		{Tx: 9, Type: RecCommit},
+		{Tx: 10, Type: RecBegin},
+		{Tx: 10, Type: RecAbort},
+		{Tx: 11, Type: RecCheckpoint, Payload: []byte("catalog snapshot")},
+		{Tx: 11, Type: RecInsert, Table: "T", RID: storage.RID{Page: 1}, After: types.Row{}},
+	}
+	for i, rec := range recs {
+		rec.LSN = LSN(i + 1)
+		payload := AppendRecord(nil, rec)
+		want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, crcTable))
+		want = append(want, payload...)
+		before := len(l.pending)
+		if err := l.Append(rec); err != nil {
+			t.Fatalf("%v: %v", rec.Type, err)
+		}
+		if rec.Type == RecCheckpoint {
+			before = 0 // the checkpoint rotated: earlier frames went to their segment
+		}
+		if got := l.pending[before:]; !bytes.Equal(got, want) {
+			t.Fatalf("%v: buffered frame\n%x\nwant\n%x", rec.Type, got, want)
+		}
+	}
 }

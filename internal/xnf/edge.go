@@ -112,18 +112,18 @@ func (ev *Evaluator) fetchUsing(pl *edgePlan, parent *gnode) error {
 // that satisfies the predicate, as the edge's SQL join returns them. The
 // loop runs over U's rows (one empty row without USING), the children
 // matching the row's keys, and the parents matching the keys of the row
-// or, without USING, of the child.
+// or, without USING, of the child. Without keys that is every pair, so the
+// loop polls the statement's cancellation every pollPairs pairs.
 func (ev *Evaluator) resolveEdge(pl *edgePlan, parent, child *gnode) (*gedge, error) {
 	e := pl.e
 	ge := &gedge{name: e.Name, parent: parent, child: child, parentRole: e.ParentRole, childRole: e.ChildRole,
 		EdgeProvenance: e.EdgeProvenance}
+	ctx := ev.host.NewExecContext()
 	// The residual (nil when there is none) and the attributes, compiled
 	// over parent ++ child ++ U. An attribute that is a plain column takes
 	// the column's kind; any other stays untyped.
-	var ctx *exec.Context
 	var exprs []exec.Expr
 	if len(pl.residual) > 0 || len(e.Attrs) > 0 {
-		ctx = ev.host.NewExecContext()
 		cols := parent.schema.Concat(child.schema).Concat(pl.uOut)
 		offsets := map[int]int{0: 0, 1: len(parent.schema)}
 		for i, at := range pl.uAt {
@@ -155,6 +155,7 @@ func (ev *Evaluator) resolveEdge(pl *edgePlan, parent, child *gnode) (*gedge, er
 	}
 	cIdx, pIdx := newKeyIndex(child.rows, pl.cCols), newKeyIndex(parent.rows, pl.pCols)
 	var flat types.Row
+	pairs := 0
 	for ui, urow := range uRows {
 		rid := storage.NilRID
 		if e.LinkTable != "" && pl.uRIDs != nil {
@@ -166,6 +167,11 @@ func (ev *Evaluator) resolveEdge(pl *edgePlan, parent, child *gnode) (*gedge, er
 				probe = crow
 			}
 			for pi := range pIdx.matches(probe, pl.pProbe) {
+				if pairs++; pairs%pollPairs == 0 {
+					if err := ctx.Interrupted(); err != nil {
+						return nil, err
+					}
+				}
 				conn := Conn{P: pi, C: ci, LinkRID: rid}
 				if exprs != nil {
 					flat = append(append(append(flat[:0], parent.rows[pi]...), crow...), urow...)
@@ -190,6 +196,10 @@ func (ev *Evaluator) resolveEdge(pl *edgePlan, parent, child *gnode) (*gedge, er
 	ge.alive = allTrue(len(ge.conns))
 	return ge, nil
 }
+
+// pollPairs is how many (parent, child, U row) candidates resolveEdge tests
+// between two polls of the statement's cancellation.
+const pollPairs = 1024
 
 // keyHash hashes row's values at cols; ok is false when one is NULL, since
 // a NULL key matches nothing.

@@ -365,14 +365,20 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 			name: node.Name, schema: node.Def.Out,
 			baseTable: node.BaseTable, colMap: node.ColMap,
 		}
+		// A row with a RID is kept once however many fetches return it. Rows
+		// without one merge by value: every copy one fetch returns is a tuple
+		// of the derivation, and since equal rows pass or fail a key filter
+		// together, the node keeps, per value, the most copies any one fetch
+		// returned. kept and fetched index gn.rows and rows by hash.
 		seenRID := map[storage.RID]bool{}
-		var seenRows map[uint64][]int
+		kept := map[uint64][]int{}
 		for _, f := range fetches {
 			rows, rids, rerr := ev.host.RunBox(wrapWithInFilter(node.Def, f.col, f.keys))
 			if rerr != nil {
 				return nil, nil, fmt.Errorf("xnf: node %s: %w", node.Name, rerr)
 			}
 			atomic.AddInt64(&ev.Stats.NodeQueries, 1)
+			fetched := map[uint64][]int{}
 			for i, row := range rows {
 				rid := storage.NilRID
 				if rids != nil {
@@ -383,13 +389,13 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 						continue
 					}
 					seenRID[rid] = true
-				} else if h := row.Hash(); slices.ContainsFunc(seenRows[h], func(p int) bool { return gn.rows[p].Equal(row) }) {
-					continue // a row without a RID dedups by equality
 				} else {
-					if seenRows == nil {
-						seenRows = map[uint64][]int{}
+					h := row.Hash()
+					fetched[h] = append(fetched[h], i)
+					if countEqual(rows, fetched[h], row) <= countEqual(gn.rows, kept[h], row) {
+						continue
 					}
-					seenRows[h] = append(seenRows[h], len(gn.rows))
+					kept[h] = append(kept[h], len(gn.rows))
 				}
 				gn.rows = append(gn.rows, row)
 				gn.rids = append(gn.rids, rid)
@@ -399,6 +405,17 @@ func (ev *Evaluator) materializeTopDown(spec *qgm.XNFSpec, order []*qgm.XNFNode,
 		g.nodes = append(g.nodes, gn)
 	}
 	return edges, fetched, nil
+}
+
+// countEqual counts the rows at positions that equal row.
+func countEqual(rows []types.Row, positions []int, row types.Row) int {
+	n := 0
+	for _, p := range positions {
+		if rows[p].Equal(row) {
+			n++
+		}
+	}
+	return n
 }
 
 // topoNodes orders the spec's nodes parents-first.
