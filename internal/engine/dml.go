@@ -341,11 +341,8 @@ func (s *Session) deleteRowTx(t *catalog.Table, rid storage.RID) error {
 		return s.logChange(undoEntry{typ: wal.RecDelete, t: t, rid: rid, before: row},
 			wal.Record{Tx: s.txID, Type: wal.RecDelete, Table: t.Name, RID: rid, Before: row})
 	}
-	row, err := t.Heap.Get(t.Tag, rid)
+	row, err := t.Heap.Delete(t.Tag, rid)
 	if err != nil {
-		return err
-	}
-	if _, err := t.Heap.Delete(t.Tag, rid); err != nil {
 		return err
 	}
 	removeIndexEntriesFor(t, row, rid)
@@ -474,18 +471,24 @@ type undoEntry struct {
 	before types.Row
 }
 
-// undoChunk is the number of entries in one chunk of an undoLog.
+// undoChunk is the most entries one chunk of an undoLog holds.
 const undoChunk = 1024
 
-// undoLog lists the open transaction's undo entries, oldest first, in chunks
-// of undoChunk: a bulk load appends without copying the entries it already
-// holds, and the log is empty exactly when it holds no chunk.
+// undoLog lists the open transaction's undo entries, oldest first, in
+// chunks: the first holds 8 entries and each next one twice as many, up to
+// undoChunk. A one-row transaction allocates a few hundred bytes, a bulk
+// load appends without copying the entries it already holds, and the log
+// is empty exactly when it holds no chunk.
 type undoLog [][]undoEntry
 
 func (u *undoLog) push(e undoEntry) {
 	n := len(*u)
-	if n == 0 || len((*u)[n-1]) == undoChunk {
-		*u = append(*u, make([]undoEntry, 0, undoChunk))
+	if n == 0 || len((*u)[n-1]) == cap((*u)[n-1]) {
+		size := 8
+		if n > 0 {
+			size = min(2*cap((*u)[n-1]), undoChunk)
+		}
+		*u = append(*u, make([]undoEntry, 0, size))
 		n++
 	}
 	(*u)[n-1] = append((*u)[n-1], e)
