@@ -84,7 +84,7 @@ metrics-test:
 # minutes. See EXECUTOR.md for real runs.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExec -benchtime 1x ./internal/exec/
-	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML|BenchmarkTakeMiss' -benchtime 1x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkExecRepeated|BenchmarkSearchedDML|BenchmarkTakeMiss|BenchmarkBulkInsert' -benchtime 1x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameCodec|BenchmarkRenderCO' -benchtime 1x ./internal/wire/
 	$(GO) test -run '^$$' -bench 'BenchmarkE|BenchmarkCOCheckoutHit' -benchtime 1x .
 
