@@ -196,7 +196,7 @@ func TestLiteralAndExpressionValuesLoadAlike(t *testing.T) {
 	row := func(i int) []value {
 		name := value{fmt.Sprintf("'name-%d'", i%37), fmt.Sprintf("'name-' || '%d'", i%37)}
 		if i%11 == 0 {
-			name = value{"NULL", "NULL"}
+			name = value{"NULL", "NULL || ''"}
 		}
 		return []value{
 			{fmt.Sprint(i), fmt.Sprintf("%d + 0", i)},
